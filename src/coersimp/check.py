@@ -212,11 +212,6 @@ def wf_context(sig: Signature, ctx: ParamContext) -> None:
             )
 
 
-def wf_typing_context(sig: Signature, ctx: ParamContext, tyctx: TypingContext) -> None:
-    for _, t in tyctx:
-        wf_vtype(sig, ctx, t)
-
-
 # ---------------------------------------------------------------------------
 # Coercion endpoints
 
@@ -248,13 +243,7 @@ def check_dco(sig: Signature, ctx: ParamContext, g: DCoercion) -> tuple[Dirt, Di
         lo, hi = check_dco(sig, ctx, g.body)
         return lo, hi.with_ops({g.op})
     if isinstance(g, DCoCompose):
-        lo1, hi1 = check_dco(sig, ctx, g.before)
-        lo2, hi2 = check_dco(sig, ctx, g.after)
-        if hi1 != lo2:
-            raise EndpointMismatch(
-                f"dirt coercion composition: {hi1} vs {lo2}"
-            )
-        return lo1, hi2
+        return _check_chain(sig, ctx, g, DCoCompose, check_dco, "dirt")
     raise IllFormed(f"not a dirt coercion: {g!r}")
 
 
@@ -279,14 +268,30 @@ def check_vco(sig: Signature, ctx: ParamContext, g: VCoercion) -> tuple[ValueTyp
         c, c2 = check_cco(sig, ctx, g.res)
         return TyArrow(a2, c), TyArrow(a, c2)
     if isinstance(g, VCoCompose):
-        lo1, hi1 = check_vco(sig, ctx, g.before)
-        lo2, hi2 = check_vco(sig, ctx, g.after)
-        if hi1 != lo2:
-            raise EndpointMismatch(
-                f"value coercion composition: {hi1} vs {lo2}"
-            )
-        return lo1, hi2
+        return _check_chain(sig, ctx, g, VCoCompose, check_vco, "value")
     raise IllFormed(f"not a value coercion: {g!r}")
+
+
+def _check_chain(sig: Signature, ctx: ParamContext, g, compose, check, what: str):
+    """Endpoints of a tree of compositions: its links, in the order they
+    apply, must meet end to start. The tree is walked with an explicit
+    stack rather than by recursion, because a witness family nests one
+    composition per phase step."""
+    todo = [g.after, g.before]
+    lo, hi = None, None
+    while todo:
+        node = todo.pop()
+        if isinstance(node, compose):
+            todo.append(node.after)
+            todo.append(node.before)
+            continue
+        lo2, hi2 = check(sig, ctx, node)
+        if hi is None:
+            lo = lo2
+        elif hi != lo2:
+            raise EndpointMismatch(f"{what} coercion composition: {hi} vs {lo2}")
+        hi = hi2
+    return lo, hi
 
 
 def check_cco(sig: Signature, ctx: ParamContext, g: CCoercion) -> tuple[CompType, CompType]:

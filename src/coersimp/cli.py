@@ -310,6 +310,11 @@ def _run_report(args, items) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "verify":
+        for flag in ("samples", "budget"):
+            if getattr(args, flag) < 1:
+                print(f"error: --{flag} must be at least 1", file=sys.stderr)
+                return 1
     try:
         items = _load_corpus(args)
     except (ParseError, JudgmentError, OSError, ValueError) as exc:
@@ -323,6 +328,9 @@ def main(argv=None) -> int:
         return _run_report(args, items)
     except Unsatisfiable as exc:
         print(f"unsatisfiable: {exc}", file=sys.stderr)
+        return 1
+    except DomainTooLarge as exc:
+        print(f"error: the model is too large to enumerate: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

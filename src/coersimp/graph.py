@@ -6,9 +6,12 @@ canonical form, always relates two bare parameters). The dirt graph has one
 node per dirt parameter plus a single shared sink for closed upper bounds;
 each edge carries the finite operation set of its upper bound as a label.
 
-The graphs are rebuilt from the context on demand rather than kept in sync
-with it; contexts at this scale are tiny and rebuilding keeps the phase code
-free of cache invalidation.
+`Digraph` is a read-only view built from a context, for metrics, DOT output
+and one-off scans. `ConstraintGraph` is the mutable, indexed form the phase
+engine keeps for a whole run: edges are updated in place as steps merge or
+ground parameters, so a step costs the size of its change. Both sorts share
+it: a type edge is a dirt edge with an empty label that never ends in the
+sink.
 """
 
 from __future__ import annotations
@@ -129,6 +132,104 @@ def tarjan_scc(nodes: list[str], succ: dict[str, list[str]]) -> list[list[str]]:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
     return sccs
+
+
+class Edge:
+    """A mutable edge of a `ConstraintGraph`. `key` is the edge's position
+    in the context's constraint list and fixes its order."""
+
+    __slots__ = ("name", "src", "dst", "ops", "key")
+
+    def __init__(self, name: str, src: str, dst: str, ops: frozenset[str], key: int):
+        self.name, self.src, self.dst, self.ops, self.key = name, src, dst, ops, key
+
+
+class ConstraintGraph:
+    """One sort's constraint graph, indexed for in-place updates.
+
+    Nodes keep their context order (`order` maps each live node to its
+    position) and edges their constraint order (`Edge.key`). Besides the
+    in- and out-edges of every node, the graph indexes the edges of every
+    (source, target) pair, the self loops, and the pairs holding two or
+    more edges, so cleanup finds its work without a scan. Every endpoint
+    of an added or removed edge, and every removed node, is recorded in
+    `touched` until the owner clears it; `additions` counts the edges
+    added after construction.
+    """
+
+    def __init__(self, view: Digraph):
+        self.order = {n: i for i, n in enumerate(view.nodes)}
+        self.ins: dict[str, dict[int, Edge]] = {n: {} for n in view.nodes}
+        self.outs: dict[str, dict[int, Edge]] = {n: {} for n in view.nodes}
+        self.ins[SINK] = {}
+        self.edges: dict[int, Edge] = {}
+        self.pairs: dict[tuple[str, str], dict[int, Edge]] = {}
+        self.loops: dict[int, Edge] = {}
+        self.multi: set[tuple[str, str]] = set()
+        self.touched: set[str] = set()
+        self.additions = 0
+        for key, e in enumerate(view.edges):
+            self.add(Edge(e.name, e.src, e.dst, getattr(e, "ops", frozenset()), key))
+        self.additions = 0  # edges added since construction
+
+    def add(self, e: Edge) -> None:
+        self.edges[e.key] = e
+        self._attach(e)
+        self.additions += 1
+
+    def remove(self, e: Edge) -> None:
+        del self.edges[e.key]
+        self._detach(e)
+
+    def move(self, e: Edge, src: str, dst: str, ops: frozenset[str]) -> None:
+        """Re-point (and relabel) a live edge."""
+        self._detach(e)
+        e.src, e.dst, e.ops = src, dst, ops
+        self._attach(e)
+
+    def remove_node(self, node: str) -> None:
+        """Drop a node; its edges must already be gone."""
+        assert not self.ins[node] and not self.outs[node], node
+        del self.order[node], self.ins[node], self.outs[node]
+        self.touched.add(node)
+
+    def _attach(self, e: Edge) -> None:
+        self.outs[e.src][e.key] = e
+        self.ins[e.dst][e.key] = e
+        group = self.pairs.setdefault((e.src, e.dst), {})
+        group[e.key] = e
+        if len(group) == 2:
+            self.multi.add((e.src, e.dst))
+        if e.src == e.dst:
+            self.loops[e.key] = e
+        self.touched.add(e.src)
+        self.touched.add(e.dst)
+
+    def _detach(self, e: Edge) -> None:
+        del self.outs[e.src][e.key], self.ins[e.dst][e.key]
+        pair = (e.src, e.dst)
+        group = self.pairs[pair]
+        del group[e.key]
+        if len(group) == 1:
+            self.multi.discard(pair)
+        elif not group:
+            del self.pairs[pair]
+        self.loops.pop(e.key, None)
+        self.touched.add(e.src)
+        self.touched.add(e.dst)
+
+    @staticmethod
+    def ordered(edges: dict[int, Edge]) -> list[Edge]:
+        return [edges[k] for k in sorted(edges)]
+
+    def in_edges(self, node: str) -> list[Edge]:
+        return self.ordered(self.ins[node])
+
+    def out_edges(self, node: str) -> list[Edge]:
+        return self.ordered(self.outs[node])
+
+    def all_edges(self) -> list[Edge]:
+        return self.ordered(self.edges)
 
 
 def context_metrics(ctx: ParamContext) -> dict[str, int]:

@@ -4,8 +4,9 @@ Each phase inspects the constraint graphs of a canonical context and emits
 strengthening substitutions that shrink it: parameters are merged or
 grounded, and discharged constraints are mapped to coercions built from the
 survivors. Which moves are allowed depends on the polarity set threaded
-through the run; polarity is recomputed after every single step because a
-merge can turn a one-sided parameter bipolar and disable later moves.
+through the run; polarity is updated after every single step, because a
+merge moves the merged parameter's polarity onto its survivor and can turn
+a one-sided parameter bipolar, which disables later moves.
 
 Phases:
 
@@ -29,20 +30,38 @@ Phases:
 Every step records enough to replay it against a ground instantiation of
 the original context, which is how the per-instance completeness witnesses
 are built (see the witness module).
+
+The engine keeps one `ConstraintGraph` per sort for the whole run and
+updates it in place, so a step costs the size of its change, not the size
+of the context. Bridge and grounding candidates sit in queues that are
+re-checked only at the nodes a step touched; cleanup reads its loops and
+parallel pairs off the graph's indexes; one cycle search serves a whole
+`scc` phase unless cleanup adds an edge. A step records its own delta
+substitution, its polarity set and its data. The final context is read off
+the graphs once, and the total substitution is resolved once, through the
+step images from the last step back. The contexts between steps are not
+kept: `PhaseStep.before` and `PhaseStep.after` replay the steps on demand.
+Steps, their order and every result equal those of the plain engine that
+rewrites the whole context after each step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from collections import deque
+from dataclasses import dataclass, field, replace
 
-from .check import both_extend, derived_empty, derived_refl_dirt, right_extend
-from .graph import SINK, build_dirt_graph, build_type_graph, tarjan_scc
+from .check import derived_empty, derived_refl_dirt, derived_refl_vty, right_extend
+from .graph import SINK, ConstraintGraph, Edge, build_dirt_graph, build_type_graph, tarjan_scc
 from .polarity import FreeParamSet, subst_fps
-from .reduce import ReductionResult, reduce_context
-from .subst import Substitution, apply_context, apply_dirt, compose, identity
+from .reduce import ReductionResult, is_canonical, reduce_context
+from .subst import Substitution, apply_context, compose
 from .syntax import (
+    DCoEmptyUnder,
     DCoParam,
     DCoReflParam,
+    DCoUnionBoth,
+    DCoUnionRight,
     Dirt,
     NameSupply,
     ParamContext,
@@ -58,11 +77,19 @@ class PhaseStep:
     phase: str  # cleanup-loop | cleanup-parallel | scc | bridge-in | bridge-out | empty | full
     sort: str  # "type" | "dirt"
     info: str
-    subst: Substitution
-    before: ParamContext
-    after: ParamContext
+    subst: Substitution  # this step's own strengthening
     fps: FreeParamSet  # polarity set before this step
     data: dict
+    trace: _ContextTrace | None = field(default=None, compare=False, repr=False)
+    index: int = field(default=0, compare=False, repr=False)
+
+    @property
+    def before(self) -> ParamContext:
+        return self.trace.context(self.index)
+
+    @property
+    def after(self) -> ParamContext:
+        return self.trace.context(self.index + 1)
 
 
 @dataclass
@@ -88,9 +115,6 @@ PRESETS = {
     ),
 }
 
-_PHASE_NAMES = ("cleanup", "scc", "bridge", "empty", "full")
-
-
 def parse_phase_config(text: str, full_dirt: bool = False):
     """Parse a --phases argument into a list of (phase, sort) instructions.
 
@@ -112,7 +136,7 @@ def parse_phase_config(text: str, full_dirt: bool = False):
         if not chunk:
             continue
         name, _, sort = chunk.partition(".")
-        if name not in _PHASE_NAMES:
+        if name not in _PHASES:
             raise ValueError(f"unknown phase {name!r}")
         if name in ("empty", "full"):
             sort = sort or "dirt"
@@ -126,325 +150,488 @@ def parse_phase_config(text: str, full_dirt: bool = False):
     return steps
 
 
-class _Runner:
-    """Mutable state for one phase run."""
+class _ContextTrace:
+    """The contexts between the steps of one run, rebuilt on demand.
+
+    Context `i` is the input with the first `i` steps replayed on it. Only
+    the last context asked for is kept, so reading the steps in order costs
+    one replay each. The trace keeps what a replay needs, not the steps
+    themselves, so that steps and trace form no reference cycle."""
+
+    def __init__(self, original: ParamContext):
+        self.original = original
+        self.moves: list[tuple[str, Substitution, dict]] = []  # (phase, subst, data)
+        self._at = (0, original)
+
+    def context(self, index: int) -> ParamContext:
+        at, ctx = self._at
+        if index < at:
+            at, ctx = 0, self.original
+        while at < index:
+            ctx = _replay_step(ctx, *self.moves[at])
+            at += 1
+        self._at = (at, ctx)
+        return ctx
+
+
+def _replay_step(ctx: ParamContext, phase: str, sub: Substitution, data: dict) -> ParamContext:
+    after = apply_context(sub, ctx)
+    fresh = data.get("fresh") if phase == "cleanup-parallel" else None
+    if fresh is None:
+        return after
+    # The intersected constraint takes the place of the bundle's first row.
+    first, dropped = data["dropped"][0], set(data["dropped"])
+    rows = []
+    for row in ctx.dirt_cos:
+        if row[0] == first:
+            rows.append((fresh, row[1], data["upper"]))
+        if row[0] not in dropped:
+            rows.append(row)
+    return replace(after, dirt_cos=tuple(rows))
+
+
+class _Sort:
+    """What a move needs to know about the sort it works on."""
+
+    __slots__ = ("name", "params", "cos")
+
+    def __init__(self, name: str, params: str, cos: str):
+        self.name = name  # "type" | "dirt"
+        self.params = params  # Substitution field of the parameters
+        self.cos = cos  # Substitution field of the constraint names
+
+    def image(self, target: str, ops: frozenset[str] = frozenset()):
+        """The parameter `target`, extended by `ops` on the dirt side."""
+        return TyParam(target) if self.name == "type" else Dirt(ops, target)
+
+    def refl(self, image):
+        return derived_refl_vty(image) if self.name == "type" else derived_refl_dirt(image)
+
+    def co_param(self, name: str):
+        return VCoParam(name) if self.name == "type" else DCoParam(name)
+
+    def subst(self, params: dict, cos: dict) -> Substitution:
+        return Substitution(**{self.params: params, self.cos: cos})
+
+
+_TYPE = _Sort("type", "ty", "vco")
+_DIRT = _Sort("dirt", "dirt", "dco")
+_SORTS = {"type": (_TYPE,), "dirt": (_DIRT,), "both": (_TYPE, _DIRT)}
+
+
+class _Candidates:
+    """The nodes of a graph that pass one of `tests`: those passing the
+    first test come first, then those passing the second, each lowest
+    context position first.
+
+    An entry is checked again when it reaches the top, so entries may go
+    stale. A node's tests can only turn true through a change to its edges,
+    which the graph records as touched: `first` tests those nodes again and
+    clears the record, so one graph serves one queue at a time."""
+
+    def __init__(self, graph: ConstraintGraph, *tests):
+        self.graph, self.tests = graph, tests
+        self.heap: list[tuple[int, int, str]] = []
+        self.queued: set[tuple[int, str]] = set()
+        graph.touched.clear()
+        self._push(graph.order)
+
+    def _push(self, nodes) -> None:
+        order = self.graph.order
+        for node in nodes:
+            if node not in order:
+                continue
+            for rank, test in enumerate(self.tests):
+                if (rank, node) not in self.queued and test(node):
+                    heapq.heappush(self.heap, (rank, order[node], node))
+                    self.queued.add((rank, node))
+
+    def first(self) -> tuple[int, str] | None:
+        """The first candidate, as (index of its test, node)."""
+        g = self.graph
+        if g.touched:
+            self._push(g.touched)
+            g.touched.clear()
+        heap = self.heap
+        while heap:
+            rank, _, node = heap[0]
+            if node in g.order and self.tests[rank](node):
+                return rank, node
+            heapq.heappop(heap)
+            self.queued.discard((rank, node))
+        return None
+
+
+class _Graphs(dict):
+    """The graph of each sort, keyed by sort name, built from the context
+    when a phase first asks for it."""
+
+    def __init__(self, ctx: ParamContext):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, sort: str) -> ConstraintGraph:
+        view = build_type_graph if sort == "type" else build_dirt_graph
+        graph = self[sort] = ConstraintGraph(view(self.ctx))
+        return graph
+
+
+class _Engine:
+    """The state of one phase run: one graph per sort, the polarity set,
+    the name supply and the steps so far."""
 
     def __init__(self, sig: Signature, ctx: ParamContext, fps: FreeParamSet, supply: NameSupply):
+        if not is_canonical(ctx):
+            raise ValueError("the phases need a canonical context")
         self.sig = sig
-        self.ctx = ctx
         self.fps = fps
         self.supply = supply
-        self.total = identity()
+        self.original = ctx
+        self.graphs = _Graphs(ctx)
+        self.changed: set[str] = set()  # sorts some step has rewritten
         self.steps: list[PhaseStep] = []
+        self.trace = _ContextTrace(ctx)
 
-    def commit(self, phase: str, sort: str, info: str, sub: Substitution,
-               after: ParamContext, data: dict) -> None:
-        self.steps.append(
-            PhaseStep(phase, sort, info, sub, self.ctx, after, self.fps, data)
-        )
-        self.ctx = after
-        self.fps = subst_fps(sub, self.fps)
-        self.total = compose(sub, self.total)
+    def commit(self, phase: str, sort: _Sort, info: str, sub: Substitution,
+               data: dict, moves: dict[str, str | None] | None = None) -> None:
+        """Record a step, then move the polarity of every parameter in
+        `moves` onto its image (`None`: the parameter was grounded)."""
+        self.steps.append(PhaseStep(phase, sort.name, info, sub, self.fps, data,
+                                    self.trace, len(self.steps)))
+        self.trace.moves.append((phase, sub, data))
+        self.changed.add(sort.name)
+        pos, neg = self.fps.pos, self.fps.neg
+        if moves and any(m in pos or m in neg for m in moves):
+
+            def image(side: frozenset[str]) -> frozenset[str]:
+                kept = side.difference(moves)
+                return kept.union(t for m, t in moves.items() if m in side and t is not None)
+
+            self.fps = FreeParamSet(image(pos), image(neg))
+
+    @staticmethod
+    def _merge(g: ConstraintGraph, node: str, target: str, ops=frozenset()) -> None:
+        """Re-point every edge of `node` to `target` and drop the node.
+
+        `node` becomes `ops` over `target`, so every constraint with `node`
+        as its upper bound gains `ops` there. Canonical lower bounds carry
+        no operations, so `ops` is empty unless `node` bounds nothing from
+        below any more."""
+        for e in list(g.outs[node].values()):
+            g.move(e, target, e.dst, e.ops)
+        for e in list(g.ins[node].values()):
+            g.move(e, e.src, target, e.ops | ops)
+        g.remove_node(node)
 
     # -- cleanup ------------------------------------------------------------
 
-    def _drop_type_loops(self) -> bool:
-        changed = False
-        for name, lo, hi in self.ctx.ty_cos:
-            if lo == hi:
-                sub = Substitution(vco={name: VCoReflParam(lo.name)})
-                after = apply_context(sub, self.ctx)
-                self.commit("cleanup-loop", "type", f"drop loop {name} on {lo}",
-                            sub, after, {"edge": name})
-                changed = True
-        return changed
+    def cleanup(self, sorts) -> None:
+        """Drop every self loop, then collapse every parallel bundle, one
+        sort after the other. Neither move makes a new loop or bundle, so
+        one pass leaves both sorts clean."""
+        for sort in sorts:
+            g = self.graphs[sort.name]
+            if g.loops:
+                self._drop_loops(sort, g)
+            if g.multi:
+                self._collapse_parallels(sort, g)
 
-    def _drop_dirt_loops(self) -> bool:
-        changed = False
-        for name, lo, hi in self.ctx.dirt_cos:
-            if hi.tail is not None and hi.tail == lo.tail:
-                co = right_extend(hi.ops, DCoReflParam(lo.tail))
-                sub = Substitution(dco={name: co})
-                after = apply_context(sub, self.ctx)
-                self.commit("cleanup-loop", "dirt", f"drop loop {name} on {lo}",
-                            sub, after, {"edge": name})
-                changed = True
-        return changed
+    def _drop_loops(self, sort: _Sort, g: ConstraintGraph) -> None:
+        for e in g.ordered(g.loops):
+            g.remove(e)
+            co = right_extend(e.ops, sort.refl(sort.image(e.src)))
+            self.commit("cleanup-loop", sort, f"drop loop {e.name} on {e.src}",
+                        sort.subst({}, {e.name: co}), {"edge": e.name})
 
-    def _collapse_type_parallels(self) -> bool:
-        groups: dict[tuple[str, str], list[str]] = {}
-        for name, lo, hi in self.ctx.ty_cos:
-            groups.setdefault((lo.name, hi.name), []).append(name)
-        changed = False
-        for (src, dst), names in groups.items():
-            if len(names) < 2:
-                continue
-            kept, dropped = names[0], names[1:]
-            sub = Substitution(vco={n: VCoParam(kept) for n in dropped})
-            after = apply_context(sub, self.ctx)
-            self.commit("cleanup-parallel", "type",
-                        f"merge parallel {'/'.join(names)} into {kept}",
-                        sub, after, {"kept": kept, "dropped": dropped})
-            changed = True
-        return changed
-
-    def _collapse_dirt_parallels(self) -> bool:
-        groups: dict[tuple[str, str | None], list[tuple[str, Dirt, Dirt]]] = {}
-        for row in self.ctx.dirt_cos:
-            groups.setdefault((row[1].tail, row[2].tail), []).append(row)
-        changed = False
-        for (src, dst), rows in groups.items():
-            if len(rows) < 2:
-                continue
-            meet = frozenset.intersection(*[hi.ops for _, _, hi in rows])
-            upper = Dirt(meet, dst)
-            kept = next((n for n, _, hi in rows if hi.ops == meet), None)
+    def _collapse_parallels(self, sort: _Sort, g: ConstraintGraph) -> None:
+        bundles = sorted((g.ordered(g.pairs[pair]) for pair in g.multi),
+                         key=lambda rows: rows[0].key)
+        for rows in bundles:
+            src, dst = rows[0].src, rows[0].dst
+            meet = frozenset.intersection(*[e.ops for e in rows])
+            kept = next((e.name for e in rows if e.ops == meet), None)
             fresh = None if kept is not None else self.supply.fresh("p")
             rep = kept if kept is not None else fresh
-            dropped = [n for n, _, _ in rows if n != kept]
-            sub = Substitution(dco={
-                n: right_extend(hi.ops - meet, DCoParam(rep))
-                for n, _, hi in rows if n != kept
-            })
-            survivors = apply_context(sub, self.ctx)
+            dropped = [e for e in rows if e.name != kept]
+            sub = sort.subst({}, {e.name: right_extend(e.ops - meet, sort.co_param(rep))
+                                  for e in dropped})
+            for e in dropped:
+                g.remove(e)
             if fresh is not None:
-                # Insert the intersected constraint where the bundle started.
-                new_rows = []
-                for row in self.ctx.dirt_cos:
-                    if row[0] == rows[0][0]:
-                        new_rows.append((fresh, row[1], upper))
-                    if row[0] not in dropped:
-                        new_rows.append(row)
-                survivors = ParamContext(
-                    survivors.skel_params, survivors.dirt_params,
-                    survivors.ty_params, tuple(new_rows), survivors.ty_cos,
-                )
-            self.commit("cleanup-parallel", "dirt",
-                        f"intersect parallel bundle on {src} into {rep}",
-                        sub, survivors,
-                        {"kept": kept, "fresh": fresh, "dropped": dropped,
-                         "src": src, "upper": upper})
-            changed = True
-        return changed
-
-    def cleanup(self, sort: str) -> None:
-        while True:
-            changed = False
-            if sort in ("type", "both"):
-                changed |= self._drop_type_loops()
-                changed |= self._collapse_type_parallels()
-            if sort in ("dirt", "both"):
-                changed |= self._drop_dirt_loops()
-                changed |= self._collapse_dirt_parallels()
-            if not changed:
-                return
+                g.add(Edge(fresh, src, dst, meet, rows[0].key))
+            names = [e.name for e in dropped]
+            if sort is _TYPE:
+                info = f"merge parallel {'/'.join(e.name for e in rows)} into {kept}"
+                data = {"kept": kept, "dropped": names}
+            else:
+                upper = Dirt(meet, None if dst == SINK else dst)
+                info = f"intersect parallel bundle on {src} into {rep}"
+                data = {"kept": kept, "fresh": fresh, "dropped": names,
+                        "src": src, "upper": upper}
+            self.commit("cleanup-parallel", sort, info, sub, data)
 
     # -- strongly connected components --------------------------------------
 
-    def _scc_type(self) -> bool:
-        g = build_type_graph(self.ctx)
-        order = {n: i for i, n in enumerate(g.nodes)}
-        changed = False
-        for comp in tarjan_scc(g.nodes, g.successors()):
-            if len(comp) < 2:
-                continue
-            rep = min(comp, key=order.__getitem__)
-            members = set(comp)
-            internal = [e.name for e in g.edges
-                        if e.src in members and e.dst in members]
-            sub = Substitution(
-                ty={m: TyParam(rep) for m in comp if m != rep},
-                vco={n: VCoReflParam(rep) for n in internal},
-            )
-            after = apply_context(sub, self.ctx)
-            self.commit("scc", "type",
-                        f"contract cycle {'/'.join(comp)} to {rep}",
-                        sub, after,
-                        {"rep": rep, "merged": [m for m in comp if m != rep],
-                         "internal": internal})
-            self.cleanup("type")
-            changed = True
-            return True  # graph changed; recompute components
-        return changed
+    def scc(self, sorts) -> None:
+        self.cleanup(sorts)
+        cycles: dict[_Sort, tuple[int, deque]] = {}
+        live = list(sorts)  # a sort's graph only changes by its own steps
+        while live:
+            for sort in list(live):
+                if not self._contract_one(sort, cycles):
+                    live.remove(sort)
 
-    def _scc_dirt(self) -> bool:
-        g = build_dirt_graph(self.ctx)
-        empty_succ: dict[str, list[str]] = {n: [] for n in g.nodes}
-        for e in g.edges:
-            if e.dst != SINK and not e.ops:
-                empty_succ[e.src].append(e.dst)
-        order = {n: i for i, n in enumerate(g.nodes)}
-        for comp in tarjan_scc(g.nodes, empty_succ):
-            if len(comp) < 2:
-                continue
-            rep = min(comp, key=order.__getitem__)
-            members = set(comp)
-            internal = [e.name for e in g.edges
-                        if e.src in members and e.dst in members and not e.ops]
-            sub = Substitution(
-                dirt={m: Dirt(frozenset(), rep) for m in comp if m != rep},
-                dco={n: DCoReflParam(rep) for n in internal},
-            )
-            after = apply_context(sub, self.ctx)
-            self.commit("scc", "dirt",
-                        f"contract cycle {'/'.join(comp)} to {rep}",
-                        sub, after,
-                        {"rep": rep, "merged": [m for m in comp if m != rep],
-                         "internal": internal})
-            self.cleanup("dirt")  # labeled cycle edges became self-loops
-            return True
-        return False
+    def _contract_one(self, sort: _Sort, cycles: dict) -> bool:
+        """Contract the first cycle (in Tarjan order) of the sort's graph;
+        on dirt only unlabeled edges count.
 
-    def scc(self, sort: str) -> None:
-        self.cleanup(sort)
-        while True:
-            changed = False
-            if sort in ("type", "both"):
-                changed |= self._scc_type()
-            if sort in ("dirt", "both"):
-                changed |= self._scc_dirt()
-            if not changed:
-                return
+        Contracting the first cycle Tarjan emits leaves the search before
+        and after it unchanged (everything it reaches was emitted before it
+        and is acyclic), so one search yields the cycles in the order that
+        searching again after every contraction would. Only an edge added
+        by cleanup, an unlabeled intersection of labeled dirt edges, can
+        close a new cycle; then the search runs again."""
+        g = self.graphs[sort.name]
+        if len(g.edges) < 2:
+            return False
+        additions, pending = cycles.get(sort, (None, None))
+        if additions != g.additions:
+            succ = {n: [e.dst for e in g.out_edges(n) if not e.ops and e.dst != SINK]
+                    for n in g.order}
+            pending = deque(c for c in tarjan_scc(list(g.order), succ) if len(c) > 1)
+            cycles[sort] = (g.additions, pending)
+        if not pending:
+            return False
+        comp = pending.popleft()
+        rep = min(comp, key=g.order.__getitem__)
+        members = set(comp)
+        internal = sorted((e for m in comp for e in g.outs[m].values()
+                           if e.dst in members and not e.ops), key=lambda e: e.key)
+        merged = [m for m in comp if m != rep]
+        image = sort.image(rep)
+        sub = sort.subst({m: image for m in merged},
+                         {e.name: sort.refl(image) for e in internal})
+        for e in internal:
+            g.remove(e)
+        for m in merged:
+            self._merge(g, m, rep)
+        self.commit("scc", sort, f"contract cycle {'/'.join(comp)} to {rep}", sub,
+                    {"rep": rep, "merged": merged, "internal": [e.name for e in internal]},
+                    {m: rep for m in merged})
+        self.cleanup((sort,))  # labeled dirt cycle edges became self-loops
+        return True
 
     # -- bridges ------------------------------------------------------------
 
-    def _bridge_type_once(self) -> bool:
-        g = build_type_graph(self.ctx)
-        for node in g.nodes:  # bridge-in: unique lower bound, non-negative
-            if node in self.fps.neg:
-                continue
-            edges = g.in_edges(node)
-            if len(edges) != 1 or edges[0].src == node:
-                continue
-            e = edges[0]
-            moved = [x.name for x in g.out_edges(node)]
-            sub = Substitution(ty={node: TyParam(e.src)},
-                               vco={e.name: VCoReflParam(e.src)})
-            after = apply_context(sub, self.ctx)
-            self.commit("bridge-in", "type",
-                        f"merge {node} down into {e.src} via {e.name}",
-                        sub, after,
-                        {"edge": e.name, "src": e.src, "dst": node,
-                         "moved": moved})
-            self.cleanup("type")
-            return True
-        for node in g.nodes:  # bridge-out: unique upper bound, non-positive
-            if node in self.fps.pos:
-                continue
-            edges = g.out_edges(node)
-            if len(edges) != 1 or edges[0].dst == node:
-                continue
-            e = edges[0]
-            moved = [x.name for x in g.in_edges(node)]
-            sub = Substitution(ty={node: TyParam(e.dst)},
-                               vco={e.name: VCoReflParam(e.dst)})
-            after = apply_context(sub, self.ctx)
-            self.commit("bridge-out", "type",
-                        f"merge {node} up into {e.dst} via {e.name}",
-                        sub, after,
-                        {"edge": e.name, "src": node, "dst": e.dst,
-                         "moved": moved})
-            self.cleanup("type")
-            return True
-        return False
+    def bridge(self, sorts) -> None:
+        self.cleanup(sorts)
+        queues = {}
+        for sort in sorts:
+            g = self.graphs[sort.name]
 
-    def _bridge_dirt_once(self) -> bool:
-        g = build_dirt_graph(self.ctx)
-        for node in g.nodes:  # bridge-in: needs an empty-labeled lower bound
-            if node in self.fps.neg:
-                continue
-            edges = g.in_edges(node)
-            if len(edges) != 1 or edges[0].src == node or edges[0].ops:
-                continue
-            e = edges[0]
-            moved = [x.name for x in g.out_edges(node)]
-            sub = Substitution(dirt={node: Dirt(frozenset(), e.src)},
-                               dco={e.name: DCoReflParam(e.src)})
-            after = apply_context(sub, self.ctx)
-            self.commit("bridge-in", "dirt",
-                        f"merge {node} down into {e.src} via {e.name}",
-                        sub, after,
-                        {"edge": e.name, "src": e.src, "dst": node,
-                         "moved": moved})
-            self.cleanup("dirt")
-            return True
-        for node in g.nodes:  # bridge-out: label folds into the image
-            if node in self.fps.pos:
-                continue
-            edges = g.out_edges(node)
-            if len(edges) != 1 or edges[0].dst in (node, SINK):
-                continue
-            e = edges[0]
-            image = Dirt(e.ops, e.dst)
-            moved = [(x.name, x.ops) for x in g.in_edges(node)]
-            sub = Substitution(dirt={node: image},
-                               dco={e.name: derived_refl_dirt(image)})
-            after = apply_context(sub, self.ctx)
-            self.commit("bridge-out", "dirt",
-                        f"merge {node} up into {image} via {e.name}",
-                        sub, after,
-                        {"edge": e.name, "src": node, "dst": e.dst,
-                         "ops": e.ops, "moved": moved})
-            self.cleanup("dirt")
-            return True
-        return False
+            def bridge_in(node, g=g):  # unique unlabeled lower bound, non-negative
+                edges = g.ins[node]
+                if len(edges) != 1 or node in self.fps.neg:
+                    return False
+                (e,) = edges.values()
+                return e.src != node and not e.ops
 
-    def bridge(self, sort: str) -> None:
-        self.cleanup(sort)
-        while True:
-            changed = False
-            if sort in ("type", "both"):
-                changed |= self._bridge_type_once()
-            if sort in ("dirt", "both"):
-                changed |= self._bridge_dirt_once()
-            if not changed:
-                return
+            def bridge_out(node, g=g):  # unique upper bound, non-positive
+                edges = g.outs[node]
+                if len(edges) != 1 or node in self.fps.pos:
+                    return False
+                (e,) = edges.values()
+                return e.dst != node and e.dst != SINK
+
+            queues[sort] = _Candidates(g, bridge_in, bridge_out)
+        live = list(sorts)  # a sort's graph only changes by its own steps
+        while live:
+            for sort in list(live):
+                if not self._bridge_one(sort, queues[sort]):
+                    live.remove(sort)
+
+    def _bridge_one(self, sort: _Sort, queue: _Candidates) -> bool:
+        """One bridge step: bridge-in on the first node that allows it, else
+        bridge-out on the first node that allows that."""
+        found = queue.first()
+        if found is None:
+            return False
+        rank, node = found
+        g = self.graphs[sort.name]
+        if rank == 0:
+            (e,) = g.ins[node].values()
+            image = sort.image(e.src)
+            data = {"edge": e.name, "src": e.src, "dst": node,
+                    "moved": [x.name for x in g.out_edges(node)]}
+            phase, info, target = "bridge-in", f"merge {node} down into {e.src} via {e.name}", e.src
+        else:
+            (e,) = g.outs[node].values()
+            image = sort.image(e.dst, e.ops)  # the label folds into the image
+            data = {"edge": e.name, "src": node, "dst": e.dst}
+            if sort is _DIRT:
+                data["ops"] = e.ops
+                data["moved"] = [(x.name, x.ops) for x in g.in_edges(node)]
+            else:
+                data["moved"] = [x.name for x in g.in_edges(node)]
+            phase, info, target = "bridge-out", f"merge {node} up into {image} via {e.name}", e.dst
+        sub = sort.subst({node: image}, {e.name: sort.refl(image)})
+        g.remove(e)
+        self._merge(g, node, target, e.ops)
+        self.commit(phase, sort, info, sub, data, {node: target})
+        self.cleanup((sort,))
+        return True
 
     # -- dirt grounding ------------------------------------------------------
 
     def empty_dirt(self) -> None:
-        g = build_dirt_graph(self.ctx)
-        grounded = {n for n in g.nodes if n not in self.fps.neg}
-        while True:
-            blocked = {n for n in grounded
-                       if any(e.src not in grounded for e in g.in_edges(n))}
-            if not blocked:
-                break
-            grounded -= blocked
+        """Ground every non-negative dirt parameter that no negative one
+        reaches: all its lower bounds then come from grounded ones."""
+        g = self.graphs["dirt"]
+        todo = [n for n in g.order if n in self.fps.neg]
+        reached = set(todo)
+        while todo:
+            for e in g.outs[todo.pop()].values():
+                if e.dst != SINK and e.dst not in reached:
+                    reached.add(e.dst)
+                    todo.append(e.dst)
+        grounded = [n for n in g.order if n not in reached]
         if not grounded:
             return
-        dropped = [e.name for e in g.edges
-                   if e.src in grounded or e.dst in grounded]
-        dirt_map = {n: Dirt(frozenset(), None) for n in grounded}
-        ground_only = Substitution(dirt=dict(dirt_map))
+        ground = set(grounded)
+        dropped = g.ordered({e.key: e for n in grounded
+                             for e in (*g.ins[n].values(), *g.outs[n].values())})
         sub = Substitution(
-            dirt=dirt_map,
-            dco={name: derived_empty(apply_dirt(ground_only, hi))
-                 for name, _, hi in self.ctx.dirt_cos if name in dropped},
+            dirt={n: Dirt(frozenset(), None) for n in grounded},
+            dco={e.name: derived_empty(Dirt(e.ops, None if e.dst in ground or e.dst == SINK
+                                            else e.dst))
+                 for e in dropped},
         )
-        after = apply_context(sub, self.ctx)
-        self.commit("empty", "dirt",
-                    f"ground {'/'.join(sorted(grounded))} to the empty dirt",
-                    sub, after, {"params": sorted(grounded), "dropped": dropped})
+        for e in dropped:
+            g.remove(e)
+        for n in grounded:
+            g.remove_node(n)
+        params = sorted(grounded)
+        self.commit("empty", _DIRT, f"ground {'/'.join(params)} to the empty dirt", sub,
+                    {"params": params, "dropped": [e.name for e in dropped]},
+                    dict.fromkeys(grounded))
 
     def full_dirt(self) -> None:
+        """Ground non-positive dirt parameters without upper bounds to the
+        whole signature, lowest context position first."""
+        g = self.graphs["dirt"]
         full = Dirt(frozenset(self.sig.names()), None)
+        sinks = _Candidates(g, lambda n: n not in self.fps.pos and not g.outs[n])
         while True:
-            g = build_dirt_graph(self.ctx)
-            node = next(
-                (n for n in g.nodes
-                 if n not in self.fps.pos and not g.out_edges(n)),
-                None,
-            )
-            if node is None:
+            found = sinks.first()
+            if found is None:
                 return
-            survivors = [e.name for e in g.in_edges(node)]
-            sub = Substitution(dirt={node: full})
-            after = apply_context(sub, self.ctx)
-            self.commit("full", "dirt",
-                        f"ground {node} to the full dirt {full}",
-                        sub, after, {"param": node, "survivors": survivors})
-            self.cleanup("dirt")
+            node = found[1]
+            survivors = g.in_edges(node)
+            for e in survivors:
+                g.move(e, e.src, SINK, e.ops | full.ops)
+            g.remove_node(node)
+            self.commit("full", _DIRT, f"ground {node} to the full dirt {full}",
+                        Substitution(dirt={node: full}),
+                        {"param": node, "survivors": [e.name for e in survivors]},
+                        {node: None})
+            self.cleanup((_DIRT,))
+
+    # -- results ---------------------------------------------------------------
+
+    def context(self) -> ParamContext:
+        """The current context, read off the graphs of the sorts that
+        changed."""
+        ctx = self.original
+        if not self.changed:
+            return ctx
+        dirt_params, dirt_cos = ctx.dirt_params, ctx.dirt_cos
+        ty_params, ty_cos = ctx.ty_params, ctx.ty_cos
+        if "dirt" in self.changed:
+            dg = self.graphs["dirt"]
+            dirt_params = tuple(dg.order)
+            dirt_cos = tuple((e.name, Dirt(frozenset(), e.src),
+                              Dirt(e.ops, None if e.dst == SINK else e.dst))
+                             for e in dg.all_edges())
+        if "type" in self.changed:
+            tg, skel = self.graphs["type"], dict(ty_params)
+            ty_params = tuple((n, skel[n]) for n in tg.order)
+            ty_cos = tuple((e.name, TyParam(e.src), TyParam(e.dst)) for e in tg.all_edges())
+        return ParamContext(ctx.skel_params, dirt_params, ty_params, dirt_cos, ty_cos)
+
+
+class _FinalImages:
+    """Final images of the names the steps of a run map.
+
+    The total substitution of a run is `compose(s_n, ... compose(s_2, s_1))`:
+    a name mapped at step `i` has the image `s_i` gives it, rewritten by every
+    later step in turn. Each name is mapped at most once, and every name an
+    image mentions is still live after its step, so the later steps rewrite
+    an image one leaf at a time, and the result for a leaf depends only on
+    the leaf. `add` takes the steps' substitutions from the last one back,
+    so each leaf's final image is known before any earlier image needs it.
+    Reflexivity and empty-below coercions of a dirt parameter are rewritten
+    through the derived coercion of the step's image, exactly as repeated
+    application does, which is not the same term as deriving the coercion
+    of the final image. Step images are parameters, reflexivities and
+    operation extensions of them, and nothing else.
+    """
+
+    def __init__(self):
+        self.ty, self.dirt, self.vco, self.dco = {}, {}, {}, {}
+        self.refl_ty, self.refl_dirt, self.empty_under = {}, {}, {}
+
+    def add(self, sub: Substitution) -> None:
+        for n, t in sub.ty.items():  # phases map type parameters to parameters
+            self.ty[n] = self.ty.get(t.name, t)
+            self.refl_ty[n] = self.value_co(derived_refl_vty(t))
+        for n, d in sub.dirt.items():
+            self.dirt[n] = self.dirt_row(d)
+            self.refl_dirt[n] = self.dirt_co(derived_refl_dirt(d))
+            self.empty_under[n] = self.dirt_co(derived_empty(d))
+        for n, g in sub.vco.items():
+            self.vco[n] = self.value_co(g)
+        for n, g in sub.dco.items():
+            self.dco[n] = self.dirt_co(g)
+
+    def dirt_row(self, d: Dirt) -> Dirt:
+        image = self.dirt.get(d.tail)
+        return d if image is None else Dirt(d.ops | image.ops, image.tail)
+
+    def dirt_co(self, g):
+        if isinstance(g, DCoParam):
+            return self.dco.get(g.name, g)
+        if isinstance(g, DCoReflParam):
+            return self.refl_dirt.get(g.name, g)
+        if isinstance(g, DCoEmptyUnder):
+            return self.empty_under.get(g.tail, g)
+        if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
+            return type(g)(g.op, self.dirt_co(g.body))
+        return g
+
+    def value_co(self, g):
+        if isinstance(g, VCoParam):
+            return self.vco.get(g.name, g)
+        if isinstance(g, VCoReflParam):
+            return self.refl_ty.get(g.name, g)
+        return g
+
+
+def _total_subst(steps: list[PhaseStep]) -> Substitution:
+    if not steps:
+        return Substitution()
+    final = _FinalImages()
+    for step in reversed(steps):
+        final.add(step.subst)
+    return Substitution(dirt=final.dirt, ty=final.ty, dco=final.dco, vco=final.vco)
+
+
+_PHASES = {
+    "cleanup": _Engine.cleanup,
+    "scc": _Engine.scc,
+    "bridge": _Engine.bridge,
+    "empty": lambda engine, sorts: engine.empty_dirt(),
+    "full": lambda engine, sorts: engine.full_dirt(),
+}
 
 
 def run_phases(
@@ -457,21 +644,13 @@ def run_phases(
     """Run the given (phase, sort) instructions over a canonical context."""
     if supply is None:
         supply = NameSupply.seeded(ctx)
-    runner = _Runner(sig, ctx, fps, supply)
+    engine = _Engine(sig, ctx, fps, supply)
     for phase, sort in instructions:
-        if phase == "cleanup":
-            runner.cleanup(sort)
-        elif phase == "scc":
-            runner.scc(sort)
-        elif phase == "bridge":
-            runner.bridge(sort)
-        elif phase == "empty":
-            runner.empty_dirt()
-        elif phase == "full":
-            runner.full_dirt()
-        else:
+        if phase not in _PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-    return PhaseResult(ctx, runner.ctx, runner.total, fps, runner.fps, runner.steps)
+        _PHASES[phase](engine, _SORTS[sort])
+    return PhaseResult(ctx, engine.context(), _total_subst(engine.steps), fps,
+                       engine.fps, engine.steps)
 
 
 @dataclass

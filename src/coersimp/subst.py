@@ -68,7 +68,6 @@ from .syntax import (
     TyBase,
     TyParam,
     TyUnit,
-    TypingContext,
     UnitVal,
     VCoArrow,
     VCoCompose,
@@ -223,10 +222,6 @@ def apply_comp(sub: Substitution, c: CompTerm) -> CompTerm:
     if isinstance(c, CastC):
         return CastC(apply_comp(sub, c.comp), apply_cco(sub, c.co))
     raise TypeError(f"not a computation term: {c!r}")
-
-
-def apply_tyctx(sub: Substitution, tyctx: TypingContext) -> TypingContext:
-    return tuple((x, apply_vty(sub, t)) for x, t in tyctx)
 
 
 def apply_context(sub: Substitution, ctx: ParamContext) -> ParamContext:

@@ -273,12 +273,18 @@ def replay_reduction(sig: Signature, red, eta0: Substitution) -> Substitution:
     for a, _ in rc.ty_params:
         if a in eta0.ty:
             eta.ty[a] = eta0.ty[a]
+    # Reduction's substitution also maps the intermediate names it made up
+    # on the way; only the original names have ground images, and theirs
+    # are already fully composed.
     for name, img in red.subst.skel.items():
-        _match_skel(img, eta0.skel[name], eta)
+        if name in eta0.skel:
+            _match_skel(img, eta0.skel[name], eta)
     for name, img in red.subst.dirt.items():
-        _match_dirt(img, eta0.dirt[name], eta)
+        if name in eta0.dirt:
+            _match_dirt(img, eta0.dirt[name], eta)
     for name, img in red.subst.ty.items():
-        _match_vty(img, eta0.ty[name], eta)
+        if name in eta0.ty:
+            _match_vty(img, eta0.ty[name], eta)
 
     # Coercion names get fresh inclusion witnesses; the bounds hold because
     # the factored instantiation satisfies every reduced constraint.

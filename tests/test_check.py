@@ -33,6 +33,7 @@ from coersimp.syntax import (
     CastV,
     CCoercion,
     CompType,
+    DCoCompose,
     DCoParam,
     Dirt,
     Do,
@@ -158,6 +159,33 @@ def test_check_vco_compose_endpoint_mismatch():
     bad = VCoCompose(VCoParam("w1"), VCoParam("w1"))
     with pytest.raises(EndpointMismatch):
         check_vco(SIG, CTX, bad)
+
+
+def test_check_compose_chains_deeper_than_the_recursion_limit():
+    """A witness family nests one composition per phase step; checking
+    one must not recurse once per link. Chains of 5000 links, nested on
+    either side, keep the endpoints of their single parameter link."""
+    links = 5000
+    a1, a2 = TyParam("a1"), TyParam("a2")
+    d1, d2 = dirt((), "d1"), dirt(("Random",), "d2")
+    # Reflexivities after the parameter (nested in `before`) ...
+    vco, dco = VCoParam("w1"), DCoParam("p1")
+    for _ in range(links):
+        vco = VCoCompose(derived_refl_vty(a2), vco)
+        dco = DCoCompose(derived_refl_dirt(d2), dco)
+    assert check_vco(SIG, CTX, vco) == (a1, a2)
+    assert check_dco(SIG, CTX, dco) == (d1, d2)
+    # ... and before it (nested in `after`).
+    vco, dco = VCoParam("w1"), DCoParam("p1")
+    for _ in range(links):
+        vco = VCoCompose(vco, derived_refl_vty(a1))
+        dco = DCoCompose(dco, derived_refl_dirt(d1))
+    assert check_vco(SIG, CTX, vco) == (a1, a2)
+    assert check_dco(SIG, CTX, dco) == (d1, d2)
+    with pytest.raises(EndpointMismatch):  # a2 then a1 do not meet
+        check_vco(SIG, CTX, VCoCompose(vco, derived_refl_vty(a2)))
+    with pytest.raises(EndpointMismatch):
+        check_dco(SIG, CTX, DCoCompose(derived_refl_dirt(d1), dco))
 
 
 def test_value_inclusion_coercion():

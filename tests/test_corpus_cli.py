@@ -172,6 +172,12 @@ def test_cli_diagnostics_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["simplify", "--item", "apply_if", "--phases", "bogus"]) == 1
     assert "error:" in capsys.readouterr().err
+    for flags in (["--samples", "-3"], ["--samples", "0"], ["--budget", "0"],
+                  ["--budget", "1"]):
+        assert main(["verify", "--item", "apply_if", *flags]) == 1, flags
+        captured = capsys.readouterr()
+        assert "error:" in captured.err, flags
+        assert "ok" not in captured.out, flags
 
 
 def test_cli_unsatisfiable_exit_one(tmp_path, capsys):

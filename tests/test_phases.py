@@ -2,6 +2,7 @@
 whole-pipeline invariants over the bundled corpus and random contexts."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,11 +15,12 @@ from coersimp.phases import (
     simplify,
 )
 from coersimp.polarity import EMPTY_FPS, FreeParamSet, fp_vty, subst_fps
-from coersimp.reduce import is_canonical
+from coersimp.reduce import is_canonical, reduce_context
 from coersimp.subst import apply_dirt, apply_vty, check_validity
 from coersimp.syntax import Dirt, ParamContext, SkelParam, TyParam, dirt
 
 from gen import TEST_SIG, random_context, random_fps
+from reference_phases import run_reference_phases
 
 FULL = Dirt(frozenset({"Fail", "Random"}), None)
 
@@ -330,3 +332,152 @@ def test_phases_randomized_invariants():
             again = run_phases(TEST_SIG, sim.context, sim.phases.fps,
                                instructions)
             assert again.steps == []
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the reference engine
+
+
+def step_key(step):
+    return (step.phase, step.sort, step.info, step.subst, step.fps, step.data)
+
+
+def assert_same_run(sig, ctx, pol, instructions, label, contexts=True):
+    """The engine and the reference pick the same steps, in the same order,
+    with the same results; with `contexts`, the contexts the engine derives
+    between steps are the reference's too."""
+    got = run_phases(sig, ctx, pol, instructions)
+    want = run_reference_phases(sig, ctx, pol, instructions)
+    assert len(got.steps) == len(want.steps), label
+    for i, (mine, ref) in enumerate(zip(got.steps, want.steps)):
+        assert step_key(mine) == step_key(ref), (label, i)
+    assert got.context == want.context, label
+    assert got.subst == want.subst, label
+    assert got.fps == want.fps, label
+    if contexts:
+        for i, (mine, ref) in enumerate(zip(got.steps, want.steps)):
+            assert mine.before == ref.before and mine.after == ref.after, (label, i)
+    return got
+
+
+def test_engine_matches_reference_on_corpus():
+    for item in load_bundled():
+        pol = fp_vty(item.poltype) if item.poltype is not None else EMPTY_FPS
+        red = reduce_context(item.signature, item.context)
+        pol = subst_fps(red.subst, pol)
+        configs = dict(PRESETS, full=parse_phase_config("all", full_dirt=True))
+        for preset, instructions in configs.items():
+            assert_same_run(item.signature, red.context, pol, instructions,
+                            (item.name, preset))
+
+
+OPS = ("Fail", "Random")
+
+
+def _chain(n, rng):
+    return [(i, i + 1) for i in range(n - 1)], {}, ()
+
+
+def _ring(n, rng):
+    size = max(2, round(n ** 0.5))
+    rings = [list(range(s, min(s + size, n))) for s in range(0, n, size)]
+    if len(rings[-1]) < 2:
+        rings[-2].extend(rings.pop())
+    edges = []
+    for j, ring in enumerate(rings):
+        edges += [(node, ring[(i + 1) % len(ring)]) for i, node in enumerate(ring)]
+        if j + 1 < len(rings):
+            edges.append((ring[0], rings[j + 1][0]))
+    return edges, {}, ()
+
+
+def _ladder(n, rng):
+    edges = []
+    for top in range(0, n - 3, 3):
+        edges += [(top, top + 1), (top, top + 2), (top + 1, top + 3), (top + 2, top + 3)]
+    return edges, {}, ()
+
+
+def _dense(n, rng):
+    edges = [(i, i + 1) for i in range(n - 1)]
+    labels = {}
+    for u in range(0, n - 2, 2):
+        labels[len(edges)] = frozenset(op for op in OPS if rng.random() < 0.5)
+        edges.append((u, rng.randrange(u + 2, min(n, u + 10))))
+    return edges, labels, tuple(rng.sample(range(1, n - 1), 2))
+
+
+SHAPES = {"chain": _chain, "ring": _ring, "ladder": _ladder, "dense": _dense}
+
+
+def shape_context(family, n, seed=0):
+    """The bench's canonical graph families: node i is type parameter a<i>
+    and dirt parameter d<i>, edge k is w<k> and p<k>. The first node is
+    negative and the last positive, as in a cast from start to end; held
+    nodes are bipolar."""
+    edges, labels, held = SHAPES[family](n, random.Random(f"{family}:{n}:{seed}"))
+    ctx = ParamContext(
+        ("s1",),
+        tuple(f"d{i}" for i in range(n)),
+        tuple((f"a{i}", SkelParam("s1")) for i in range(n)),
+        tuple((f"p{k}", dirt((), f"d{u}"), Dirt(labels.get(k, frozenset()), f"d{v}"))
+              for k, (u, v) in enumerate(edges)),
+        tuple((f"w{k}", TyParam(f"a{u}"), TyParam(f"a{v}"))
+              for k, (u, v) in enumerate(edges)))
+    pol = fps(pos={f"{s}{i}" for i in (edges[-1][1], *held) for s in "ad"},
+              neg={f"{s}{i}" for i in (0, *held) for s in "ad"})
+    return ctx, pol
+
+
+@pytest.mark.parametrize("family", sorted(SHAPES))
+def test_engine_matches_reference_on_bench_shapes(family):
+    for n in (50, 200):
+        ctx, pol = shape_context(family, n)
+        for instructions in (PRESETS["all"], parse_phase_config("all", full_dirt=True)):
+            assert_same_run(TEST_SIG, ctx, pol, instructions, (family, n),
+                            contexts=n <= 50)
+
+
+def test_engine_matches_reference_on_random_contexts():
+    rng = random.Random(2024)
+    configs = list(PRESETS.values()) + [
+        parse_phase_config("all", full_dirt=True),
+        parse_phase_config("custom:full,bridge,empty,scc.dirt,cleanup"),
+    ]
+    for size in (4, 4, 4, 10, 10, 30, 60, 150):
+        ctx = random_context(rng, max_dirts=size, max_tys=size, max_cos=2 * size)
+        pol = random_fps(rng, ctx)
+        for instructions in configs:
+            assert_same_run(TEST_SIG, ctx, pol, instructions, (size, instructions),
+                            contexts=size <= 30)
+
+
+def test_phase_cost_does_not_grow_with_steps(monkeypatch):
+    """A run rewrites no whole context, composes no substitutions and
+    builds each constraint graph once, however many steps it takes."""
+    import coersimp.graph
+    import coersimp.phases
+    import coersimp.subst
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (coersimp.phases, coersimp.subst, coersimp.graph):
+        for name in ("apply_context", "compose", "build_type_graph", "build_dirt_graph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    counts = {}
+    for n in (100, 400):
+        ctx, pol = shape_context("chain", n)
+        calls.clear()
+        res = run_phases(TEST_SIG, ctx, pol, PRESETS["all"])
+        counts[n] = (len(res.steps), dict(calls))
+    (short, few), (long, many) = counts[100], counts[400]
+    assert long > 3 * short
+    assert few == many
+    assert many == {"build_type_graph": 1, "build_dirt_graph": 1}

@@ -10,7 +10,7 @@ from coersimp.check import (
     dirt_inclusion_coercion,
     value_inclusion_coercion,
 )
-from coersimp.corpus import load_bundled
+from coersimp.corpus import load_bundled, parse_corpus
 from coersimp.phases import PRESETS, parse_phase_config, run_phases, simplify
 from coersimp.polarity import FreeParamSet, fp_vty
 from coersimp.reduce import reduce_context
@@ -160,6 +160,35 @@ def test_total_witness_on_corpus_items():
                                   poltype=item.poltype, term=item.term)
                 wit = build_witness_total(item.signature, sim, eta0)
                 check_witness_total(item.signature, sim, eta0, wit)
+
+
+NESTED_SKELETONS = """
+(item nested_skeletons
+  (signature (op Random (unit) (base bit)))
+  (context
+    (skel s1)
+    (typaram f0 (arrow (arrow (param s1) (param s1)) (param s1)))
+    (typaram f1 (arrow (arrow (param s1) (param s1)) (param s1)))
+    (tyco c0 (param f0) (param f1)))
+  (poltype (arrow (param f0) (comp (param f1) (dirt ()))))
+  (term (lam x (param f0) (return (castv (var x) (covar c0))))))
+"""
+
+
+def test_total_witness_on_depth_two_skeletons():
+    """Reduction decomposes a depth-2 arrow skeleton through intermediate
+    names that the original instantiation does not bind."""
+    (item,) = parse_corpus(NESTED_SKELETONS)
+    pol = fp_vty(item.poltype)
+    for preset in ("none", "scc", "all"):
+        sim = simplify(item.signature, item.context, pol, PRESETS[preset])
+        assert set(sim.reduction.subst.ty) - {"f0", "f1"}, "no intermediate names"
+        for i in range(5):
+            rng = random.Random(f"nested:{preset}:{i}")
+            eta0 = sample_eta(item.signature, item.context, rng,
+                              poltype=item.poltype, term=item.term)
+            wit = build_witness_total(item.signature, sim, eta0)
+            check_witness_total(item.signature, sim, eta0, wit)
 
 
 def test_total_witness_under_full_dirt():
