@@ -151,6 +151,11 @@ def _tokenize(text: str):
     yield None, line, col
 
 
+# Deepest parenthesis nesting the reader accepts: elaboration, checking and
+# substitution recurse along it and must stay inside the recursion limit.
+MAX_NESTING = 256
+
+
 def _read_all(text: str) -> list[Node]:
     stack: list[Node] = []
     top: list[Node] = []
@@ -160,6 +165,8 @@ def _read_all(text: str) -> list[Node]:
                 raise ParseError(line, col, "unclosed parenthesis")
             return top
         if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError(line, col, f"nesting deeper than {MAX_NESTING} levels")
             node = Node([], line, col)
             (stack[-1].val if stack else top).append(node)
             stack.append(node)

@@ -38,8 +38,8 @@ re-checked only at the nodes a step touched; cleanup reads its loops and
 parallel pairs off the graph's indexes; one cycle search serves a whole
 `scc` phase unless cleanup adds an edge. A step records its own delta
 substitution, its polarity set and its data. The final context is read off
-the graphs once, and the total substitution is resolved once, through the
-step images from the last step back. The contexts between steps are not
+the graphs once, and the total substitution is resolved once from the step
+substitutions (`subst.resolve`). The contexts between steps are not
 kept: `PhaseStep.before` and `PhaseStep.after` replay the steps on demand.
 Steps, their order and every result equal those of the plain engine that
 rewrites the whole context after each step.
@@ -55,20 +55,15 @@ from .check import derived_empty, derived_refl_dirt, derived_refl_vty, right_ext
 from .graph import SINK, ConstraintGraph, Edge, build_dirt_graph, build_type_graph, tarjan_scc
 from .polarity import FreeParamSet, subst_fps
 from .reduce import ReductionResult, is_canonical, reduce_context
-from .subst import Substitution, apply_context, compose
+from .subst import Substitution, apply_context, compose, resolve
 from .syntax import (
-    DCoEmptyUnder,
     DCoParam,
-    DCoReflParam,
-    DCoUnionBoth,
-    DCoUnionRight,
     Dirt,
     NameSupply,
     ParamContext,
     Signature,
     TyParam,
     VCoParam,
-    VCoReflParam,
 )
 
 
@@ -559,72 +554,6 @@ class _Engine:
         return ParamContext(ctx.skel_params, dirt_params, ty_params, dirt_cos, ty_cos)
 
 
-class _FinalImages:
-    """Final images of the names the steps of a run map.
-
-    The total substitution of a run is `compose(s_n, ... compose(s_2, s_1))`:
-    a name mapped at step `i` has the image `s_i` gives it, rewritten by every
-    later step in turn. Each name is mapped at most once, and every name an
-    image mentions is still live after its step, so the later steps rewrite
-    an image one leaf at a time, and the result for a leaf depends only on
-    the leaf. `add` takes the steps' substitutions from the last one back,
-    so each leaf's final image is known before any earlier image needs it.
-    Reflexivity and empty-below coercions of a dirt parameter are rewritten
-    through the derived coercion of the step's image, exactly as repeated
-    application does, which is not the same term as deriving the coercion
-    of the final image. Step images are parameters, reflexivities and
-    operation extensions of them, and nothing else.
-    """
-
-    def __init__(self):
-        self.ty, self.dirt, self.vco, self.dco = {}, {}, {}, {}
-        self.refl_ty, self.refl_dirt, self.empty_under = {}, {}, {}
-
-    def add(self, sub: Substitution) -> None:
-        for n, t in sub.ty.items():  # phases map type parameters to parameters
-            self.ty[n] = self.ty.get(t.name, t)
-            self.refl_ty[n] = self.value_co(derived_refl_vty(t))
-        for n, d in sub.dirt.items():
-            self.dirt[n] = self.dirt_row(d)
-            self.refl_dirt[n] = self.dirt_co(derived_refl_dirt(d))
-            self.empty_under[n] = self.dirt_co(derived_empty(d))
-        for n, g in sub.vco.items():
-            self.vco[n] = self.value_co(g)
-        for n, g in sub.dco.items():
-            self.dco[n] = self.dirt_co(g)
-
-    def dirt_row(self, d: Dirt) -> Dirt:
-        image = self.dirt.get(d.tail)
-        return d if image is None else Dirt(d.ops | image.ops, image.tail)
-
-    def dirt_co(self, g):
-        if isinstance(g, DCoParam):
-            return self.dco.get(g.name, g)
-        if isinstance(g, DCoReflParam):
-            return self.refl_dirt.get(g.name, g)
-        if isinstance(g, DCoEmptyUnder):
-            return self.empty_under.get(g.tail, g)
-        if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
-            return type(g)(g.op, self.dirt_co(g.body))
-        return g
-
-    def value_co(self, g):
-        if isinstance(g, VCoParam):
-            return self.vco.get(g.name, g)
-        if isinstance(g, VCoReflParam):
-            return self.refl_ty.get(g.name, g)
-        return g
-
-
-def _total_subst(steps: list[PhaseStep]) -> Substitution:
-    if not steps:
-        return Substitution()
-    final = _FinalImages()
-    for step in reversed(steps):
-        final.add(step.subst)
-    return Substitution(dirt=final.dirt, ty=final.ty, dco=final.dco, vco=final.vco)
-
-
 _PHASES = {
     "cleanup": _Engine.cleanup,
     "scc": _Engine.scc,
@@ -649,8 +578,8 @@ def run_phases(
         if phase not in _PHASES:
             raise ValueError(f"unknown phase {phase!r}")
         _PHASES[phase](engine, _SORTS[sort])
-    return PhaseResult(ctx, engine.context(), _total_subst(engine.steps), fps,
-                       engine.fps, engine.steps)
+    return PhaseResult(ctx, engine.context(), resolve([s.subst for s in engine.steps]),
+                       fps, engine.fps, engine.steps)
 
 
 @dataclass

@@ -216,12 +216,6 @@ def precompose_family(fam: CoercionFamily, sub: Substitution, names) -> Coercion
     return out
 
 
-def invert_family(fam: CoercionFamily) -> CoercionFamily:
-    """A family witnessing `sub1 <=_F sub2` also witnesses `sub2 <= sub1`
-    at the swapped polarity set; the data is unchanged."""
-    return CoercionFamily(dict(fam.vco), dict(fam.dco))
-
-
 def check_family(
     sig: Signature,
     use_ctx: ParamContext,

@@ -9,15 +9,19 @@ Canonical form means:
 * every dirt constraint has a bare parameter on the left: `d <= O` or
   `d <= O + d'`.
 
-The pass runs in three stages (types, type constraints, dirt constraints),
-threading one substitution through; the final substitution maps the input
-context onto the canonical one and is validity-checkable.
+The pass runs in three stages (types, type constraints, dirt constraints).
+Each step records its own one-name substitution; the total, which maps the
+input context onto the canonical one and is validity-checkable, is resolved
+once (`subst.resolve`), and the stage-1 steps once more for stage 2.
 
 The dirt-constraint stage has one non-structural move: a constraint
 `O1 <= O2 + d2` with `O1` not contained in `O2` forces `d2` to absorb the
 missing operations. We substitute `d2 -> (O1 - O2) + d2'` with `d2'` fresh
-and reprocess everything touched, including the triggering constraint, which
-then falls into a dropping clause on the rerun. (One circulating statement
+and reprocess the triggering constraint, which then falls into a dropping
+clause on the rerun, and every kept constraint whose lower tail was `d2`.
+Other kept constraints would be kept unchanged by a rerun, so they are only
+rewritten; rerunning the reopened ones in input order gives the kept order
+and fresh names of a rerun of everything. (One circulating statement
 of the corresponding keep-clause writes the kept tail as a primed parameter
 even though no substitution introduces one there; the unprimed tail is the
 reading that type-checks, and is what this code does.) Each absorption
@@ -26,16 +30,18 @@ number of restarts is bounded by (#dirt parameters) x (#operations); the
 bound is enforced and a violation raises `ReductionBug`.
 
 Constraints that are already canonical keep their coercion parameter name
-and record no mapping, so reduction is the identity on canonical contexts.
+and record no mapping, so reduction is the identity on canonical contexts;
+`reduce_context` returns such a context at once.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .check import derived_refl_vty, dirt_inclusion_coercion
-from .subst import Substitution, apply_dirt, apply_vty, compose
+from .check import dirt_inclusion_coercion
+from .subst import Substitution, apply_dirt, apply_vty, resolve
 from .syntax import (
     CCoercion,
     DCoParam,
@@ -95,9 +101,8 @@ def _both_ext(ops: frozenset[str], body):
     return body
 
 
-def _phi_t(ctx: ParamContext, supply: NameSupply):
+def _phi_t(ctx: ParamContext, supply: NameSupply, deltas: list[Substitution]):
     """Stage 1: canonicalize type parameter classifiers."""
-    sub = Substitution()
     kept: list[tuple[str, SkelParam]] = []
     new_dirts: list[str] = list(ctx.dirt_params)
     queue = deque(ctx.ty_params)
@@ -106,24 +111,24 @@ def _phi_t(ctx: ParamContext, supply: NameSupply):
         if isinstance(skel, SkelParam):
             kept.append((name, skel))
         elif isinstance(skel, SkelUnit):
-            sub = compose(Substitution(ty={name: TyUnit()}), sub)
+            deltas.append(Substitution(ty={name: TyUnit()}))
         elif isinstance(skel, SkelBase):
-            sub = compose(Substitution(ty={name: TyBase(skel.name)}), sub)
+            deltas.append(Substitution(ty={name: TyBase(skel.name)}))
         elif isinstance(skel, SkelArrow):
             a1 = supply.fresh("a")
             a2 = supply.fresh("a")
             d = supply.fresh("d")
             new_dirts.append(d)
             image = TyArrow(TyParam(a1), CompType(TyParam(a2), dirt((), d)))
-            sub = compose(Substitution(ty={name: image}), sub)
+            deltas.append(Substitution(ty={name: image}))
             queue.appendleft((a2, skel.cod))
             queue.appendleft((a1, skel.dom))
         else:
             raise TypeError(f"not a skeleton: {skel!r}")
-    return kept, tuple(new_dirts), sub
+    return kept, tuple(new_dirts)
 
 
-def _phi_tc(ty_cos, supply: NameSupply, sub: Substitution, dirt_cos):
+def _phi_tc(ty_cos, supply: NameSupply, deltas: list[Substitution], dirt_cos):
     """Stage 2: decompose type constraints down to parameter pairs.
 
     `ty_cos` must already have the stage-1 substitution applied; the fresh
@@ -137,95 +142,107 @@ def _phi_tc(ty_cos, supply: NameSupply, sub: Substitution, dirt_cos):
         if isinstance(lo, TyParam) and isinstance(hi, TyParam):
             kept.append((name, lo, hi))
         elif isinstance(lo, TyUnit) and isinstance(hi, TyUnit):
-            sub = compose(Substitution(vco={name: VCoReflUnit()}), sub)
+            deltas.append(Substitution(vco={name: VCoReflUnit()}))
         elif isinstance(lo, TyBase) and isinstance(hi, TyBase) and lo.name == hi.name:
-            sub = compose(Substitution(vco={name: VCoReflBase(lo.name)}), sub)
+            deltas.append(Substitution(vco={name: VCoReflBase(lo.name)}))
         elif isinstance(lo, TyArrow) and isinstance(hi, TyArrow):
             w1 = supply.fresh("w")
             w2 = supply.fresh("w")
             p = supply.fresh("p")
             image = VCoArrow(VCoParam(w1), CCoercion(VCoParam(w2), DCoParam(p)))
-            sub = compose(Substitution(vco={name: image}), sub)
+            deltas.append(Substitution(vco={name: image}))
             out_dirt_cos.append((p, lo.cod.dirt, hi.cod.dirt))
             # Argument side flips: w1 : hi.dom <= lo.dom.
             queue.appendleft((w2, lo.cod.ty, hi.cod.ty))
             queue.appendleft((w1, hi.dom, lo.dom))
         else:
             raise Unsatisfiable(f"type constraint {name}: {lo} <= {hi}")
-    return kept, out_dirt_cos, sub
+    return kept, out_dirt_cos
 
 
-def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply, sub: Substitution):
-    """Stage 3: canonicalize dirt constraints, absorbing forced operations."""
+def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply,
+            deltas: list[Substitution]):
+    """Stage 3: canonicalize dirt constraints, absorbing forced operations.
+
+    `rows[i]` is the constraint at input position `i` as it stands now, or
+    `None` once dropped. Positions below `nxt` have been processed: they are
+    kept, dropped, or reopened by an absorption and waiting in `reopened`,
+    and each is processed again before any later position. A position may
+    wait twice; processing a kept constraint again keeps it unchanged."""
     dparams = list(dirt_params)
     max_restarts = len(dparams) * max(1, len(sig.ops)) + 1
     restarts = 0
-    kept: list[tuple[str, Dirt, Dirt]] = []
-    queue = deque(dirt_cos)
-    while queue:
-        name, lo, hi = queue.popleft()
+    rows: list[tuple[str, Dirt, Dirt] | None] = list(dirt_cos)
+    reopened: list[int] = []  # a heap of positions
+    nxt = 0
+    by_tail = None  # dirt parameter -> positions of rows that mention it
+    while reopened or nxt < len(rows):
+        if reopened:
+            pos = heapq.heappop(reopened)
+            if rows[pos] is None:  # dropped since it was reopened
+                continue
+        else:
+            pos, nxt = nxt, nxt + 1
+        name, lo, hi = rows[pos]
         o1, d1 = lo.ops, lo.tail
         o2, d2 = hi.ops, hi.tail
         if o1 <= o2:
             if d1 is None:
                 # Left side closed: the constraint holds outright; record the
                 # inclusion witness and drop it.
-                sub = compose(
-                    Substitution(dco={name: dirt_inclusion_coercion(lo, hi)}), sub
-                )
-            elif d2 is None:
-                # Keep the less restrictive residual d1 <= O2.
-                if not o1:
-                    kept.append((name, lo, hi))
-                else:
-                    p = supply.fresh("p")
-                    kept.append((p, dirt((), d1), hi))
-                    sub = compose(
-                        Substitution(dco={name: _both_ext(o1, DCoParam(p))}), sub
-                    )
-            else:
-                residual_hi = Dirt(o2 - o1, d2)
-                if not o1:
-                    kept.append((name, lo, hi))
-                else:
-                    p = supply.fresh("p")
-                    kept.append((p, dirt((), d1), residual_hi))
-                    sub = compose(
-                        Substitution(dco={name: _both_ext(o1, DCoParam(p))}), sub
-                    )
-        else:
-            if d2 is None:
-                raise Unsatisfiable(f"dirt constraint {name}: {lo} <= {hi}")
-            # The tail must absorb the missing operations; substitute and
-            # reprocess everything, this constraint included.
-            restarts += 1
-            if restarts > max_restarts:
-                raise ReductionBug("absorption did not terminate within its bound")
-            fresh = supply.fresh("d")
-            absorb = Substitution(dirt={d2: Dirt(o1 - o2, fresh)})
-            dparams[dparams.index(d2)] = fresh
-            requeue = list(kept) + [(name, lo, hi)] + list(queue)
-            kept = []
-            queue = deque(
-                (n, apply_dirt(absorb, l), apply_dirt(absorb, h)) for n, l, h in requeue
-            )
-            sub = compose(absorb, sub)
-    return kept, tuple(dparams), sub
+                deltas.append(Substitution(dco={name: dirt_inclusion_coercion(lo, hi)}))
+                rows[pos] = None
+            elif o1:
+                # Keep the less restrictive residual d1 <= O2 (+ d2).
+                p = supply.fresh("p")
+                rows[pos] = (p, dirt((), d1), hi if d2 is None else Dirt(o2 - o1, d2))
+                deltas.append(Substitution(dco={name: _both_ext(o1, DCoParam(p))}))
+            continue
+        if d2 is None:
+            raise Unsatisfiable(f"dirt constraint {name}: {lo} <= {hi}")
+        # The tail must absorb the missing operations; substitute, and
+        # reprocess this constraint and the kept ones it reopens.
+        restarts += 1
+        if restarts > max_restarts:
+            raise ReductionBug("absorption did not terminate within its bound")
+        if by_tail is None:
+            by_tail, dpos = {}, {d: i for i, d in enumerate(dparams)}
+            for i, row in enumerate(rows):
+                for tail in (row[1].tail, row[2].tail) if row else ():
+                    by_tail.setdefault(tail, set()).add(i)
+        fresh = supply.fresh("d")
+        absorb = Substitution(dirt={d2: Dirt(o1 - o2, fresh)})
+        deltas.append(absorb)
+        dparams[dpos[d2]] = fresh
+        dpos[fresh] = dpos.pop(d2)
+        touched = by_tail.pop(d2)
+        for i in touched:
+            if rows[i] is not None:
+                n, l, h = rows[i]
+                rows[i] = (n, apply_dirt(absorb, l), apply_dirt(absorb, h))
+                if i < nxt and l.tail == d2:
+                    heapq.heappush(reopened, i)
+        heapq.heappush(reopened, pos)
+        by_tail[fresh] = touched
+    kept = [row for row in rows if row is not None]
+    return kept, tuple(dparams)
 
 
 def reduce_context(sig: Signature, ctx: ParamContext, supply: NameSupply | None = None) -> ReductionResult:
     """Run the full reduction and return the canonical context with the
     substitution into it."""
+    if is_canonical(ctx):
+        return ReductionResult(context=ctx, subst=Substitution())
     if supply is None:
         supply = NameSupply.seeded(ctx)
-    ty_params, dirt_params, sub_t = _phi_t(ctx, supply)
+    deltas: list[Substitution] = []
+    ty_params, dirt_params = _phi_t(ctx, supply, deltas)
+    sub_t = resolve(deltas)
     ty_cos_in = [
         (n, apply_vty(sub_t, lo), apply_vty(sub_t, hi)) for n, lo, hi in ctx.ty_cos
     ]
-    ty_cos, dirt_cos_in, sub_tc = _phi_tc(ty_cos_in, supply, sub_t, ctx.dirt_cos)
-    dirt_cos, dirt_params, sub_dc = _phi_dc(
-        sig, dirt_cos_in, dirt_params, supply, sub_tc
-    )
+    ty_cos, dirt_cos_in = _phi_tc(ty_cos_in, supply, deltas, ctx.dirt_cos)
+    dirt_cos, dirt_params = _phi_dc(sig, dirt_cos_in, dirt_params, supply, deltas)
     out = ParamContext(
         skel_params=ctx.skel_params,
         dirt_params=dirt_params,
@@ -233,4 +250,4 @@ def reduce_context(sig: Signature, ctx: ParamContext, supply: NameSupply | None 
         dirt_cos=tuple(dirt_cos),
         ty_cos=tuple(ty_cos),
     )
-    return ReductionResult(context=out, subst=sub_dc)
+    return ReductionResult(context=out, subst=resolve(deltas))

@@ -270,6 +270,89 @@ def compose(s2: Substitution, s1: Substitution) -> Substitution:
     return out
 
 
+def resolve(steps) -> Substitution:
+    """`compose(steps[-1], ... compose(steps[1], steps[0]))`, built once,
+    from the last step back, with each map's names in step order.
+
+    A run maps each name at most once, and a step's images mention only
+    names that no earlier step and not the step itself maps. The later
+    steps then rewrite an image leaf by leaf, so each leaf's final image is
+    built once and shared. A reflexivity or empty-below coercion of a
+    mapped parameter becomes the derived coercion of its step image,
+    rewritten by the later steps, as repeated application does (not the
+    derived coercion of the final image). A type reflexivity, as large as
+    its image, is built when first needed; a step that maps a type
+    parameter to another needs the other's itself, so a chain of such steps
+    builds its reflexivities one at a time, not by deep recursion.
+    """
+    final = _Resolver()
+    for step in reversed(steps):
+        final.add(step)
+    done = final.sub
+    return Substitution(
+        skel={n: done.skel[n] for s in steps for n in s.skel},
+        dirt={n: done.dirt[n] for s in steps for n in s.dirt},
+        ty={n: done.ty[n] for s in steps for n in s.ty},
+        dco={n: done.dco[n] for s in steps for n in s.dco},
+        vco={n: done.vco[n] for s in steps for n in s.vco},
+    )
+
+
+class _Resolver:
+    """Final images of the names that the steps added so far map."""
+
+    def __init__(self):
+        self.sub = Substitution()
+        self.step_ty: dict[str, ValueType] = {}
+        self.refl_ty: dict[str, VCoercion] = {}
+        self.refl_dirt: dict[str, DCoercion] = {}
+        self.empty_under: dict[str, DCoercion] = {}
+
+    def add(self, step: Substitution) -> None:
+        sub = self.sub
+        for n, s in step.skel.items():
+            sub.skel[n] = apply_skel(sub, s)
+        for n, d in step.dirt.items():
+            sub.dirt[n] = apply_dirt(sub, d)
+            self.refl_dirt[n] = self.dco(derived_refl_dirt(d))
+            self.empty_under[n] = self.dco(derived_empty(d))
+        for n, t in step.ty.items():
+            sub.ty[n] = apply_vty(sub, t)
+            self.step_ty[n] = t
+        for n, g in step.dco.items():
+            sub.dco[n] = self.dco(g)
+        for n, g in step.vco.items():
+            sub.vco[n] = self.vco(g)
+
+    def dco(self, g: DCoercion) -> DCoercion:
+        if isinstance(g, DCoParam):
+            return self.sub.dco.get(g.name, g)
+        if isinstance(g, DCoReflParam):
+            return self.refl_dirt.get(g.name, g)
+        if isinstance(g, DCoEmptyUnder):
+            return self.empty_under.get(g.tail, g)
+        if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
+            return type(g)(g.op, self.dco(g.body))
+        if isinstance(g, DCoCompose):
+            return DCoCompose(self.dco(g.after), self.dco(g.before))
+        return g  # DCoReflEmpty
+
+    def vco(self, g: VCoercion) -> VCoercion:
+        if isinstance(g, VCoParam):
+            return self.sub.vco.get(g.name, g)
+        if isinstance(g, VCoReflParam):
+            if g.name not in self.step_ty:
+                return g
+            if g.name not in self.refl_ty:
+                self.refl_ty[g.name] = self.vco(derived_refl_vty(self.step_ty[g.name]))
+            return self.refl_ty[g.name]
+        if isinstance(g, VCoArrow):
+            return VCoArrow(self.vco(g.arg), CCoercion(self.vco(g.res.vco), self.dco(g.res.dco)))
+        if isinstance(g, VCoCompose):
+            return VCoCompose(self.vco(g.after), self.vco(g.before))
+        return g  # VCoReflUnit, VCoReflBase
+
+
 # ---------------------------------------------------------------------------
 # Validity
 

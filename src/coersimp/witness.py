@@ -46,7 +46,6 @@ from .subst import (
     apply_vty,
     check_validity,
     compose,
-    identity,
 )
 from .syntax import (
     DCoCompose,
@@ -171,12 +170,22 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
     names0 = sorted(run.fps0.members())
     acc = CoercionFamily()
     _refl_entries(acc, eta0, names0)
-    so_far = identity()
+    # The steps so far, composed, restricted to the tracked names: all that
+    # `precompose_family` reads of it.
+    so_far, tracked = Substitution(), set(names0)
     for step in run.steps:
         eta_next, step_fam = _replay(step, eta)
         acc = compose_families(acc, precompose_family(step_fam, so_far, names0), run.fps0)
         eta = eta_next
-        so_far = compose(step.subst, so_far)
+        sub = step.subst
+        for n, t in so_far.ty.items():
+            so_far.ty[n] = apply_vty(sub, t)
+        for n, d in so_far.dirt.items():
+            so_far.dirt[n] = apply_dirt(sub, d)
+        for n in tracked.intersection(sub.ty):
+            so_far.ty.setdefault(n, sub.ty[n])
+        for n in tracked.intersection(sub.dirt):
+            so_far.dirt.setdefault(n, sub.dirt[n])
     return WitnessResult(eta, acc)
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -15,6 +16,21 @@ from coersimp.corpus import (
 from coersimp.syntax import TyUnit, UnitVal
 
 MINIMAL = "(item x (signature) (context) (poltype (unit)) (term (unitval)))"
+
+
+
+def deep_tyco(depth):
+    """One type constraint between two arrows nested `depth` deep on the
+    argument side."""
+    def arrow(leaf):
+        for _ in range(depth):
+            leaf = f"(arrow {leaf} (comp (unit) (dirt (Random) d)))"
+        return leaf
+
+    return ("(item deep (signature (op Random (unit) (base bit)))"
+            " (context (skel s1) (dirt d) (typaram a (param s1)) (typaram b (param s1))"
+            f" (tyco w {arrow('(param a)')} {arrow('(param b)')})))")
+
 
 UNSAT = ("(item bad (signature (op Random (unit) (base bit)))"
          " (context (dco p1 (dirt (Random)) (dirt ()))))")
@@ -178,6 +194,18 @@ def test_cli_diagnostics_exit_one(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "error:" in captured.err, flags
         assert "ok" not in captured.out, flags
+    bad.write_text(deep_tyco(400))
+    assert main(["simplify", str(bad)]) == 1
+    assert "nesting deeper than 256 levels" in capsys.readouterr().err
+
+
+def test_cli_simplifies_deep_arrow_constraint_quickly(tmp_path, capsys):
+    path = tmp_path / "deep.sexp"
+    path.write_text(deep_tyco(200))
+    start = time.perf_counter()
+    assert main(["simplify", str(path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert "deep/after" in capsys.readouterr().out
 
 
 def test_cli_unsatisfiable_exit_one(tmp_path, capsys):

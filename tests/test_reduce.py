@@ -6,11 +6,18 @@ original constraint name against the substituted bounds.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from coersimp.check import check_dco, check_vco, wf_context
-from coersimp.reduce import ReductionResult, Unsatisfiable, is_canonical, reduce_context
+from coersimp.reduce import (
+    ReductionBug,
+    ReductionResult,
+    Unsatisfiable,
+    is_canonical,
+    reduce_context,
+)
 from coersimp.subst import apply_dco, apply_dirt, apply_vty, check_validity
 from coersimp.syntax import (
     CompType,
@@ -22,12 +29,14 @@ from coersimp.syntax import (
     SkelParam,
     SkelUnit,
     TyArrow,
+    TyBase,
     TyParam,
     TyUnit,
     dirt,
 )
 
-from gen import TEST_SIG, random_context
+from gen import TEST_SIG, random_context, random_dirt
+from reference_reduce import reference_reduce_context
 
 R = frozenset({"Random"})
 F = frozenset({"Fail"})
@@ -256,3 +265,147 @@ def test_reduction_randomized_invariants():
         again = reduce_context(TEST_SIG, red.context)
         assert again.context == red.context
         assert again.subst.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the reference reduction
+
+
+OPS = ("Fail", "Random")
+
+
+def outcome(reduce, sig, ctx):
+    """The reduced context and substitution, with each map's names in
+    order, or the exception the reduction raised."""
+    try:
+        red = reduce(sig, ctx)
+    except (Unsatisfiable, ReductionBug) as exc:
+        return type(exc), str(exc)
+    order = [list(getattr(red.subst, kind)) for kind in ("skel", "dirt", "ty", "dco", "vco")]
+    return red.context, red.subst, order
+
+
+def assert_same_reduction(sig, ctx, label):
+    got = outcome(reduce_context, sig, ctx)
+    assert got == outcome(reference_reduce_context, sig, ctx), label
+    return got
+
+
+def _skel(depth):
+    if depth == 0:
+        return SkelParam("s1")
+    return SkelArrow(_skel(depth - 1), _skel(depth - 1))
+
+
+def structural_context(depth, size, seed=0, extra=0):
+    """The bench's structural shape: a chain of type parameters at
+    depth-`depth` arrow skeletons and a dirt chain fed by closed lower
+    bounds, about `size` output parameters in all. Here the four feeds
+    fall anywhere in the chain, each with its own operation, and `extra`
+    labeled dirt edges, backwards too, join random chain links."""
+    rng = random.Random(f"{depth}:{size}:{seed}")
+    per = 2 ** (depth + 1) - 1
+    count = max(2, (size // 2) // per)
+    n = size - count * per
+    feeds = [(rng.choice(OPS), rng.randrange(n)) for _ in range(4)]
+    links = [(rng.randrange(n), rng.randrange(n)) for _ in range(extra)]
+    return ParamContext(
+        ("s1",),
+        tuple(f"e{i}" for i in range(n)),
+        tuple((f"f{i}", _skel(depth)) for i in range(count)),
+        tuple((f"g{i}", dirt((), f"e{i}"), dirt((), f"e{i + 1}")) for i in range(n - 1))
+        + tuple((f"h{j}", Dirt(frozenset({op}), None), dirt((), f"e{i}"))
+                for j, (op, i) in enumerate(feeds))
+        + tuple((f"x{k}", dirt((), f"e{u}"), Dirt(frozenset(rng.sample(OPS, 1)), f"e{v}"))
+                for k, (u, v) in enumerate(links)),
+        tuple((f"c{i}", TyParam(f"f{i}"), TyParam(f"f{i + 1}")) for i in range(count - 1)),
+    )
+
+
+def _pair(rng, ctx, depth):
+    """Two value types of one shape: equal leaves, type parameters of one
+    skeleton, arrows of such pairs with random dirts."""
+    params = {}
+    for name, skel in ctx.ty_params:
+        params.setdefault(skel, []).append(name)
+    kind = rng.choice(["unit", "base", "param", "param"] + ["arrow"] * (depth > 0))
+    if kind == "unit":
+        return TyUnit(), TyUnit()
+    if kind == "param" and params:
+        names = rng.choice(list(params.values()))
+        return TyParam(rng.choice(names)), TyParam(rng.choice(names))
+    if kind != "arrow":
+        return TyBase("bit"), TyBase("bit")
+    dom, cod = _pair(rng, ctx, depth - 1), _pair(rng, ctx, depth - 1)
+    return (TyArrow(dom[1], CompType(cod[0], random_dirt(rng, ctx))),
+            TyArrow(dom[0], CompType(cod[1], random_dirt(rng, ctx))))
+
+
+def random_structural_context(rng):
+    """A random canonical context from `gen`, plus type parameters at one
+    arrow skeleton, type constraints between types of one shape, and dirt
+    constraints with operations on the lower side."""
+    ctx = random_context(rng)
+    skel = _skel(rng.randint(0, 2))
+    arrows = tuple((f"b{i + 1}", skel) for i in range(rng.randint(0, 3)))
+    ctx = ParamContext(ctx.skel_params, ctx.dirt_params, ctx.ty_params + arrows,
+                       ctx.dirt_cos, ctx.ty_cos)
+    ty_cos = [(f"v{i + 1}", *_pair(rng, ctx, 2)) for i in range(rng.randint(0, 3))]
+    dirt_cos = []
+    if ctx.dirt_params:
+        for i in range(rng.randint(0, 3)):
+            hi = Dirt(frozenset(o for o in OPS if rng.random() < 0.3),
+                      rng.choice(ctx.dirt_params + (None,)))
+            dirt_cos.append((f"q{i + 1}", random_dirt(rng, ctx), hi))
+    return ParamContext(ctx.skel_params, ctx.dirt_params, ctx.ty_params,
+                        ctx.dirt_cos + tuple(dirt_cos), ctx.ty_cos + tuple(ty_cos))
+
+
+def test_reduce_matches_reference_on_corpus():
+    from coersimp.corpus import load_bundled
+
+    for item in load_bundled():
+        assert_same_reduction(item.signature, item.context, item.name)
+
+
+def test_reduce_matches_reference_on_structural_shapes():
+    for depth in (1, 2, 3):
+        for size in (50, 100, 200):
+            for seed, extra in ((0, 0), (1, 0), (2, 6)):
+                got = assert_same_reduction(TEST_SIG, structural_context(depth, size, seed, extra),
+                                            (depth, size, seed))
+                if not extra:
+                    assert got[1].dirt, (depth, size, seed)  # some tail absorbed
+
+
+def test_reduce_matches_reference_on_random_contexts():
+    rng = random.Random(404)
+    reduced = absorbed = 0
+    for i in range(600):
+        got = assert_same_reduction(TEST_SIG, random_structural_context(rng), i)
+        if isinstance(got[0], ParamContext):
+            reduced += 1
+            absorbed += bool(got[1].dirt)
+    assert reduced >= 300 and absorbed >= 50, (reduced, absorbed)
+
+
+def test_reduce_cost_does_not_grow_with_steps(monkeypatch):
+    """Reduction composes no substitutions, however many steps it takes."""
+    import coersimp.reduce
+    import coersimp.subst
+
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (coersimp.reduce, coersimp.subst):
+        if hasattr(module, "compose"):
+            monkeypatch.setattr(module, "compose", counted(module.compose))
+    for size in (100, 400):
+        red = reduce_context(TEST_SIG, structural_context(2, size))
+        assert len(red.subst.domain()) > size // 2
+    assert calls == {}
