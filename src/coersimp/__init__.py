@@ -5,8 +5,8 @@ types carry effect rows, together with:
 
 - term, type, and coercion syntax with well-formedness and typing checks
   (`syntax`, `check`);
-- capture-avoiding substitution of constraint solutions (`subst`) and a
-  directed reduction relation on coercions (`reduce`);
+- capture-avoiding substitution of constraint solutions (`subst`) and the
+  reduction of a parameter context to canonical form (`reduce`);
 - a phase-based simplifier over the constraint graphs of a typing context
   (`graph`, `polarity`, `phases`), emitting metrics and graphviz output;
 - completeness witnesses showing each simplification is reachable by

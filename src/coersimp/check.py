@@ -300,6 +300,37 @@ def check_cco(sig: Signature, ctx: ParamContext, g: CCoercion) -> tuple[CompType
     return CompType(a1, d1), CompType(a2, d2)
 
 
+def vco_endpoint(g: VCoercion, upper: bool) -> ValueType:
+    """One endpoint of a ground value coercion that checks, read off its
+    spine without checking it: the source of the link that applies first,
+    or the target of the one that applies last."""
+    while isinstance(g, VCoCompose):
+        g = g.after if upper else g.before
+    if isinstance(g, VCoReflUnit):
+        return TyUnit()
+    if isinstance(g, VCoReflBase):
+        return TyBase(g.name)
+    if isinstance(g, VCoArrow):
+        res = CompType(vco_endpoint(g.res.vco, upper), dco_endpoint(g.res.dco, upper))
+        return TyArrow(vco_endpoint(g.arg, not upper), res)
+    raise IllFormed(f"not a ground value coercion: {g!r}")
+
+
+def dco_endpoint(g: DCoercion, upper: bool) -> Dirt:
+    """`vco_endpoint` for a ground dirt coercion."""
+    ops = set()
+    while not isinstance(g, DCoReflEmpty):
+        if isinstance(g, DCoCompose):
+            g = g.after if upper else g.before
+            continue
+        if not isinstance(g, (DCoUnionBoth, DCoUnionRight)):
+            raise IllFormed(f"not a ground dirt coercion: {g!r}")
+        if upper or isinstance(g, DCoUnionBoth):
+            ops.add(g.op)
+        g = g.body
+    return Dirt(frozenset(ops), None)
+
+
 # ---------------------------------------------------------------------------
 # Derived (admissible) coercions
 

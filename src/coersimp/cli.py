@@ -19,11 +19,11 @@ import json
 import random
 import sys
 
-from .check import CheckError, NoWitness, type_of_value
+from .check import CheckError, type_of_value
 from .corpus import CorpusItem, JudgmentError, ParseError, load_bundled, parse_corpus
 from .graph import context_metrics, to_dot
 from .phases import parse_phase_config, simplify
-from .polarity import EMPTY_FPS, FamilyError, fp_vty
+from .polarity import EMPTY_FPS, fp_vty
 from .reduce import ReductionBug, Unsatisfiable
 from .sample import SampleError, sample_eta
 from .semantics import (
@@ -107,7 +107,7 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
         rng = random.Random(f"{seed}:{item.name}:{config}:{i}")
         try:
             _verify_once(item, sim, rng, budget)
-        except (ModelBug, FamilyError, NoWitness, SampleError) as exc:
+        except (ModelBug, CheckError, SampleError) as exc:
             failures.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return {
         "item": item.name,

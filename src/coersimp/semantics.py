@@ -24,6 +24,12 @@ Two representation choices keep this executable:
   fragment the commuting square constrains. `equal_skel_at` implements this
   type-directed comparison.
 
+Coercions are checked once and then interpreted. `interp_vco`/`interp_cco`
+check theirs on entry, and `check_preservation` typechecks both terms before
+evaluating them. Evaluation (`eval_value`, `eval_comp`) assumes a
+well-typed term: it interprets casts without re-checking them, and an arrow
+cast reads its target domain off its composition spine.
+
 Carriers are enumerated only where evaluation demands it (lambda tables and
 operation continuations). Enumeration fails with `DomainTooLarge` when a
 carrier is infinite (a non-empty dirt in a function argument) or exceeds the
@@ -36,7 +42,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .check import CheckError, check_vco, type_of_comp, type_of_value
+from .check import (
+    EndpointMismatch,
+    check_cco,
+    check_vco,
+    type_of_comp,
+    type_of_value,
+    vco_endpoint,
+)
 from .subst import Substitution, apply_value
 from .syntax import (
     App,
@@ -299,44 +312,56 @@ def interp_dco(_co: DCoercion, tree):
 
 
 def interp_cco(sig: Signature, co: CCoercion, tree, budget: int):
-    return interp_dco(co.dco, _map_leaves(tree, lambda v: interp_vco(sig, co.vco, v, budget)))
-
-
-def _map_leaves(tree, f):
-    if isinstance(tree, TreeReturn):
-        return TreeReturn(f(tree.value))
-    if isinstance(tree, TreeOp):
-        return TreeOp(tree.op, tree.arg,
-                      tuple((r, _map_leaves(t, f)) for r, t in tree.cont))
-    raise ModelBug(f"not a tree: {tree!r}")
+    check_cco(sig, EMPTY_CONTEXT, co)
+    return _cast_comp(sig, co, tree, budget)
 
 
 def interp_vco(sig: Signature, co: VCoercion, x, budget: int = DEFAULT_BUDGET):
-    if isinstance(co, (VCoReflUnit, VCoReflBase)):
-        return x
-    if isinstance(co, VCoCompose):
-        return interp_vco(sig, co.after, interp_vco(sig, co.before, x, budget), budget)
-    if isinstance(co, VCoArrow):
-        if not isinstance(x, EffFn):
-            raise ModelBug(f"arrow coercion on non-function {x!r}")
-        _, hi = check_vco(sig, EMPTY_CONTEXT, co)
+    check_vco(sig, EMPTY_CONTEXT, co)
+    return _cast(sig, co, x, budget)
 
-        def chain(a):
-            b = interp_vco(sig, co.arg, a, budget)
-            return interp_cco(sig, co.res, x.apply(b), budget)
 
-        try:
-            doms = enum_vty(sig, hi.dom, budget)
-        except DomainTooLarge:
-            return EffFn(None, x.skel, chain)
-        return EffFn(tuple((a, chain(a)) for a in doms), x.skel)
-    raise ModelBug(f"cannot interpret coercion {co}")
+# The private casts below take checked coercions: they trust the endpoints
+# that `vco_endpoint` reads off the composition spine.
+
+def _cast_comp(sig: Signature, co: CCoercion, tree, budget: int):
+    return interp_dco(co.dco, graft(tree, lambda v: TreeReturn(_cast(sig, co.vco, v, budget))))
+
+
+def _cast(sig: Signature, co: VCoercion, x, budget: int):
+    todo = [co]  # composition links, the next one to apply last
+    while todo:
+        node = todo.pop()
+        if isinstance(node, VCoCompose):
+            todo += (node.after, node.before)
+        elif isinstance(node, VCoArrow):
+            x = _cast_fn(sig, node, x, budget)
+        elif not isinstance(node, (VCoReflUnit, VCoReflBase)):
+            raise ModelBug(f"cannot interpret coercion {node}")
+    return x
+
+
+def _cast_fn(sig: Signature, co: VCoArrow, f, budget: int):
+    if not isinstance(f, EffFn):
+        raise ModelBug(f"arrow coercion on non-function {f!r}")
+
+    def chain(a):
+        return _cast_comp(sig, co.res, f.apply(_cast(sig, co.arg, a, budget)), budget)
+
+    try:
+        # The target's domain is the argument coercion's source.
+        doms = enum_vty(sig, vco_endpoint(co.arg, upper=False), budget)
+    except DomainTooLarge:
+        return EffFn(None, f.skel, chain)
+    return EffFn(tuple((a, chain(a)) for a in doms), f.skel)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation: effectful and skeletal
 
 def eval_value(sig: Signature, env: dict, v: ValueTerm, budget: int = DEFAULT_BUDGET):
+    """The effectful meaning of `v` in `env`. `v` must typecheck: its casts
+    are interpreted without checking them."""
     if isinstance(v, Var):
         if v.name not in env:
             raise ModelBug(f"unbound variable {v.name}")
@@ -358,7 +383,7 @@ def eval_value(sig: Signature, env: dict, v: ValueTerm, budget: int = DEFAULT_BU
             return EffFn(None, SkelFn(sfn), run)
         return EffFn(tuple((a, run(a)) for a in doms), SkelFn(sfn))
     if isinstance(v, CastV):
-        return interp_vco(sig, v.co, eval_value(sig, env, v.val, budget), budget)
+        return _cast(sig, v.co, eval_value(sig, env, v.val, budget), budget)
     raise ModelBug(f"not a value term: {v!r}")
 
 
@@ -385,7 +410,7 @@ def eval_comp(sig: Signature, env: dict, c: CompTerm, budget: int = DEFAULT_BUDG
         return eval_comp(sig, {**env, c.var: eval_value(sig, env, c.val, budget)},
                          c.body, budget)
     if isinstance(c, CastC):
-        return interp_cco(sig, c.co, eval_comp(sig, env, c.comp, budget), budget)
+        return _cast_comp(sig, c.co, eval_comp(sig, env, c.comp, budget), budget)
     raise ModelBug(f"not a computation term: {c!r}")
 
 
@@ -505,11 +530,16 @@ def check_preservation(sig: Signature, sim, poltype: ValueType, term: ValueTerm,
 
     wit = build_witness_total(sig, sim, eta0)
     check_witness_total(sig, sim, eta0, wit)
-    lhs = eval_value(sig, {}, apply_value(eta0, term), budget)
+    original = apply_value(eta0, term)
     strengthened = apply_value(wit.eta, apply_value(sim.subst, term))
-    rhs = eval_value(sig, {}, strengthened, budget)
     co = extend_family_vty(wit.family, poltype)
-    rhs_cast = interp_vco(sig, co, rhs, budget)
+    # Typecheck both terms; `interp_vco` checks the cast, which then has the
+    # endpoints its spine shows.
+    types = [type_of_value(sig, EMPTY_CONTEXT, (), v) for v in (strengthened, original)]
+    if [vco_endpoint(co, upper=False), vco_endpoint(co, upper=True)] != types:
+        raise EndpointMismatch(f"the family does not cast {types[0]} to {types[1]}")
+    lhs = eval_value(sig, {}, original, budget)
+    rhs_cast = interp_vco(sig, co, eval_value(sig, {}, strengthened, budget), budget)
     if lhs != rhs_cast:
         raise ModelBug(
             f"preservation failed: original denotes {lhs!r}, "

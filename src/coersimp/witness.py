@@ -19,6 +19,12 @@ Each step kind has its own replay rule; dropped constraint names lose their
 ground coercion, re-pointed ones get it composed with the bridge coercion,
 and freshly introduced names get inclusion coercions that exist by the set
 arithmetic the step performed.
+
+The builder copies `eta0` once and updates the copy in place, step by step.
+A tracked parameter's family entry gains a link only at a step whose own
+entries meet its image so far; at every other step the step's family is a
+reflexivity there, and composing with it would change nothing. A step thus
+costs the size of its change, not the size of the context.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 
 from .check import (
     both_extend,
+    dco_endpoint,
     derived_empty,
     derived_refl_dirt,
     derived_refl_vty,
@@ -38,6 +45,8 @@ from .polarity import (
     CoercionFamily,
     check_family,
     compose_families,
+    fp_dirt,
+    fp_vty,
     precompose_family,
 )
 from .subst import (
@@ -82,110 +91,100 @@ def _refl_entries(fam: CoercionFamily, eta: Substitution, names) -> None:
             raise WitnessBug(f"tracked parameter {name} has no ground image")
 
 
-def _step_family(step: PhaseStep, eta: Substitution, special: CoercionFamily) -> CoercionFamily:
-    _refl_entries(special, eta, sorted(step.fps.members()))
-    return special
-
-
-def _replay(step: PhaseStep, eta: Substitution) -> tuple[Substitution, CoercionFamily]:
-    """Ground instantiation of `step.after` plus the step's own family."""
-    out = eta.copy()
-    for name in step.subst.domain():
-        out.skel.pop(name, None)
-        out.ty.pop(name, None)
-        out.dirt.pop(name, None)
-        out.vco.pop(name, None)
-        out.dco.pop(name, None)
+def _replay(step: PhaseStep, eta: Substitution) -> CoercionFamily:
+    """Turn `eta`, in place, from a ground instantiation of `step.before`
+    into one of `step.after`; return the step's own family entries."""
     fam = CoercionFamily()
+    typed = step.sort == "type"
+    images, cos, own = (eta.ty, eta.vco, fam.vco) if typed else (eta.dirt, eta.dco, fam.dco)
+    new = {}  # constraint names of the step's sort that it re-points or introduces
     data = step.data
-    kind = (step.phase, step.sort)
+    members = step.fps.members()
 
-    if step.phase in ("cleanup-loop",):
-        pass
-    elif kind == ("cleanup-parallel", "type"):
-        pass
-    elif kind == ("cleanup-parallel", "dirt"):
-        if data["fresh"] is not None:
+    if step.phase in ("cleanup-loop", "cleanup-parallel"):
+        if data.get("fresh") is not None:  # a dirt meet no bundle edge carried
             lo = eta.dirt[data["src"]]
-            hi = apply_dirt(eta, data["upper"])
-            out.dco[data["fresh"]] = dirt_inclusion_coercion(lo, hi)
-    elif kind == ("scc", "type"):
-        rep = eta.ty[data["rep"]]
+            new[data["fresh"]] = dirt_inclusion_coercion(lo, apply_dirt(eta, data["upper"]))
+    elif step.phase == "scc":
+        rep = images[data["rep"]]
         for m in data["merged"]:
-            if eta.ty[m] != rep:
+            if images[m] != rep:
                 raise WitnessBug(f"cycle members {m}/{data['rep']} differ under eta")
-            if m in step.fps.members():
-                fam.vco[m] = derived_refl_vty(rep)
-    elif kind == ("scc", "dirt"):
-        rep = eta.dirt[data["rep"]]
-        for m in data["merged"]:
-            if eta.dirt[m] != rep:
-                raise WitnessBug(f"cycle members {m}/{data['rep']} differ under eta")
-            if m in step.fps.members():
-                fam.dco[m] = derived_refl_dirt(rep)
-    elif kind == ("bridge-in", "type"):
-        crossing = eta.vco[data["edge"]]
+            if m in members:
+                own[m] = derived_refl_vty(rep) if typed else derived_refl_dirt(rep)
+    elif step.phase == "bridge-in":
+        crossing = cos[data["edge"]]
         for n in data["moved"]:
-            out.vco[n] = VCoCompose(eta.vco[n], crossing)
-        if data["dst"] in step.fps.members():
-            fam.vco[data["dst"]] = crossing
-    elif kind == ("bridge-out", "type"):
-        crossing = eta.vco[data["edge"]]
+            new[n] = (VCoCompose if typed else DCoCompose)(cos[n], crossing)
+        if data["dst"] in members:
+            own[data["dst"]] = crossing
+    elif step.phase == "bridge-out":
+        crossing = cos[data["edge"]]
         for n in data["moved"]:
-            out.vco[n] = VCoCompose(crossing, eta.vco[n])
-        if data["src"] in step.fps.members():
-            fam.vco[data["src"]] = crossing
-    elif kind == ("bridge-in", "dirt"):
-        crossing = eta.dco[data["edge"]]
-        for n in data["moved"]:
-            out.dco[n] = DCoCompose(eta.dco[n], crossing)
-        if data["dst"] in step.fps.members():
-            fam.dco[data["dst"]] = crossing
-    elif kind == ("bridge-out", "dirt"):
-        crossing = eta.dco[data["edge"]]
-        for n, ops in data["moved"]:
-            out.dco[n] = DCoCompose(both_extend(ops, crossing), eta.dco[n])
-        if data["src"] in step.fps.members():
-            fam.dco[data["src"]] = crossing
-    elif kind == ("empty", "dirt"):
+            if typed:
+                new[n] = VCoCompose(crossing, cos[n])
+            else:
+                n, ops = n
+                new[n] = DCoCompose(both_extend(ops, crossing), cos[n])
+        if data["src"] in members:
+            own[data["src"]] = crossing
+    elif step.phase == "empty":
         for d in data["params"]:
-            if d in step.fps.members():
-                fam.dco[d] = derived_empty(eta.dirt[d])
-    elif kind == ("full", "dirt"):
+            if d in members:
+                own[d] = derived_empty(eta.dirt[d])
+    elif step.phase == "full":
         full = step.subst.dirt[data["param"]]
-        rows = {n: lo for n, lo, _ in step.before.dirt_cos}
-        for n in data["survivors"]:
-            out.dco[n] = dirt_inclusion_coercion(eta.dirt[rows[n].tail], full)
-        if data["param"] in step.fps.members():
-            fam.dco[data["param"]] = dirt_inclusion_coercion(
-                eta.dirt[data["param"]], full
-            )
+        for n in data["survivors"]:  # lower bounds are bare parameters
+            new[n] = dirt_inclusion_coercion(dco_endpoint(cos[n], upper=False), full)
+        if data["param"] in members:
+            own[data["param"]] = dirt_inclusion_coercion(eta.dirt[data["param"]], full)
     else:
-        raise WitnessBug(f"unknown step kind {kind!r}")
-    return out, _step_family(step, eta, fam)
+        raise WitnessBug(f"unknown step kind {(step.phase, step.sort)!r}")
+    for name in step.subst.domain():
+        for part in (eta.skel, eta.ty, eta.dirt, eta.vco, eta.dco):
+            part.pop(name, None)
+    cos.update(new)
+    return fam
+
+
+def _image_params(so_far: Substitution, name: str) -> frozenset[str]:
+    if name in so_far.ty:
+        return fp_vty(so_far.ty[name]).members()
+    if name in so_far.dirt:
+        return fp_dirt(so_far.dirt[name]).members()
+    return frozenset((name,))
 
 
 def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
-    eta = eta0
+    eta = eta0.copy()
     names0 = sorted(run.fps0.members())
     acc = CoercionFamily()
     _refl_entries(acc, eta0, names0)
     # The steps so far, composed, restricted to the tracked names: all that
-    # `precompose_family` reads of it.
-    so_far, tracked = Substitution(), set(names0)
+    # `precompose_family` reads of it. A name the composition has not moved
+    # is its own image. `users` maps each parameter to the tracked names
+    # whose image mentions it.
+    so_far = Substitution()
+    users = {n: {n} for n in names0}
     for step in run.steps:
-        eta_next, step_fam = _replay(step, eta)
-        acc = compose_families(acc, precompose_family(step_fam, so_far, names0), run.fps0)
-        eta = eta_next
+        special = _replay(step, eta)
+        # Only names whose image meets the step's own entries change; at
+        # every other name the step's family is a reflexivity.
+        touched = {n for p in special.members() for n in users.get(p, ())}
+        if touched:
+            _refl_entries(special, eta, {p for n in touched for p in _image_params(so_far, n)})
+            step_acc = compose_families(
+                acc, precompose_family(special, so_far, touched), run.fps0)
+            acc.vco.update(step_acc.vco)
+            acc.dco.update(step_acc.dco)
         sub = step.subst
-        for n, t in so_far.ty.items():
-            so_far.ty[n] = apply_vty(sub, t)
-        for n, d in so_far.dirt.items():
-            so_far.dirt[n] = apply_dirt(sub, d)
-        for n in tracked.intersection(sub.ty):
-            so_far.ty.setdefault(n, sub.ty[n])
-        for n in tracked.intersection(sub.dirt):
-            so_far.dirt.setdefault(n, sub.dirt[n])
+        for n in {n for p in (*sub.ty, *sub.dirt) for n in users.pop(p, ())}:
+            if n in so_far.ty or n in sub.ty:
+                so_far.ty[n] = apply_vty(sub, so_far.ty.get(n, TyParam(n)))
+            else:
+                so_far.dirt[n] = apply_dirt(sub, so_far.dirt.get(n, Dirt(frozenset(), n)))
+            for p in _image_params(so_far, n):
+                users.setdefault(p, set()).add(n)
     return WitnessResult(eta, acc)
 
 

@@ -23,6 +23,7 @@ from coersimp.syntax import (
     TyParam,
     TyUnit,
     ValueType,
+    dirt,
     signature,
 )
 
@@ -93,3 +94,65 @@ def random_vty(rng: random.Random, ctx: ParamContext, depth: int = 2,
         random_vty(rng, ctx, depth - 1, sig),
         CompType(random_vty(rng, ctx, depth - 1, sig), random_dirt(rng, ctx, sig)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's canonical graph families
+
+OPS = ("Fail", "Random")
+
+
+def _chain(n, rng):
+    return [(i, i + 1) for i in range(n - 1)], {}, ()
+
+
+def _ring(n, rng):
+    size = max(2, round(n ** 0.5))
+    rings = [list(range(s, min(s + size, n))) for s in range(0, n, size)]
+    if len(rings[-1]) < 2:
+        rings[-2].extend(rings.pop())
+    edges = []
+    for j, ring in enumerate(rings):
+        edges += [(node, ring[(i + 1) % len(ring)]) for i, node in enumerate(ring)]
+        if j + 1 < len(rings):
+            edges.append((ring[0], rings[j + 1][0]))
+    return edges, {}, ()
+
+
+def _ladder(n, rng):
+    edges = []
+    for top in range(0, n - 3, 3):
+        edges += [(top, top + 1), (top, top + 2), (top + 1, top + 3), (top + 2, top + 3)]
+    return edges, {}, ()
+
+
+def _dense(n, rng):
+    edges = [(i, i + 1) for i in range(n - 1)]
+    labels = {}
+    for u in range(0, n - 2, 2):
+        labels[len(edges)] = frozenset(op for op in OPS if rng.random() < 0.5)
+        edges.append((u, rng.randrange(u + 2, min(n, u + 10))))
+    return edges, labels, tuple(rng.sample(range(1, n - 1), 2))
+
+
+SHAPES = {"chain": _chain, "ring": _ring, "ladder": _ladder, "dense": _dense}
+
+
+def shape_context(family, n, seed=0):
+    """The bench's canonical graph families: node i is type parameter a<i>
+    and dirt parameter d<i>, edge k is w<k> and p<k>. The first node is
+    negative and the last positive, as in a cast from start to end; held
+    nodes are bipolar."""
+    edges, labels, held = SHAPES[family](n, random.Random(f"{family}:{n}:{seed}"))
+    ctx = ParamContext(
+        ("s1",),
+        tuple(f"d{i}" for i in range(n)),
+        tuple((f"a{i}", SkelParam("s1")) for i in range(n)),
+        tuple((f"p{k}", dirt((), f"d{u}"), Dirt(labels.get(k, frozenset()), f"d{v}"))
+              for k, (u, v) in enumerate(edges)),
+        tuple((f"w{k}", TyParam(f"a{u}"), TyParam(f"a{v}"))
+              for k, (u, v) in enumerate(edges)))
+    pol = FreeParamSet(
+        frozenset(f"{s}{i}" for i in (edges[-1][1], *held) for s in "ad"),
+        frozenset(f"{s}{i}" for i in (0, *held) for s in "ad"))
+    return ctx, pol

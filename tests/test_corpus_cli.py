@@ -2,10 +2,14 @@
 
 import io
 import json
+import random
+import re
 import time
+from importlib import resources
 
 import pytest
 
+from coersimp.check import check_dco, derived_refl_dirt
 from coersimp.cli import STANDARD_CONFIGS, cmd_report, main
 from coersimp.corpus import (
     JudgmentError,
@@ -13,7 +17,7 @@ from coersimp.corpus import (
     load_bundled,
     parse_corpus,
 )
-from coersimp.syntax import TyUnit, UnitVal
+from coersimp.syntax import EMPTY_CONTEXT, TyUnit, UnitVal, dirt
 
 MINIMAL = "(item x (signature) (context) (poltype (unit)) (term (unitval)))"
 
@@ -152,6 +156,30 @@ def test_cli_verify_small_item(capsys):
     assert "3/3 ok" in capsys.readouterr().out
 
 
+def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):
+    """A witness entry with the wrong endpoints fails its sample; it does
+    not escape as a traceback."""
+    import coersimp.witness
+
+    build = coersimp.witness.build_witness_total
+
+    def bad_d1(sig, sim, eta0):
+        wit = build(sig, sim, eta0)
+        lo, _ = check_dco(sig, EMPTY_CONTEXT, wit.family.dco["d1"])
+        wit.family.dco["d1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
+        return wit
+
+    monkeypatch.setattr(coersimp.witness, "build_witness_total", bad_d1)
+    assert main(["verify", "--item", "apply_randomly", "--emit", "json",
+                 "--samples", "3"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["passed"] == 0
+    assert [f["sample"] for f in report["failures"]] == [0, 1, 2]
+    assert all(f["error"].startswith("EndpointMismatch:") for f in report["failures"])
+    assert main(["verify", "--item", "apply_randomly", "--samples", "3"]) == 1
+    assert "0/3 FAIL" in capsys.readouterr().out
+
+
 def test_cli_report_round_trip(capsys):
     assert main(["report", "--item", "apply_if", "--emit", "json"]) == 0
     got = json.loads(capsys.readouterr().out)
@@ -213,3 +241,47 @@ def test_cli_unsatisfiable_exit_one(tmp_path, capsys):
     path.write_text(UNSAT)
     assert main(["simplify", str(path)]) == 1
     assert "unsatisfiable:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Reader fuzzing
+
+
+def bundled_items_text():
+    text = resources.files("coersimp").joinpath("data/corpus.sexp").read_text()
+    starts = [m.start() for m in re.finditer(r"^\(item ", text, re.M)]
+    return [text[a:b] for a, b in zip(starts, starts[1:] + [len(text)])]
+
+
+TOKENS = ("(", ")", "item", "arrow", "comp", "dirt", "param", "castv", "covar",
+          "dvar", "lam", "return", "Random", "d1", "a1", "s1", "x", "0", ";")
+
+
+def mutate(rng, texts):
+    text = rng.choice(texts)
+    i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+    kind = rng.choice(("truncate", "delete", "insert", "splice"))
+    if kind == "truncate":
+        return text[:i]
+    if kind == "delete":
+        return text[:i] + text[j:]
+    if kind == "insert":
+        return f"{text[:i]} {rng.choice(TOKENS)} {text[i:]}"
+    other = rng.choice(texts)
+    a, b = sorted(rng.randrange(len(other) + 1) for _ in range(2))
+    return text[:i] + other[a:b] + text[j:]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reader_rejects_mutated_corpus_cleanly(seed):
+    """A damaged corpus either still reads or is rejected with a reader
+    diagnostic; no other exception escapes."""
+    rng = random.Random(f"fuzz:{seed}")
+    texts = bundled_items_text()
+    rejected = 0
+    for _ in range(500):
+        try:
+            parse_corpus(mutate(rng, texts))
+        except (ParseError, JudgmentError):
+            rejected += 1
+    assert rejected > 400

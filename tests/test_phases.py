@@ -19,7 +19,7 @@ from coersimp.reduce import is_canonical, reduce_context
 from coersimp.subst import apply_dirt, apply_vty, check_validity
 from coersimp.syntax import Dirt, ParamContext, SkelParam, TyParam, dirt
 
-from gen import TEST_SIG, random_context, random_fps
+from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context
 from reference_phases import run_reference_phases
 
 FULL = Dirt(frozenset({"Fail", "Random"}), None)
@@ -369,64 +369,6 @@ def test_engine_matches_reference_on_corpus():
         for preset, instructions in configs.items():
             assert_same_run(item.signature, red.context, pol, instructions,
                             (item.name, preset))
-
-
-OPS = ("Fail", "Random")
-
-
-def _chain(n, rng):
-    return [(i, i + 1) for i in range(n - 1)], {}, ()
-
-
-def _ring(n, rng):
-    size = max(2, round(n ** 0.5))
-    rings = [list(range(s, min(s + size, n))) for s in range(0, n, size)]
-    if len(rings[-1]) < 2:
-        rings[-2].extend(rings.pop())
-    edges = []
-    for j, ring in enumerate(rings):
-        edges += [(node, ring[(i + 1) % len(ring)]) for i, node in enumerate(ring)]
-        if j + 1 < len(rings):
-            edges.append((ring[0], rings[j + 1][0]))
-    return edges, {}, ()
-
-
-def _ladder(n, rng):
-    edges = []
-    for top in range(0, n - 3, 3):
-        edges += [(top, top + 1), (top, top + 2), (top + 1, top + 3), (top + 2, top + 3)]
-    return edges, {}, ()
-
-
-def _dense(n, rng):
-    edges = [(i, i + 1) for i in range(n - 1)]
-    labels = {}
-    for u in range(0, n - 2, 2):
-        labels[len(edges)] = frozenset(op for op in OPS if rng.random() < 0.5)
-        edges.append((u, rng.randrange(u + 2, min(n, u + 10))))
-    return edges, labels, tuple(rng.sample(range(1, n - 1), 2))
-
-
-SHAPES = {"chain": _chain, "ring": _ring, "ladder": _ladder, "dense": _dense}
-
-
-def shape_context(family, n, seed=0):
-    """The bench's canonical graph families: node i is type parameter a<i>
-    and dirt parameter d<i>, edge k is w<k> and p<k>. The first node is
-    negative and the last positive, as in a cast from start to end; held
-    nodes are bipolar."""
-    edges, labels, held = SHAPES[family](n, random.Random(f"{family}:{n}:{seed}"))
-    ctx = ParamContext(
-        ("s1",),
-        tuple(f"d{i}" for i in range(n)),
-        tuple((f"a{i}", SkelParam("s1")) for i in range(n)),
-        tuple((f"p{k}", dirt((), f"d{u}"), Dirt(labels.get(k, frozenset()), f"d{v}"))
-              for k, (u, v) in enumerate(edges)),
-        tuple((f"w{k}", TyParam(f"a{u}"), TyParam(f"a{v}"))
-              for k, (u, v) in enumerate(edges)))
-    pol = fps(pos={f"{s}{i}" for i in (edges[-1][1], *held) for s in "ad"},
-              neg={f"{s}{i}" for i in (0, *held) for s in "ad"})
-    return ctx, pol
 
 
 @pytest.mark.parametrize("family", sorted(SHAPES))

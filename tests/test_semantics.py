@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from coersimp.check import dirt_inclusion_coercion, value_inclusion_coercion
+from coersimp import semantics
+from coersimp.check import (
+    CheckError,
+    check_dco,
+    check_vco,
+    derived_refl_dirt,
+    dirt_inclusion_coercion,
+    value_inclusion_coercion,
+    vco_endpoint,
+)
+from coersimp.cli import cmd_verify
 from coersimp.corpus import load_bundled
 from coersimp.phases import PRESETS, simplify
 from coersimp.polarity import fp_vty
@@ -39,6 +49,7 @@ from coersimp.syntax import (
     CastV,
     CompType,
     Do,
+    EMPTY_CONTEXT,
     Lam,
     LetVal,
     OpCall,
@@ -292,3 +303,54 @@ def test_preservation_on_worked_examples():
                               term=item.term)
             check_preservation(item.signature, sim, item.poltype, item.term,
                                eta0)
+
+
+# ---------------------------------------------------------------------------
+# Casts are checked once, then interpreted
+
+
+def test_spine_read_domain_matches_checked_endpoint(monkeypatch):
+    """Every arrow cast that verify interprets enumerates the domain that
+    `check_vco` gives its target."""
+    seen = []
+    cast_fn = semantics._cast_fn
+
+    def recorded(sig, co, f, budget):
+        seen.append((sig, co))
+        return cast_fn(sig, co, f, budget)
+
+    monkeypatch.setattr(semantics, "_cast_fn", recorded)
+    for item in load_bundled():
+        if item.term is not None:
+            report = cmd_verify(item, "all", samples=3)
+            assert report["failures"] == [], item.name
+    assert len(seen) > 100
+    for sig, co in {id(co): (sig, co) for sig, co in seen}.values():
+        _, hi = check_vco(sig, EMPTY_CONTEXT, co)
+        assert vco_endpoint(co.arg, upper=False) == hi.dom
+
+
+@pytest.mark.parametrize("family_checked", [True, False])
+def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_checked):
+    """A strengthened term whose cast got a coercion with the wrong
+    endpoints fails a check before anything is evaluated."""
+    import coersimp.witness
+
+    item = {i.name: i for i in load_bundled()}["apply_randomly"]
+    sim = simplify(item.signature, item.context, fp_vty(item.poltype), PRESETS["none"])
+    build = coersimp.witness.build_witness_total
+
+    def bad_p1(sig, sim, eta0):
+        wit = build(sig, sim, eta0)
+        lo, _ = check_dco(sig, EMPTY_CONTEXT, wit.eta.dco["p1"])
+        wit.eta.dco["p1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
+        return wit
+
+    monkeypatch.setattr(coersimp.witness, "build_witness_total", bad_p1)
+    if not family_checked:
+        monkeypatch.setattr(coersimp.witness, "check_witness_total", lambda *args: None)
+    for i in range(3):
+        eta0 = sample_eta(item.signature, item.context, random.Random(f"bad:{i}"),
+                          enumerable=True, poltype=item.poltype, term=item.term)
+        with pytest.raises(CheckError):
+            check_preservation(item.signature, sim, item.poltype, item.term, eta0)

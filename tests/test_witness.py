@@ -12,7 +12,7 @@ from coersimp.check import (
 )
 from coersimp.corpus import load_bundled, parse_corpus
 from coersimp.phases import PRESETS, parse_phase_config, run_phases, simplify
-from coersimp.polarity import FreeParamSet, fp_vty
+from coersimp.polarity import FreeParamSet, fp_vty, precompose_family
 from coersimp.reduce import reduce_context
 from coersimp.sample import sample_eta
 from coersimp.subst import (
@@ -23,6 +23,7 @@ from coersimp.subst import (
 )
 from coersimp.syntax import (
     CompType,
+    DCoCompose,
     SkelArrow,
     EMPTY_CONTEXT,
     ParamContext,
@@ -31,10 +32,12 @@ from coersimp.syntax import (
     TyArrow,
     TyParam,
     TyUnit,
+    VCoCompose,
     dirt,
 )
 from coersimp.witness import (
     WitnessBug,
+    WitnessResult,
     build_witness,
     build_witness_total,
     check_witness,
@@ -42,7 +45,8 @@ from coersimp.witness import (
     replay_reduction,
 )
 
-from gen import TEST_SIG
+from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context
+from reference_witness import build_witness as build_reference_witness
 
 
 def fps(pos=(), neg=()):
@@ -202,3 +206,100 @@ def test_total_witness_under_full_dirt():
                           random.Random(f"full:{i}"), poltype=item.poltype)
         wit = build_witness_total(item.signature, sim, eta0)
         check_witness_total(item.signature, sim, eta0, wit)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the reference builder
+
+
+def links(co):
+    """Number of non-composition nodes on a coercion's composition tree."""
+    todo, count = [co], 0
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (VCoCompose, DCoCompose)):
+            todo += (node.after, node.before)
+        else:
+            count += 1
+    return count
+
+
+def assert_same_witness(sig, sim, eta0, label):
+    """The builder and the reference give the same instantiation and family
+    entries with the same endpoints, and both witnesses check."""
+    eta_r = replay_reduction(sig, sim.reduction, eta0)
+    got = build_witness(sim.phases, eta_r)
+    want = build_reference_witness(sim.phases, eta_r)
+    assert got.eta == want.eta, label
+    assert got.family.vco.keys() == want.family.vco.keys(), label
+    assert got.family.dco.keys() == want.family.dco.keys(), label
+    for name, co in got.family.vco.items():
+        assert check_vco(sig, EMPTY_CONTEXT, co) == check_vco(
+            sig, EMPTY_CONTEXT, want.family.vco[name]), (label, name)
+    for name, co in got.family.dco.items():
+        assert check_dco(sig, EMPTY_CONTEXT, co) == check_dco(
+            sig, EMPTY_CONTEXT, want.family.dco[name]), (label, name)
+    names0 = sorted(sim.fps0.members())
+    for wit in (got, want):
+        fam = precompose_family(wit.family, sim.reduction.subst, names0)
+        check_witness_total(sig, sim, eta0, WitnessResult(wit.eta, fam))
+    check_witness_total(sig, sim, eta0, build_witness_total(sig, sim, eta0))
+
+
+CONFIGS = dict(PRESETS, full=parse_phase_config("all", full_dirt=True))
+
+
+def test_witness_matches_reference_on_corpus():
+    for item in load_bundled():
+        pol = fp_vty(item.poltype) if item.poltype is not None else FreeParamSet()
+        for preset, instructions in CONFIGS.items():
+            sim = simplify(item.signature, item.context, pol, instructions)
+            for i in range(3):
+                rng = random.Random(f"diff:{item.name}:{preset}:{i}")
+                eta0 = sample_eta(item.signature, item.context, rng,
+                                  poltype=item.poltype, term=item.term)
+                assert_same_witness(item.signature, sim, eta0, (item.name, preset, i))
+
+
+@pytest.mark.parametrize("family", sorted(SHAPES))
+def test_witness_matches_reference_on_bench_shapes(family):
+    for n in (50, 200):
+        ctx, pol = shape_context(family, n)
+        eta0 = sample_eta(TEST_SIG, ctx, random.Random(f"diff:{family}:{n}"))
+        for preset in ("all", "full"):
+            sim = simplify(TEST_SIG, ctx, pol, CONFIGS[preset])
+            assert_same_witness(TEST_SIG, sim, eta0, (family, n, preset))
+
+
+def test_witness_matches_reference_on_random_contexts():
+    rng = random.Random(77)
+    for size in (4, 4, 4, 4, 10, 10, 30, 60):
+        ctx = random_context(rng, max_dirts=size, max_tys=size, max_cos=2 * size)
+        pol = random_fps(rng, ctx)
+        eta0 = sample_eta(TEST_SIG, ctx, rng)
+        for preset, instructions in CONFIGS.items():
+            sim = simplify(TEST_SIG, ctx, pol, instructions)
+            assert_same_witness(TEST_SIG, sim, eta0, (size, preset))
+
+
+def test_witness_cost_is_the_size_of_the_change(monkeypatch):
+    """A family entry gains a link only at a step that touches its name,
+    and the instantiation is copied once, not once per step."""
+    copies = []
+    original = Substitution.copy
+
+    def counted(self):
+        copies.append(self)
+        return original(self)
+
+    ctx, pol = shape_context("chain", 400)
+    eta0 = sample_eta(TEST_SIG, ctx, random.Random("cost"))
+    run = run_phases(TEST_SIG, ctx, pol, PRESETS["all"])
+    monkeypatch.setattr(Substitution, "copy", counted)
+    wit = build_witness(run, eta0)
+    assert len(copies) == 1
+    entries = [*wit.family.vco.values(), *wit.family.dco.values()]
+    assert sum(map(links, entries)) <= len(run.steps) + len(entries)
+    ref = build_reference_witness(run, eta0)
+    assert sum(map(links, entries)) * 2 < sum(
+        map(links, [*ref.family.vco.values(), *ref.family.dco.values()]))
