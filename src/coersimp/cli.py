@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -174,6 +175,10 @@ def _rows_table(rows: list[dict], lead: str, lead_key: str) -> str:
 
 
 def _write_dot(name: str, ctx, fps) -> str:
+    """Write the graphs to `<name>.dot` in the working directory; a name
+    with a path separator would place the file elsewhere."""
+    if os.sep in name or (os.altsep and os.altsep in name):
+        raise ValueError(f"item name {name!r} is not a file name, cannot emit {name}.dot")
     path = f"{name}.dot"
     with open(path, "w") as fh:
         fh.write(to_dot(ctx, fps))
@@ -332,7 +337,7 @@ def main(argv=None) -> int:
     except DomainTooLarge as exc:
         print(f"error: the model is too large to enumerate: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InternalError, ReductionBug, WitnessBug) as exc:

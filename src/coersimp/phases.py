@@ -27,9 +27,11 @@ Phases:
                  survive as closed constraints. Off by default since it
                  rewrites types with the full operation set.
 
-Every step records enough to replay it against a ground instantiation of
-the original context, which is how the per-instance completeness witnesses
-are built (see the witness module).
+Every step states its own witness next to its substitution: how to build
+the ground coercion of each constraint it re-points or introduces, and the
+family entry of each tracked parameter it eliminates, both from a ground
+instantiation of the context before the step. The witness module replays
+these with one rule that knows no step kind.
 
 The engine keeps one `ConstraintGraph` per sort for the whole run and
 updates it in place, so a step costs the size of its change, not the size
@@ -37,7 +39,7 @@ of the context. Bridge and grounding candidates sit in queues that are
 re-checked only at the nodes a step touched; cleanup reads its loops and
 parallel pairs off the graph's indexes; one cycle search serves a whole
 `scc` phase unless cleanup adds an edge. A step records its own delta
-substitution, its polarity set and its data. The final context is read off
+substitution, its polarity set and its witness. The final context is read off
 the graphs once, and the total substitution is resolved once from the step
 substitutions (`subst.resolve`). The contexts between steps are not
 kept: `PhaseStep.before` and `PhaseStep.after` replay the steps on demand.
@@ -51,30 +53,42 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .check import derived_empty, derived_refl_dirt, derived_refl_vty, right_extend
+from .check import both_extend, derived_empty, derived_refl_dirt, derived_refl_vty, right_extend
 from .graph import SINK, ConstraintGraph, Edge, build_dirt_graph, build_type_graph, tarjan_scc
 from .polarity import FreeParamSet, subst_fps
 from .reduce import ReductionResult, is_canonical, reduce_context
 from .subst import Substitution, apply_context, compose, resolve
 from .syntax import (
+    DCoCompose,
+    DCoEmptyUnder,
     DCoParam,
     Dirt,
     NameSupply,
     ParamContext,
     Signature,
     TyParam,
+    VCoCompose,
     VCoParam,
 )
 
 
 @dataclass(frozen=True)
 class PhaseStep:
+    """One strengthening step and its witness. An entry of `eta` or
+    `family` is a coercion over `before`, or a (lower, upper) pair of dirt
+    bounds that every ground instantiation of `before` satisfies. `eta`
+    holds the coercion of each constraint the step re-points or introduces;
+    `family` holds, for each tracked parameter the step eliminates, one
+    between its images after and before the step (after to before at a
+    positive parameter, before to after at a negative one)."""
+
     phase: str  # cleanup-loop | cleanup-parallel | scc | bridge-in | bridge-out | empty | full
     sort: str  # "type" | "dirt"
     info: str
     subst: Substitution  # this step's own strengthening
     fps: FreeParamSet  # polarity set before this step
-    data: dict
+    eta: dict
+    family: dict
     trace: _ContextTrace | None = field(default=None, compare=False, repr=False)
     index: int = field(default=0, compare=False, repr=False)
 
@@ -155,7 +169,7 @@ class _ContextTrace:
 
     def __init__(self, original: ParamContext):
         self.original = original
-        self.moves: list[tuple[str, Substitution, dict]] = []  # (phase, subst, data)
+        self.moves: list[tuple[Substitution, dict]] = []  # (subst, eta)
         self._at = (0, original)
 
     def context(self, index: int) -> ParamContext:
@@ -169,31 +183,36 @@ class _ContextTrace:
         return ctx
 
 
-def _replay_step(ctx: ParamContext, phase: str, sub: Substitution, data: dict) -> ParamContext:
+def _replay_step(ctx: ParamContext, sub: Substitution, eta: dict) -> ParamContext:
     after = apply_context(sub, ctx)
-    fresh = data.get("fresh") if phase == "cleanup-parallel" else None
-    if fresh is None:
+    new = [(n, *bounds) for n, bounds in eta.items() if isinstance(bounds, tuple)]
+    if new:
+        old = {row[0] for row in ctx.dirt_cos}
+        new = [row for row in new if row[0] not in old]
+    if not new:
         return after
-    # The intersected constraint takes the place of the bundle's first row.
-    first, dropped = data["dropped"][0], set(data["dropped"])
-    rows = []
-    for row in ctx.dirt_cos:
-        if row[0] == first:
-            rows.append((fresh, row[1], data["upper"]))
-        if row[0] not in dropped:
-            rows.append(row)
+    # An introduced row takes the place of the first row the step drops.
+    kept, rows = iter(after.dirt_cos), []
+    for name, _, _ in ctx.dirt_cos:
+        if name in sub.dco:
+            rows += new
+            new = []
+        else:
+            rows.append(next(kept))
     return replace(after, dirt_cos=tuple(rows))
 
 
 class _Sort:
     """What a move needs to know about the sort it works on."""
 
-    __slots__ = ("name", "params", "cos")
+    __slots__ = ("name", "params", "cos", "co_param", "compose")
 
-    def __init__(self, name: str, params: str, cos: str):
+    def __init__(self, name: str, params: str, cos: str, co_param, compose):
         self.name = name  # "type" | "dirt"
         self.params = params  # Substitution field of the parameters
         self.cos = cos  # Substitution field of the constraint names
+        self.co_param = co_param  # coercion parameter constructor
+        self.compose = compose  # coercion composition constructor (after, before)
 
     def image(self, target: str, ops: frozenset[str] = frozenset()):
         """The parameter `target`, extended by `ops` on the dirt side."""
@@ -202,15 +221,12 @@ class _Sort:
     def refl(self, image):
         return derived_refl_vty(image) if self.name == "type" else derived_refl_dirt(image)
 
-    def co_param(self, name: str):
-        return VCoParam(name) if self.name == "type" else DCoParam(name)
-
     def subst(self, params: dict, cos: dict) -> Substitution:
         return Substitution(**{self.params: params, self.cos: cos})
 
 
-_TYPE = _Sort("type", "ty", "vco")
-_DIRT = _Sort("dirt", "dirt", "dco")
+_TYPE = _Sort("type", "ty", "vco", VCoParam, VCoCompose)
+_DIRT = _Sort("dirt", "dirt", "dco", DCoParam, DCoCompose)
 _SORTS = {"type": (_TYPE,), "dirt": (_DIRT,), "both": (_TYPE, _DIRT)}
 
 
@@ -287,13 +303,16 @@ class _Engine:
         self.steps: list[PhaseStep] = []
         self.trace = _ContextTrace(ctx)
 
+    def tracked(self, param: str) -> bool:
+        return param in self.fps.pos or param in self.fps.neg
+
     def commit(self, phase: str, sort: _Sort, info: str, sub: Substitution,
-               data: dict, moves: dict[str, str | None] | None = None) -> None:
+               eta: dict, family: dict, moves: dict[str, str | None] | None = None) -> None:
         """Record a step, then move the polarity of every parameter in
         `moves` onto its image (`None`: the parameter was grounded)."""
-        self.steps.append(PhaseStep(phase, sort.name, info, sub, self.fps, data,
+        self.steps.append(PhaseStep(phase, sort.name, info, sub, self.fps, eta, family,
                                     self.trace, len(self.steps)))
-        self.trace.moves.append((phase, sub, data))
+        self.trace.moves.append((sub, eta))
         self.changed.add(sort.name)
         pos, neg = self.fps.pos, self.fps.neg
         if moves and any(m in pos or m in neg for m in moves):
@@ -336,7 +355,7 @@ class _Engine:
             g.remove(e)
             co = right_extend(e.ops, sort.refl(sort.image(e.src)))
             self.commit("cleanup-loop", sort, f"drop loop {e.name} on {e.src}",
-                        sort.subst({}, {e.name: co}), {"edge": e.name})
+                        sort.subst({}, {e.name: co}), {}, {})
 
     def _collapse_parallels(self, sort: _Sort, g: ConstraintGraph) -> None:
         bundles = sorted((g.ordered(g.pairs[pair]) for pair in g.multi),
@@ -352,18 +371,15 @@ class _Engine:
                                   for e in dropped})
             for e in dropped:
                 g.remove(e)
-            if fresh is not None:
+            eta = {}
+            if fresh is not None:  # a dirt meet no bundle edge carried
                 g.add(Edge(fresh, src, dst, meet, rows[0].key))
-            names = [e.name for e in dropped]
+                eta[fresh] = (Dirt(frozenset(), src), Dirt(meet, None if dst == SINK else dst))
             if sort is _TYPE:
                 info = f"merge parallel {'/'.join(e.name for e in rows)} into {kept}"
-                data = {"kept": kept, "dropped": names}
             else:
-                upper = Dirt(meet, None if dst == SINK else dst)
                 info = f"intersect parallel bundle on {src} into {rep}"
-                data = {"kept": kept, "fresh": fresh, "dropped": names,
-                        "src": src, "upper": upper}
-            self.commit("cleanup-parallel", sort, info, sub, data)
+            self.commit("cleanup-parallel", sort, info, sub, eta, {})
 
     # -- strongly connected components --------------------------------------
 
@@ -404,15 +420,14 @@ class _Engine:
                            if e.dst in members and not e.ops), key=lambda e: e.key)
         merged = [m for m in comp if m != rep]
         image = sort.image(rep)
-        sub = sort.subst({m: image for m in merged},
-                         {e.name: sort.refl(image) for e in internal})
+        refl = sort.refl(image)
+        sub = sort.subst({m: image for m in merged}, {e.name: refl for e in internal})
         for e in internal:
             g.remove(e)
         for m in merged:
             self._merge(g, m, rep)
         self.commit("scc", sort, f"contract cycle {'/'.join(comp)} to {rep}", sub,
-                    {"rep": rep, "merged": merged, "internal": [e.name for e in internal]},
-                    {m: rep for m in merged})
+                    {}, {m: refl for m in merged if self.tracked(m)}, {m: rep for m in merged})
         self.cleanup((sort,))  # labeled dirt cycle edges became self-loops
         return True
 
@@ -453,26 +468,22 @@ class _Engine:
             return False
         rank, node = found
         g = self.graphs[sort.name]
-        if rank == 0:
+        co, make = sort.co_param, sort.compose
+        if rank == 0:  # an edge x out of node becomes x . e
             (e,) = g.ins[node].values()
-            image = sort.image(e.src)
-            data = {"edge": e.name, "src": e.src, "dst": node,
-                    "moved": [x.name for x in g.out_edges(node)]}
+            image, crossing = sort.image(e.src), co(e.name)
+            eta = {x.name: make(co(x.name), crossing) for x in g.out_edges(node)}
             phase, info, target = "bridge-in", f"merge {node} down into {e.src} via {e.name}", e.src
-        else:
+        else:  # an edge x into node becomes (ops(x) + e) . x
             (e,) = g.outs[node].values()
-            image = sort.image(e.dst, e.ops)  # the label folds into the image
-            data = {"edge": e.name, "src": node, "dst": e.dst}
-            if sort is _DIRT:
-                data["ops"] = e.ops
-                data["moved"] = [(x.name, x.ops) for x in g.in_edges(node)]
-            else:
-                data["moved"] = [x.name for x in g.in_edges(node)]
+            image, crossing = sort.image(e.dst, e.ops), co(e.name)  # the label folds into the image
+            eta = {x.name: make(both_extend(x.ops, crossing), co(x.name)) for x in g.in_edges(node)}
             phase, info, target = "bridge-out", f"merge {node} up into {image} via {e.name}", e.dst
         sub = sort.subst({node: image}, {e.name: sort.refl(image)})
         g.remove(e)
         self._merge(g, node, target, e.ops)
-        self.commit(phase, sort, info, sub, data, {node: target})
+        self.commit(phase, sort, info, sub, eta,
+                    {node: crossing} if self.tracked(node) else {}, {node: target})
         self.cleanup((sort,))
         return True
 
@@ -507,7 +518,7 @@ class _Engine:
             g.remove_node(n)
         params = sorted(grounded)
         self.commit("empty", _DIRT, f"ground {'/'.join(params)} to the empty dirt", sub,
-                    {"params": params, "dropped": [e.name for e in dropped]},
+                    {}, {n: DCoEmptyUnder(n) for n in params if self.tracked(n)},
                     dict.fromkeys(grounded))
 
     def full_dirt(self) -> None:
@@ -521,14 +532,14 @@ class _Engine:
             if found is None:
                 return
             node = found[1]
-            survivors = g.in_edges(node)
-            for e in survivors:
+            eta = {}
+            for e in g.in_edges(node):  # lower bounds survive, closed
                 g.move(e, e.src, SINK, e.ops | full.ops)
+                eta[e.name] = (Dirt(frozenset(), e.src), Dirt(e.ops, None))
             g.remove_node(node)
+            family = {node: (Dirt(frozenset(), node), full)} if self.tracked(node) else {}
             self.commit("full", _DIRT, f"ground {node} to the full dirt {full}",
-                        Substitution(dirt={node: full}),
-                        {"param": node, "survivors": [e.name for e in survivors]},
-                        {node: None})
+                        Substitution(dirt={node: full}), eta, family, {node: None})
             self.cleanup((_DIRT,))
 
     # -- results ---------------------------------------------------------------

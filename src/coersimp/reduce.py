@@ -40,12 +40,11 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .check import dirt_inclusion_coercion
+from .check import both_extend, dirt_inclusion_coercion
 from .subst import Substitution, apply_dirt, apply_vty, resolve
 from .syntax import (
     CCoercion,
     DCoParam,
-    DCoUnionBoth,
     Dirt,
     NameSupply,
     ParamContext,
@@ -93,12 +92,6 @@ def is_canonical(ctx: ParamContext) -> bool:
         if lo.tail is None or lo.ops:
             return False
     return True
-
-
-def _both_ext(ops: frozenset[str], body):
-    for op in reversed(sorted(ops)):
-        body = DCoUnionBoth(op, body)
-    return body
 
 
 def _phi_t(ctx: ParamContext, supply: NameSupply, deltas: list[Substitution]):
@@ -196,7 +189,7 @@ def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply,
                 # Keep the less restrictive residual d1 <= O2 (+ d2).
                 p = supply.fresh("p")
                 rows[pos] = (p, dirt((), d1), hi if d2 is None else Dirt(o2 - o1, d2))
-                deltas.append(Substitution(dco={name: _both_ext(o1, DCoParam(p))}))
+                deltas.append(Substitution(dco={name: both_extend(o1, DCoParam(p))}))
             continue
         if d2 is None:
             raise Unsatisfiable(f"dirt constraint {name}: {lo} <= {hi}")

@@ -15,10 +15,10 @@ Any term typed under the original instantiation can then be recovered from
 its strengthened typing by casting along the extended family, which is
 exactly what the semantic oracle checks.
 
-Each step kind has its own replay rule; dropped constraint names lose their
-ground coercion, re-pointed ones get it composed with the bridge coercion,
-and freshly introduced names get inclusion coercions that exist by the set
-arithmetic the step performed.
+Each step states its own witness (`PhaseStep.eta` and `PhaseStep.family`),
+so one replay rule serves every step: the step's entries are grounded under
+the instantiation so far, the names the step maps lose their ground images,
+and the constraints it re-points or introduces take their new coercions.
 
 The builder copies `eta0` once and updates the copy in place, step by step.
 A tracked parameter's family entry gains a link only at a step whose own
@@ -32,13 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .check import (
-    both_extend,
     dco_endpoint,
-    derived_empty,
     derived_refl_dirt,
     derived_refl_vty,
     dirt_inclusion_coercion,
     value_inclusion_coercion,
+    vco_endpoint,
 )
 from .phases import PhaseResult, PhaseStep
 from .polarity import (
@@ -51,13 +50,14 @@ from .polarity import (
 )
 from .subst import (
     Substitution,
+    apply_dco,
     apply_dirt,
+    apply_vco,
     apply_vty,
     check_validity,
     compose,
 )
 from .syntax import (
-    DCoCompose,
     Dirt,
     EMPTY_CONTEXT,
     Signature,
@@ -65,7 +65,6 @@ from .syntax import (
     SkelParam,
     TyArrow,
     TyParam,
-    VCoCompose,
 )
 
 
@@ -91,59 +90,33 @@ def _refl_entries(fam: CoercionFamily, eta: Substitution, names) -> None:
             raise WitnessBug(f"tracked parameter {name} has no ground image")
 
 
+def _ground(entry, eta: Substitution, apply):
+    """The ground coercion a step witness entry stands for under `eta`."""
+    if isinstance(entry, tuple):
+        lo, hi = entry
+        return dirt_inclusion_coercion(apply_dirt(eta, lo), apply_dirt(eta, hi))
+    return apply(eta, entry)
+
+
 def _replay(step: PhaseStep, eta: Substitution) -> CoercionFamily:
     """Turn `eta`, in place, from a ground instantiation of `step.before`
     into one of `step.after`; return the step's own family entries."""
-    fam = CoercionFamily()
     typed = step.sort == "type"
-    images, cos, own = (eta.ty, eta.vco, fam.vco) if typed else (eta.dirt, eta.dco, fam.dco)
-    new = {}  # constraint names of the step's sort that it re-points or introduces
-    data = step.data
-    members = step.fps.members()
-
-    if step.phase in ("cleanup-loop", "cleanup-parallel"):
-        if data.get("fresh") is not None:  # a dirt meet no bundle edge carried
-            lo = eta.dirt[data["src"]]
-            new[data["fresh"]] = dirt_inclusion_coercion(lo, apply_dirt(eta, data["upper"]))
-    elif step.phase == "scc":
-        rep = images[data["rep"]]
-        for m in data["merged"]:
-            if images[m] != rep:
-                raise WitnessBug(f"cycle members {m}/{data['rep']} differ under eta")
-            if m in members:
-                own[m] = derived_refl_vty(rep) if typed else derived_refl_dirt(rep)
-    elif step.phase == "bridge-in":
-        crossing = cos[data["edge"]]
-        for n in data["moved"]:
-            new[n] = (VCoCompose if typed else DCoCompose)(cos[n], crossing)
-        if data["dst"] in members:
-            own[data["dst"]] = crossing
-    elif step.phase == "bridge-out":
-        crossing = cos[data["edge"]]
-        for n in data["moved"]:
-            if typed:
-                new[n] = VCoCompose(crossing, cos[n])
-            else:
-                n, ops = n
-                new[n] = DCoCompose(both_extend(ops, crossing), cos[n])
-        if data["src"] in members:
-            own[data["src"]] = crossing
-    elif step.phase == "empty":
-        for d in data["params"]:
-            if d in members:
-                own[d] = derived_empty(eta.dirt[d])
-    elif step.phase == "full":
-        full = step.subst.dirt[data["param"]]
-        for n in data["survivors"]:  # lower bounds are bare parameters
-            new[n] = dirt_inclusion_coercion(dco_endpoint(cos[n], upper=False), full)
-        if data["param"] in members:
-            own[data["param"]] = dirt_inclusion_coercion(eta.dirt[data["param"]], full)
-    else:
-        raise WitnessBug(f"unknown step kind {(step.phase, step.sort)!r}")
-    for name in step.subst.domain():
-        for part in (eta.skel, eta.ty, eta.dirt, eta.vco, eta.dco):
+    apply, endpoint = (apply_vco, vco_endpoint) if typed else (apply_dco, dco_endpoint)
+    new = {name: _ground(entry, eta, apply) for name, entry in step.eta.items()}
+    fam = CoercionFamily()
+    own, images = (fam.vco, eta.ty) if typed else (fam.dco, eta.dirt)
+    for p, entry in step.family.items():
+        # The entry ends at p's image at a positive p, and starts there otherwise.
+        co = own[p] = _ground(entry, eta, apply)
+        if endpoint(co, p in step.fps.pos) != images[p]:
+            raise WitnessBug(f"family entry for {p} misses its image {images[p]} under eta")
+    sub = step.subst
+    for part, names in ((eta.skel, sub.skel), (eta.ty, sub.ty), (eta.dirt, sub.dirt),
+                        (eta.vco, sub.vco), (eta.dco, sub.dco)):
+        for name in names:
             part.pop(name, None)
-    cos.update(new)
+    (eta.vco if typed else eta.dco).update(new)
     return fam
 
 
@@ -186,25 +159,6 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
             for p in _image_params(so_far, n):
                 users.setdefault(p, set()).add(n)
     return WitnessResult(eta, acc)
-
-
-def check_witness(
-    sig: Signature,
-    run: PhaseResult,
-    eta0: Substitution,
-    wit: WitnessResult,
-) -> None:
-    """Validate a witness: `wit.eta` grounds the strengthened context and
-    the family bridges the two instantiations at the run's polarity set."""
-    check_validity(sig, run.context, wit.eta, EMPTY_CONTEXT)
-    check_family(
-        sig,
-        EMPTY_CONTEXT,
-        wit.family,
-        compose(wit.eta, run.subst),
-        eta0,
-        run.fps0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +278,9 @@ def build_witness_total(sig: Signature, sim, eta0: Substitution) -> WitnessResul
 
 def check_witness_total(sig: Signature, sim, eta0: Substitution,
                         wit: WitnessResult) -> None:
+    """Validate a witness of a run (a `SimplifyResult` or a `PhaseResult`):
+    `wit.eta` grounds the strengthened context and the family links the
+    two instantiations at the run's polarity set."""
     check_validity(sig, sim.context, wit.eta, EMPTY_CONTEXT)
     check_family(
         sig,

@@ -22,7 +22,7 @@ from coersimp.sample import sample_eta
 from coersimp.semantics import BASE_CARRIERS
 from coersimp.subst import check_validity
 from coersimp.syntax import CompType, TyArrow, TyBase, TyParam, alpha_equivalent, dirt
-from coersimp.witness import build_witness, check_witness
+from coersimp.witness import build_witness, check_witness_total
 
 from gen import TEST_SIG, random_context, random_fps
 
@@ -189,7 +189,7 @@ def test_criterion_5_phase_properties():
         for _ in range(10):
             eta0 = sample_eta(TEST_SIG, ctx, rng)
             wit = build_witness(full_run, eta0)
-            check_witness(TEST_SIG, full_run, eta0, wit)
+            check_witness_total(TEST_SIG, full_run, eta0, wit)
     _passline(5, "phase pipeline, 500 contexts", start, 120.0)
 
 

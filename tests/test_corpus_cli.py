@@ -205,7 +205,7 @@ def test_cli_reads_corpus_file_and_stdin(tmp_path, monkeypatch, capsys):
     assert "item x" in capsys.readouterr().out
 
 
-def test_cli_diagnostics_exit_one(tmp_path, capsys):
+def test_cli_diagnostics_exit_one(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.sexp"
     bad.write_text("(item oops")
     assert main(["simplify", str(bad)]) == 1
@@ -225,6 +225,14 @@ def test_cli_diagnostics_exit_one(tmp_path, capsys):
     bad.write_text(deep_tyco(400))
     assert main(["simplify", str(bad)]) == 1
     assert "nesting deeper than 256 levels" in capsys.readouterr().err
+    work = tmp_path / "work"
+    (work / "x.dot").mkdir(parents=True)  # the write of item x fails
+    monkeypatch.chdir(work)
+    for name in ("a/b", "../x", "x"):
+        bad.write_text(f"(item {name} (signature) (context (dirt d1)))")
+        assert main(["simplify", str(bad), "--emit", "dot"]) == 1, name
+        assert "error:" in capsys.readouterr().err, name
+    assert sorted(p.name for p in tmp_path.rglob("*.dot")) == ["x.dot"]
 
 
 def test_cli_simplifies_deep_arrow_constraint_quickly(tmp_path, capsys):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from coersimp.check import wf_context
+from coersimp.check import check_dco, check_vco, wf_context
 from coersimp.corpus import load_bundled
 from coersimp.phases import (
     PRESETS,
@@ -334,12 +334,45 @@ def test_phases_randomized_invariants():
             assert again.steps == []
 
 
+def assert_step_witnesses_fit(sig, steps, label):
+    """Each coercion entry of a step's `eta` checks in the context before
+    the step with the endpoints its constraint has after it; each bound
+    pair is that classifier."""
+    for i, step in enumerate(steps):
+        if not step.eta:
+            continue
+        typed = step.sort == "type"
+        before, after = step.before, step.after  # in this order: one replay
+        for name, entry in step.eta.items():
+            want = after.ty_co_classifier(name) if typed else after.dirt_co_classifier(name)
+            if isinstance(entry, tuple):
+                got = entry
+            else:
+                got = (check_vco if typed else check_dco)(sig, before, entry)
+            assert got == want, (label, i, step.phase, name)
+
+
+def test_step_witnesses_fit_their_classifiers():
+    configs = dict(PRESETS, full=parse_phase_config("all", full_dirt=True))
+    for item in load_bundled():
+        for preset, instructions in configs.items():
+            sim = simplify(item.signature, item.context, fp_vty(item.poltype),
+                           instructions)
+            assert_step_witnesses_fit(item.signature, sim.phases.steps,
+                                      (item.name, preset))
+    for family in sorted(SHAPES):
+        ctx, pol = shape_context(family, 50)
+        for preset, instructions in configs.items():
+            res = run_phases(TEST_SIG, ctx, pol, instructions)
+            assert_step_witnesses_fit(TEST_SIG, res.steps, (family, preset))
+
+
 # ---------------------------------------------------------------------------
 # Differential test against the reference engine
 
 
 def step_key(step):
-    return (step.phase, step.sort, step.info, step.subst, step.fps, step.data)
+    return (step.phase, step.sort, step.info, step.subst, step.fps)
 
 
 def assert_same_run(sig, ctx, pol, instructions, label, contexts=True):

@@ -26,6 +26,7 @@ from coersimp.syntax import (
     DCoCompose,
     SkelArrow,
     EMPTY_CONTEXT,
+    NameSupply,
     ParamContext,
     SkelParam,
     SkelUnit,
@@ -40,12 +41,12 @@ from coersimp.witness import (
     WitnessResult,
     build_witness,
     build_witness_total,
-    check_witness,
     check_witness_total,
     replay_reduction,
 )
 
 from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context
+from reference_phases import run_reference_phases
 from reference_witness import build_witness as build_reference_witness
 
 
@@ -67,7 +68,7 @@ def test_bridge_in_dirt_witness_reuses_crossing_coercion():
     eta0.dco["p1"] = dirt_inclusion_coercion(
         eta0.dirt["d1"], eta0.dirt["d2"])
     wit = build_witness(run, eta0)
-    check_witness(TEST_SIG, run, eta0, wit)
+    check_witness_total(TEST_SIG, run, eta0, wit)
     got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family.dco["d2"])
     assert got == (dirt(("Fail",)), dirt(("Fail", "Random")))
     assert wit.eta.dirt == {"d1": dirt(("Fail",))}
@@ -85,7 +86,7 @@ def test_bridge_out_type_witness_negative_orientation():
                         ty={"a1": lo, "a2": hi})
     eta0.vco["w1"] = value_inclusion_coercion(lo, hi)
     wit = build_witness(run, eta0)
-    check_witness(TEST_SIG, run, eta0, wit)
+    check_witness_total(TEST_SIG, run, eta0, wit)
     # a1 is negative: its entry embeds the original image into the merged one
     assert check_vco(TEST_SIG, EMPTY_CONTEXT, wit.family.vco["a1"]) == (lo, hi)
 
@@ -95,7 +96,7 @@ def test_empty_grounding_witness_endpoints():
     run = run_phases(TEST_SIG, ctx, fps(pos={"d1"}), [("empty", "dirt")])
     eta0 = Substitution(dirt={"d1": dirt(("Random",))})
     wit = build_witness(run, eta0)
-    check_witness(TEST_SIG, run, eta0, wit)
+    check_witness_total(TEST_SIG, run, eta0, wit)
     got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family.dco["d1"])
     assert got == (dirt(), dirt(("Random",)))
 
@@ -105,7 +106,7 @@ def test_full_grounding_witness_endpoints():
     run = run_phases(TEST_SIG, ctx, fps(neg={"d1"}), [("full", "dirt")])
     eta0 = Substitution(dirt={"d1": dirt(("Random",))})
     wit = build_witness(run, eta0)
-    check_witness(TEST_SIG, run, eta0, wit)
+    check_witness_total(TEST_SIG, run, eta0, wit)
     got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family.dco["d1"])
     assert got == (dirt(("Random",)), dirt(("Fail", "Random")))
 
@@ -129,7 +130,7 @@ def test_scc_witness_demands_equal_cycle_images():
     good.vco["w1"] = value_inclusion_coercion(ground_arrow(), ground_arrow())
     good.vco["w2"] = good.vco["w1"]
     wit = build_witness(run, good)
-    check_witness(TEST_SIG, run, good, wit)
+    check_witness_total(TEST_SIG, run, good, wit)
 
 
 def test_replay_reduction_factors_exactly():
@@ -224,12 +225,22 @@ def links(co):
     return count
 
 
-def assert_same_witness(sig, sim, eta0, label):
-    """The builder and the reference give the same instantiation and family
-    entries with the same endpoints, and both witnesses check."""
+def reference_run(sig, sim, instructions):
+    """The reference engine's run of the canonical context `sim` reduced to,
+    with the name supply in the state reduction left it in."""
+    supply = NameSupply.seeded(sim.original)
+    reduce_context(sig, sim.original, supply)
+    return run_reference_phases(sig, sim.reduction.context, sim.phases.fps0,
+                                instructions, supply)
+
+
+def assert_same_witness(sig, sim, ref, eta0, label):
+    """The builder, on the engine's run, and the reference, on the reference
+    engine's run `ref`, give the same instantiation and family entries with
+    the same endpoints, and both witnesses check."""
     eta_r = replay_reduction(sig, sim.reduction, eta0)
     got = build_witness(sim.phases, eta_r)
-    want = build_reference_witness(sim.phases, eta_r)
+    want = build_reference_witness(ref, eta_r)
     assert got.eta == want.eta, label
     assert got.family.vco.keys() == want.family.vco.keys(), label
     assert got.family.dco.keys() == want.family.dco.keys(), label
@@ -254,11 +265,12 @@ def test_witness_matches_reference_on_corpus():
         pol = fp_vty(item.poltype) if item.poltype is not None else FreeParamSet()
         for preset, instructions in CONFIGS.items():
             sim = simplify(item.signature, item.context, pol, instructions)
+            ref = reference_run(item.signature, sim, instructions)
             for i in range(3):
                 rng = random.Random(f"diff:{item.name}:{preset}:{i}")
                 eta0 = sample_eta(item.signature, item.context, rng,
                                   poltype=item.poltype, term=item.term)
-                assert_same_witness(item.signature, sim, eta0, (item.name, preset, i))
+                assert_same_witness(item.signature, sim, ref, eta0, (item.name, preset, i))
 
 
 @pytest.mark.parametrize("family", sorted(SHAPES))
@@ -268,7 +280,8 @@ def test_witness_matches_reference_on_bench_shapes(family):
         eta0 = sample_eta(TEST_SIG, ctx, random.Random(f"diff:{family}:{n}"))
         for preset in ("all", "full"):
             sim = simplify(TEST_SIG, ctx, pol, CONFIGS[preset])
-            assert_same_witness(TEST_SIG, sim, eta0, (family, n, preset))
+            ref = reference_run(TEST_SIG, sim, CONFIGS[preset])
+            assert_same_witness(TEST_SIG, sim, ref, eta0, (family, n, preset))
 
 
 def test_witness_matches_reference_on_random_contexts():
@@ -279,7 +292,8 @@ def test_witness_matches_reference_on_random_contexts():
         eta0 = sample_eta(TEST_SIG, ctx, rng)
         for preset, instructions in CONFIGS.items():
             sim = simplify(TEST_SIG, ctx, pol, instructions)
-            assert_same_witness(TEST_SIG, sim, eta0, (size, preset))
+            ref = reference_run(TEST_SIG, sim, instructions)
+            assert_same_witness(TEST_SIG, sim, ref, eta0, (size, preset))
 
 
 def test_witness_cost_is_the_size_of_the_change(monkeypatch):
@@ -300,6 +314,7 @@ def test_witness_cost_is_the_size_of_the_change(monkeypatch):
     assert len(copies) == 1
     entries = [*wit.family.vco.values(), *wit.family.dco.values()]
     assert sum(map(links, entries)) <= len(run.steps) + len(entries)
-    ref = build_reference_witness(run, eta0)
+    ref = build_reference_witness(
+        run_reference_phases(TEST_SIG, ctx, pol, PRESETS["all"]), eta0)
     assert sum(map(links, entries)) * 2 < sum(
         map(links, [*ref.family.vco.values(), *ref.family.dco.values()]))
