@@ -103,7 +103,7 @@ class NoWitness(CheckError):
 
 def wf_skeleton(ctx: ParamContext, s: Skeleton) -> None:
     if isinstance(s, SkelParam):
-        if s.name not in ctx.skel_params:
+        if s.name not in ctx.skel_param_set:
             raise UnknownName(f"skeleton parameter {s.name} not in context")
     elif isinstance(s, (SkelUnit, SkelBase)):
         pass
@@ -118,7 +118,7 @@ def wf_dirt(sig: Signature, ctx: ParamContext, d: Dirt) -> None:
     for op in d.ops:
         if op not in sig:
             raise UnknownName(f"operation {op} not in signature")
-    if d.tail is not None and d.tail not in ctx.dirt_params:
+    if d.tail is not None and d.tail not in ctx.dirt_param_set:
         raise UnknownName(f"dirt parameter {d.tail} not in context")
 
 
@@ -222,14 +222,14 @@ def check_dco(sig: Signature, ctx: ParamContext, g: DCoercion) -> tuple[Dirt, Di
             raise UnknownName(f"dirt coercion parameter {g.name} not in context")
         return cls
     if isinstance(g, DCoReflParam):
-        if g.name not in ctx.dirt_params:
+        if g.name not in ctx.dirt_param_set:
             raise UnknownName(f"dirt parameter {g.name} not in context")
         d = dirt((), g.name)
         return d, d
     if isinstance(g, DCoReflEmpty):
         return dirt(), dirt()
     if isinstance(g, DCoEmptyUnder):
-        if g.tail not in ctx.dirt_params:
+        if g.tail not in ctx.dirt_param_set:
             raise UnknownName(f"dirt parameter {g.tail} not in context")
         return dirt(), dirt((), g.tail)
     if isinstance(g, DCoUnionBoth):

@@ -26,10 +26,18 @@ Value and computation terms, with their inline coercions:
 `;` starts a line comment. Every item is checked at load time: the context
 must be well formed, the declared type well formed over it, and a term must
 typecheck to exactly the declared type.
+
+Loading costs time linear in the text. The reader splits the text into
+tokens in one regular-expression pass and builds plain lists of `str`
+atoms, keeping no position. A diagnostic reads the text once more to find
+the offset of the element it names and only then computes its line and
+column, so every `ParseError` carries the exact `line:col` of the token it
+is about.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -101,270 +109,309 @@ class CorpusItem:
 
 # ---------------------------------------------------------------------------
 # Reader
+#
+# One regular-expression pass splits the text into tokens: an atom runs up
+# to the next space, tab, carriage return, newline, parenthesis or `;`, and
+# `;` starts a comment that runs to the end of the line. The tree keeps no
+# positions: atoms are `str` and lists are `list`. A diagnostic reads the
+# text again to find its offset, and only then turns it into line:column.
 
-@dataclass
-class Node:
-    val: object  # str atom, or list[Node]
-    line: int
-    col: int
-
-    def expect_list(self, head: str | None = None) -> list[Node]:
-        if not isinstance(self.val, list):
-            raise ParseError(self.line, self.col, f"expected a list, got {self.val!r}")
-        if head is not None:
-            if not self.val or self.val[0].val != head:
-                raise ParseError(self.line, self.col, f"expected ({head} ...)")
-        return self.val
-
-    def expect_atom(self) -> str:
-        if isinstance(self.val, list):
-            raise ParseError(self.line, self.col, "expected a name")
-        return self.val
-
-
-def _tokenize(text: str):
-    line, col = 1, 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            start = i
-            startcol = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield text[start:i], line, startcol
-    yield None, line, col
-
+_TOKEN = re.compile(r"[^ \t\r\n();]+|[()]|;[^\n]*")
 
 # Deepest parenthesis nesting the reader accepts: elaboration, checking and
 # substitution recurse along it and must stay inside the recursion limit.
 MAX_NESTING = 256
 
 
-def _read_all(text: str) -> list[Node]:
-    stack: list[Node] = []
-    top: list[Node] = []
-    for tok, line, col in _tokenize(text):
-        if tok is None:
-            if stack:
-                raise ParseError(line, col, "unclosed parenthesis")
-            return top
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start
+
+
+def _read(text: str) -> list:
+    """The top-level elements of `text`."""
+    top: list = []
+    node, stack = top, []
+    for tok in _TOKEN.findall(text):
         if tok == "(":
             if len(stack) == MAX_NESTING:
-                raise ParseError(line, col, f"nesting deeper than {MAX_NESTING} levels")
-            node = Node([], line, col)
-            (stack[-1].val if stack else top).append(node)
+                raise _parenthesis_error(text)
             stack.append(node)
+            sub: list = []
+            node.append(sub)
+            node = sub
         elif tok == ")":
             if not stack:
-                raise ParseError(line, col, "unmatched close parenthesis")
-            stack.pop()
-        else:
-            (stack[-1].val if stack else top).append(Node(tok, line, col))
+                raise _parenthesis_error(text)
+            node = stack.pop()
+        elif tok[0] != ";":
+            node.append(tok)
+    if stack:
+        # The end of the text; a comment on the last line does not count.
+        end = text.find(";", text.rfind("\n") + 1)
+        raise ParseError(*_line_col(text, len(text) if end < 0 else end),
+                         "unclosed parenthesis")
     return top
+
+
+def _parenthesis_error(text: str) -> ParseError:
+    """The diagnostic at the first parenthesis `_read` refuses."""
+    depth = 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            if depth == MAX_NESTING:
+                return ParseError(*_line_col(text, m.start()),
+                                  f"nesting deeper than {MAX_NESTING} levels")
+            depth += 1
+        elif tok == ")":
+            if depth == 0:
+                return ParseError(*_line_col(text, m.start()), "unmatched close parenthesis")
+            depth -= 1
+    raise AssertionError("no refused parenthesis")
+
+
+def _offset(text: str, path: list[int]) -> int:
+    """The offset of the element that `path` indexes, from the top level
+    down."""
+    seen = [-1]  # per open list, the index of its last element so far
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == ")":
+            seen.pop()
+        elif tok[0] != ";":
+            seen[-1] += 1
+            if seen == path:
+                return m.start()
+            if tok == "(":
+                seen.append(-1)
+    raise AssertionError("no element at the path")
+
+
+def _path(top: list, target: list) -> list[int]:
+    """The indices from the top level down to the list `target`."""
+    parent = {}  # id of a list -> (the list holding it, its index there)
+    todo = [top]
+    for node in todo:
+        for i, child in enumerate(node):
+            if type(child) is list:
+                parent[id(child)] = node, i
+                todo.append(child)
+    path = []
+    while target is not top:
+        target, i = parent[id(target)]
+        path.append(i)
+    return path[::-1]
+
+
+class _Misplaced(Exception):
+    """An elaboration error at element `index` of the list `node`, or at
+    `node` itself when `index` is None. `parse_corpus` turns it into a
+    `ParseError` at that element."""
+
+    def __init__(self, node: list, index: int | None, msg: str):
+        super().__init__(msg)
+        self.node = node
+        self.index = index
+        self.msg = msg
+
+    def parse_error(self, text: str, top: list) -> ParseError:
+        path = _path(top, self.node)
+        if self.index is not None:
+            path.append(self.index)
+        return ParseError(*_line_col(text, _offset(text, path)), self.msg)
 
 
 # ---------------------------------------------------------------------------
 # Elaboration
+#
+# Each form elaborates in one Python frame, so elaboration recurses once
+# per nesting level, as checking does.
 
-def _args(node: Node, head: str, count: int | None = None) -> list[Node]:
-    parts = node.expect_list(head)[1:]
-    if count is not None and len(parts) != count:
-        raise ParseError(node.line, node.col,
-                         f"({head} ...) takes {count} arguments, got {len(parts)}")
-    return parts
+def _sub(node: list, i: int, head: str | None = None) -> list:
+    """Element `i` of `node`, which must be a list (opening with `head`)."""
+    child = node[i]
+    if type(child) is str:
+        raise _Misplaced(node, i, f"expected a list, got {child!r}")
+    if head is not None and (not child or child[0] != head):
+        raise _Misplaced(child, None, f"expected ({head} ...)")
+    return child
 
 
-def _skel(node: Node):
-    items = node.expect_list()
-    head = items[0].expect_atom() if items else ""
+def _name(node: list, i: int) -> str:
+    """Element `i` of `node`, which must be an atom."""
+    child = node[i]
+    if type(child) is not str:
+        raise _Misplaced(child, None, "expected a name")
+    return child
+
+
+def _arity(node: list, count: int) -> None:
+    if len(node) != count + 1:
+        raise _Misplaced(node, None,
+                         f"({node[0]} ...) takes {count} arguments, got {len(node) - 1}")
+
+
+def _form(node: list, arity: dict[str, int], what: str) -> str:
+    """The atom that opens `node`: a key of `arity`, followed by as many
+    arguments as it maps to."""
+    head = node[0] if node else ""
+    if type(head) is not str:
+        raise _Misplaced(head, None, "expected a name")
+    if head not in arity:
+        raise _Misplaced(node, None, f"unknown {what} {head!r}")
+    _arity(node, arity[head])
+    return head
+
+
+# Argument counts per head; each elaborator's last case takes the last head.
+_TYPE_ARITY = {"param": 1, "unit": 0, "base": 1, "arrow": 2}
+_VCO_ARITY = {"covar": 1, "corefl": 1, "coarrow": 2, "coseq": 2}
+_DCO_ARITY = {"dvar": 1, "drefl": 1, "dempty": 1}
+_VALUE_ARITY = {"var": 1, "unitval": 0, "lam": 3, "castv": 2}
+_COMP_ARITY = {"return": 1, "opcall": 5, "do": 3, "app": 2, "letval": 3, "castc": 2}
+_DECL_ARITY = {"skel": 1, "dirt": 1, "typaram": 2, "tyco": 3, "dco": 3}
+_SECTION_ARITY = {"poltype": 1, "term": 1}
+
+
+def _skel(node: list):
+    head = _form(node, _TYPE_ARITY, "skeleton form")
     if head == "param":
-        return SkelParam(_args(node, "param", 1)[0].expect_atom())
+        return SkelParam(_name(node, 1))
     if head == "unit":
-        _args(node, "unit", 0)
         return SkelUnit()
     if head == "base":
-        return SkelBase(_args(node, "base", 1)[0].expect_atom())
-    if head == "arrow":
-        a, b = _args(node, "arrow", 2)
-        return SkelArrow(_skel(a), _skel(b))
-    raise ParseError(node.line, node.col, f"unknown skeleton form {head!r}")
+        return SkelBase(_name(node, 1))
+    return SkelArrow(_skel(_sub(node, 1)), _skel(_sub(node, 2)))
 
 
-def _dirt(node: Node) -> Dirt:
-    parts = node.expect_list("dirt")[1:]
-    if not parts or len(parts) > 2:
-        raise ParseError(node.line, node.col, "(dirt (OPS...) TAIL?) expected")
-    ops = frozenset(p.expect_atom() for p in parts[0].expect_list())
-    tail = parts[1].expect_atom() if len(parts) == 2 else None
-    return Dirt(ops, tail)
+def _dirt(node: list) -> Dirt:
+    """A `(dirt ...)` list; the caller has checked the head."""
+    if not 2 <= len(node) <= 3:
+        raise _Misplaced(node, None, "(dirt (OPS...) TAIL?) expected")
+    ops = _sub(node, 1)
+    for op in ops:
+        if type(op) is not str:
+            raise _Misplaced(op, None, "expected a name")
+    return Dirt(frozenset(ops), _name(node, 2) if len(node) == 3 else None)
 
 
-def _vtype(node: Node) -> ValueType:
-    items = node.expect_list()
-    head = items[0].expect_atom() if items else ""
+def _vtype(node: list) -> ValueType:
+    head = _form(node, _TYPE_ARITY, "type form")
     if head == "param":
-        return TyParam(_args(node, "param", 1)[0].expect_atom())
+        return TyParam(_name(node, 1))
     if head == "unit":
-        _args(node, "unit", 0)
         return TyUnit()
     if head == "base":
-        return TyBase(_args(node, "base", 1)[0].expect_atom())
-    if head == "arrow":
-        dom, cod = _args(node, "arrow", 2)
-        return TyArrow(_vtype(dom), _ctype(cod))
-    raise ParseError(node.line, node.col, f"unknown type form {head!r}")
+        return TyBase(_name(node, 1))
+    return TyArrow(_vtype(_sub(node, 1)), _ctype(_sub(node, 2, "comp")))
 
 
-def _ctype(node: Node) -> CompType:
-    ty, d = _args(node, "comp", 2)
-    return CompType(_vtype(ty), _dirt(d))
+def _ctype(node: list) -> CompType:
+    """A `(comp ...)` list; the caller has checked the head."""
+    _arity(node, 2)
+    return CompType(_vtype(_sub(node, 1)), _dirt(_sub(node, 2, "dirt")))
 
 
-def _vco(node: Node):
-    items = node.expect_list()
-    head = items[0].expect_atom() if items else ""
+def _vco(node: list):
+    head = _form(node, _VCO_ARITY, "value coercion")
     if head == "covar":
-        return VCoParam(_args(node, "covar", 1)[0].expect_atom())
+        return VCoParam(_name(node, 1))
     if head == "corefl":
-        return derived_refl_vty(_vtype(_args(node, "corefl", 1)[0]))
+        return derived_refl_vty(_vtype(_sub(node, 1)))
     if head == "coarrow":
-        arg, res = _args(node, "coarrow", 2)
-        return VCoArrow(_vco(arg), _cco(res))
-    if head == "coseq":
-        first, second = _args(node, "coseq", 2)
-        return VCoCompose(_vco(second), _vco(first))
-    raise ParseError(node.line, node.col, f"unknown value coercion {head!r}")
+        return VCoArrow(_vco(_sub(node, 1)), _cco(_sub(node, 2, "cco")))
+    # (coseq FIRST SECOND) is SECOND after FIRST; SECOND is read first.
+    return VCoCompose(_vco(_sub(node, 2)), _vco(_sub(node, 1)))
 
 
-def _dco(node: Node):
-    items = node.expect_list()
-    head = items[0].expect_atom() if items else ""
+def _dco(node: list):
+    head = _form(node, _DCO_ARITY, "dirt coercion")
     if head == "dvar":
-        return DCoParam(_args(node, "dvar", 1)[0].expect_atom())
+        return DCoParam(_name(node, 1))
     if head == "drefl":
-        return derived_refl_dirt(_dirt(_args(node, "drefl", 1)[0]))
-    if head == "dempty":
-        return derived_empty(_dirt(_args(node, "dempty", 1)[0]))
-    raise ParseError(node.line, node.col, f"unknown dirt coercion {head!r}")
+        return derived_refl_dirt(_dirt(_sub(node, 1, "dirt")))
+    return derived_empty(_dirt(_sub(node, 1, "dirt")))
 
 
-def _cco(node: Node) -> CCoercion:
-    vco, dco = _args(node, "cco", 2)
-    return CCoercion(_vco(vco), _dco(dco))
+def _cco(node: list) -> CCoercion:
+    """A `(cco ...)` list; the caller has checked the head."""
+    _arity(node, 2)
+    return CCoercion(_vco(_sub(node, 1)), _dco(_sub(node, 2)))
 
 
-def _value(node: Node) -> ValueTerm:
-    items = node.expect_list()
-    head = items[0].expect_atom() if items else ""
+def _value(node: list) -> ValueTerm:
+    head = _form(node, _VALUE_ARITY, "value form")
     if head == "var":
-        return Var(_args(node, "var", 1)[0].expect_atom())
+        return Var(_name(node, 1))
     if head == "unitval":
-        _args(node, "unitval", 0)
         return UnitVal()
     if head == "lam":
-        x, ty, body = _args(node, "lam", 3)
-        return Lam(x.expect_atom(), _vtype(ty), _comp(body))
-    if head == "castv":
-        v, co = _args(node, "castv", 2)
-        return CastV(_value(v), _vco(co))
-    raise ParseError(node.line, node.col, f"unknown value form {head!r}")
+        return Lam(_name(node, 1), _vtype(_sub(node, 2)), _comp(_sub(node, 3)))
+    return CastV(_value(_sub(node, 1)), _vco(_sub(node, 2)))
 
 
-def _comp(node: Node):
-    items = node.expect_list()
-    head = items[0].expect_atom() if items else ""
+def _comp(node: list):
+    head = _form(node, _COMP_ARITY, "computation form")
     if head == "return":
-        return Return(_value(_args(node, "return", 1)[0]))
+        return Return(_value(_sub(node, 1)))
     if head == "opcall":
-        op, arg, bind, bind_ty, cont = _args(node, "opcall", 5)
-        return OpCall(op.expect_atom(), _value(arg), bind.expect_atom(),
-                      _vtype(bind_ty), _comp(cont))
+        return OpCall(_name(node, 1), _value(_sub(node, 2)), _name(node, 3),
+                      _vtype(_sub(node, 4)), _comp(_sub(node, 5)))
     if head == "do":
-        x, first, rest = _args(node, "do", 3)
-        return Do(x.expect_atom(), _comp(first), _comp(rest))
+        return Do(_name(node, 1), _comp(_sub(node, 2)), _comp(_sub(node, 3)))
     if head == "app":
-        fn, arg = _args(node, "app", 2)
-        return App(_value(fn), _value(arg))
+        return App(_value(_sub(node, 1)), _value(_sub(node, 2)))
     if head == "letval":
-        x, v, body = _args(node, "letval", 3)
-        return LetVal(x.expect_atom(), _value(v), _comp(body))
-    if head == "castc":
-        c, co = _args(node, "castc", 2)
-        return CastC(_comp(c), _cco(co))
-    raise ParseError(node.line, node.col, f"unknown computation form {head!r}")
+        return LetVal(_name(node, 1), _value(_sub(node, 2)), _comp(_sub(node, 3)))
+    return CastC(_comp(_sub(node, 1)), _cco(_sub(node, 2, "cco")))
 
 
-def _signature(node: Node) -> Signature:
+def _signature(node: list) -> Signature:
+    """A `(signature ...)` list; the caller has checked the head."""
     ops = []
-    for decl in node.expect_list("signature")[1:]:
-        name, arg, res = _args(decl, "op", 3)
-        ops.append((name.expect_atom(), OpSig(_vtype(arg), _vtype(res))))
+    for i in range(1, len(node)):
+        decl = _sub(node, i, "op")
+        _arity(decl, 3)
+        ops.append((_name(decl, 1), OpSig(_vtype(_sub(decl, 2)), _vtype(_sub(decl, 3)))))
     return Signature(tuple(ops))
 
 
-def _context(node: Node) -> ParamContext:
-    skels: list[str] = []
-    dirts: list[str] = []
-    typarams = []
-    tycos = []
-    dcos = []
-    for decl in node.expect_list("context")[1:]:
-        items = decl.expect_list()
-        head = items[0].expect_atom() if items else ""
-        if head == "skel":
-            skels.append(_args(decl, "skel", 1)[0].expect_atom())
-        elif head == "dirt":
-            dirts.append(_args(decl, "dirt", 1)[0].expect_atom())
+def _context(node: list) -> ParamContext:
+    """A `(context ...)` list; the caller has checked the head."""
+    rows: dict[str, list] = {head: [] for head in _DECL_ARITY}
+    for i in range(1, len(node)):
+        decl = _sub(node, i)
+        head = _form(decl, _DECL_ARITY, "declaration")
+        if head in ("skel", "dirt"):
+            row = _name(decl, 1)
         elif head == "typaram":
-            name, sk = _args(decl, "typaram", 2)
-            typarams.append((name.expect_atom(), _skel(sk)))
+            row = (_name(decl, 1), _skel(_sub(decl, 2)))
         elif head == "tyco":
-            name, lo, hi = _args(decl, "tyco", 3)
-            tycos.append((name.expect_atom(), _vtype(lo), _vtype(hi)))
-        elif head == "dco":
-            name, lo, hi = _args(decl, "dco", 3)
-            dcos.append((name.expect_atom(), _dirt(lo), _dirt(hi)))
+            row = (_name(decl, 1), _vtype(_sub(decl, 2)), _vtype(_sub(decl, 3)))
         else:
-            raise ParseError(decl.line, decl.col, f"unknown declaration {head!r}")
-    return ParamContext(tuple(skels), tuple(dirts), tuple(typarams),
-                        tuple(dcos), tuple(tycos))
+            row = (_name(decl, 1), _dirt(_sub(decl, 2, "dirt")), _dirt(_sub(decl, 3, "dirt")))
+        rows[head].append(row)
+    return ParamContext(tuple(rows["skel"]), tuple(rows["dirt"]), tuple(rows["typaram"]),
+                        tuple(rows["dco"]), tuple(rows["tyco"]))
 
 
-def _item(node: Node) -> CorpusItem:
-    parts = node.expect_list("item")
-    if len(parts) < 4:
-        raise ParseError(node.line, node.col,
+def _item(node: list) -> CorpusItem:
+    """An `(item ...)` list; the caller has checked the head."""
+    if len(node) < 4:
+        raise _Misplaced(node, None,
                          "(item NAME (signature ...) (context ...) ...) expected")
-    name = parts[1].expect_atom()
-    sig = _signature(parts[2])
-    ctx = _context(parts[3])
+    name = _name(node, 1)
+    sig = _signature(_sub(node, 2, "signature"))
+    ctx = _context(_sub(node, 3, "context"))
     poltype = None
     term = None
-    for extra in parts[4:]:
-        items = extra.expect_list()
-        head = items[0].expect_atom() if items else ""
-        if head == "poltype":
-            poltype = _vtype(_args(extra, "poltype", 1)[0])
-        elif head == "term":
-            term = _value(_args(extra, "term", 1)[0])
+    for i in range(4, len(node)):
+        extra = _sub(node, i)
+        if _form(extra, _SECTION_ARITY, "item section") == "poltype":
+            poltype = _vtype(_sub(extra, 1))
         else:
-            raise ParseError(extra.line, extra.col, f"unknown item section {head!r}")
+            term = _value(_sub(extra, 1))
 
     try:
         wf_signature(sig)
@@ -385,7 +432,11 @@ def _item(node: Node) -> CorpusItem:
 
 def parse_corpus(text: str) -> list[CorpusItem]:
     """Parse and fully check a corpus file."""
-    items = [_item(node) for node in _read_all(text)]
+    top = _read(text)
+    try:
+        items = [_item(_sub(top, i, "item")) for i in range(len(top))]
+    except _Misplaced as e:
+        raise e.parse_error(text, top) from None
     seen = set()
     for item in items:
         if item.name in seen:

@@ -162,24 +162,30 @@ def parse_phase_config(text: str, full_dirt: bool = False):
 class _ContextTrace:
     """The contexts between the steps of one run, rebuilt on demand.
 
-    Context `i` is the input with the first `i` steps replayed on it. Only
-    the last context asked for is kept, so reading the steps in order costs
-    one replay each. The trace keeps what a replay needs, not the steps
-    themselves, so that steps and trace form no reference cycle."""
+    Context `i` is the input with the first `i` steps replayed on it. The
+    last context built and the one before it are kept, so reading the
+    steps in order costs one replay each, whether a step's `before` or its
+    `after` is read first. The trace keeps what a replay needs, not the
+    steps themselves, so that steps and trace form no reference cycle."""
 
     def __init__(self, original: ParamContext):
         self.original = original
         self.moves: list[tuple[Substitution, dict]] = []  # (subst, eta)
-        self._at = (0, original)
+        self._kept = [(0, original)]  # (index, context), last built last
 
     def context(self, index: int) -> ParamContext:
-        at, ctx = self._at
+        for at, ctx in self._kept:
+            if at == index:
+                return ctx
+        at, ctx = self._kept[-1]
         if index < at:
             at, ctx = 0, self.original
+        kept = [(at, ctx)]
         while at < index:
             ctx = _replay_step(ctx, *self.moves[at])
             at += 1
-        self._at = (at, ctx)
+            kept = [kept[-1], (at, ctx)]
+        self._kept = kept
         return ctx
 
 

@@ -1,28 +1,36 @@
 """Syntax trees for the calculus: skeletons, dirts, types, coercions, terms.
 
 Everything here is a frozen dataclass so values can live in dicts and sets.
+The node classes are slotted (`slots=True`, and `__slots__ = ()` on their
+abstract bases), so a node keeps no instance dict; `ParamContext` keeps
+one, for its lookup index.
+
 Dirts are kept in a canonical form throughout: a sorted set of operation
 names plus an optional tail parameter, so `{Op} u ({Op'} u d)` and
 `{Op', Op} u d` are the same object. Construction goes through `dirt()`.
 
 Parameters of all five kinds (skeleton, dirt, type, dirt-coercion,
 type-coercion) are plain strings; which kind a name has is determined by
-where it is declared in a `ParamContext`.
+where it is declared in a `ParamContext`. A context answers lookups by name
+from indexes it builds on the first lookup of each kind and keeps outside
+its fields, so a lookup costs constant time and a context that is never
+queried builds none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 # ---------------------------------------------------------------------------
 # Skeletons
 
 class Skeleton:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkelParam(Skeleton):
     name: str
 
@@ -30,13 +38,13 @@ class SkelParam(Skeleton):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkelUnit(Skeleton):
     def __str__(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkelBase(Skeleton):
     # Each base type is its own skeleton constant.
     name: str
@@ -45,7 +53,7 @@ class SkelBase(Skeleton):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkelArrow(Skeleton):
     dom: Skeleton
     cod: Skeleton
@@ -57,7 +65,7 @@ class SkelArrow(Skeleton):
 # ---------------------------------------------------------------------------
 # Dirt
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dirt:
     """An operation set plus an optional dirt-parameter tail."""
 
@@ -96,10 +104,10 @@ EMPTY_DIRT = dirt()
 # Types
 
 class ValueType:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TyParam(ValueType):
     name: str
 
@@ -107,13 +115,13 @@ class TyParam(ValueType):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TyUnit(ValueType):
     def __str__(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TyBase(ValueType):
     name: str
 
@@ -121,7 +129,7 @@ class TyBase(ValueType):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompType:
     """A computation type: a value type annotated with a dirt."""
 
@@ -132,7 +140,7 @@ class CompType:
         return f"{self.ty}!{self.dirt}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TyArrow(ValueType):
     dom: ValueType
     cod: CompType
@@ -145,14 +153,14 @@ class TyArrow(ValueType):
 # Coercions
 
 class VCoercion:
-    pass
+    __slots__ = ()
 
 
 class DCoercion:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VCoParam(VCoercion):
     name: str
 
@@ -160,7 +168,7 @@ class VCoParam(VCoercion):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VCoReflParam(VCoercion):
     name: str
 
@@ -168,13 +176,13 @@ class VCoReflParam(VCoercion):
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VCoReflUnit(VCoercion):
     def __str__(self) -> str:
         return "<unit>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VCoReflBase(VCoercion):
     name: str
 
@@ -182,7 +190,7 @@ class VCoReflBase(VCoercion):
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CCoercion:
     """A computation coercion: value coercion bang dirt coercion."""
 
@@ -193,7 +201,7 @@ class CCoercion:
         return f"{self.vco}!{self.dco}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VCoArrow(VCoercion):
     # arg : A <= A' and res : C <= C' yield (A' -> C) <= (A -> C'):
     # contravariant on the argument side.
@@ -204,7 +212,7 @@ class VCoArrow(VCoercion):
         return f"({self.arg} -> {self.res})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VCoCompose(VCoercion):
     # after o before, diagrammatic source-to-target right to left.
     after: VCoercion
@@ -214,7 +222,7 @@ class VCoCompose(VCoercion):
         return f"({self.after} . {self.before})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DCoParam(DCoercion):
     name: str
 
@@ -222,7 +230,7 @@ class DCoParam(DCoercion):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DCoReflParam(DCoercion):
     name: str
 
@@ -230,13 +238,13 @@ class DCoReflParam(DCoercion):
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DCoReflEmpty(DCoercion):
     def __str__(self) -> str:
         return "<{}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DCoEmptyUnder(DCoercion):
     """The empty dirt below a dirt parameter: witnesses {} <= tail."""
 
@@ -246,7 +254,7 @@ class DCoEmptyUnder(DCoercion):
         return f"0_{self.tail}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DCoUnionBoth(DCoercion):
     """Add one operation to both endpoints of a dirt coercion."""
 
@@ -257,7 +265,7 @@ class DCoUnionBoth(DCoercion):
         return f"({{{self.op}}}u{self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DCoUnionRight(DCoercion):
     """Add one operation to the upper endpoint only."""
 
@@ -268,7 +276,7 @@ class DCoUnionRight(DCoercion):
         return f"({{{self.op}}}u+{self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DCoCompose(DCoercion):
     after: DCoercion
     before: DCoercion
@@ -281,14 +289,14 @@ class DCoCompose(DCoercion):
 # Terms (fine-grain call-by-value: values and computations are distinct)
 
 class ValueTerm:
-    pass
+    __slots__ = ()
 
 
 class CompTerm:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(ValueTerm):
     name: str
 
@@ -296,13 +304,13 @@ class Var(ValueTerm):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitVal(ValueTerm):
     def __str__(self) -> str:
         return "()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(ValueTerm):
     var: str
     ty: ValueType
@@ -312,7 +320,7 @@ class Lam(ValueTerm):
         return f"(fun {self.var}:{self.ty}. {self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CastV(ValueTerm):
     val: ValueTerm
     co: VCoercion
@@ -321,7 +329,7 @@ class CastV(ValueTerm):
         return f"({self.val} |> {self.co})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return(CompTerm):
     val: ValueTerm
 
@@ -329,7 +337,7 @@ class Return(CompTerm):
         return f"return {self.val}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpCall(CompTerm):
     """Perform `op` with argument `arg`, binding the result in `cont`.
 
@@ -347,7 +355,7 @@ class OpCall(CompTerm):
         return f"{self.op}({self.arg}; {self.bind}:{self.bind_ty}. {self.cont})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Do(CompTerm):
     var: str
     first: CompTerm
@@ -357,7 +365,7 @@ class Do(CompTerm):
         return f"do {self.var} <- {self.first} in {self.rest}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(CompTerm):
     fn: ValueTerm
     arg: ValueTerm
@@ -366,7 +374,7 @@ class App(CompTerm):
         return f"{self.fn} {self.arg}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetVal(CompTerm):
     var: str
     val: ValueTerm
@@ -376,7 +384,7 @@ class LetVal(CompTerm):
         return f"let {self.var} = {self.val} in {self.body}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CastC(CompTerm):
     comp: CompTerm
     co: CCoercion
@@ -388,7 +396,7 @@ class CastC(CompTerm):
 # ---------------------------------------------------------------------------
 # Signatures and contexts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpSig:
     """Argument and result type of one operation.
 
@@ -400,7 +408,7 @@ class OpSig:
     result: ValueType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     ops: tuple[tuple[str, OpSig], ...]
 
@@ -444,23 +452,39 @@ class ParamContext:
     dirt_cos: tuple[tuple[str, Dirt, Dirt], ...] = ()
     ty_cos: tuple[tuple[str, ValueType, ValueType], ...] = ()
 
+    # Name-to-row indexes, each built on its first lookup. They live in the
+    # instance dict, outside the fields, so `==`, `hash` and `repr` ignore
+    # them. Rows are read last to first, so a name declared twice maps to
+    # its first row.
+
+    @cached_property
+    def skel_param_set(self) -> frozenset[str]:
+        return frozenset(self.skel_params)
+
+    @cached_property
+    def dirt_param_set(self) -> frozenset[str]:
+        return frozenset(self.dirt_params)
+
+    @cached_property
+    def _ty_param_rows(self) -> dict[str, Skeleton]:
+        return dict(reversed(self.ty_params))
+
+    @cached_property
+    def _dirt_co_rows(self) -> dict[str, tuple[Dirt, Dirt]]:
+        return {n: (lo, hi) for n, lo, hi in reversed(self.dirt_cos)}
+
+    @cached_property
+    def _ty_co_rows(self) -> dict[str, tuple[ValueType, ValueType]]:
+        return {n: (lo, hi) for n, lo, hi in reversed(self.ty_cos)}
+
     def ty_param_skeleton(self, name: str) -> Skeleton | None:
-        for n, s in self.ty_params:
-            if n == name:
-                return s
-        return None
+        return self._ty_param_rows.get(name)
 
     def dirt_co_classifier(self, name: str) -> tuple[Dirt, Dirt] | None:
-        for n, lo, hi in self.dirt_cos:
-            if n == name:
-                return lo, hi
-        return None
+        return self._dirt_co_rows.get(name)
 
     def ty_co_classifier(self, name: str) -> tuple[ValueType, ValueType] | None:
-        for n, lo, hi in self.ty_cos:
-            if n == name:
-                return lo, hi
-        return None
+        return self._ty_co_rows.get(name)
 
     def all_names(self) -> set[str]:
         names = set(self.skel_params) | set(self.dirt_params)

@@ -4,20 +4,29 @@ import io
 import json
 import random
 import re
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from coersimp import corpus
 from coersimp.check import check_dco, derived_refl_dirt
 from coersimp.cli import STANDARD_CONFIGS, cmd_report, main
 from coersimp.corpus import (
+    MAX_NESTING,
     JudgmentError,
     ParseError,
     load_bundled,
     parse_corpus,
 )
-from coersimp.syntax import EMPTY_CONTEXT, TyUnit, UnitVal, dirt
+from coersimp.syntax import EMPTY_CONTEXT, ParamContext, TyUnit, UnitVal, dirt
+
+from reference_corpus import parse_corpus_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import corpusgen  # noqa: E402  (the benchmark's generators, used read-only)
 
 MINIMAL = "(item x (signature) (context) (poltype (unit)) (term (unitval)))"
 
@@ -280,16 +289,113 @@ def mutate(rng, texts):
     return text[:i] + other[a:b] + text[j:]
 
 
+def outcome(parse, text):
+    """The items `parse` reads from `text`, or its diagnostic: the error
+    type, message, line and column."""
+    try:
+        return parse(text)
+    except (ParseError, JudgmentError) as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+def assert_reads_like_reference(text):
+    got = outcome(parse_corpus, text)
+    assert got == outcome(parse_corpus_reference, text), repr(text[:300])
+    return got
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_reader_rejects_mutated_corpus_cleanly(seed):
     """A damaged corpus either still reads or is rejected with a reader
-    diagnostic; no other exception escapes."""
+    diagnostic; no other exception escapes. Either way the reader agrees
+    with the reference reader, diagnostic position included."""
     rng = random.Random(f"fuzz:{seed}")
     texts = bundled_items_text()
     rejected = 0
     for _ in range(500):
-        try:
-            parse_corpus(mutate(rng, texts))
-        except (ParseError, JudgmentError):
-            rejected += 1
+        got = assert_reads_like_reference(mutate(rng, texts))
+        rejected += isinstance(got, tuple)
     assert rejected > 400
+
+
+BLANKS = ("\t", "\r", "\f", "\v", " ")
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_reader_matches_reference_on_inserted_blanks(seed):
+    """Tab, carriage return and space end an atom; form feed and vertical
+    tab are atom characters, as in the reference reader."""
+    rng = random.Random(f"blanks:{seed}")
+    texts = bundled_items_text()
+    for _ in range(300):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(BLANKS) + text[i:]
+        assert_reads_like_reference(text)
+
+
+def test_reader_matches_reference_on_bundled_and_generated_corpora():
+    texts = [resources.files("coersimp").joinpath("data/corpus.sexp").read_text()]
+    for seed in (1, 2):
+        texts += [corpusgen.chains_text(seed), corpusgen.structural_text(seed)]
+    for text in texts:
+        items = assert_reads_like_reference(text)
+        assert isinstance(items, list) and items
+
+
+def test_reader_matches_reference_on_edge_cases():
+    def deep_skeleton(arrows):  # nests 3 + arrows + 1 parentheses deep
+        skel = "(arrow " * arrows + "(unit)" + " (unit))" * arrows
+        return f"(item x (signature) (context (skel s) (typaram a {skel})))"
+
+    cases = [
+        "", "x", "(", ")", "(item", "(item x ; open\n", "(item x ; open",
+        "(item x\n  ; a comment\n", "foo (item x (signature) (context))",
+        MINIMAL + " bar", MINIMAL + "\n)", "(()) ()", "(item (x) (signature) (context))",
+        "(item x (signature (op A (unit) (unit)) (op B (unit))) (context))",
+        "(item x (signature) (context (dco p (dirt ((A)) d) (dirt () d))))",
+        "(item x (signature) (context (dirt d) (dco p (dirt () d) d)))",
+        "(item x (signature) (context) (poltype))", "(item x (signature) (context) ())",
+        "(item x\f(signature) (context))", "(item x\u00a0 (signature) (context))",
+        "(item x (signature) (context (skel s) (skel s)))",
+        "(" * MAX_NESTING + ")" * MAX_NESTING, "(" * (MAX_NESTING + 1),
+        deep_skeleton(MAX_NESTING - 4), deep_skeleton(MAX_NESTING - 3),
+    ]
+    for text in cases:
+        assert_reads_like_reference(text)
+
+
+def test_context_lookups_cost_linear_in_the_context(monkeypatch):
+    """Parsing a chain item at 400 parameters per sort visits about four
+    times the context rows it visits at 100: each lookup index is built
+    once per context, and no lookup scans a row tuple."""
+
+    class Rows(tuple):
+        visits = 0
+
+        def __iter__(self):
+            for row in tuple.__iter__(self):
+                Rows.visits += 1
+                yield row
+
+        def __contains__(self, name):
+            return any(row == name for row in self)
+
+    def counting_context(*fields):
+        return ParamContext(*map(Rows, fields))
+
+    text = corpusgen.chains_text(1)
+    starts = [m.start() for m in re.finditer(r"^\(item ", text, re.M)] + [len(text)]
+    chain = {text[a:b].split()[1]: text[a:b] for a, b in zip(starts, starts[1:])}
+    monkeypatch.setattr(corpus, "ParamContext", counting_context)
+    visits, rows = {}, {}
+    for n in (100, 400):
+        Rows.visits = 0
+        (item,) = parse_corpus(chain[f"chain_n{n}"])
+        visits[n] = Rows.visits
+        ctx = item.context
+        rows[n] = sum(map(len, (ctx.skel_params, ctx.dirt_params, ctx.ty_params,
+                                ctx.dirt_cos, ctx.ty_cos)))
+    assert visits[400] <= 3 * rows[400], visits
+    assert visits[400] <= 4.5 * visits[100], visits

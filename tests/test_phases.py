@@ -367,6 +367,31 @@ def test_step_witnesses_fit_their_classifiers():
             assert_step_witnesses_fit(TEST_SIG, res.steps, (family, preset))
 
 
+def test_reading_after_then_before_replays_each_step_once(monkeypatch):
+    """The trace keeps the context before the last one it built, so reading
+    a step's `after` and then its `before` replays nothing more."""
+    from coersimp import phases
+
+    replays = Counter()
+    replay = phases._replay_step
+
+    def counting(*args):
+        replays["calls"] += 1
+        return replay(*args)
+
+    monkeypatch.setattr(phases, "_replay_step", counting)
+    steps = 0
+    for item in load_bundled():
+        sim = simplify(item.signature, item.context, fp_vty(item.poltype),
+                       PRESETS["all"])
+        for step in sim.phases.steps:
+            after, before = step.after, step.before
+            check_validity(item.signature, before, step.subst, after)
+        steps += len(sim.phases.steps)
+    assert steps > 0
+    assert replays["calls"] <= steps
+
+
 # ---------------------------------------------------------------------------
 # Differential test against the reference engine
 

@@ -1,5 +1,11 @@
+import dataclasses
+
 import pytest
 
+from coersimp.corpus import load_bundled
+from coersimp.phases import PRESETS, parse_phase_config, run_phases
+from coersimp.polarity import fp_vty, subst_fps
+from coersimp.reduce import reduce_context
 from coersimp.syntax import (
     CompType,
     Dirt,
@@ -16,6 +22,8 @@ from coersimp.syntax import (
     dirt,
     signature,
 )
+
+from gen import SHAPES, TEST_SIG, shape_context
 
 
 def test_dirt_helper_normalizes():
@@ -95,3 +103,80 @@ def test_context_describe_and_names():
     )
     assert ctx.all_names() == {"s1", "d1", "a1", "p1", "w1"}
     assert "a1:s1" in ctx.describe()
+
+
+# ---------------------------------------------------------------------------
+# Slotted nodes and the lazy context index
+
+
+def syntax_values(root):
+    """Every instance of a `coersimp.syntax` class reachable from `root`
+    through containers and dataclass fields."""
+    seen, todo, found = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (str, int, type(None))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            todo.extend(obj.items())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo.extend(obj)
+        elif dataclasses.is_dataclass(obj):
+            if type(obj).__module__ == "coersimp.syntax":
+                found.append(obj)
+            todo.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return found
+
+
+def test_syntax_values_have_no_instance_dict():
+    """What the reader, reduction and the phases build is slotted; only a
+    `ParamContext` keeps a dict, for its lazy lookup index."""
+    roots = []
+    for item in load_bundled():
+        roots.append(item)
+        red = reduce_context(item.signature, item.context)
+        roots.append(red)
+        fps = subst_fps(red.subst, fp_vty(item.poltype)) if item.poltype else None
+        if fps is not None:
+            for instructions in (PRESETS["all"], parse_phase_config("all", full_dirt=True)):
+                roots.append(run_phases(item.signature, red.context, fps, instructions))
+    for family in sorted(SHAPES):
+        ctx, pol = shape_context(family, 20)
+        roots.append(run_phases(TEST_SIG, ctx, pol, PRESETS["all"]))
+    values = syntax_values(roots)
+    kinds = {type(v).__name__ for v in values}
+    assert {"SkelParam", "TyArrow", "Dirt", "VCoCompose", "VCoArrow", "DCoParam",
+            "DCoUnionBoth", "Lam", "CastV", "OpCall", "Signature", "OpSig"} <= kinds
+    with_dict = {type(v).__name__ for v in values
+                 if not isinstance(v, ParamContext) and hasattr(v, "__dict__")}
+    assert not with_dict
+
+
+def test_context_index_is_not_part_of_the_value():
+    def make():
+        return ParamContext(
+            ("s",), ("d",), (("a", SkelParam("s")), ("b", SkelUnit())),
+            (("p", dirt((), "d"), dirt(("Random",), "d")),),
+            (("w", TyParam("a"), TyParam("a")),))
+
+    queried, fresh = make(), make()
+    assert queried.ty_param_skeleton("b") == SkelUnit()
+    assert queried.dirt_co_classifier("p") == (dirt((), "d"), dirt(("Random",), "d"))
+    assert queried.ty_co_classifier("w") == (TyParam("a"), TyParam("a"))
+    assert queried.ty_co_classifier("p") is None
+    assert "d" in queried.dirt_param_set and "s" in queried.skel_param_set
+    assert queried == fresh
+    assert hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh)
+    assert {queried: 1}[fresh] == 1
+
+
+def test_context_lookup_takes_the_first_of_repeated_names():
+    ctx = ParamContext(
+        (), ("d",), (("a", SkelUnit()), ("a", SkelParam("s"))),
+        (("p", dirt(), dirt()), ("p", dirt((), "d"), dirt((), "d"))),
+        (("w", TyUnit(), TyUnit()), ("w", TyParam("a"), TyParam("a"))))
+    assert ctx.ty_param_skeleton("a") == SkelUnit()
+    assert ctx.dirt_co_classifier("p") == (dirt(), dirt())
+    assert ctx.ty_co_classifier("w") == (TyUnit(), TyUnit())
