@@ -3,9 +3,19 @@
 Dirt parameters are seeded at or above their forced content (the least
 fixpoint pushed up by concrete operations on lower bounds) plus random
 noise, then repaired by shrinking lower tails only; shrinking is monotone,
-so the loop always lands on a valid assignment. Type upper bounds are
-overwritten with their lower bound when no inclusion coercion exists.
-Constraint names then get actual inclusion coercions.
+so the repair always lands on a valid assignment. Type upper bounds are
+raised to their join with the lower bound when no inclusion coercion
+exists. Constraint names then get actual inclusion coercions.
+
+Both repairs run on a worklist (`_settle`): a repair re-examines only the
+constraints that the parameter it changed may have unsettled, and reaches
+each of them where an in-order sweep of all constraints, repeated until
+one changed nothing, would have reached it. The repairs, and so the
+samples, are those of the sweeps, at a cost of the changes made rather
+than of the passes times the context. Neither repair has a pass bound:
+each change strictly shrinks a finite dirt set or strictly raises a type
+in a finite lattice. A type constraint keeps the inclusion coercion built
+at its last examination, which is the one between its final images.
 
 An `enumerable` sample additionally keeps the carriers demanded by a term
 evaluation finite: skeleton parameters become first-order shapes and every
@@ -17,6 +27,7 @@ retry with `strict=True`, which pins every parameter.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from .check import (
@@ -197,6 +208,36 @@ def _ground_of_skeleton(s: Skeleton, rng: random.Random, ops, pinned: bool) -> V
     raise SampleError(f"cannot ground skeleton {s}")
 
 
+def _settle(count: int, repair, watchers: dict[str, list[int]]) -> None:
+    """Repair constraints `0 .. count-1` to a fixpoint, in the order that
+    in-order sweeps repeated until one changes nothing would repair them,
+    but examining only constraints that may be unsettled.
+
+    `repair(i)` examines constraint `i`, fixes it if needed and returns the
+    parameter it changed, or None. `watchers[p]` lists the constraints a
+    change of `p` may unsettle; every other constraint a sweep would find
+    as it left it. A constraint unsettled by the repair of constraint `i`
+    is examined later in the current sweep if it comes after `i`, else in
+    the next one, as a sweep would reach it.
+    """
+    sweep, later = list(range(count)), set()  # a sorted list is a heap
+    queued = set(sweep)
+    while sweep or later:
+        if not sweep:
+            sweep, queued, later = sorted(later), later, set()
+        i = heapq.heappop(sweep)
+        queued.discard(i)
+        changed = repair(i)
+        if changed is None:
+            continue
+        for j in watchers.get(changed, ()):
+            if j <= i:
+                later.add(j)
+            elif j not in queued:
+                queued.add(j)
+                heapq.heappush(sweep, j)
+
+
 def sample_eta(
     sig: Signature,
     ctx: ParamContext,
@@ -224,51 +265,62 @@ def sample_eta(
         extra = _sample_dirt(rng, ops, d in pinned)
         sub.dirt[d] = Dirt(least[d] | extra.ops, None)
 
-    # Repair dirt inclusions by shrinking lower tails. Forced content never
-    # goes missing (the upper side carries it by construction), so each
-    # pass only strips random noise and the loop terminates.
-    for _ in range(len(ctx.dirt_params) * max(1, len(ops)) + 2):
-        settled = True
-        for name, lo, hi in ctx.dirt_cos:
-            glo = apply_dirt(sub, lo)
-            ghi = apply_dirt(sub, hi)
-            missing = glo.ops - ghi.ops
-            if not missing:
-                continue
-            settled = False
-            if lo.tail is None or not missing <= sub.dirt[lo.tail].ops:
-                raise SampleError(f"cannot satisfy {name}: {lo} <= {hi}")
-            sub.dirt[lo.tail] = Dirt(sub.dirt[lo.tail].ops - missing, None)
-        if settled:
-            break
-    else:
-        raise SampleError("dirt repair did not converge")
+    # Repair dirt inclusions by shrinking lower tails: the lower tail keeps
+    # only what the upper side carries. Forced content never goes missing
+    # (the upper side carries it by construction), so a repair only strips
+    # random noise, and only a shrunk upper tail can unsettle a constraint.
+    def repair_dirt(i: int) -> str | None:
+        name, lo, hi = ctx.dirt_cos[i]
+        missing = apply_dirt(sub, lo).ops - apply_dirt(sub, hi).ops
+        if not missing:
+            return None
+        if lo.tail is None or not missing <= sub.dirt[lo.tail].ops:
+            raise SampleError(f"cannot satisfy {name}: {lo} <= {hi}")
+        sub.dirt[lo.tail] = Dirt(sub.dirt[lo.tail].ops - missing, None)
+        return lo.tail
+
+    uppers: dict[str, list[int]] = {}
+    for i, (_, _, hi) in enumerate(ctx.dirt_cos):
+        if hi.tail is not None:
+            uppers.setdefault(hi.tail, []).append(i)
+    _settle(len(ctx.dirt_cos), repair_dirt, uppers)
 
     for name, skel in ctx.ty_params:
         gskel = apply_skel(sub, skel)
         sub.ty[name] = _ground_of_skeleton(gskel, rng, ops, name in pinned)
 
     # Repair type inclusions by raising the upper image to its join with
-    # the lower one. Joins only climb a finite lattice, so this settles.
-    for _ in range(64):
-        settled = True
-        for _, lo, hi in ctx.ty_cos:
-            try:
-                value_inclusion_coercion(apply_vty(sub, lo), apply_vty(sub, hi))
-            except NoWitness:
-                if not isinstance(hi, TyParam):
-                    raise SampleError(f"cannot satisfy {lo} <= {hi}")
-                sub.ty[hi.name] = _join_vty(apply_vty(sub, lo), apply_vty(sub, hi))
-                settled = False
-        if settled:
-            break
-    else:
-        raise SampleError("type repair did not converge")
+    # the lower one. Joins only climb a finite lattice, so this settles. A
+    # raised parameter unsettles every constraint that mentions it; each
+    # constraint keeps the inclusion coercion of its last examination,
+    # which is then the one between its final images.
+    vcos: list = [None] * len(ctx.ty_cos)
+
+    def repair_type(i: int) -> str | None:
+        _, lo, hi = ctx.ty_cos[i]
+        glo, ghi = apply_vty(sub, lo), apply_vty(sub, hi)
+        try:
+            vcos[i] = value_inclusion_coercion(glo, ghi)
+            return None
+        except NoWitness:
+            if not isinstance(hi, TyParam):
+                raise SampleError(f"cannot satisfy {lo} <= {hi}")
+            sub.ty[hi.name] = _join_vty(glo, ghi)
+            return hi.name
+
+    mentions: dict[str, list[int]] = {}
+    for i, (_, lo, hi) in enumerate(ctx.ty_cos):
+        names: set[str] = set()
+        _collect_all(lo, names)
+        _collect_all(hi, names)
+        for n in names:
+            mentions.setdefault(n, []).append(i)
+    _settle(len(ctx.ty_cos), repair_type, mentions)
 
     for name, lo, hi in ctx.dirt_cos:
         sub.dco[name] = dirt_inclusion_coercion(apply_dirt(sub, lo), apply_dirt(sub, hi))
-    for name, lo, hi in ctx.ty_cos:
-        sub.vco[name] = value_inclusion_coercion(apply_vty(sub, lo), apply_vty(sub, hi))
+    for (name, _, _), co in zip(ctx.ty_cos, vcos):
+        sub.vco[name] = co
 
     check_validity(sig, ctx, sub, EMPTY_CONTEXT)
     return sub

@@ -25,8 +25,9 @@ Two representation choices keep this executable:
   type-directed comparison.
 
 Coercions are checked once and then interpreted. `interp_vco`/`interp_cco`
-check theirs on entry, and `check_preservation` typechecks both terms before
-evaluating them. Evaluation (`eval_value`, `eval_comp`) assumes a
+check theirs on entry, and the checks typecheck each term once, before
+evaluating it (`check_preservation` takes the original's type and meaning
+from its square check). Evaluation (`eval_value`, `eval_comp`) assumes a
 well-typed term: it interprets casts without re-checking them, and an arrow
 cast reads its target domain off its composition spine.
 
@@ -493,15 +494,20 @@ def equal_skel_tree(sig: Signature, leaf_ty: ValueType, tx, ty_, budget: int) ->
 # The commuting square
 
 def check_square_value(sig: Signature, tyctx: TypingContext, v: ValueTerm,
-                       budget: int = DEFAULT_BUDGET) -> None:
+                       budget: int = DEFAULT_BUDGET) -> tuple[ValueType, object]:
     """Injecting the effectful meaning equals the skeletal meaning of the
-    same term over the injected environment, at every environment."""
+    same term over the injected environment, at every environment.
+
+    Returns the type of `v` and its effectful meaning at the last
+    environment, which for a closed term is the only one (the empty one).
+    """
     t = type_of_value(sig, EMPTY_CONTEXT, tyctx, v)
     for env in enumerate_envs(sig, tyctx, budget):
-        lhs = inject(eval_value(sig, env, v, budget))
+        meaning = eval_value(sig, env, v, budget)
         rhs = skel_value(sig, {n: inject(x) for n, x in env.items()}, v)
-        if not equal_skel_at(sig, t, lhs, rhs, budget):
+        if not equal_skel_at(sig, t, inject(meaning), rhs, budget):
             raise ModelBug(f"square failed for value term at env {env!r}")
+    return t, meaning
 
 
 def check_square_comp(sig: Signature, tyctx: TypingContext, c: CompTerm,
@@ -519,26 +525,29 @@ def check_square_comp(sig: Signature, tyctx: TypingContext, c: CompTerm,
 
 def check_preservation(sig: Signature, sim, poltype: ValueType, term: ValueTerm,
                        eta0: Substitution, budget: int = DEFAULT_BUDGET) -> None:
-    """The meaning of a term survives the whole simplification run.
+    """Both semantic claims at one ground instantiation `eta0` of the
+    original context.
 
-    Instantiating the original term with `eta0` denotes the same value as
-    instantiating the strengthened term with the replayed instantiation and
-    casting the result back up along the extended witness family.
+    First the commuting square holds for the instantiated original term.
+    Then its meaning survives the whole simplification run: the original
+    denotes the same value as the strengthened term, instantiated with the
+    replayed instantiation and cast back up along the extended witness
+    family. The original is instantiated, typed and evaluated once; the
+    square check returns its type and meaning for the second claim.
     """
     from .polarity import extend_family_vty
     from .witness import build_witness_total, check_witness_total
 
+    original_ty, lhs = check_square_value(sig, (), apply_value(eta0, term), budget)
     wit = build_witness_total(sig, sim, eta0)
     check_witness_total(sig, sim, eta0, wit)
-    original = apply_value(eta0, term)
     strengthened = apply_value(wit.eta, apply_value(sim.subst, term))
     co = extend_family_vty(wit.family, poltype)
-    # Typecheck both terms; `interp_vco` checks the cast, which then has the
-    # endpoints its spine shows.
-    types = [type_of_value(sig, EMPTY_CONTEXT, (), v) for v in (strengthened, original)]
+    # Typecheck the strengthened term; `interp_vco` checks the cast, which
+    # then has the endpoints its spine shows.
+    types = [type_of_value(sig, EMPTY_CONTEXT, (), strengthened), original_ty]
     if [vco_endpoint(co, upper=False), vco_endpoint(co, upper=True)] != types:
         raise EndpointMismatch(f"the family does not cast {types[0]} to {types[1]}")
-    lhs = eval_value(sig, {}, original, budget)
     rhs_cast = interp_vco(sig, co, eval_value(sig, {}, strengthened, budget), budget)
     if lhs != rhs_cast:
         raise ModelBug(

@@ -223,7 +223,12 @@ def _match_vty(pattern, ground, eta: Substitution) -> None:
 
 def replay_reduction(sig: Signature, red, eta0: Substitution) -> Substitution:
     """The instantiation of the reduced context that `eta0` factors through,
-    with `compose(result, red.subst)` agreeing with `eta0` exactly."""
+    with `compose(result, red.subst)` agreeing with `eta0` exactly.
+
+    The result grounds the reduced context with fresh inclusion coercions
+    and is checked valid before it is returned. `build_witness_total` does
+    not replay a reduction that returned its input; there the result would
+    be `eta0` itself."""
     rc = red.context
     eta = Substitution()
     for s in rc.skel_params:
@@ -268,11 +273,18 @@ def replay_reduction(sig: Signature, red, eta0: Substitution) -> Substitution:
 
 
 def build_witness_total(sig: Signature, sim, eta0: Substitution) -> WitnessResult:
-    """Witness for a whole simplification run, reduction included."""
-    eta_r = replay_reduction(sig, sim.reduction, eta0)
+    """Witness for a whole simplification run, reduction included.
+
+    `eta0` must be a valid instantiation of `sim.original`, as `sample_eta`
+    checks before it returns one. When reduction returned its input (a
+    canonical context, with an empty substitution), `eta0` then already
+    grounds the reduced context, and it is not replayed or checked again.
+    """
+    red = sim.reduction
+    eta_r = eta0 if red.context is sim.original else replay_reduction(sig, red, eta0)
     wit = build_witness(sim.phases, eta_r)
     names0 = sorted(sim.fps0.members())
-    fam = precompose_family(wit.family, sim.reduction.subst, names0)
+    fam = precompose_family(wit.family, red.subst, names0)
     return WitnessResult(wit.eta, fam)
 
 

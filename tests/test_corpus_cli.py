@@ -1,9 +1,11 @@
 """Corpus reader diagnostics and the command-line driver."""
 
+import importlib
 import io
 import json
 import random
 import re
+import shlex
 import sys
 import time
 from importlib import resources
@@ -27,6 +29,7 @@ from reference_corpus import parse_corpus_reference
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import corpusgen  # noqa: E402  (the benchmark's generators, used read-only)
+import layertrace  # noqa: E402  (the benchmark's span tracer, used read-only)
 
 MINIMAL = "(item x (signature) (context) (poltype (unit)) (term (unitval)))"
 
@@ -165,9 +168,9 @@ def test_cli_verify_small_item(capsys):
     assert "3/3 ok" in capsys.readouterr().out
 
 
-def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):
-    """A witness entry with the wrong endpoints fails its sample; it does
-    not escape as a traceback."""
+def break_d1_family_entry(monkeypatch):
+    """Make every witness's family entry for `d1` a reflexivity at the
+    wrong dirt, so that its endpoints cannot check."""
     import coersimp.witness
 
     build = coersimp.witness.build_witness_total
@@ -179,6 +182,12 @@ def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):
         return wit
 
     monkeypatch.setattr(coersimp.witness, "build_witness_total", bad_d1)
+
+
+def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):
+    """A witness entry with the wrong endpoints fails its sample; it does
+    not escape as a traceback."""
+    break_d1_family_entry(monkeypatch)
     assert main(["verify", "--item", "apply_randomly", "--emit", "json",
                  "--samples", "3"]) == 1
     (report,) = json.loads(capsys.readouterr().out)
@@ -187,6 +196,40 @@ def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):
     assert all(f["error"].startswith("EndpointMismatch:") for f in report["failures"])
     assert main(["verify", "--item", "apply_randomly", "--samples", "3"]) == 1
     assert "0/3 FAIL" in capsys.readouterr().out
+
+
+def test_cli_verify_prints_a_reproducer_per_failed_sample(monkeypatch, capsys, tmp_path):
+    """Each failed sample carries the command that reruns it: sample `i`
+    is the last of `--samples i+1`, under the flags the run was given."""
+    break_d1_family_entry(monkeypatch)
+    assert main(["verify", "--item", "apply_randomly", "--emit", "json",
+                 "--samples", "3", "--seed", "7"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert [f["reproduce"] for f in report["failures"]] == [
+        f"coersimp verify --item apply_randomly --phases all --seed 7 --samples {i + 1}"
+        for i in range(3)]
+    last = report["failures"][-1]
+    assert main(last["reproduce"].split()[1:] + ["--emit", "json"]) == 1
+    (rerun,) = json.loads(capsys.readouterr().out)
+    assert rerun["failures"][-1] == last
+
+    path = tmp_path / "my corpus.sexp"
+    path.write_text(resources.files("coersimp").joinpath("data/corpus.sexp").read_text())
+    assert main(["verify", str(path), "--item", "apply_randomly",
+                 "--phases", "custom:cleanup.both,scc.type", "--samples", "1",
+                 "--full-dirt", "--budget", "300"]) == 1
+    out = capsys.readouterr().out
+    assert ("      reproduce: coersimp verify " + shlex.quote(str(path))
+            + " --item apply_randomly --phases custom:cleanup.both,scc.type"
+            " --seed 0 --samples 1 --full-dirt --budget 300") in out.splitlines()
+
+
+def test_bench_layer_names_resolve():
+    """The benchmark's span tracer wraps these functions by name; a rename
+    would silently drop its per-layer metrics."""
+    for module, name, _ in layertrace.LAYERS:
+        assert callable(getattr(importlib.import_module(f"coersimp.{module}"), name)), name
+    assert callable(importlib.import_module("coersimp.phases").run_phases)
 
 
 def test_cli_report_round_trip(capsys):

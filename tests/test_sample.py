@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from coersimp import sample
 from coersimp.check import value_inclusion_coercion
+from coersimp.corpus import load_bundled
 from coersimp.sample import (
     SampleError,
     buried_params,
@@ -21,6 +23,7 @@ from coersimp.syntax import (
     Return,
     SkelArrow,
     SkelParam,
+    SkelUnit,
     TyArrow,
     TyBase,
     TyParam,
@@ -29,7 +32,8 @@ from coersimp.syntax import (
     dirt,
 )
 
-from gen import TEST_SIG, random_context
+from gen import SHAPES, TEST_SIG, random_context, shape_context
+from reference_sample import sample_eta_reference
 
 R = frozenset({"Random"})
 RF = frozenset({"Random", "Fail"})
@@ -186,3 +190,91 @@ def test_sample_reports_unsatisfiable_context():
                params=())
     with pytest.raises(SampleError):
         sample_eta(TEST_SIG, ctx, random.Random(0))
+
+
+# ---------------------------------------------------------------------------
+# Worklist repair against the sweeping reference
+
+
+def same_draw(sig, ctx, seed, **mode):
+    """The sampler and the reference give equal instantiations on the same
+    draw, or fail with the same message."""
+    try:
+        want = sample_eta_reference(sig, ctx, random.Random(seed), **mode)
+    except SampleError as exc:
+        with pytest.raises(SampleError) as got:
+            sample_eta(sig, ctx, random.Random(seed), **mode)
+        assert str(got.value) == str(exc), seed
+        return
+    assert sample_eta(sig, ctx, random.Random(seed), **mode) == want, seed
+
+
+MODES = {"free": {}, "enumerable": {"enumerable": True}, "strict": {"strict": True}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sampler_matches_reference_on_corpus_items(mode):
+    for item in load_bundled():
+        for i in range(4):
+            same_draw(item.signature, item.context, f"ref:{item.name}:{i}",
+                      poltype=item.poltype, term=item.term, **MODES[mode])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("family", SHAPES)
+def test_sampler_matches_reference_on_bench_shapes(family, mode):
+    for n in (50, 200):
+        ctx, _ = shape_context(family, n)
+        for i in range(2):
+            same_draw(TEST_SIG, ctx, f"ref:{family}:{n}:{i}", **MODES[mode])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sampler_matches_reference_on_random_contexts(mode):
+    rng = random.Random(f"ref:{mode}")
+    for i in range(300):
+        ctx = random_context(rng, max_dirts=8, max_tys=8, max_cos=12)
+        same_draw(TEST_SIG, ctx, i, **MODES[mode])
+
+
+def test_sampler_matches_reference_on_failures():
+    """An inclusion into a closed arrow type fails on most draws (the
+    sampled lower bound carries random operations), and an unsatisfiable
+    dirt bound fails on every draw; both with the reference's message."""
+    closed = arrow(TyUnit(), TyUnit())
+    ctx = ParamContext(
+        (), (), (("a1", SkelArrow(SkelUnit(), SkelUnit())),), (),
+        (("w1", TyParam("a1"), closed),))
+    unsat = dctx([("p1", Dirt(R, None), Dirt(frozenset({"Fail"}), None))], params=())
+    failed = 0
+    for i in range(40):
+        for c in (ctx, unsat):
+            try:
+                sample_eta(TEST_SIG, c, random.Random(i))
+            except SampleError:
+                failed += 1
+            same_draw(TEST_SIG, c, i)
+    assert 40 < failed < 80
+
+
+def test_dirt_repair_costs_linear_in_the_constraints(monkeypatch):
+    """The dirt repair re-examines only constraints whose upper tail
+    shrank, so `apply_dirt` calls per constraint do not grow with the
+    chain (in-order sweeps over a chain need more passes as it grows)."""
+    calls = []
+    original = sample.apply_dirt
+
+    def counted(sub, d):
+        calls.append(d)
+        return original(sub, d)
+
+    monkeypatch.setattr(sample, "apply_dirt", counted)
+    per_constraint = {}
+    for n in (100, 400):
+        ctx, pol = shape_context("chain", n)
+        calls.clear()
+        for i in range(5):
+            sample_eta(TEST_SIG, ctx, random.Random(f"cost:{i}"), enumerable=True)
+        per_constraint[n] = len(calls) / (5 * len(ctx.dirt_cos))
+    assert per_constraint[400] <= 1.1 * per_constraint[100], per_constraint
+    assert per_constraint[400] <= 8, per_constraint

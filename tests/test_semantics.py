@@ -1,10 +1,11 @@
 """The finite call-tree model: carriers, evaluation, and commuting squares."""
 
 import random
+import sys
 
 import pytest
 
-from coersimp import semantics
+from coersimp import check, sample, semantics, subst
 from coersimp.check import (
     CheckError,
     check_dco,
@@ -18,6 +19,7 @@ from coersimp.cli import cmd_verify
 from coersimp.corpus import load_bundled
 from coersimp.phases import PRESETS, simplify
 from coersimp.polarity import fp_vty
+from coersimp.reduce import is_canonical
 from coersimp.sample import sample_eta
 from coersimp.semantics import (
     DomainTooLarge,
@@ -354,3 +356,55 @@ def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_ch
                           enumerable=True, poltype=item.poltype, term=item.term)
         with pytest.raises(CheckError):
             check_preservation(item.signature, sim, item.poltype, item.term, eta0)
+
+
+# ---------------------------------------------------------------------------
+# One verify sample does each piece of work once
+
+
+def count_calls(monkeypatch, original):
+    """Route every package binding of `original` through a wrapper; return
+    the list of (args, result) of the calls it sees."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("coersimp"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_verify_sample_checks_validity_twice_on_a_canonical_item(monkeypatch):
+    """The sampler checks its draw and `check_witness_total` checks the
+    replayed instantiation. Reduction returns a canonical input as it is,
+    so the sample itself is the reduced instantiation; no third check."""
+    item = {i.name: i for i in load_bundled()}["apply_if"]
+    assert is_canonical(item.context)
+    draws = count_calls(monkeypatch, sample.sample_eta)
+    checks = count_calls(monkeypatch, subst.check_validity)
+    assert cmd_verify(item, "all", samples=1)["passed"] == 1
+    assert len(draws) == 1
+    assert len(checks) == 2
+
+
+def test_verify_sample_types_and_evaluates_the_original_once(monkeypatch):
+    """The square check and the preservation check share one typing and
+    one meaning of the instantiated original term."""
+    item = {i.name: i for i in load_bundled()}["apply_randomly"]
+    draws = count_calls(monkeypatch, sample.sample_eta)
+    typings = count_calls(monkeypatch, check.type_of_value)
+    evals = count_calls(monkeypatch, semantics.eval_value)
+    assert cmd_verify(item, "all", samples=1)["passed"] == 1
+    ((_, eta0),) = draws
+    original = subst.apply_value(eta0, item.term)
+    assert sum(args[3] == original for args, _ in typings) == 1
+    assert sum(args[2] == original for args, _ in evals) == 1
+    # The strengthened term is typed and evaluated too, and it differs.
+    assert sum(args[2] == () and args[3] != original for args, _ in typings) == 1
+    assert sum(args[1] == {} and args[2] != original for args, _ in evals) == 1
