@@ -42,22 +42,21 @@ parallel pairs off the graph's indexes; one cycle search serves a whole
 substitution, its polarity set and its witness. The final context is read off
 the graphs once, and the total substitution is resolved once from the step
 substitutions (`subst.resolve`). The contexts between steps are not
-kept: `PhaseStep.before` and `PhaseStep.after` replay the steps on demand.
-Steps, their order and every result equal those of the plain engine that
-rewrites the whole context after each step.
+kept. Steps, their order and every result equal those of the plain engine
+that rewrites the whole context after each step.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .check import both_extend, derived_empty, derived_refl_dirt, derived_refl_vty, right_extend
 from .graph import SINK, ConstraintGraph, Edge, build_dirt_graph, build_type_graph, tarjan_scc
 from .polarity import FreeParamSet, subst_fps
 from .reduce import ReductionResult, is_canonical, reduce_context
-from .subst import Substitution, apply_context, compose, resolve
+from .subst import Substitution, compose, resolve
 from .syntax import (
     DCoCompose,
     DCoEmptyUnder,
@@ -75,12 +74,13 @@ from .syntax import (
 @dataclass(frozen=True)
 class PhaseStep:
     """One strengthening step and its witness. An entry of `eta` or
-    `family` is a coercion over `before`, or a (lower, upper) pair of dirt
-    bounds that every ground instantiation of `before` satisfies. `eta`
-    holds the coercion of each constraint the step re-points or introduces;
-    `family` holds, for each tracked parameter the step eliminates, one
-    between its images after and before the step (after to before at a
-    positive parameter, before to after at a negative one)."""
+    `family` is a coercion over the context before the step, or a (lower,
+    upper) pair of dirt bounds that every ground instantiation of that
+    context satisfies. `eta` holds the coercion of each constraint the step
+    re-points or introduces; `family` holds, for each tracked parameter the
+    step eliminates, one between its images after and before the step
+    (after to before at a positive parameter, before to after at a negative
+    one)."""
 
     phase: str  # cleanup-loop | cleanup-parallel | scc | bridge-in | bridge-out | empty | full
     sort: str  # "type" | "dirt"
@@ -89,16 +89,6 @@ class PhaseStep:
     fps: FreeParamSet  # polarity set before this step
     eta: dict
     family: dict
-    trace: _ContextTrace | None = field(default=None, compare=False, repr=False)
-    index: int = field(default=0, compare=False, repr=False)
-
-    @property
-    def before(self) -> ParamContext:
-        return self.trace.context(self.index)
-
-    @property
-    def after(self) -> ParamContext:
-        return self.trace.context(self.index + 1)
 
 
 @dataclass
@@ -157,55 +147,6 @@ def parse_phase_config(text: str, full_dirt: bool = False):
             raise ValueError(f"unknown sort {sort!r} in {chunk!r}")
         steps.append((name, sort))
     return steps
-
-
-class _ContextTrace:
-    """The contexts between the steps of one run, rebuilt on demand.
-
-    Context `i` is the input with the first `i` steps replayed on it. The
-    last context built and the one before it are kept, so reading the
-    steps in order costs one replay each, whether a step's `before` or its
-    `after` is read first. The trace keeps what a replay needs, not the
-    steps themselves, so that steps and trace form no reference cycle."""
-
-    def __init__(self, original: ParamContext):
-        self.original = original
-        self.moves: list[tuple[Substitution, dict]] = []  # (subst, eta)
-        self._kept = [(0, original)]  # (index, context), last built last
-
-    def context(self, index: int) -> ParamContext:
-        for at, ctx in self._kept:
-            if at == index:
-                return ctx
-        at, ctx = self._kept[-1]
-        if index < at:
-            at, ctx = 0, self.original
-        kept = [(at, ctx)]
-        while at < index:
-            ctx = _replay_step(ctx, *self.moves[at])
-            at += 1
-            kept = [kept[-1], (at, ctx)]
-        self._kept = kept
-        return ctx
-
-
-def _replay_step(ctx: ParamContext, sub: Substitution, eta: dict) -> ParamContext:
-    after = apply_context(sub, ctx)
-    new = [(n, *bounds) for n, bounds in eta.items() if isinstance(bounds, tuple)]
-    if new:
-        old = {row[0] for row in ctx.dirt_cos}
-        new = [row for row in new if row[0] not in old]
-    if not new:
-        return after
-    # An introduced row takes the place of the first row the step drops.
-    kept, rows = iter(after.dirt_cos), []
-    for name, _, _ in ctx.dirt_cos:
-        if name in sub.dco:
-            rows += new
-            new = []
-        else:
-            rows.append(next(kept))
-    return replace(after, dirt_cos=tuple(rows))
 
 
 class _Sort:
@@ -307,7 +248,6 @@ class _Engine:
         self.graphs = _Graphs(ctx)
         self.changed: set[str] = set()  # sorts some step has rewritten
         self.steps: list[PhaseStep] = []
-        self.trace = _ContextTrace(ctx)
 
     def tracked(self, param: str) -> bool:
         return param in self.fps.pos or param in self.fps.neg
@@ -316,9 +256,7 @@ class _Engine:
                eta: dict, family: dict, moves: dict[str, str | None] | None = None) -> None:
         """Record a step, then move the polarity of every parameter in
         `moves` onto its image (`None`: the parameter was grounded)."""
-        self.steps.append(PhaseStep(phase, sort.name, info, sub, self.fps, eta, family,
-                                    self.trace, len(self.steps)))
-        self.trace.moves.append((sub, eta))
+        self.steps.append(PhaseStep(phase, sort.name, info, sub, self.fps, eta, family))
         self.changed.add(sort.name)
         pos, neg = self.fps.pos, self.fps.neg
         if moves and any(m in pos or m in neg for m in moves):

@@ -533,22 +533,27 @@ def check_preservation(sig: Signature, sim, poltype: ValueType, term: ValueTerm,
     denotes the same value as the strengthened term, instantiated with the
     replayed instantiation and cast back up along the extended witness
     family. The original is instantiated, typed and evaluated once; the
-    square check returns its type and meaning for the second claim.
+    square check returns its type and meaning for the second claim, and a
+    strengthened term equal to the original reuses both.
     """
     from .polarity import extend_family_vty
     from .witness import build_witness_total, check_witness_total
 
-    original_ty, lhs = check_square_value(sig, (), apply_value(eta0, term), budget)
+    original = apply_value(eta0, term)
+    original_ty, lhs = check_square_value(sig, (), original, budget)
     wit = build_witness_total(sig, sim, eta0)
     check_witness_total(sig, sim, eta0, wit)
     strengthened = apply_value(wit.eta, apply_value(sim.subst, term))
     co = extend_family_vty(wit.family, poltype)
     # Typecheck the strengthened term; `interp_vco` checks the cast, which
     # then has the endpoints its spine shows.
-    types = [type_of_value(sig, EMPTY_CONTEXT, (), strengthened), original_ty]
+    same = strengthened == original
+    types = [original_ty if same else type_of_value(sig, EMPTY_CONTEXT, (), strengthened),
+             original_ty]
     if [vco_endpoint(co, upper=False), vco_endpoint(co, upper=True)] != types:
         raise EndpointMismatch(f"the family does not cast {types[0]} to {types[1]}")
-    rhs_cast = interp_vco(sig, co, eval_value(sig, {}, strengthened, budget), budget)
+    meaning = lhs if same else eval_value(sig, {}, strengthened, budget)
+    rhs_cast = interp_vco(sig, co, meaning, budget)
     if lhs != rhs_cast:
         raise ModelBug(
             f"preservation failed: original denotes {lhs!r}, "

@@ -76,10 +76,6 @@ class Dirt:
         return sorted(self.ops)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.ops and self.tail is None
-
-    @property
     def is_closed(self) -> bool:
         return self.tail is None
 
@@ -411,9 +407,6 @@ class OpSig:
 @dataclass(frozen=True, slots=True)
 class Signature:
     ops: tuple[tuple[str, OpSig], ...]
-
-    def as_dict(self) -> dict[str, OpSig]:
-        return dict(self.ops)
 
     def names(self) -> list[str]:
         return [name for name, _ in self.ops]

@@ -99,8 +99,8 @@ def _ground(entry, eta: Substitution, apply):
 
 
 def _replay(step: PhaseStep, eta: Substitution) -> CoercionFamily:
-    """Turn `eta`, in place, from a ground instantiation of `step.before`
-    into one of `step.after`; return the step's own family entries."""
+    """Turn `eta`, in place, from a ground instantiation of the context
+    before `step` into one after it; return the step's own family entries."""
     typed = step.sort == "type"
     apply, endpoint = (apply_vco, vco_endpoint) if typed else (apply_dco, dco_endpoint)
     new = {name: _ground(entry, eta, apply) for name, entry in step.eta.items()}

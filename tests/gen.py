@@ -10,8 +10,10 @@ assignment works.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from coersimp.polarity import FreeParamSet
+from coersimp.subst import apply_context
 from coersimp.syntax import (
     CompType,
     Dirt,
@@ -156,3 +158,32 @@ def shape_context(family, n, seed=0):
         frozenset(f"{s}{i}" for i in (edges[-1][1], *held) for s in "ad"),
         frozenset(f"{s}{i}" for i in (0, *held) for s in "ad"))
     return ctx, pol
+
+
+# ---------------------------------------------------------------------------
+# The contexts between the steps of a phase run
+
+
+def step_contexts(run):
+    """Yield (step, before, after) for each step of a phase run, replaying
+    the step substitutions in order from `run.original`. A bound pair of
+    `eta` that names no row of `before` is a row the step introduces; it
+    takes the place of the first row the step drops. The last context must
+    be the one the engine read off its graphs."""
+    ctx = run.original
+    for step in run.steps:
+        after = apply_context(step.subst, ctx)
+        old = {row[0] for row in ctx.dirt_cos}
+        new = [(n, *b) for n, b in step.eta.items() if isinstance(b, tuple) and n not in old]
+        if new:
+            kept, rows = iter(after.dirt_cos), []
+            for name, _, _ in ctx.dirt_cos:
+                if name in step.subst.dco:
+                    rows += new
+                    new = []
+                else:
+                    rows.append(next(kept))
+            after = replace(after, dirt_cos=tuple(rows))
+        yield step, ctx, after
+        ctx = after
+    assert ctx == run.context

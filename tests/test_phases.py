@@ -19,7 +19,7 @@ from coersimp.reduce import is_canonical, reduce_context
 from coersimp.subst import apply_dirt, apply_vty, check_validity
 from coersimp.syntax import Dirt, ParamContext, SkelParam, TyParam, dirt
 
-from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context
+from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context, step_contexts
 from reference_phases import run_reference_phases
 
 FULL = Dirt(frozenset({"Fail", "Random"}), None)
@@ -41,8 +41,8 @@ def fps(pos=(), neg=()):
 
 def run(ctx, instructions, pol=EMPTY_FPS):
     res = run_phases(TEST_SIG, ctx, pol, instructions)
-    for step in res.steps:
-        check_validity(TEST_SIG, step.before, step.subst, step.after)
+    for step, before, after in step_contexts(res):
+        check_validity(TEST_SIG, before, step.subst, after)
     check_validity(TEST_SIG, ctx, res.subst, res.context)
     wf_context(TEST_SIG, res.context)
     assert res.fps == subst_fps(res.subst, pol)
@@ -293,8 +293,8 @@ def test_simplify_valid_and_canonical_on_corpus():
         wf_context(item.signature, sim.context)
         assert is_canonical(sim.context), (item.name, preset)
         check_validity(item.signature, item.context, sim.subst, sim.context)
-        for step in sim.phases.steps:
-            check_validity(item.signature, step.before, step.subst, step.after)
+        for step, before, after in step_contexts(sim.phases):
+            check_validity(item.signature, before, step.subst, after)
 
 
 def test_simplify_idempotent_on_corpus():
@@ -334,15 +334,12 @@ def test_phases_randomized_invariants():
             assert again.steps == []
 
 
-def assert_step_witnesses_fit(sig, steps, label):
+def assert_step_witnesses_fit(sig, run, label):
     """Each coercion entry of a step's `eta` checks in the context before
     the step with the endpoints its constraint has after it; each bound
     pair is that classifier."""
-    for i, step in enumerate(steps):
-        if not step.eta:
-            continue
+    for i, (step, before, after) in enumerate(step_contexts(run)):
         typed = step.sort == "type"
-        before, after = step.before, step.after  # in this order: one replay
         for name, entry in step.eta.items():
             want = after.ty_co_classifier(name) if typed else after.dirt_co_classifier(name)
             if isinstance(entry, tuple):
@@ -358,38 +355,13 @@ def test_step_witnesses_fit_their_classifiers():
         for preset, instructions in configs.items():
             sim = simplify(item.signature, item.context, fp_vty(item.poltype),
                            instructions)
-            assert_step_witnesses_fit(item.signature, sim.phases.steps,
+            assert_step_witnesses_fit(item.signature, sim.phases,
                                       (item.name, preset))
     for family in sorted(SHAPES):
         ctx, pol = shape_context(family, 50)
         for preset, instructions in configs.items():
             res = run_phases(TEST_SIG, ctx, pol, instructions)
-            assert_step_witnesses_fit(TEST_SIG, res.steps, (family, preset))
-
-
-def test_reading_after_then_before_replays_each_step_once(monkeypatch):
-    """The trace keeps the context before the last one it built, so reading
-    a step's `after` and then its `before` replays nothing more."""
-    from coersimp import phases
-
-    replays = Counter()
-    replay = phases._replay_step
-
-    def counting(*args):
-        replays["calls"] += 1
-        return replay(*args)
-
-    monkeypatch.setattr(phases, "_replay_step", counting)
-    steps = 0
-    for item in load_bundled():
-        sim = simplify(item.signature, item.context, fp_vty(item.poltype),
-                       PRESETS["all"])
-        for step in sim.phases.steps:
-            after, before = step.after, step.before
-            check_validity(item.signature, before, step.subst, after)
-        steps += len(sim.phases.steps)
-    assert steps > 0
-    assert replays["calls"] <= steps
+            assert_step_witnesses_fit(TEST_SIG, res, (family, preset))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +385,8 @@ def assert_same_run(sig, ctx, pol, instructions, label, contexts=True):
     assert got.subst == want.subst, label
     assert got.fps == want.fps, label
     if contexts:
-        for i, (mine, ref) in enumerate(zip(got.steps, want.steps)):
-            assert mine.before == ref.before and mine.after == ref.after, (label, i)
+        for i, ((_, before, after), ref) in enumerate(zip(step_contexts(got), want.steps)):
+            assert before == ref.before and after == ref.after, (label, i)
     return got
 
 

@@ -395,16 +395,21 @@ def test_verify_sample_checks_validity_twice_on_a_canonical_item(monkeypatch):
 
 def test_verify_sample_types_and_evaluates_the_original_once(monkeypatch):
     """The square check and the preservation check share one typing and
-    one meaning of the instantiated original term."""
-    item = {i.name: i for i in load_bundled()}["apply_randomly"]
+    one meaning of the instantiated original term, also where the
+    strengthened term equals it (`do_let_term`)."""
+    items = {i.name: i for i in load_bundled()}
     draws = count_calls(monkeypatch, sample.sample_eta)
     typings = count_calls(monkeypatch, check.type_of_value)
     evals = count_calls(monkeypatch, semantics.eval_value)
-    assert cmd_verify(item, "all", samples=1)["passed"] == 1
-    ((_, eta0),) = draws
-    original = subst.apply_value(eta0, item.term)
-    assert sum(args[3] == original for args, _ in typings) == 1
-    assert sum(args[2] == original for args, _ in evals) == 1
-    # The strengthened term is typed and evaluated too, and it differs.
-    assert sum(args[2] == () and args[3] != original for args, _ in typings) == 1
-    assert sum(args[1] == {} and args[2] != original for args, _ in evals) == 1
+    for name, differs in (("apply_randomly", True), ("do_let_term", False)):
+        for calls in (draws, typings, evals):
+            calls.clear()
+        item = items[name]
+        assert cmd_verify(item, "all", samples=1)["passed"] == 1
+        ((_, eta0),) = draws
+        original = subst.apply_value(eta0, item.term)
+        assert sum(args[3] == original for args, _ in typings) == 1, name
+        assert sum(args[2] == original for args, _ in evals) == 1, name
+        # A strengthened term that differs is typed and evaluated too.
+        assert sum(args[2] == () and args[3] != original for args, _ in typings) == differs
+        assert sum(args[1] == {} and args[2] != original for args, _ in evals) == differs
