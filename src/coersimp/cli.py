@@ -8,8 +8,8 @@ file / stdin in the same s-expression format):
   report     metrics table across items and phase configurations
 
 Exit codes: 0 all checks passed, 1 at least one diagnostic (a failed
-verification, an unsatisfiable context, a bad input), 2 an internal
-invariant was violated.
+verification, an unsatisfiable context, a bad input, nothing to verify),
+2 an internal invariant was violated.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from .check import CheckError, type_of_value
 from .corpus import CorpusItem, JudgmentError, ParseError, load_bundled, parse_corpus
 from .graph import context_metrics, to_dot
-from .phases import parse_phase_config, simplify
+from .phases import PRESETS, parse_phase_config, simplify
 from .polarity import EMPTY_FPS, fp_vty
 from .reduce import ReductionBug, Unsatisfiable
 from .sample import SampleError, sample_eta
@@ -38,7 +38,7 @@ from .subst import apply_value, apply_vty
 from .syntax import ValueTerm, ValueType
 from .witness import WitnessBug
 
-STANDARD_CONFIGS = ("none", "scc", "dirt", "type", "all")
+STANDARD_CONFIGS = tuple(PRESETS)
 
 
 class InternalError(Exception):
@@ -291,10 +291,12 @@ def _reproducer(args, item: str, sample: int) -> str:
 
 
 def _run_verify(args, items) -> int:
+    items = [item for item in items if item.term is not None]
+    if not items:
+        print("error: nothing to verify: no selected item carries a term", file=sys.stderr)
+        return 1
     reports = []
     for item in items:
-        if item.term is None:
-            continue
         report = cmd_verify(item, args.phases, budget=args.budget, seed=args.seed,
                             samples=args.samples, full_dirt=args.full_dirt)
         for f in report["failures"]:

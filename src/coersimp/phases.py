@@ -253,13 +253,17 @@ class _Engine:
         return param in self.fps.pos or param in self.fps.neg
 
     def commit(self, phase: str, sort: _Sort, info: str, sub: Substitution,
-               eta: dict, family: dict, moves: dict[str, str | None] | None = None) -> None:
-        """Record a step, then move the polarity of every parameter in
-        `moves` onto its image (`None`: the parameter was grounded)."""
+               eta: dict, family: dict) -> None:
+        """Record a step, then move the polarity of every parameter it maps
+        onto the parameter its image names (none: the image is ground)."""
         self.steps.append(PhaseStep(phase, sort.name, info, sub, self.fps, eta, family))
         self.changed.add(sort.name)
         pos, neg = self.fps.pos, self.fps.neg
-        if moves and any(m in pos or m in neg for m in moves):
+        mapped = getattr(sub, sort.params)
+        if any(m in pos or m in neg for m in mapped):
+            moves = {m: img.tail if isinstance(img, Dirt) else
+                     img.name if isinstance(img, TyParam) else None
+                     for m, img in mapped.items()}
 
             def image(side: frozenset[str]) -> frozenset[str]:
                 kept = side.difference(moves)
@@ -371,7 +375,7 @@ class _Engine:
         for m in merged:
             self._merge(g, m, rep)
         self.commit("scc", sort, f"contract cycle {'/'.join(comp)} to {rep}", sub,
-                    {}, {m: refl for m in merged if self.tracked(m)}, {m: rep for m in merged})
+                    {}, {m: refl for m in merged if self.tracked(m)})
         self.cleanup((sort,))  # labeled dirt cycle edges became self-loops
         return True
 
@@ -427,7 +431,7 @@ class _Engine:
         g.remove(e)
         self._merge(g, node, target, e.ops)
         self.commit(phase, sort, info, sub, eta,
-                    {node: crossing} if self.tracked(node) else {}, {node: target})
+                    {node: crossing} if self.tracked(node) else {})
         self.cleanup((sort,))
         return True
 
@@ -462,8 +466,7 @@ class _Engine:
             g.remove_node(n)
         params = sorted(grounded)
         self.commit("empty", _DIRT, f"ground {'/'.join(params)} to the empty dirt", sub,
-                    {}, {n: DCoEmptyUnder(n) for n in params if self.tracked(n)},
-                    dict.fromkeys(grounded))
+                    {}, {n: DCoEmptyUnder(n) for n in params if self.tracked(n)})
 
     def full_dirt(self) -> None:
         """Ground non-positive dirt parameters without upper bounds to the
@@ -483,7 +486,7 @@ class _Engine:
             g.remove_node(node)
             family = {node: (Dirt(frozenset(), node), full)} if self.tracked(node) else {}
             self.commit("full", _DIRT, f"ground {node} to the full dirt {full}",
-                        Substitution(dirt={node: full}), eta, family, {node: None})
+                        Substitution(dirt={node: full}), eta, family)
             self.cleanup((_DIRT,))
 
     # -- results ---------------------------------------------------------------

@@ -93,9 +93,6 @@ def dirt(ops=(), tail: str | None = None) -> Dirt:
     return Dirt(frozenset(ops), tail)
 
 
-EMPTY_DIRT = dirt()
-
-
 # ---------------------------------------------------------------------------
 # Types
 
@@ -425,9 +422,6 @@ def signature(**ops: tuple[ValueType, ValueType]) -> Signature:
     return Signature(tuple((name, OpSig(a, b)) for name, (a, b) in ops.items()))
 
 
-EMPTY_SIG = Signature(())
-
-
 @dataclass(frozen=True)
 class ParamContext:
     """The five parameter lists, in dependency order.
@@ -515,8 +509,8 @@ class NameSupply:
     counters: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def seeded(cls, *contexts: ParamContext, extra=()) -> NameSupply:
-        used: set[str] = set(extra)
+    def seeded(cls, *contexts: ParamContext) -> NameSupply:
+        used: set[str] = set()
         for ctx in contexts:
             used |= ctx.all_names()
         return cls(used=used)

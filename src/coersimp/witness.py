@@ -61,8 +61,6 @@ from .syntax import (
     Dirt,
     EMPTY_CONTEXT,
     Signature,
-    SkelArrow,
-    SkelParam,
     TyArrow,
     TyParam,
 )
@@ -76,18 +74,6 @@ class WitnessBug(Exception):
 class WitnessResult:
     eta: Substitution  # ground instantiation of the strengthened context
     family: CoercionFamily  # compose(eta, run.subst) <= eta0 at run.fps0
-
-
-def _refl_entries(fam: CoercionFamily, eta: Substitution, names) -> None:
-    for name in names:
-        if name in fam.vco or name in fam.dco:
-            continue
-        if name in eta.ty:
-            fam.vco[name] = derived_refl_vty(eta.ty[name])
-        elif name in eta.dirt:
-            fam.dco[name] = derived_refl_dirt(eta.dirt[name])
-        else:
-            raise WitnessBug(f"tracked parameter {name} has no ground image")
 
 
 def _ground(entry, eta: Substitution, apply):
@@ -112,8 +98,8 @@ def _replay(step: PhaseStep, eta: Substitution) -> CoercionFamily:
         if endpoint(co, p in step.fps.pos) != images[p]:
             raise WitnessBug(f"family entry for {p} misses its image {images[p]} under eta")
     sub = step.subst
-    for part, names in ((eta.skel, sub.skel), (eta.ty, sub.ty), (eta.dirt, sub.dirt),
-                        (eta.vco, sub.vco), (eta.dco, sub.dco)):
+    for part, names in ((eta.ty, sub.ty), (eta.dirt, sub.dirt), (eta.vco, sub.vco),
+                        (eta.dco, sub.dco)):
         for name in names:
             part.pop(name, None)
     (eta.vco if typed else eta.dco).update(new)
@@ -132,7 +118,13 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
     eta = eta0.copy()
     names0 = sorted(run.fps0.members())
     acc = CoercionFamily()
-    _refl_entries(acc, eta0, names0)
+    for name in names0:
+        if name in eta0.ty:
+            acc.vco[name] = derived_refl_vty(eta0.ty[name])
+        elif name in eta0.dirt:
+            acc.dco[name] = derived_refl_dirt(eta0.dirt[name])
+        else:
+            raise WitnessBug(f"tracked parameter {name} has no ground image")
     # The steps so far, composed, restricted to the tracked names: all that
     # `precompose_family` reads of it. A name the composition has not moved
     # is its own image. `users` maps each parameter to the tracked names
@@ -142,10 +134,11 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
     for step in run.steps:
         special = _replay(step, eta)
         # Only names whose image meets the step's own entries change; at
-        # every other name the step's family is a reflexivity.
+        # every other name the step's family is a reflexivity. A step maps
+        # a parameter to one parameter or to closed data, so a touched
+        # name's image names just the parameter that has its entry here.
         touched = {n for p in special.members() for n in users.get(p, ())}
         if touched:
-            _refl_entries(special, eta, {p for n in touched for p in _image_params(so_far, n)})
             step_acc = compose_families(
                 acc, precompose_family(special, so_far, touched), run.fps0)
             acc.vco.update(step_acc.vco)
@@ -164,27 +157,18 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
 # ---------------------------------------------------------------------------
 # Lifting a witness over the canonicalizing reduction
 #
-# Reduction only decomposes: each replaced parameter's image is a pattern
-# over the reduced parameters, and a ground instantiation of the original
-# context factors through it exactly (no coercion needed). Matching the
-# patterns against the ground images recovers the instantiation of the
-# reduced context; the phase witness built from there is then precomposed
-# with the reduction substitution to speak about the original parameters.
+# Reduction only decomposes: it maps no skeleton parameter, and each type or
+# dirt parameter it replaces gets a pattern over the reduced parameters. A
+# ground instantiation of the original context therefore factors through
+# the reduced one exactly (no coercion needed): matching the image of each
+# original name, once, against that name's ground image recovers the
+# instantiation of the reduced context. The phase witness built from there
+# is then precomposed with the reduction substitution to speak about the
+# original parameters.
 
-def _match_skel(pattern, ground, eta: Substitution) -> None:
-    if isinstance(pattern, SkelParam):
-        prev = eta.skel.get(pattern.name)
-        if prev is None:
-            eta.skel[pattern.name] = ground
-        elif prev != ground:
-            raise WitnessBug(f"skeleton {pattern.name} matched twice, unequally")
-    elif isinstance(pattern, SkelArrow):
-        if not isinstance(ground, SkelArrow):
-            raise WitnessBug(f"skeleton shape mismatch: {pattern} vs {ground}")
-        _match_skel(pattern.dom, ground.dom, eta)
-        _match_skel(pattern.cod, ground.cod, eta)
-    elif pattern != ground:
-        raise WitnessBug(f"skeleton mismatch: {pattern} vs {ground}")
+def _bind(part: dict, name: str, ground) -> None:
+    if part.setdefault(name, ground) != ground:
+        raise WitnessBug(f"{name} matched twice, unequally")
 
 
 def _match_dirt(pattern: Dirt, ground: Dirt, eta: Substitution) -> None:
@@ -196,21 +180,12 @@ def _match_dirt(pattern: Dirt, ground: Dirt, eta: Substitution) -> None:
         return
     if not pattern.ops <= ground.ops:
         raise WitnessBug(f"dirt mismatch: {pattern} vs {ground}")
-    rest = Dirt(ground.ops - pattern.ops, None)
-    prev = eta.dirt.get(pattern.tail)
-    if prev is None:
-        eta.dirt[pattern.tail] = rest
-    elif prev != rest:
-        raise WitnessBug(f"dirt {pattern.tail} matched twice, unequally")
+    _bind(eta.dirt, pattern.tail, Dirt(ground.ops - pattern.ops, None))
 
 
 def _match_vty(pattern, ground, eta: Substitution) -> None:
     if isinstance(pattern, TyParam):
-        prev = eta.ty.get(pattern.name)
-        if prev is None:
-            eta.ty[pattern.name] = ground
-        elif prev != ground:
-            raise WitnessBug(f"type {pattern.name} matched twice, unequally")
+        _bind(eta.ty, pattern.name, ground)
     elif isinstance(pattern, TyArrow):
         if not isinstance(ground, TyArrow):
             raise WitnessBug(f"type shape mismatch: {pattern} vs {ground}")
@@ -225,50 +200,29 @@ def replay_reduction(sig: Signature, red, eta0: Substitution) -> Substitution:
     """The instantiation of the reduced context that `eta0` factors through,
     with `compose(result, red.subst)` agreeing with `eta0` exactly.
 
-    The result grounds the reduced context with fresh inclusion coercions
-    and is checked valid before it is returned. `build_witness_total` does
-    not replay a reduction that returned its input; there the result would
-    be `eta0` itself."""
-    rc = red.context
-    eta = Substitution()
-    for s in rc.skel_params:
-        if s in eta0.skel:
-            eta.skel[s] = eta0.skel[s]
-    for d in rc.dirt_params:
-        if d in eta0.dirt:
-            eta.dirt[d] = eta0.dirt[d]
-    for a, _ in rc.ty_params:
-        if a in eta0.ty:
-            eta.ty[a] = eta0.ty[a]
-    # Reduction's substitution also maps the intermediate names it made up
-    # on the way; only the original names have ground images, and theirs
-    # are already fully composed.
-    for name, img in red.subst.skel.items():
-        if name in eta0.skel:
-            _match_skel(img, eta0.skel[name], eta)
-    for name, img in red.subst.dirt.items():
-        if name in eta0.dirt:
-            _match_dirt(img, eta0.dirt[name], eta)
-    for name, img in red.subst.ty.items():
-        if name in eta0.ty:
-            _match_vty(img, eta0.ty[name], eta)
+    Each original dirt and type name's image under reduction (the name
+    itself where reduction kept it) is matched once against its ground
+    image; a successful match makes the two agree at that name. Reduction's
+    substitution also maps intermediate names it made up on the way, which
+    have no ground image and are not read. The result grounds the reduced
+    context with fresh inclusion coercions and is checked valid before it
+    is returned. `build_witness_total` does not replay a reduction that
+    returned its input; there the result would be `eta0` itself."""
+    eta = Substitution(skel=dict(eta0.skel))
+    for name, ground in eta0.dirt.items():
+        _match_dirt(red.subst.dirt.get(name, Dirt(frozenset(), name)), ground, eta)
+    for name, ground in eta0.ty.items():
+        _match_vty(red.subst.ty.get(name, TyParam(name)), ground, eta)
 
     # Coercion names get fresh inclusion witnesses; the bounds hold because
     # the factored instantiation satisfies every reduced constraint.
+    rc = red.context
     for name, lo, hi in rc.dirt_cos:
         eta.dco[name] = dirt_inclusion_coercion(apply_dirt(eta, lo), apply_dirt(eta, hi))
     for name, lo, hi in rc.ty_cos:
         eta.vco[name] = value_inclusion_coercion(apply_vty(eta, lo), apply_vty(eta, hi))
 
     check_validity(sig, rc, eta, EMPTY_CONTEXT)
-    for name in eta0.ty:
-        img = red.subst.ty.get(name, TyParam(name))
-        if apply_vty(eta, img) != eta0.ty[name]:
-            raise WitnessBug(f"reduction replay does not factor {name}")
-    for name in eta0.dirt:
-        img = red.subst.dirt.get(name, Dirt(frozenset(), name))
-        if apply_dirt(eta, img) != eta0.dirt[name]:
-            raise WitnessBug(f"reduction replay does not factor {name}")
     return eta
 
 

@@ -274,6 +274,11 @@ def test_cli_diagnostics_exit_one(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert "error:" in captured.err, flags
         assert "ok" not in captured.out, flags
+    for emit in ("table", "json"):  # bipolar_pair carries no term
+        assert main(["verify", "--item", "bipolar_pair", "--emit", emit]) == 1, emit
+        captured = capsys.readouterr()
+        assert "error: nothing to verify" in captured.err, emit
+        assert not captured.out, emit
     bad.write_text(deep_tyco(400))
     assert main(["simplify", str(bad)]) == 1
     assert "nesting deeper than 256 levels" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from coersimp.reduce import (
     is_canonical,
     reduce_context,
 )
-from coersimp.subst import apply_dco, apply_dirt, apply_vty, check_validity
+from coersimp.subst import Substitution, apply_dco, apply_dirt, apply_vty, check_validity
 from coersimp.syntax import (
     CompType,
     DCoParam,
@@ -288,6 +288,8 @@ def outcome(reduce, sig, ctx):
 def assert_same_reduction(sig, ctx, label):
     got = outcome(reduce_context, sig, ctx)
     assert got == outcome(reference_reduce_context, sig, ctx), label
+    # Reduction maps no skeleton parameter; the witness lift rests on it.
+    assert not isinstance(got[1], Substitution) or not got[1].skel, label
     return got
 
 

@@ -31,6 +31,7 @@ from coersimp.syntax import (
     SkelParam,
     SkelUnit,
     TyArrow,
+    TyBase,
     TyParam,
     TyUnit,
     VCoCompose,
@@ -148,6 +149,19 @@ def test_replay_reduction_factors_exactly():
             for a, _ in item.context.ty_params:
                 assert apply_vty(compose(eta_r, red.subst),
                                  TyParam(a)) == eta0.ty[a]
+
+
+def test_replay_reduction_rejects_an_instantiation_that_does_not_factor():
+    arrow = ParamContext((), (), (("a1", SkelArrow(SkelUnit(), SkelUnit())),), (), ())
+    absorbed = ParamContext((), ("d1",), (), (("p1", dirt(("Fail",)), dirt((), "d1")),), ())
+    for ctx, eta0 in (
+        (arrow, Substitution(ty={"a1": TyBase("bit")})),
+        # reduction forces Fail into d1; the image of d1 lacks it
+        (absorbed, Substitution(dirt={"d1": dirt(("Random",))})),
+    ):
+        red = reduce_context(TEST_SIG, ctx)
+        with pytest.raises(WitnessBug):
+            replay_reduction(TEST_SIG, red, eta0)
 
 
 def test_total_witness_on_corpus_items():
