@@ -5,13 +5,13 @@ types carry effect rows, together with:
 
 - term, type, and coercion syntax with well-formedness and typing checks
   (`syntax`, `check`);
-- capture-avoiding substitution of constraint solutions (`subst`) and the
-  reduction of a parameter context to canonical form (`reduce`);
+- substitution of constraint solutions (`subst`) and the reduction of a
+  parameter context to canonical form (`reduce`);
 - a phase-based simplifier over the constraint graphs of a typing context
   (`graph`, `polarity`, `phases`), emitting metrics and graphviz output;
-- completeness witnesses showing each simplification is reachable by
-  substitution and coercion reduction (`witness`), with random grounding
-  contexts to exercise them (`sample`);
+- completeness witnesses showing that every ground instantiation of the
+  original context factors through the simplified one (`witness`), with
+  random ground instantiations to exercise them (`sample`);
 - a finite denotational model used as an independent oracle that
   simplification preserves meaning (`semantics`);
 - an s-expression corpus format and command line front end (`corpus`,

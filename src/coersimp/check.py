@@ -350,19 +350,11 @@ def right_extend(ops, body: DCoercion) -> DCoercion:
 
 def derived_empty(d: Dirt) -> DCoercion:
     """The admissible coercion `{} <= d`, built by right extension."""
-    body: DCoercion
-    body = DCoReflEmpty() if d.tail is None else DCoEmptyUnder(d.tail)
-    for op in reversed(d.sorted_ops()):
-        body = DCoUnionRight(op, body)
-    return body
+    return right_extend(d.ops, DCoReflEmpty() if d.tail is None else DCoEmptyUnder(d.tail))
 
 
 def derived_refl_dirt(d: Dirt) -> DCoercion:
-    body: DCoercion
-    body = DCoReflEmpty() if d.tail is None else DCoReflParam(d.tail)
-    for op in reversed(d.sorted_ops()):
-        body = DCoUnionBoth(op, body)
-    return body
+    return both_extend(d.ops, DCoReflEmpty() if d.tail is None else DCoReflParam(d.tail))
 
 
 def derived_refl_vty(t: ValueType) -> VCoercion:
@@ -396,15 +388,11 @@ def dirt_inclusion_coercion(lo: Dirt, hi: Dirt) -> DCoercion:
     if not lo.ops <= hi.ops:
         raise NoWitness(f"no dirt coercion {lo} <= {hi}")
     if lo.tail == hi.tail:
-        body = derived_refl_dirt(Dirt(frozenset(), lo.tail))
-        for op in reversed(sorted(hi.ops - lo.ops)):
-            body = DCoUnionRight(op, body)
+        body = right_extend(hi.ops - lo.ops, derived_refl_dirt(Dirt(frozenset(), lo.tail)))
     else:
         # lo is closed, hi has a tail.
         body = derived_empty(Dirt(hi.ops - lo.ops, hi.tail))
-    for op in reversed(sorted(lo.ops)):
-        body = DCoUnionBoth(op, body)
-    return body
+    return both_extend(lo.ops, body)
 
 
 def value_inclusion_coercion(lo: ValueType, hi: ValueType) -> VCoercion:

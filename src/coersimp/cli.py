@@ -23,7 +23,7 @@ import sys
 
 from .check import CheckError, type_of_value
 from .corpus import CorpusItem, JudgmentError, ParseError, load_bundled, parse_corpus
-from .graph import context_metrics, to_dot
+from .graph import to_dot
 from .phases import PRESETS, parse_phase_config, simplify
 from .polarity import EMPTY_FPS, fp_vty
 from .reduce import ReductionBug, Unsatisfiable
@@ -35,7 +35,6 @@ from .semantics import (
     check_preservation,
 )
 from .subst import apply_value, apply_vty
-from .syntax import ValueTerm, ValueType
 from .witness import WitnessBug
 
 STANDARD_CONFIGS = tuple(PRESETS)
@@ -51,13 +50,12 @@ def config_label(text: str) -> str:
 
 
 def metrics_row(config: str, ctx) -> dict:
-    m = context_metrics(ctx)
     return {
         "config": config,
-        "dirt_nodes": m["dirt_params"],
-        "dirt_edges": m["dirt_constraints"],
-        "type_nodes": m["ty_params"],
-        "type_edges": m["ty_constraints"],
+        "dirt_nodes": len(ctx.dirt_params),
+        "dirt_edges": len(ctx.dirt_cos),
+        "type_nodes": len(ctx.ty_params),
+        "type_edges": len(ctx.ty_cos),
     }
 
 

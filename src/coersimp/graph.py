@@ -1,4 +1,4 @@
-"""Graph views of canonical constraint contexts.
+"""Constraint graphs of canonical contexts.
 
 A canonical context is read as two directed graphs. The type graph has one
 node per type parameter and one edge per subtyping constraint (which, in
@@ -6,80 +6,31 @@ canonical form, always relates two bare parameters). The dirt graph has one
 node per dirt parameter plus a single shared sink for closed upper bounds;
 each edge carries the finite operation set of its upper bound as a label.
 
-`Digraph` is a read-only view built from a context, for metrics, DOT output
-and one-off scans. `ConstraintGraph` is the mutable, indexed form the phase
-engine keeps for a whole run: edges are updated in place as steps merge or
-ground parameters, so a step costs the size of its change. Both sorts share
-it: a type edge is a dirt edge with an empty label that never ends in the
-sink.
+`ConstraintGraph` is the mutable, indexed form the phase engine keeps for a
+whole run: edges are updated in place as steps merge or ground parameters,
+so a step costs the size of its change. Both sorts share it: a type edge is
+a dirt edge with an empty label that never ends in the sink. `to_dot`
+renders both graphs straight from the context rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import ParamContext
 
 # Shared sink node for dirt constraints with a closed upper bound. Not a
-# parameter name; kept out of node lists and metrics.
+# parameter name; kept out of node lists.
 SINK = "*closed*"
 
 
-@dataclass(frozen=True)
-class TypeEdge:
-    name: str
-    src: str
-    dst: str
+def build_type_graph(ctx: ParamContext) -> ConstraintGraph:
+    return ConstraintGraph([name for name, _ in ctx.ty_params],
+                           [(name, lo.name, hi.name, frozenset()) for name, lo, hi in ctx.ty_cos])
 
 
-@dataclass(frozen=True)
-class DirtEdge:
-    name: str
-    src: str
-    dst: str  # parameter name or SINK
-    ops: frozenset[str]
-
-    def label(self) -> str:
-        inner = ",".join(sorted(self.ops))
-        return f"{self.name}:{{{inner}}}"
-
-
-@dataclass
-class Digraph:
-    """Shared adjacency structure for both graphs."""
-
-    nodes: list[str]
-    edges: list  # TypeEdge | DirtEdge, in context order
-
-    def out_edges(self, node: str) -> list:
-        return [e for e in self.edges if e.src == node]
-
-    def in_edges(self, node: str) -> list:
-        return [e for e in self.edges if e.dst == node]
-
-    def successors(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            if e.src in succ and e.dst in succ:
-                succ[e.src].append(e.dst)
-        return succ
-
-
-def build_type_graph(ctx: ParamContext) -> Digraph:
-    nodes = [name for name, _ in ctx.ty_params]
-    edges = []
-    for name, lo, hi in ctx.ty_cos:
-        edges.append(TypeEdge(name, lo.name, hi.name))
-    return Digraph(nodes, edges)
-
-
-def build_dirt_graph(ctx: ParamContext) -> Digraph:
-    nodes = list(ctx.dirt_params)
-    edges = []
-    for name, lo, hi in ctx.dirt_cos:
-        dst = hi.tail if hi.tail is not None else SINK
-        edges.append(DirtEdge(name, lo.tail, dst, hi.ops))
-    return Digraph(nodes, edges)
+def build_dirt_graph(ctx: ParamContext) -> ConstraintGraph:
+    return ConstraintGraph(list(ctx.dirt_params),
+                           [(name, lo.tail, SINK if hi.tail is None else hi.tail, hi.ops)
+                            for name, lo, hi in ctx.dirt_cos])
 
 
 def tarjan_scc(nodes: list[str], succ: dict[str, list[str]]) -> list[list[str]]:
@@ -157,10 +108,12 @@ class ConstraintGraph:
     added after construction.
     """
 
-    def __init__(self, view: Digraph):
-        self.order = {n: i for i, n in enumerate(view.nodes)}
-        self.ins: dict[str, dict[int, Edge]] = {n: {} for n in view.nodes}
-        self.outs: dict[str, dict[int, Edge]] = {n: {} for n in view.nodes}
+    def __init__(self, nodes: list[str], rows: list[tuple[str, str, str, frozenset[str]]]):
+        """`rows` are the edges as (name, source, target, label), in
+        constraint order."""
+        self.order = {n: i for i, n in enumerate(nodes)}
+        self.ins: dict[str, dict[int, Edge]] = {n: {} for n in nodes}
+        self.outs: dict[str, dict[int, Edge]] = {n: {} for n in nodes}
         self.ins[SINK] = {}
         self.edges: dict[int, Edge] = {}
         self.pairs: dict[tuple[str, str], dict[int, Edge]] = {}
@@ -168,8 +121,8 @@ class ConstraintGraph:
         self.multi: set[tuple[str, str]] = set()
         self.touched: set[str] = set()
         self.additions = 0
-        for key, e in enumerate(view.edges):
-            self.add(Edge(e.name, e.src, e.dst, getattr(e, "ops", frozenset()), key))
+        for key, (name, src, dst, ops) in enumerate(rows):
+            self.add(Edge(name, src, dst, ops, key))
         self.additions = 0  # edges added since construction
 
     def add(self, e: Edge) -> None:
@@ -232,14 +185,9 @@ class ConstraintGraph:
         return self.ordered(self.edges)
 
 
-def context_metrics(ctx: ParamContext) -> dict[str, int]:
-    return {
-        "skel_params": len(ctx.skel_params),
-        "ty_params": len(ctx.ty_params),
-        "dirt_params": len(ctx.dirt_params),
-        "ty_constraints": len(ctx.ty_cos),
-        "dirt_constraints": len(ctx.dirt_cos),
-    }
+def _quote(text: str) -> str:
+    """A DOT quoted string, with backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(ctx: ParamContext, fps=None) -> str:
@@ -258,24 +206,26 @@ def to_dot(ctx: ParamContext, fps=None) -> str:
             tag += "-"
         return f" [{tag}]" if tag else ""
 
-    tg = build_type_graph(ctx)
-    dg = build_dirt_graph(ctx)
+    def node(node_id: str, name: str) -> str:
+        return f"    {_quote(node_id)} [label={_quote(name + mark(name))}];"
+
+    def edge(src_id: str, dst_id: str, label: str) -> str:
+        return f"    {_quote(src_id)} -> {_quote(dst_id)} [label={_quote(label)}];"
+
     lines = ["digraph constraints {", "  rankdir=LR;"]
     lines.append("  subgraph cluster_type {")
     lines.append('    label="type constraints";')
-    for node in tg.nodes:
-        lines.append(f'    "ty_{node}" [label="{node}{mark(node)}"];')
-    for e in tg.edges:
-        lines.append(f'    "ty_{e.src}" -> "ty_{e.dst}" [label="{e.name}"];')
+    lines.extend(node(f"ty_{name}", name) for name, _ in ctx.ty_params)
+    lines.extend(edge(f"ty_{lo.name}", f"ty_{hi.name}", name) for name, lo, hi in ctx.ty_cos)
     lines.append("  }")
     lines.append("  subgraph cluster_dirt {")
     lines.append('    label="dirt constraints";')
-    for node in dg.nodes:
-        lines.append(f'    "dt_{node}" [label="{node}{mark(node)}"];')
-    if any(e.dst == SINK for e in dg.edges):
-        lines.append(f'    "dt_{SINK}" [label="closed", shape=box];')
-    for e in dg.edges:
-        lines.append(f'    "dt_{e.src}" -> "dt_{e.dst}" [label="{e.label()}"];')
+    lines.extend(node(f"dt_{name}", name) for name in ctx.dirt_params)
+    if any(hi.tail is None for _, _, hi in ctx.dirt_cos):
+        lines.append(f'    {_quote(f"dt_{SINK}")} [label="closed", shape=box];')
+    for name, lo, hi in ctx.dirt_cos:
+        dst = SINK if hi.tail is None else hi.tail
+        lines.append(edge(f"dt_{lo.tail}", f"dt_{dst}", f"{name}:{{{','.join(sorted(hi.ops))}}}"))
     lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

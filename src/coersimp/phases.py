@@ -229,8 +229,8 @@ class _Graphs(dict):
         self.ctx = ctx
 
     def __missing__(self, sort: str) -> ConstraintGraph:
-        view = build_type_graph if sort == "type" else build_dirt_graph
-        graph = self[sort] = ConstraintGraph(view(self.ctx))
+        build = build_type_graph if sort == "type" else build_dirt_graph
+        graph = self[sort] = build(self.ctx)
         return graph
 
 
@@ -255,21 +255,12 @@ class _Engine:
     def commit(self, phase: str, sort: _Sort, info: str, sub: Substitution,
                eta: dict, family: dict) -> None:
         """Record a step, then move the polarity of every parameter it maps
-        onto the parameter its image names (none: the image is ground)."""
+        onto the parameter its image names (none: the image is ground).
+        The set is rebuilt only when a tracked parameter moves."""
         self.steps.append(PhaseStep(phase, sort.name, info, sub, self.fps, eta, family))
         self.changed.add(sort.name)
-        pos, neg = self.fps.pos, self.fps.neg
-        mapped = getattr(sub, sort.params)
-        if any(m in pos or m in neg for m in mapped):
-            moves = {m: img.tail if isinstance(img, Dirt) else
-                     img.name if isinstance(img, TyParam) else None
-                     for m, img in mapped.items()}
-
-            def image(side: frozenset[str]) -> frozenset[str]:
-                kept = side.difference(moves)
-                return kept.union(t for m, t in moves.items() if m in side and t is not None)
-
-            self.fps = FreeParamSet(image(pos), image(neg))
+        if any(self.tracked(m) for m in getattr(sub, sort.params)):
+            self.fps = subst_fps(sub, self.fps)
 
     @staticmethod
     def _merge(g: ConstraintGraph, node: str, target: str, ops=frozenset()) -> None:

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .check import CheckError, EndpointMismatch, check_dco, check_vco
+from .check import CheckError, EndpointMismatch, both_extend, check_dco, check_vco
 from .subst import Substitution, apply_dirt, apply_vty
 from .syntax import (
     CCoercion,
     CompType,
     DCoCompose,
     DCoReflEmpty,
-    DCoUnionBoth,
     DCoercion,
     Dirt,
     ParamContext,
@@ -35,7 +34,6 @@ from .syntax import (
     TyBase,
     TyParam,
     TyUnit,
-    TypingContext,
     VCoArrow,
     VCoCompose,
     VCoReflBase,
@@ -92,13 +90,6 @@ def fp_cty(c: CompType) -> FreeParamSet:
     return fp_vty(c.ty).union(fp_dirt(c.dirt))
 
 
-def fp_tyctx(tyctx: TypingContext) -> FreeParamSet:
-    out = EMPTY_FPS
-    for _, t in tyctx:
-        out = out.union(fp_vty(t))
-    return out
-
-
 def subst_fps(sub: Substitution, fps: FreeParamSet) -> FreeParamSet:
     """Image of a polarity set under a substitution.
 
@@ -146,9 +137,7 @@ def extend_family_dirt(fam: CoercionFamily, d: Dirt) -> DCoercion:
             body = fam.dco[d.tail]
         except KeyError:
             raise FamilyError(f"family has no entry for dirt parameter {d.tail}")
-    for op in reversed(d.sorted_ops()):
-        body = DCoUnionBoth(op, body)
-    return body
+    return both_extend(d.ops, body)
 
 
 def extend_family_vty(fam: CoercionFamily, t: ValueType) -> VCoercion:

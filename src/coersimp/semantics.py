@@ -50,7 +50,9 @@ from .check import (
     type_of_comp,
     type_of_value,
     vco_endpoint,
+    wf_vtype,
 )
+from .polarity import extend_family_vty
 from .subst import Substitution, apply_value
 from .syntax import (
     App,
@@ -59,24 +61,19 @@ from .syntax import (
     CCoercion,
     CompTerm,
     CompType,
-    DCoercion,
-    Dirt,
     Do,
     EMPTY_CONTEXT,
     Lam,
     LetVal,
     OpCall,
-    ParamContext,
     Return,
     Signature,
     Skeleton,
     SkelArrow,
     SkelBase,
-    SkelParam,
     SkelUnit,
     TyArrow,
     TyBase,
-    TyParam,
     TyUnit,
     TypingContext,
     UnitVal,
@@ -89,6 +86,7 @@ from .syntax import (
     VCoReflUnit,
     VCoercion,
 )
+from .witness import build_witness_total, check_witness_total
 
 
 class DomainTooLarge(Exception):
@@ -237,16 +235,6 @@ def default_skel(sig: Signature, s: Skeleton):
     raise ModelBug(f"not a ground skeleton: {s}")
 
 
-def erased_skeleton(t: ValueType) -> Skeleton:
-    if isinstance(t, TyUnit):
-        return SkelUnit()
-    if isinstance(t, TyBase):
-        return SkelBase(t.name)
-    if isinstance(t, TyArrow):
-        return SkelArrow(erased_skeleton(t.dom), erased_skeleton(t.cod.ty))
-    raise ModelBug(f"not a closed type: {t}")
-
-
 # ---------------------------------------------------------------------------
 # Carrier enumeration
 
@@ -263,7 +251,7 @@ def enum_vty(sig: Signature, t: ValueType, budget: int = DEFAULT_BUDGET) -> tupl
             raise DomainTooLarge(
                 f"{len(cods)}^{len(doms)} function tables for {t}"
             )
-        fallback = TreeReturn(default_skel(sig, erased_skeleton(t.cod.ty)))
+        fallback = TreeReturn(default_skel(sig, wf_vtype(sig, EMPTY_CONTEXT, t.cod.ty)))
         out = []
         for combo in itertools.product(cods, repeat=len(doms)):
             table = tuple(zip(doms, combo))
@@ -307,11 +295,6 @@ def enumerate_envs(sig: Signature, tyctx: TypingContext,
 # ---------------------------------------------------------------------------
 # Coercion interpretation (ground coercions only)
 
-def interp_dco(_co: DCoercion, tree):
-    # Widening the allowed operation set does not change the tree.
-    return tree
-
-
 def interp_cco(sig: Signature, co: CCoercion, tree, budget: int):
     check_cco(sig, EMPTY_CONTEXT, co)
     return _cast_comp(sig, co, tree, budget)
@@ -326,7 +309,8 @@ def interp_vco(sig: Signature, co: VCoercion, x, budget: int = DEFAULT_BUDGET):
 # that `vco_endpoint` reads off the composition spine.
 
 def _cast_comp(sig: Signature, co: CCoercion, tree, budget: int):
-    return interp_dco(co.dco, graft(tree, lambda v: TreeReturn(_cast(sig, co.vco, v, budget))))
+    # Widening the allowed operation set does not change the tree.
+    return graft(tree, lambda v: TreeReturn(_cast(sig, co.vco, v, budget)))
 
 
 def _cast(sig: Signature, co: VCoercion, x, budget: int):
@@ -536,9 +520,6 @@ def check_preservation(sig: Signature, sim, poltype: ValueType, term: ValueTerm,
     square check returns its type and meaning for the second claim, and a
     strengthened term equal to the original reuses both.
     """
-    from .polarity import extend_family_vty
-    from .witness import build_witness_total, check_witness_total
-
     original = apply_value(eta0, term)
     original_ty, lhs = check_square_value(sig, (), original, budget)
     wit = build_witness_total(sig, sim, eta0)

@@ -42,11 +42,11 @@ from .check import (
 from .phases import PhaseResult, PhaseStep
 from .polarity import (
     CoercionFamily,
+    FreeParamSet,
     check_family,
     compose_families,
-    fp_dirt,
-    fp_vty,
     precompose_family,
+    subst_fps,
 )
 from .subst import (
     Substitution,
@@ -106,14 +106,6 @@ def _replay(step: PhaseStep, eta: Substitution) -> CoercionFamily:
     return fam
 
 
-def _image_params(so_far: Substitution, name: str) -> frozenset[str]:
-    if name in so_far.ty:
-        return fp_vty(so_far.ty[name]).members()
-    if name in so_far.dirt:
-        return fp_dirt(so_far.dirt[name]).members()
-    return frozenset((name,))
-
-
 def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
     eta = eta0.copy()
     names0 = sorted(run.fps0.members())
@@ -149,7 +141,7 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
                 so_far.ty[n] = apply_vty(sub, so_far.ty.get(n, TyParam(n)))
             else:
                 so_far.dirt[n] = apply_dirt(sub, so_far.dirt.get(n, Dirt(frozenset(), n)))
-            for p in _image_params(so_far, n):
+            for p in subst_fps(so_far, FreeParamSet(pos=frozenset((n,)))).members():
                 users.setdefault(p, set()).add(n)
     return WitnessResult(eta, acc)
 

@@ -5,7 +5,9 @@ test-only differential oracle.
 polarity set and re-composes the total substitution, and rebuilds the
 constraint graphs from the context for every scan. It is slow but simple;
 `tests/test_phases.py` checks that `coersimp.phases.run_phases` picks the
-same steps, in the same order, with the same results.
+same steps, in the same order, with the same results. It reads its graphs
+off the context rows with its own scan (`_Graph`), so it shares no graph
+code with the engine it checks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from coersimp.check import derived_empty, derived_refl_dirt, right_extend
-from coersimp.graph import SINK, build_dirt_graph, build_type_graph, tarjan_scc
+from coersimp.graph import tarjan_scc
 from coersimp.phases import PhaseResult
 from coersimp.polarity import FreeParamSet, subst_fps
 from coersimp.subst import Substitution, apply_context, apply_dirt, compose, identity
@@ -28,6 +30,53 @@ from coersimp.syntax import (
     VCoParam,
     VCoReflParam,
 )
+
+
+# The node a closed upper bound points to; not a parameter name.
+SINK = "*closed*"
+
+
+@dataclass(frozen=True)
+class _Edge:
+    name: str
+    src: str
+    dst: str  # parameter name or SINK
+    ops: frozenset[str]
+
+
+class _Graph:
+    """One sort's constraint graph, scanned from the context rows: nodes in
+    context order, edges in constraint order."""
+
+    def __init__(self, nodes: list[str], edges: list[_Edge]):
+        self.nodes = nodes
+        self.edges = edges
+        self._ins: dict[str, list[_Edge]] = {n: [] for n in nodes}
+        self._outs: dict[str, list[_Edge]] = {n: [] for n in nodes}
+        for e in edges:
+            self._outs[e.src].append(e)
+            self._ins.setdefault(e.dst, []).append(e)
+
+    def in_edges(self, node: str) -> list[_Edge]:
+        return self._ins[node]
+
+    def out_edges(self, node: str) -> list[_Edge]:
+        return self._outs[node]
+
+    def successors(self) -> dict[str, list[str]]:
+        """Each node's targets, closed bounds left out."""
+        return {n: [e.dst for e in self._outs[n] if e.dst != SINK] for n in self.nodes}
+
+
+def _type_graph(ctx: ParamContext) -> _Graph:
+    return _Graph([name for name, _ in ctx.ty_params],
+                  [_Edge(name, lo.name, hi.name, frozenset()) for name, lo, hi in ctx.ty_cos])
+
+
+def _dirt_graph(ctx: ParamContext) -> _Graph:
+    return _Graph(list(ctx.dirt_params),
+                  [_Edge(name, lo.tail, SINK if hi.tail is None else hi.tail, hi.ops)
+                   for name, lo, hi in ctx.dirt_cos])
 
 
 @dataclass(frozen=True)
@@ -158,7 +207,7 @@ class _Runner:
     # -- strongly connected components --------------------------------------
 
     def _scc_type(self) -> bool:
-        g = build_type_graph(self.ctx)
+        g = _type_graph(self.ctx)
         order = {n: i for i, n in enumerate(g.nodes)}
         changed = False
         for comp in tarjan_scc(g.nodes, g.successors()):
@@ -184,7 +233,7 @@ class _Runner:
         return changed
 
     def _scc_dirt(self) -> bool:
-        g = build_dirt_graph(self.ctx)
+        g = _dirt_graph(self.ctx)
         empty_succ: dict[str, list[str]] = {n: [] for n in g.nodes}
         for e in g.edges:
             if e.dst != SINK and not e.ops:
@@ -225,7 +274,7 @@ class _Runner:
     # -- bridges ------------------------------------------------------------
 
     def _bridge_type_once(self) -> bool:
-        g = build_type_graph(self.ctx)
+        g = _type_graph(self.ctx)
         for node in g.nodes:  # bridge-in: unique lower bound, non-negative
             if node in self.fps.neg:
                 continue
@@ -265,7 +314,7 @@ class _Runner:
         return False
 
     def _bridge_dirt_once(self) -> bool:
-        g = build_dirt_graph(self.ctx)
+        g = _dirt_graph(self.ctx)
         for node in g.nodes:  # bridge-in: needs an empty-labeled lower bound
             if node in self.fps.neg:
                 continue
@@ -319,7 +368,7 @@ class _Runner:
     # -- dirt grounding ------------------------------------------------------
 
     def empty_dirt(self) -> None:
-        g = build_dirt_graph(self.ctx)
+        g = _dirt_graph(self.ctx)
         grounded = {n for n in g.nodes if n not in self.fps.neg}
         while True:
             blocked = {n for n in grounded
@@ -346,7 +395,7 @@ class _Runner:
     def full_dirt(self) -> None:
         full = Dirt(frozenset(self.sig.names()), None)
         while True:
-            g = build_dirt_graph(self.ctx)
+            g = _dirt_graph(self.ctx)
             node = next(
                 (n for n in g.nodes
                  if n not in self.fps.pos and not g.out_edges(n)),

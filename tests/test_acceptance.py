@@ -141,18 +141,19 @@ def _assert_simple_dirt(ctx):
 
 def _assert_acyclic_type(ctx):
     g = build_type_graph(ctx)
-    comps = tarjan_scc(list(g.nodes), g.successors())
+    succ = {n: [e.dst for e in g.out_edges(n)] for n in g.order}
+    comps = tarjan_scc(list(g.order), succ)
     assert all(len(c) == 1 for c in comps)
 
 
 def _assert_acyclic_dirt(ctx):
     # Only the unlabeled subgraph is contracted, so only it must be acyclic.
     g = build_dirt_graph(ctx)
-    succ = {n: [] for n in g.nodes}
-    for e in g.edges:
+    succ = {n: [] for n in g.order}
+    for e in g.all_edges():
         if not e.ops and e.dst in succ:
             succ[e.src].append(e.dst)
-    comps = tarjan_scc(list(g.nodes), succ)
+    comps = tarjan_scc(list(g.order), succ)
     assert all(len(c) == 1 for c in comps)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from coersimp import corpus
 from coersimp.check import check_dco, derived_refl_dirt
-from coersimp.cli import STANDARD_CONFIGS, cmd_report, main
+from coersimp.cli import STANDARD_CONFIGS, cmd_report, main, metrics_row
 from coersimp.corpus import (
     MAX_NESTING,
     JudgmentError,
@@ -23,7 +23,7 @@ from coersimp.corpus import (
     load_bundled,
     parse_corpus,
 )
-from coersimp.syntax import EMPTY_CONTEXT, ParamContext, TyUnit, UnitVal, dirt
+from coersimp.syntax import EMPTY_CONTEXT, ParamContext, SkelParam, TyParam, TyUnit, UnitVal, dirt
 
 from reference_corpus import parse_corpus_reference
 
@@ -135,6 +135,20 @@ def test_cli_simplify_json_metrics(capsys):
     assert isinstance(entry["term"], str)
 
 
+def test_metrics_row_counts_rows():
+    ctx = ParamContext(
+        ("s1",),
+        ("d1", "d2"),
+        (("a1", SkelParam("s1")), ("a2", SkelParam("s1"))),
+        (("p1", dirt((), "d1"), dirt(("Random",), "d2")),
+         ("p2", dirt((), "d2"), dirt(("Fail",)))),
+        (("w1", TyParam("a1"), TyParam("a2")),),
+    )
+    # skeleton parameters are not counted; a closed upper bound is an edge
+    assert metrics_row("all", ctx) == {
+        "config": "all", "dirt_nodes": 2, "dirt_edges": 2, "type_nodes": 2, "type_edges": 1}
+
+
 def test_cli_simplify_core_emit(capsys):
     assert main(["simplify", "--item", "apply_randomly", "--emit", "core"]) == 0
     out = capsys.readouterr().out
@@ -171,9 +185,9 @@ def test_cli_verify_small_item(capsys):
 def break_d1_family_entry(monkeypatch):
     """Make every witness's family entry for `d1` a reflexivity at the
     wrong dirt, so that its endpoints cannot check."""
-    import coersimp.witness
+    import coersimp.semantics
 
-    build = coersimp.witness.build_witness_total
+    build = coersimp.semantics.build_witness_total
 
     def bad_d1(sig, sim, eta0):
         wit = build(sig, sim, eta0)
@@ -181,7 +195,7 @@ def break_d1_family_entry(monkeypatch):
         wit.family.dco["d1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
         return wit
 
-    monkeypatch.setattr(coersimp.witness, "build_witness_total", bad_d1)
+    monkeypatch.setattr(coersimp.semantics, "build_witness_total", bad_d1)
 
 
 def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):

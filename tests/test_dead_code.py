@@ -1,4 +1,5 @@
-"""Every module-level name of the package is used somewhere."""
+"""Every module-level name of the package is used somewhere, and every import
+sits at module level."""
 
 import ast
 import re
@@ -29,3 +30,13 @@ def test_every_module_level_name_is_named_elsewhere():
               for name in module_level_names(path)
               if name not in EXEMPT and words[name] < 2]
     assert not unused, unused
+
+
+def test_no_function_imports():
+    """Imports sit at module level, where the dependencies between modules show."""
+    inner = [f"{path.name}:{node.name}"
+             for path in sorted((ROOT / "src" / "coersimp").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node))]
+    assert not inner, inner

@@ -1,4 +1,4 @@
-"""Graph views, component computation, and DOT output.
+"""Constraint graphs, component computation, and DOT output.
 
 The component test cross-checks the iterative Tarjan implementation against
 networkx on random digraphs, then checks the output ordering property that
@@ -6,18 +6,11 @@ the phase code relies on (components come out successors-first).
 """
 
 import random
+import re
 
 import networkx as nx
 
-from coersimp.corpus import load_bundled
-from coersimp.graph import (
-    SINK,
-    build_dirt_graph,
-    build_type_graph,
-    context_metrics,
-    tarjan_scc,
-    to_dot,
-)
+from coersimp.graph import SINK, build_dirt_graph, build_type_graph, tarjan_scc, to_dot
 from coersimp.polarity import FreeParamSet
 from coersimp.syntax import ParamContext, SkelParam, TyParam, dirt
 
@@ -35,37 +28,24 @@ CTX = ParamContext(
 
 def test_type_graph_shape():
     g = build_type_graph(CTX)
-    assert g.nodes == ["a1", "a2"]
-    assert [(e.name, e.src, e.dst) for e in g.edges] == [("w1", "a1", "a2")]
+    assert list(g.order) == ["a1", "a2"]
+    assert [(e.name, e.src, e.dst, e.ops) for e in g.all_edges()] == [
+        ("w1", "a1", "a2", frozenset())]
     assert [e.name for e in g.out_edges("a1")] == ["w1"]
     assert [e.name for e in g.in_edges("a2")] == ["w1"]
+    assert g.additions == 0 and not g.loops and not g.multi
 
 
 def test_dirt_graph_shape():
     g = build_dirt_graph(CTX)
-    assert g.nodes == ["d1", "d2"]
-    assert [(e.src, e.dst) for e in g.edges] == [("d1", "d2"), ("d2", SINK)]
-    assert g.edges[0].label() == "p1:{Random}"
-    assert g.edges[1].label() == "p2:{Fail}"
-    # closed-bound edges leave the successor map, the sink is not a node
-    assert g.successors() == {"d1": ["d2"], "d2": []}
-
-
-def test_context_metrics_counts_fields():
-    got = context_metrics(CTX)
-    assert got == {
-        "skel_params": 1,
-        "ty_params": 2,
-        "dirt_params": 2,
-        "ty_constraints": 1,
-        "dirt_constraints": 2,
-    }
-    for item in load_bundled():
-        m = context_metrics(item.context)
-        assert m["ty_params"] == len(item.context.ty_params)
-        assert m["dirt_params"] == len(item.context.dirt_params)
-        assert m["ty_constraints"] == len(item.context.ty_cos)
-        assert m["dirt_constraints"] == len(item.context.dirt_cos)
+    # the sink is not a node
+    assert list(g.order) == ["d1", "d2"]
+    assert [(e.name, e.src, e.dst, e.ops) for e in g.all_edges()] == [
+        ("p1", "d1", "d2", frozenset({"Random"})),
+        ("p2", "d2", SINK, frozenset({"Fail"})),
+    ]
+    assert [e.name for e in g.out_edges("d2")] == ["p2"]
+    assert [e.name for e in g.in_edges(SINK)] == ["p2"]
 
 
 def random_digraph(rng):
@@ -130,3 +110,17 @@ def test_to_dot_no_sink_without_closed_bounds():
     ctx = ParamContext((), ("d1", "d2"),
                        (), (("p", dirt((), "d1"), dirt((), "d2")),), ())
     assert "closed" not in to_dot(ctx)
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    ctx = ParamContext(("s",), ('d"', "e\\"), (("a\\", SkelParam("s")),),
+                       (('p"', dirt((), 'd"'), dirt(('Op"',), "e\\")),
+                        ("q", dirt((), "e\\"), dirt(()))), ())
+    text = to_dot(ctx, FreeParamSet(frozenset({'d"'})))
+    assert '"ty_a\\\\" [label="a\\\\"];' in text
+    assert '"dt_d\\"" [label="d\\" [+]"];' in text
+    assert '"dt_d\\"" -> "dt_e\\\\" [label="p\\":{Op\\"}"];' in text
+    # no double quote is left outside a well-formed quoted string
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    for line in text.splitlines():
+        assert '"' not in quoted.sub("", line), line

@@ -14,7 +14,6 @@ from coersimp.polarity import (
     extend_family_vty,
     fp_cty,
     fp_dirt,
-    fp_tyctx,
     fp_vty,
     precompose_family,
     subst_fps,
@@ -81,11 +80,9 @@ def test_fp_bipolar_member():
     assert got.members() == frozenset({"a"})
 
 
-def test_fp_cty_and_tyctx():
+def test_fp_cty():
     c = CompType(A, dirt((), "d"))
     assert fp_cty(c) == fps(pos={"a", "d"})
-    tyctx = (("x", A), ("y", arrow(B, C)))
-    assert fp_tyctx(tyctx) == fps(pos={"a", "c"}, neg={"b"})
 
 
 def test_fps_algebra():

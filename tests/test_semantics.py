@@ -14,6 +14,7 @@ from coersimp.check import (
     dirt_inclusion_coercion,
     value_inclusion_coercion,
     vco_endpoint,
+    wf_vtype,
 )
 from coersimp.cli import cmd_verify
 from coersimp.corpus import load_bundled
@@ -37,7 +38,6 @@ from coersimp.semantics import (
     enumerate_envs,
     equal_skel_at,
     equal_skel_tree,
-    erased_skeleton,
     eval_comp,
     eval_value,
     graft,
@@ -136,9 +136,9 @@ def test_enumerate_envs_product():
         enumerate_envs(TEST_SIG, (("x", BIT), ("y", BIT)), budget=3)
 
 
-def test_erased_skeleton_drops_dirt():
+def test_closed_type_skeleton_drops_dirt():
     t = arrow(UNIT, BIT, dirt(("Random",)))
-    assert erased_skeleton(t) == SkelArrow(SkelUnit(), SkelBase("bit"))
+    assert wf_vtype(TEST_SIG, EMPTY_CONTEXT, t) == SkelArrow(SkelUnit(), SkelBase("bit"))
 
 
 def test_default_skel_inhabitants():
@@ -336,11 +336,9 @@ def test_spine_read_domain_matches_checked_endpoint(monkeypatch):
 def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_checked):
     """A strengthened term whose cast got a coercion with the wrong
     endpoints fails a check before anything is evaluated."""
-    import coersimp.witness
-
     item = {i.name: i for i in load_bundled()}["apply_randomly"]
     sim = simplify(item.signature, item.context, fp_vty(item.poltype), PRESETS["none"])
-    build = coersimp.witness.build_witness_total
+    build = semantics.build_witness_total
 
     def bad_p1(sig, sim, eta0):
         wit = build(sig, sim, eta0)
@@ -348,9 +346,9 @@ def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_ch
         wit.eta.dco["p1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
         return wit
 
-    monkeypatch.setattr(coersimp.witness, "build_witness_total", bad_p1)
+    monkeypatch.setattr(semantics, "build_witness_total", bad_p1)
     if not family_checked:
-        monkeypatch.setattr(coersimp.witness, "check_witness_total", lambda *args: None)
+        monkeypatch.setattr(semantics, "check_witness_total", lambda *args: None)
     for i in range(3):
         eta0 = sample_eta(item.signature, item.context, random.Random(f"bad:{i}"),
                           enumerable=True, poltype=item.poltype, term=item.term)
