@@ -22,6 +22,9 @@ on top:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 from .syntax import (
     CCoercion,
     CompTerm,
@@ -38,6 +41,7 @@ from .syntax import (
     DCoercion,
     Dirt,
     Do,
+    EMPTY_CONTEXT,
     App,
     Lam,
     LetVal,
@@ -215,7 +219,67 @@ def wf_context(sig: Signature, ctx: ParamContext) -> None:
 # ---------------------------------------------------------------------------
 # Coercion endpoints
 
+_PURE = dirt()
+_UNIT = TyUnit()
+
+# The signature and memo of the innermost open `ground_memo` block, if any.
+_ground: ContextVar[tuple[Signature, dict] | None] = ContextVar("ground", default=None)
+
+
+@contextmanager
+def ground_memo(sig: Signature):
+    """Check each distinct coercion against the empty context under `sig`
+    once until the block ends. There its endpoints depend only on the
+    signature and the coercion, so a repeated check returns the endpoints
+    the first one derived. A failed check is not remembered.
+
+    Only compound coercions without a composition in them are remembered:
+    a leaf costs less to check than to look up, and comparing two witness
+    families, which nest one composition per phase step, recurses as deep
+    as they go. A composition's links are checked through the memo, one by
+    one."""
+    token = _ground.set((sig, {}))
+    try:
+        yield
+    finally:
+        _ground.reset(token)
+
+
+def _flat(g) -> bool:
+    """Whether a coercion has no composition in it."""
+    while isinstance(g, (DCoUnionBoth, DCoUnionRight)):
+        g = g.body
+    if isinstance(g, VCoArrow):
+        return _flat(g.arg) and _flat(g.res.vco) and _flat(g.res.dco)
+    return not isinstance(g, (VCoCompose, DCoCompose))
+
+
+def _remembered(derive, sig: Signature, g):
+    """`derive(sig, EMPTY_CONTEXT, g)`, looked up in the open memo."""
+    ground = _ground.get()
+    if (ground is None or ground[0] is not sig
+            or not isinstance(g, (DCoUnionBoth, DCoUnionRight, VCoArrow)) or not _flat(g)):
+        return derive(sig, EMPTY_CONTEXT, g)
+    memo = ground[1]
+    got = memo.get(g)
+    if got is None:
+        got = memo[g] = derive(sig, EMPTY_CONTEXT, g)
+    return got
+
+
 def check_dco(sig: Signature, ctx: ParamContext, g: DCoercion) -> tuple[Dirt, Dirt]:
+    if ctx is EMPTY_CONTEXT:
+        return _remembered(_derive_dco, sig, g)
+    return _derive_dco(sig, ctx, g)
+
+
+def check_vco(sig: Signature, ctx: ParamContext, g: VCoercion) -> tuple[ValueType, ValueType]:
+    if ctx is EMPTY_CONTEXT:
+        return _remembered(_derive_vco, sig, g)
+    return _derive_vco(sig, ctx, g)
+
+
+def _derive_dco(sig: Signature, ctx: ParamContext, g: DCoercion) -> tuple[Dirt, Dirt]:
     if isinstance(g, DCoParam):
         cls = ctx.dirt_co_classifier(g.name)
         if cls is None:
@@ -227,11 +291,11 @@ def check_dco(sig: Signature, ctx: ParamContext, g: DCoercion) -> tuple[Dirt, Di
         d = dirt((), g.name)
         return d, d
     if isinstance(g, DCoReflEmpty):
-        return dirt(), dirt()
+        return _PURE, _PURE
     if isinstance(g, DCoEmptyUnder):
         if g.tail not in ctx.dirt_param_set:
             raise UnknownName(f"dirt parameter {g.tail} not in context")
-        return dirt(), dirt((), g.tail)
+        return _PURE, dirt((), g.tail)
     if isinstance(g, DCoUnionBoth):
         if g.op not in sig:
             raise UnknownName(f"operation {g.op} not in signature")
@@ -247,7 +311,7 @@ def check_dco(sig: Signature, ctx: ParamContext, g: DCoercion) -> tuple[Dirt, Di
     raise IllFormed(f"not a dirt coercion: {g!r}")
 
 
-def check_vco(sig: Signature, ctx: ParamContext, g: VCoercion) -> tuple[ValueType, ValueType]:
+def _derive_vco(sig: Signature, ctx: ParamContext, g: VCoercion) -> tuple[ValueType, ValueType]:
     if isinstance(g, VCoParam):
         cls = ctx.ty_co_classifier(g.name)
         if cls is None:
@@ -259,7 +323,7 @@ def check_vco(sig: Signature, ctx: ParamContext, g: VCoercion) -> tuple[ValueTyp
         t = TyParam(g.name)
         return t, t
     if isinstance(g, VCoReflUnit):
-        return TyUnit(), TyUnit()
+        return _UNIT, _UNIT
     if isinstance(g, VCoReflBase):
         t = TyBase(g.name)
         return t, t

@@ -21,7 +21,7 @@ import random
 import shlex
 import sys
 
-from .check import CheckError, type_of_value
+from .check import CheckError, ground_memo, type_of_value
 from .corpus import CorpusItem, JudgmentError, ParseError, load_bundled, parse_corpus
 from .graph import to_dot
 from .phases import PRESETS, parse_phase_config, simplify
@@ -94,7 +94,8 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     Per sample: the skeletal projection of the instantiated term commutes
     with evaluation, and the pipeline's witness makes the strengthened
     term denote the same value as the original. Non-enumerable draws are
-    retried with every parameter pinned to an enumerable image.
+    retried with every parameter pinned to an enumerable image. Each
+    distinct ground coercion is checked once in the run (`ground_memo`).
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
@@ -102,12 +103,13 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     fps = fp_vty(item.poltype)
     sim = simplify(item.signature, item.context, fps, instructions)
     failures = []
-    for i in range(samples):
-        rng = random.Random(f"{seed}:{item.name}:{config}:{i}")
-        try:
-            _verify_once(item, sim, rng, budget)
-        except (ModelBug, CheckError, SampleError) as exc:
-            failures.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
+    with ground_memo(item.signature):
+        for i in range(samples):
+            rng = random.Random(f"{seed}:{item.name}:{config}:{i}")
+            try:
+                _verify_once(item, sim, rng, budget)
+            except (ModelBug, CheckError, SampleError) as exc:
+                failures.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return {
         "item": item.name,
         "config": config_label(config),

@@ -194,6 +194,10 @@ def to_dot(ctx: ParamContext, fps=None) -> str:
     """Deterministic DOT rendering of both graphs.
 
     Polarities (if given) are appended to node labels: `+`, `-`, or `+-`.
+    A dirt constraint is an edge from its lower tail to its upper one (or
+    to the `closed` node), labelled with the upper bound's operations; a
+    lower bound with operations of its own shows them as well, a closed
+    one as a box node of its own.
     """
 
     def mark(name: str) -> str:
@@ -208,6 +212,9 @@ def to_dot(ctx: ParamContext, fps=None) -> str:
 
     def node(node_id: str, name: str) -> str:
         return f"    {_quote(node_id)} [label={_quote(name + mark(name))}];"
+
+    def ops(d) -> str:
+        return "{" + ",".join(d.sorted_ops()) + "}"
 
     def edge(src_id: str, dst_id: str, label: str) -> str:
         return f"    {_quote(src_id)} -> {_quote(dst_id)} [label={_quote(label)}];"
@@ -224,8 +231,15 @@ def to_dot(ctx: ParamContext, fps=None) -> str:
     if any(hi.tail is None for _, _, hi in ctx.dirt_cos):
         lines.append(f'    {_quote(f"dt_{SINK}")} [label="closed", shape=box];')
     for name, lo, hi in ctx.dirt_cos:
+        src, label = f"dt_{lo.tail}", f"{name}:{ops(hi)}"
+        if lo.tail is None:
+            # A closed lower bound is a source node of its own.
+            src = f"lo_{name}"
+            lines.append(f"    {_quote(src)} [label={_quote(ops(lo))}, shape=box];")
+        elif lo.ops:
+            label = f"{name}:{ops(lo)}<={ops(hi)}"
         dst = SINK if hi.tail is None else hi.tail
-        lines.append(edge(f"dt_{lo.tail}", f"dt_{dst}", f"{name}:{{{','.join(sorted(hi.ops))}}}"))
+        lines.append(edge(src, f"dt_{dst}", label))
     lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,12 +24,14 @@ Two representation choices keep this executable:
   fragment the commuting square constrains. `equal_skel_at` implements this
   type-directed comparison.
 
-Coercions are checked once and then interpreted. `interp_vco`/`interp_cco`
-check theirs on entry, and the checks typecheck each term once, before
-evaluating it (`check_preservation` takes the original's type and meaning
-from its square check). Evaluation (`eval_value`, `eval_comp`) assumes a
-well-typed term: it interprets casts without re-checking them, and an arrow
-cast reads its target domain off its composition spine.
+Coercions are checked once and then interpreted by their endpoints: every
+leaf coercion is the identity on data, so a ground cast depends only on the
+types it relates. `interp_vco`/`interp_cco` check theirs on entry and cast
+between the checked endpoints, and the checks typecheck each term once,
+before evaluating it (`check_preservation` takes the original's type and
+meaning from its square check). Evaluation (`eval_value`, `eval_comp`)
+assumes a well-typed term: it interprets a cast without re-checking it,
+between the endpoints `vco_endpoint` reads off its composition spine.
 
 Carriers are enumerated only where evaluation demands it (lambda tables and
 operation continuations). Enumeration fails with `DomainTooLarge` when a
@@ -80,10 +82,6 @@ from .syntax import (
     ValueType,
     ValueTerm,
     Var,
-    VCoArrow,
-    VCoCompose,
-    VCoReflBase,
-    VCoReflUnit,
     VCoercion,
 )
 from .witness import build_witness_total, check_witness_total
@@ -294,51 +292,45 @@ def enumerate_envs(sig: Signature, tyctx: TypingContext,
 
 # ---------------------------------------------------------------------------
 # Coercion interpretation (ground coercions only)
+#
+# Every leaf coercion of the model is the identity on data, so a ground
+# cast depends only on its endpoints (coherence): a cast between equal
+# types, or into a type without arrows, leaves its value alone, and an arrow
+# cast tabulates the function once over the target's domain, casting the
+# argument down and the result up by their own endpoints.
 
 def interp_cco(sig: Signature, co: CCoercion, tree, budget: int):
-    check_cco(sig, EMPTY_CONTEXT, co)
-    return _cast_comp(sig, co, tree, budget)
+    lo, hi = check_cco(sig, EMPTY_CONTEXT, co)
+    return _cast_tree(sig, lo.ty, hi.ty, tree, budget)
 
 
 def interp_vco(sig: Signature, co: VCoercion, x, budget: int = DEFAULT_BUDGET):
-    check_vco(sig, EMPTY_CONTEXT, co)
-    return _cast(sig, co, x, budget)
+    lo, hi = check_vco(sig, EMPTY_CONTEXT, co)
+    return _cast(sig, lo, hi, x, budget)
 
 
-# The private casts below take checked coercions: they trust the endpoints
-# that `vco_endpoint` reads off the composition spine.
-
-def _cast_comp(sig: Signature, co: CCoercion, tree, budget: int):
+def _cast_tree(sig: Signature, src: ValueType, dst: ValueType, tree, budget: int):
     # Widening the allowed operation set does not change the tree.
-    return graft(tree, lambda v: TreeReturn(_cast(sig, co.vco, v, budget)))
+    if src == dst or not isinstance(dst, TyArrow):
+        return tree
+    return graft(tree, lambda v: TreeReturn(_cast(sig, src, dst, v, budget)))
 
 
-def _cast(sig: Signature, co: VCoercion, x, budget: int):
-    todo = [co]  # composition links, the next one to apply last
-    while todo:
-        node = todo.pop()
-        if isinstance(node, VCoCompose):
-            todo += (node.after, node.before)
-        elif isinstance(node, VCoArrow):
-            x = _cast_fn(sig, node, x, budget)
-        elif not isinstance(node, (VCoReflUnit, VCoReflBase)):
-            raise ModelBug(f"cannot interpret coercion {node}")
-    return x
-
-
-def _cast_fn(sig: Signature, co: VCoArrow, f, budget: int):
-    if not isinstance(f, EffFn):
-        raise ModelBug(f"arrow coercion on non-function {f!r}")
+def _cast(sig: Signature, src: ValueType, dst: ValueType, x, budget: int):
+    if src == dst or not isinstance(dst, TyArrow):
+        return x
+    if not isinstance(x, EffFn):
+        raise ModelBug(f"arrow cast of non-function {x!r}")
 
     def chain(a):
-        return _cast_comp(sig, co.res, f.apply(_cast(sig, co.arg, a, budget)), budget)
+        arg = _cast(sig, dst.dom, src.dom, a, budget)
+        return _cast_tree(sig, src.cod.ty, dst.cod.ty, x.apply(arg), budget)
 
     try:
-        # The target's domain is the argument coercion's source.
-        doms = enum_vty(sig, vco_endpoint(co.arg, upper=False), budget)
+        doms = enum_vty(sig, dst.dom, budget)
     except DomainTooLarge:
-        return EffFn(None, f.skel, chain)
-    return EffFn(tuple((a, chain(a)) for a in doms), f.skel)
+        return EffFn(None, x.skel, chain)
+    return EffFn(tuple((a, chain(a)) for a in doms), x.skel)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +360,8 @@ def eval_value(sig: Signature, env: dict, v: ValueTerm, budget: int = DEFAULT_BU
             return EffFn(None, SkelFn(sfn), run)
         return EffFn(tuple((a, run(a)) for a in doms), SkelFn(sfn))
     if isinstance(v, CastV):
-        return _cast(sig, v.co, eval_value(sig, env, v.val, budget), budget)
+        return _cast(sig, vco_endpoint(v.co, upper=False), vco_endpoint(v.co, upper=True),
+                     eval_value(sig, env, v.val, budget), budget)
     raise ModelBug(f"not a value term: {v!r}")
 
 
@@ -395,7 +388,9 @@ def eval_comp(sig: Signature, env: dict, c: CompTerm, budget: int = DEFAULT_BUDG
         return eval_comp(sig, {**env, c.var: eval_value(sig, env, c.val, budget)},
                          c.body, budget)
     if isinstance(c, CastC):
-        return _cast_comp(sig, c.co, eval_comp(sig, env, c.comp, budget), budget)
+        return _cast_tree(sig, vco_endpoint(c.co.vco, upper=False),
+                          vco_endpoint(c.co.vco, upper=True),
+                          eval_comp(sig, env, c.comp, budget), budget)
     raise ModelBug(f"not a computation term: {c!r}")
 
 

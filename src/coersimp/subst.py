@@ -130,10 +130,10 @@ def apply_skel(sub: Substitution, s: Skeleton) -> Skeleton:
 
 
 def apply_dirt(sub: Substitution, d: Dirt) -> Dirt:
-    if d.tail is None or d.tail not in sub.dirt:
+    image = sub.dirt.get(d.tail)
+    if image is None:
         return d
-    image = sub.dirt[d.tail]
-    return Dirt(d.ops | image.ops, image.tail)
+    return Dirt(d.ops | image.ops, image.tail) if d.ops else image
 
 
 def apply_vty(sub: Substitution, t: ValueType) -> ValueType:
@@ -362,26 +362,26 @@ def check_validity(
     """Check `sub : src -> dst`, left to right through `src`."""
 
     for name in src.skel_params:
-        s = sub.skel.get(name, SkelParam(name))
+        s = sub.skel.get(name)
         try:
-            wf_skeleton(dst, s)
+            wf_skeleton(dst, SkelParam(name) if s is None else s)
         except CheckError as e:
-            _fail(name, name not in sub.skel, e)
+            _fail(name, s is None, e)
 
     for name in src.dirt_params:
-        d = sub.dirt.get(name, Dirt(frozenset(), name))
+        d = sub.dirt.get(name)
         try:
-            wf_dirt(sig, dst, d)
+            wf_dirt(sig, dst, Dirt(frozenset(), name) if d is None else d)
         except CheckError as e:
-            _fail(name, name not in sub.dirt, e)
+            _fail(name, d is None, e)
 
     for name, skel in src.ty_params:
-        t = sub.ty.get(name, TyParam(name))
+        t = sub.ty.get(name)
         want = apply_skel(sub, skel)
         try:
-            got = wf_vtype(sig, dst, t)
+            got = wf_vtype(sig, dst, TyParam(name) if t is None else t)
         except CheckError as e:
-            _fail(name, name not in sub.ty, e)
+            _fail(name, t is None, e)
         else:
             if got != want:
                 raise SkeletonMismatch(
@@ -389,12 +389,12 @@ def check_validity(
                 )
 
     for name, lo, hi in src.dirt_cos:
-        g = sub.dco.get(name, DCoParam(name))
+        g = sub.dco.get(name)
         want = (apply_dirt(sub, lo), apply_dirt(sub, hi))
         try:
-            got = check_dco(sig, dst, g)
+            got = check_dco(sig, dst, DCoParam(name) if g is None else g)
         except CheckError as e:
-            _fail(name, name not in sub.dco, e)
+            _fail(name, g is None, e)
         else:
             if got != want:
                 raise EndpointMismatch(
@@ -403,12 +403,12 @@ def check_validity(
                 )
 
     for name, lo, hi in src.ty_cos:
-        g = sub.vco.get(name, VCoParam(name))
+        g = sub.vco.get(name)
         want = (apply_vty(sub, lo), apply_vty(sub, hi))
         try:
-            got = check_vco(sig, dst, g)
+            got = check_vco(sig, dst, VCoParam(name) if g is None else g)
         except CheckError as e:
-            _fail(name, name not in sub.vco, e)
+            _fail(name, g is None, e)
         else:
             if got != want:
                 raise EndpointMismatch(

@@ -404,12 +404,17 @@ class OpSig:
 @dataclass(frozen=True, slots=True)
 class Signature:
     ops: tuple[tuple[str, OpSig], ...]
+    # The operation names, for membership in constant time; built once.
+    name_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name_set", frozenset(name for name, _ in self.ops))
 
     def names(self) -> list[str]:
         return [name for name, _ in self.ops]
 
     def __contains__(self, op: str) -> bool:
-        return any(name == op for name, _ in self.ops)
+        return op in self.name_set
 
     def get(self, op: str) -> OpSig | None:
         for name, sig in self.ops:

@@ -16,6 +16,7 @@ from coersimp.check import (
     derived_refl_dirt,
     derived_refl_vty,
     dirt_inclusion_coercion,
+    ground_memo,
     type_of_comp,
     type_of_value,
     value_inclusion_coercion,
@@ -35,8 +36,10 @@ from coersimp.syntax import (
     CompType,
     DCoCompose,
     DCoParam,
+    DCoUnionBoth,
     Dirt,
     Do,
+    EMPTY_CONTEXT,
     Lam,
     OpCall,
     ParamContext,
@@ -186,6 +189,32 @@ def test_check_compose_chains_deeper_than_the_recursion_limit():
         check_vco(SIG, CTX, VCoCompose(vco, derived_refl_vty(a2)))
     with pytest.raises(EndpointMismatch):
         check_dco(SIG, CTX, DCoCompose(derived_refl_dirt(d1), dco))
+
+
+def test_ground_memo_checks_deep_compositions_link_by_link():
+    """Inside `ground_memo`, equal but distinct compositions deeper than
+    the recursion limit, bare or under an arrow or an operation, check as
+    outside it: the memo never hashes or compares a composition."""
+    links = 5000
+    lo, hi = TyArrow(TyUnit(), CompType(TyUnit(), dirt())), TyArrow(
+        TyUnit(), CompType(TyUnit(), dirt(("Random",))))
+
+    def family():
+        vco, dco = value_inclusion_coercion(lo, hi), dirt_inclusion_coercion(dirt(), dirt())
+        for _ in range(links):
+            vco = VCoCompose(derived_refl_vty(hi), vco)
+            dco = DCoCompose(derived_refl_dirt(dirt()), dco)
+        return vco, dco
+
+    with ground_memo(SIG):
+        for _ in range(2):
+            vco, dco = family()
+            assert check_vco(SIG, EMPTY_CONTEXT, vco) == (lo, hi)
+            assert check_dco(SIG, EMPTY_CONTEXT, dco) == (dirt(), dirt())
+            arrow = VCoArrow(vco, CCoercion(vco, DCoUnionBoth("Random", dco)))
+            assert check_vco(SIG, EMPTY_CONTEXT, arrow) == (
+                TyArrow(hi, CompType(lo, dirt(("Random",)))),
+                TyArrow(lo, CompType(hi, dirt(("Random",)))))
 
 
 def test_value_inclusion_coercion():

@@ -10,8 +10,10 @@ import re
 
 import networkx as nx
 
+from coersimp.corpus import load_bundled
 from coersimp.graph import SINK, build_dirt_graph, build_type_graph, tarjan_scc, to_dot
-from coersimp.polarity import FreeParamSet
+from coersimp.phases import PRESETS, simplify
+from coersimp.polarity import EMPTY_FPS, FreeParamSet, fp_vty
 from coersimp.syntax import ParamContext, SkelParam, TyParam, dirt
 
 CTX = ParamContext(
@@ -124,3 +126,42 @@ def test_to_dot_escapes_quotes_and_backslashes():
     quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
     for line in text.splitlines():
         assert '"' not in quoted.sub("", line), line
+
+
+def test_to_dot_keeps_lower_bound_operations():
+    ctx = ParamContext((), ("d1", "d2"), (),
+                       (("p", dirt(("Fail",)), dirt(("Random",), "d2")),
+                        ("q", dirt(("Fail",), "d1"), dirt((), "d2"))), ())
+    text = to_dot(ctx)
+    assert '"lo_p" [label="{Fail}", shape=box];' in text
+    assert '"lo_p" -> "dt_d2" [label="p:{Random}"];' in text
+    assert '"dt_d1" -> "dt_d2" [label="q:{Fail}<={}"];' in text
+
+
+def test_to_dot_renders_every_bundled_context():
+    """The original, reduced and simplified contexts of every bundled item
+    under each preset: no edge leaves a node for a missing tail, and each
+    dirt constraint's edge starts at its lower bound and shows its
+    operations."""
+    edge = re.compile(r'^    "([^"]*)" -> "[^"]*" \[label="([^":]*):([^"]*)"\];$', re.M)
+    rendered = 0
+    for item in load_bundled():
+        fps = fp_vty(item.poltype) if item.poltype is not None else EMPTY_FPS
+        contexts = [item.context]
+        for preset in PRESETS.values():
+            sim = simplify(item.signature, item.context, fps, preset)
+            contexts += [sim.reduction.context, sim.context]
+        for ctx in contexts:
+            text = to_dot(ctx, fps)
+            rendered += 1
+            assert "dt_None" not in text, item.name
+            sources = {name: (src, label) for src, name, label in edge.findall(text)}
+            for name, lo, hi in ctx.dirt_cos:
+                src, label = sources[name]
+                if lo.tail is None:
+                    assert src == f"lo_{name}"
+                    assert f'"{src}" [label="{{{",".join(lo.sorted_ops())}}}", shape=box];' in text
+                else:
+                    assert src == f"dt_{lo.tail}"
+                    assert all(op in label for op in lo.ops), (item.name, name)
+    assert rendered > 400

@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coersimp import check, sample, semantics, subst
 from coersimp.check import (
@@ -11,6 +13,7 @@ from coersimp.check import (
     check_dco,
     check_vco,
     derived_refl_dirt,
+    derived_refl_vty,
     dirt_inclusion_coercion,
     value_inclusion_coercion,
     vco_endpoint,
@@ -23,6 +26,7 @@ from coersimp.polarity import fp_vty
 from coersimp.reduce import is_canonical
 from coersimp.sample import sample_eta
 from coersimp.semantics import (
+    DEFAULT_BUDGET,
     DomainTooLarge,
     EffFn,
     ModelBug,
@@ -50,6 +54,9 @@ from coersimp.syntax import (
     CastC,
     CastV,
     CompType,
+    DCoUnionBoth,
+    DCoUnionRight,
+    Dirt,
     Do,
     EMPTY_CONTEXT,
     Lam,
@@ -64,9 +71,12 @@ from coersimp.syntax import (
     TyUnit,
     UnitVal,
     Var,
+    VCoArrow,
+    VCoCompose,
     dirt,
 )
 
+import reference_semantics
 from gen import TEST_SIG
 
 BIT = TyBase("bit")
@@ -312,24 +322,32 @@ def test_preservation_on_worked_examples():
 
 
 def test_spine_read_domain_matches_checked_endpoint(monkeypatch):
-    """Every arrow cast that verify interprets enumerates the domain that
-    `check_vco` gives its target."""
-    seen = []
-    cast_fn = semantics._cast_fn
+    """Every cast that verify interprets has the endpoints that `check_vco`
+    gives its coercion. `interp_vco` casts between the endpoints its check
+    returns; a cast in a term casts between the endpoints `vco_endpoint`
+    reads off its coercion's spine, and those are the checked ones."""
+    read = []
+    spine = semantics.vco_endpoint
 
-    def recorded(sig, co, f, budget):
-        seen.append((sig, co))
-        return cast_fn(sig, co, f, budget)
+    def read_endpoint(co, upper):
+        got = spine(co, upper)
+        read.append((co, upper, got))
+        return got
 
-    monkeypatch.setattr(semantics, "_cast_fn", recorded)
+    monkeypatch.setattr(semantics, "vco_endpoint", read_endpoint)
+    interps = count_calls(monkeypatch, semantics.interp_vco)
+    reads = 0
     for item in load_bundled():
         if item.term is not None:
             report = cmd_verify(item, "all", samples=3)
             assert report["failures"] == [], item.name
-    assert len(seen) > 100
-    for sig, co in {id(co): (sig, co) for sig, co in seen}.values():
-        _, hi = check_vco(sig, EMPTY_CONTEXT, co)
-        assert vco_endpoint(co.arg, upper=False) == hi.dom
+            for co, upper, got in read:
+                assert check_vco(item.signature, EMPTY_CONTEXT, co)[upper] == got
+            assert interps, item.name
+            reads += len(read)
+            interps.clear()
+            read.clear()
+    assert reads > 100
 
 
 @pytest.mark.parametrize("family_checked", [True, False])
@@ -411,3 +429,187 @@ def test_verify_sample_types_and_evaluates_the_original_once(monkeypatch):
         # A strengthened term that differs is typed and evaluated too.
         assert sum(args[2] == () and args[3] != original for args, _ in typings) == differs
         assert sum(args[1] == {} and args[2] != original for args, _ in evals) == differs
+
+
+def test_verify_checks_each_ground_coercion_once_per_run(monkeypatch):
+    """Within one `cmd_verify` run, a compound ground coercion without a
+    composition in it is checked once, however often it recurs; the next
+    run checks it afresh. Every check call still returns its endpoints."""
+    fresh = {DCoUnionBoth: check.check_dco, DCoUnionRight: check.check_dco,
+             VCoArrow: check.check_vco}
+    derived = []
+    for name in ("_derive_dco", "_derive_vco"):
+        derive = getattr(check, name)
+
+        def recorded(sig, ctx, g, derive=derive):
+            if ctx is EMPTY_CONTEXT:
+                derived.append(g)
+            return derive(sig, ctx, g)
+
+        monkeypatch.setattr(check, name, recorded)
+    checks = count_calls(monkeypatch, check.check_dco)
+    checks += count_calls(monkeypatch, check.check_vco)
+    items = {i.name: i for i in load_bundled()}
+    runs = []
+    for name in ("apply_if", "apply_randomly", "ho_compose", "apply_if"):
+        derived.clear()
+        checks.clear()
+        assert cmd_verify(items[name], "all", samples=8)["passed"] == 8
+        remembered = [g for g in derived if isinstance(g, (DCoUnionBoth, DCoUnionRight, VCoArrow))
+                      and check._flat(g)]
+        assert remembered, name
+        assert len(remembered) == len(set(remembered)), name
+        asked = [(args, got) for args, got in checks if args[2] in set(remembered)]
+        assert len(asked) > len(remembered), name
+        assert all(fresh[type(args[2])](*args) == got for args, got in asked), name
+        runs.append(set(remembered))
+        assert check._ground.get() is None
+    assert runs[0] == runs[3]
+
+
+@pytest.mark.parametrize("k", [1, 50])
+def test_a_cast_along_k_links_tabulates_as_one_link(monkeypatch, k):
+    """A cast along a composition of `k` links builds no more tables than
+    a one-link cast with the same endpoints. The link-by-link interpreter
+    builds one per arrow link."""
+    lo, hi = arrow(BIT, BIT), arrow(BIT, BIT, dirt(("Random",)))
+    one = value_inclusion_coercion(lo, hi)
+    links = one
+    for _ in range(k - 1):
+        links = VCoCompose(derived_refl_vty(hi), links)
+    assert check_vco(TEST_SIG, EMPTY_CONTEXT, links) == (lo, hi)
+    f = eval_value(TEST_SIG, {}, Lam("x", BIT, Return(Var("x"))))
+    built = []
+    init = EffFn.__init__
+
+    def counted(self, table, skel, fn=None):
+        built.append(table)
+        init(self, table, skel, fn)
+
+    monkeypatch.setattr(EffFn, "__init__", counted)
+    want = interp_vco(TEST_SIG, one, f)
+    single = len(built)
+    built.clear()
+    assert interp_vco(TEST_SIG, links, f) == want
+    assert len(built) <= single == 1
+    built.clear()
+    assert reference_semantics.cast(TEST_SIG, links, f, DEFAULT_BUDGET) == want
+    assert len(built) == k
+
+
+# ---------------------------------------------------------------------------
+# The endpoint cast against the link-by-link interpreter
+
+
+def same_meaning(x, y) -> bool:
+    """Equal meanings. A function that was never tabulated cannot be
+    compared; it matches only another such function with the same
+    skeletal half."""
+    if isinstance(x, EffFn) and isinstance(y, EffFn):
+        if x.table is None or y.table is None:
+            return x.table is None and y.table is None and x.skel is y.skel
+        return len(x.table) == len(y.table) and all(
+            a == b and same_meaning(r, s) for (a, r), (b, s) in zip(x.table, y.table))
+    if isinstance(x, TreeReturn) and isinstance(y, TreeReturn):
+        return same_meaning(x.value, y.value)
+    if isinstance(x, TreeOp) and isinstance(y, TreeOp):
+        return (x.op, x.arg) == (y.op, y.arg) and len(x.cont) == len(y.cont) and all(
+            r == s and same_meaning(t, u) for (r, t), (s, u) in zip(x.cont, y.cont))
+    return type(x) is type(y) and x == y
+
+
+def record_casts(monkeypatch) -> list:
+    """Route the casts that verify interprets through recorders; return the
+    list of (signature, coercion, value cast, result, budget) they see."""
+    seen, last = [], {}
+    interp, value, comp = semantics.interp_vco, semantics.eval_value, semantics.eval_comp
+
+    def interp_recorded(sig, co, x, budget=DEFAULT_BUDGET):
+        out = interp(sig, co, x, budget)
+        seen.append((sig, co, x, out, budget))
+        return out
+
+    # A cast term's operand is evaluated, in the same environment, just
+    # before the cast: `last` holds that meaning.
+    def value_recorded(sig, env, v, budget=DEFAULT_BUDGET):
+        out = last[id(v), id(env)] = value(sig, env, v, budget)
+        if isinstance(v, CastV):
+            seen.append((sig, v.co, last[id(v.val), id(env)], out, budget))
+        return out
+
+    def comp_recorded(sig, env, c, budget=DEFAULT_BUDGET):
+        out = last[id(c), id(env)] = comp(sig, env, c, budget)
+        if isinstance(c, CastC):
+            seen.append((sig, c.co, last[id(c.comp), id(env)], out, budget))
+        return out
+
+    monkeypatch.setattr(semantics, "interp_vco", interp_recorded)
+    monkeypatch.setattr(semantics, "eval_value", value_recorded)
+    monkeypatch.setattr(semantics, "eval_comp", comp_recorded)
+    return seen
+
+
+@pytest.mark.parametrize("preset", ["all", "scc"])
+def test_endpoint_cast_matches_the_link_by_link_interpreter(monkeypatch, preset):
+    """Every cast that verify interprets over the bundled corpus casts its
+    value to what the link-by-link interpreter gives."""
+    seen = record_casts(monkeypatch)
+    for item in load_bundled():
+        if item.term is not None:
+            report = cmd_verify(item, preset, samples=6)
+            assert report["failures"] == [], item.name
+    assert len(seen) > 300
+    for sig, co, x, got, budget in seen:
+        if isinstance(co, CCoercion):
+            want = reference_semantics.cast_comp(sig, co, x, budget)
+        else:
+            want = reference_semantics.cast(sig, co, x, budget)
+        assert same_meaning(got, want), co
+
+
+OPS = ("Fail", "Random")
+
+
+@st.composite
+def pure_types(draw, depth: int = 2):
+    """Closed types of at most `depth` nested arrows, with empty dirts."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from([UNIT, BIT]))
+    return arrow(draw(pure_types(depth - 1)), draw(pure_types(depth - 1)))
+
+
+def shifted(draw, t, up: bool):
+    """A type of the skeleton of `t` above it (below it if not `up`): dirts
+    at positive positions grow and those at negative positions shrink."""
+    if not isinstance(t, TyArrow):
+        return t
+    ops = frozenset(draw(st.sets(st.sampled_from(OPS))))
+    ops = t.cod.dirt.ops | ops if up else t.cod.dirt.ops & ops
+    return TyArrow(shifted(draw, t.dom, not up),
+                   CompType(shifted(draw, t.cod.ty, up), Dirt(ops)))
+
+
+@st.composite
+def coercion_pairs(draw):
+    """Types `a <= b` and two coercions between them: the straight one,
+    and one through a middle type `a <= m <= b`."""
+    a = draw(pure_types())
+    m = shifted(draw, a, True)
+    b = shifted(draw, m, True)
+    through = VCoCompose(value_inclusion_coercion(m, b), value_inclusion_coercion(a, m))
+    return a, b, value_inclusion_coercion(a, b), through
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(coercion_pairs())
+def test_coercions_with_equal_endpoints_denote_equal_functions(pair):
+    """Coherence: two checked ground coercions with the same endpoints
+    denote the same function in the link-by-link interpreter, and the
+    endpoint cast is that function."""
+    a, b, straight, through = pair
+    assert check_vco(TEST_SIG, EMPTY_CONTEXT, straight) == (a, b)
+    assert check_vco(TEST_SIG, EMPTY_CONTEXT, through) == (a, b)
+    for x in enum_vty(TEST_SIG, a):
+        want = reference_semantics.cast(TEST_SIG, straight, x, DEFAULT_BUDGET)
+        assert same_meaning(reference_semantics.cast(TEST_SIG, through, x, DEFAULT_BUDGET), want)
+        assert same_meaning(interp_vco(TEST_SIG, through, x), want)

@@ -11,6 +11,7 @@ from coersimp.syntax import (
     Dirt,
     NameSupply,
     ParamContext,
+    Signature,
     SkelArrow,
     SkelParam,
     SkelUnit,
@@ -180,3 +181,16 @@ def test_context_lookup_takes_the_first_of_repeated_names():
     assert ctx.ty_param_skeleton("a") == SkelUnit()
     assert ctx.dirt_co_classifier("p") == (dirt(), dirt())
     assert ctx.ty_co_classifier("w") == (TyUnit(), TyUnit())
+
+
+def test_signature_membership_reads_a_name_set():
+    sig = signature(Random=(TyUnit(), TyBase("bit")), Fail=(TyUnit(), TyUnit()))
+    assert "Fail" in sig and "Random" in sig
+    assert "Choose" not in sig and "Fail " not in sig
+    assert sig.name_set == frozenset({"Fail", "Random"})
+    # The declared operations and their order are unchanged; the set is
+    # derived from them and does not take part in equality or hashing.
+    assert sig.names() == ["Random", "Fail"]
+    assert sig == Signature(sig.ops) and hash(sig) == hash(Signature(sig.ops))
+    assert "name_set" not in repr(sig)
+    assert not hasattr(sig, "__dict__")
