@@ -22,9 +22,6 @@ on top:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-
 from .syntax import (
     CCoercion,
     CompTerm,
@@ -222,28 +219,6 @@ def wf_context(sig: Signature, ctx: ParamContext) -> None:
 _PURE = dirt()
 _UNIT = TyUnit()
 
-# The signature and memo of the innermost open `ground_memo` block, if any.
-_ground: ContextVar[tuple[Signature, dict] | None] = ContextVar("ground", default=None)
-
-
-@contextmanager
-def ground_memo(sig: Signature):
-    """Check each distinct coercion against the empty context under `sig`
-    once until the block ends. There its endpoints depend only on the
-    signature and the coercion, so a repeated check returns the endpoints
-    the first one derived. A failed check is not remembered.
-
-    Only compound coercions without a composition in them are remembered:
-    a leaf costs less to check than to look up, and comparing two witness
-    families, which nest one composition per phase step, recurses as deep
-    as they go. A composition's links are checked through the memo, one by
-    one."""
-    token = _ground.set((sig, {}))
-    try:
-        yield
-    finally:
-        _ground.reset(token)
-
 
 def _flat(g) -> bool:
     """Whether a coercion has no composition in it."""
@@ -255,12 +230,21 @@ def _flat(g) -> bool:
 
 
 def _remembered(derive, sig: Signature, g):
-    """`derive(sig, EMPTY_CONTEXT, g)`, looked up in the open memo."""
-    ground = _ground.get()
-    if (ground is None or ground[0] is not sig
-            or not isinstance(g, (DCoUnionBoth, DCoUnionRight, VCoArrow)) or not _flat(g)):
+    """`derive(sig, EMPTY_CONTEXT, g)`, derived once per signature.
+
+    Against the empty context a coercion's endpoints depend only on the
+    signature and the coercion, so `sig.ground_checks` keeps them and a
+    repeated check returns the endpoints the first one derived. A failed
+    check is not remembered.
+
+    Only compound coercions without a composition in them are remembered:
+    a leaf costs less to check than to look up, and comparing two witness
+    families, which nest one composition per phase step, recurses as deep
+    as they go. A composition's links are checked through the memo, one by
+    one."""
+    if not isinstance(g, (DCoUnionBoth, DCoUnionRight, VCoArrow)) or not _flat(g):
         return derive(sig, EMPTY_CONTEXT, g)
-    memo = ground[1]
+    memo = sig.ground_checks
     got = memo.get(g)
     if got is None:
         got = memo[g] = derive(sig, EMPTY_CONTEXT, g)

@@ -21,7 +21,7 @@ import random
 import shlex
 import sys
 
-from .check import CheckError, ground_memo, type_of_value
+from .check import CheckError, type_of_value
 from .corpus import CorpusItem, JudgmentError, ParseError, load_bundled, parse_corpus
 from .graph import to_dot
 from .phases import PRESETS, parse_phase_config, simplify
@@ -59,6 +59,13 @@ def metrics_row(config: str, ctx) -> dict:
     }
 
 
+def _simplified(item: CorpusItem, config: str, full_dirt: bool):
+    """The pipeline's result on one item under a phase configuration."""
+    instructions = parse_phase_config(config, full_dirt=full_dirt)
+    fps = fp_vty(item.poltype) if item.poltype is not None else EMPTY_FPS
+    return simplify(item.signature, item.context, fps, instructions)
+
+
 def cmd_simplify(item: CorpusItem, config: str, full_dirt: bool = False):
     """Run the pipeline on one item; rewrite its type and term.
 
@@ -66,9 +73,7 @@ def cmd_simplify(item: CorpusItem, config: str, full_dirt: bool = False):
     term is re-typechecked against the rewritten type; a mismatch means
     the substitution layer is broken and raises InternalError.
     """
-    instructions = parse_phase_config(config, full_dirt=full_dirt)
-    fps = fp_vty(item.poltype) if item.poltype is not None else EMPTY_FPS
-    sim = simplify(item.signature, item.context, fps, instructions)
+    sim = _simplified(item, config, full_dirt)
     label = config_label(config)
     before = metrics_row(label, sim.reduction.context)
     after = metrics_row(label, sim.context)
@@ -95,21 +100,20 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     with evaluation, and the pipeline's witness makes the strengthened
     term denote the same value as the original. Non-enumerable draws are
     retried with every parameter pinned to an enumerable image. Each
-    distinct ground coercion is checked once in the run (`ground_memo`).
+    distinct ground coercion is checked once per signature
+    (`Signature.ground_checks`), so a later run on the same parsed item
+    rechecks none that an earlier run checked.
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
-    instructions = parse_phase_config(config, full_dirt=full_dirt)
-    fps = fp_vty(item.poltype)
-    sim = simplify(item.signature, item.context, fps, instructions)
+    sim = _simplified(item, config, full_dirt)
     failures = []
-    with ground_memo(item.signature):
-        for i in range(samples):
-            rng = random.Random(f"{seed}:{item.name}:{config}:{i}")
-            try:
-                _verify_once(item, sim, rng, budget)
-            except (ModelBug, CheckError, SampleError) as exc:
-                failures.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
+    for i in range(samples):
+        rng = random.Random(f"{seed}:{item.name}:{config}:{i}")
+        try:
+            _verify_once(item, sim, rng, budget)
+        except (ModelBug, CheckError, SampleError) as exc:
+            failures.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return {
         "item": item.name,
         "config": config_label(config),

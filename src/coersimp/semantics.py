@@ -125,9 +125,6 @@ class TreeOp:
     cont: tuple  # ((result, tree), ...) in carrier order
 
 
-_skelfn_ids = itertools.count()
-
-
 class SkelFn:
     """Lazy skeletal function; memoized, compared by identity.
 
@@ -135,26 +132,19 @@ class SkelFn:
     injected elements of an effectful carrier.
     """
 
-    __slots__ = ("fn", "memo", "uid")
+    __slots__ = ("fn", "memo")
 
     def __init__(self, fn):
         self.fn = fn
         self.memo = {}
-        self.uid = next(_skelfn_ids)
 
     def call(self, u):
         if u not in self.memo:
             self.memo[u] = self.fn(u)
         return self.memo[u]
 
-    def __hash__(self):
-        return self.uid
-
     def __repr__(self):
-        return f"<skelfn {self.uid}>"
-
-
-_efffn_ids = itertools.count()
+        return f"<skelfn {id(self):#x}>"
 
 
 class EffFn:
@@ -169,13 +159,12 @@ class EffFn:
     function is a model error.
     """
 
-    __slots__ = ("table", "skel", "fn", "uid")
+    __slots__ = ("table", "skel", "fn")
 
     def __init__(self, table: tuple | None, skel: SkelFn, fn=None):
         self.table = table
         self.skel = skel
         self.fn = fn
-        self.uid = next(_efffn_ids)
 
     def apply(self, arg):
         if self.table is None:
@@ -193,10 +182,10 @@ class EffFn:
         return self.table == other.table
 
     def __hash__(self):
-        return hash(self.table) if self.table is not None else self.uid
+        return hash(self.table) if self.table is not None else id(self)
 
     def __repr__(self):
-        return f"<fn {self.table!r}>" if self.table is not None else f"<fn lazy {self.uid}>"
+        return f"<fn {self.table!r}>" if self.table is not None else f"<fn lazy {id(self):#x}>"
 
 
 def inject(x):

@@ -406,9 +406,13 @@ class Signature:
     ops: tuple[tuple[str, OpSig], ...]
     # The operation names, for membership in constant time; built once.
     name_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    # Endpoints of the ground coercions checked under this signature, by
+    # coercion; `check` fills it (see `check._remembered`).
+    ground_checks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name_set", frozenset(name for name, _ in self.ops))
+        object.__setattr__(self, "ground_checks", {})
 
     def names(self) -> list[str]:
         return [name for name, _ in self.ops]

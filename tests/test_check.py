@@ -16,7 +16,6 @@ from coersimp.check import (
     derived_refl_dirt,
     derived_refl_vty,
     dirt_inclusion_coercion,
-    ground_memo,
     type_of_comp,
     type_of_value,
     value_inclusion_coercion,
@@ -192,9 +191,10 @@ def test_check_compose_chains_deeper_than_the_recursion_limit():
 
 
 def test_ground_memo_checks_deep_compositions_link_by_link():
-    """Inside `ground_memo`, equal but distinct compositions deeper than
-    the recursion limit, bare or under an arrow or an operation, check as
-    outside it: the memo never hashes or compares a composition."""
+    """Against the empty context, equal but distinct compositions deeper
+    than the recursion limit, bare or under an arrow or an operation, check
+    through the signature's ground-check memo: the memo never hashes or
+    compares a composition."""
     links = 5000
     lo, hi = TyArrow(TyUnit(), CompType(TyUnit(), dirt())), TyArrow(
         TyUnit(), CompType(TyUnit(), dirt(("Random",))))
@@ -206,15 +206,14 @@ def test_ground_memo_checks_deep_compositions_link_by_link():
             dco = DCoCompose(derived_refl_dirt(dirt()), dco)
         return vco, dco
 
-    with ground_memo(SIG):
-        for _ in range(2):
-            vco, dco = family()
-            assert check_vco(SIG, EMPTY_CONTEXT, vco) == (lo, hi)
-            assert check_dco(SIG, EMPTY_CONTEXT, dco) == (dirt(), dirt())
-            arrow = VCoArrow(vco, CCoercion(vco, DCoUnionBoth("Random", dco)))
-            assert check_vco(SIG, EMPTY_CONTEXT, arrow) == (
-                TyArrow(hi, CompType(lo, dirt(("Random",)))),
-                TyArrow(lo, CompType(hi, dirt(("Random",)))))
+    for _ in range(2):
+        vco, dco = family()
+        assert check_vco(SIG, EMPTY_CONTEXT, vco) == (lo, hi)
+        assert check_dco(SIG, EMPTY_CONTEXT, dco) == (dirt(), dirt())
+        arrow = VCoArrow(vco, CCoercion(vco, DCoUnionBoth("Random", dco)))
+        assert check_vco(SIG, EMPTY_CONTEXT, arrow) == (
+            TyArrow(hi, CompType(lo, dirt(("Random",)))),
+            TyArrow(lo, CompType(hi, dirt(("Random",)))))
 
 
 def test_value_inclusion_coercion():

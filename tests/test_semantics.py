@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coersimp import check, sample, semantics, subst
+from coersimp import check, cli, sample, semantics, subst
 from coersimp.check import (
     CheckError,
     check_dco,
@@ -20,7 +20,7 @@ from coersimp.check import (
     wf_vtype,
 )
 from coersimp.cli import cmd_verify
-from coersimp.corpus import load_bundled
+from coersimp.corpus import load_bundled, parse_corpus
 from coersimp.phases import PRESETS, simplify
 from coersimp.polarity import fp_vty
 from coersimp.reduce import is_canonical
@@ -431,12 +431,13 @@ def test_verify_sample_types_and_evaluates_the_original_once(monkeypatch):
         assert sum(args[1] == {} and args[2] != original for args, _ in evals) == differs
 
 
-def test_verify_checks_each_ground_coercion_once_per_run(monkeypatch):
-    """Within one `cmd_verify` run, a compound ground coercion without a
-    composition in it is checked once, however often it recurs; the next
-    run checks it afresh. Every check call still returns its endpoints."""
-    fresh = {DCoUnionBoth: check.check_dco, DCoUnionRight: check.check_dco,
-             VCoArrow: check.check_vco}
+def test_verify_checks_each_ground_coercion_once_per_signature(monkeypatch):
+    """A compound ground coercion without a composition in it is checked
+    once per signature, however often it recurs: a second `cmd_verify` on
+    the same parsed item derives none of them, a fresh parse derives them
+    again. Every check call still returns the endpoints of a fresh check."""
+    fresh = {DCoUnionBoth: check._derive_dco, DCoUnionRight: check._derive_dco,
+             VCoArrow: check._derive_vco}
     derived = []
     for name in ("_derive_dco", "_derive_vco"):
         derive = getattr(check, name)
@@ -449,22 +450,53 @@ def test_verify_checks_each_ground_coercion_once_per_run(monkeypatch):
         monkeypatch.setattr(check, name, recorded)
     checks = count_calls(monkeypatch, check.check_dco)
     checks += count_calls(monkeypatch, check.check_vco)
-    items = {i.name: i for i in load_bundled()}
-    runs = []
-    for name in ("apply_if", "apply_randomly", "ho_compose", "apply_if"):
+
+    def run(item):
+        """The remembered coercions one run derives, and its ground checks
+        of coercions of their kind."""
         derived.clear()
         checks.clear()
-        assert cmd_verify(items[name], "all", samples=8)["passed"] == 8
-        remembered = [g for g in derived if isinstance(g, (DCoUnionBoth, DCoUnionRight, VCoArrow))
-                      and check._flat(g)]
-        assert remembered, name
-        assert len(remembered) == len(set(remembered)), name
-        asked = [(args, got) for args, got in checks if args[2] in set(remembered)]
-        assert len(asked) > len(remembered), name
-        assert all(fresh[type(args[2])](*args) == got for args, got in asked), name
-        runs.append(set(remembered))
-        assert check._ground.get() is None
-    assert runs[0] == runs[3]
+        assert cmd_verify(item, "all", samples=8)["passed"] == 8
+        remembered = [g for g in derived if type(g) in fresh and check._flat(g)]
+        assert len(remembered) == len(set(remembered)), item.name
+        asked = [(args, got) for args, got in checks
+                 if args[1] is EMPTY_CONTEXT and type(args[2]) in fresh and check._flat(args[2])]
+        assert all(fresh[type(g)](sig, EMPTY_CONTEXT, g) == got
+                   for (sig, _, g), got in asked), item.name
+        return set(remembered), asked
+
+    for name in ("apply_if", "apply_randomly", "ho_compose"):
+        (item,) = [i for i in load_bundled() if i.name == name]
+        first, asked = run(item)
+        assert first and len(asked) > len(first), name
+        again, asked = run(item)
+        assert not again and asked, name
+        (reparsed,) = [i for i in load_bundled() if i.name == name]
+        assert reparsed.signature == item.signature
+        assert run(reparsed)[0] == first, name
+
+
+@pytest.mark.parametrize("preset", ["none", "all"])
+def test_verify_passes_samples_that_need_the_strict_draw(monkeypatch, preset):
+    """The unpinned parameter `a` can draw a type that the repair through
+    `w` raises the pinned domain `b` to, one too large to enumerate; those
+    samples are drawn again with every parameter pinned, and pass."""
+    (item,) = parse_corpus("""
+        (item raised (signature (op Random (unit) (base bit)))
+          (context (typaram a (arrow (unit) (unit))) (typaram b (arrow (unit) (unit)))
+            (tyco w (param a) (param b)))
+          (poltype (arrow (param b) (comp (unit) (dirt ()))))
+          (term (lam x (param b) (return (unitval)))))""")
+    strict = []
+
+    def draw(*args, **kwargs):
+        strict.append(kwargs.get("strict", False))
+        return sample_eta(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_eta", draw)
+    report = cmd_verify(item, preset, samples=40)
+    assert report["passed"] == 40, report["failures"]
+    assert any(strict)
 
 
 @pytest.mark.parametrize("k", [1, 50])

@@ -8,6 +8,7 @@ from coersimp.polarity import fp_vty, subst_fps
 from coersimp.reduce import reduce_context
 from coersimp.syntax import (
     CompType,
+    DCoReflEmpty,
     Dirt,
     NameSupply,
     ParamContext,
@@ -189,8 +190,11 @@ def test_signature_membership_reads_a_name_set():
     assert "Choose" not in sig and "Fail " not in sig
     assert sig.name_set == frozenset({"Fail", "Random"})
     # The declared operations and their order are unchanged; the set is
-    # derived from them and does not take part in equality or hashing.
+    # derived from them, and neither it nor the ground-check memo takes
+    # part in equality, hashing or the repr.
     assert sig.names() == ["Random", "Fail"]
+    sig.ground_checks[DCoReflEmpty()] = (dirt(), dirt())
     assert sig == Signature(sig.ops) and hash(sig) == hash(Signature(sig.ops))
-    assert "name_set" not in repr(sig)
+    assert repr(sig) == repr(Signature(sig.ops))
+    assert "name_set" not in repr(sig) and "ground_checks" not in repr(sig)
     assert not hasattr(sig, "__dict__")
