@@ -25,7 +25,7 @@ from .check import CheckError, type_of_value
 from .corpus import CorpusItem, JudgmentError, ParseError, load_bundled, parse_corpus
 from .graph import to_dot
 from .phases import PRESETS, parse_phase_config, simplify
-from .polarity import EMPTY_FPS, fp_vty
+from .polarity import EMPTY_FPS, extend_family_vty, fp_vty
 from .reduce import ReductionBug, Unsatisfiable
 from .sample import SampleError, sample_eta
 from .semantics import (
@@ -34,8 +34,9 @@ from .semantics import (
     ModelBug,
     check_preservation,
 )
-from .subst import apply_value, apply_vty
-from .witness import WitnessBug
+from .subst import Substitution, apply_value, apply_vty
+from .syntax import ValueTerm
+from .witness import WitnessBug, build_witness_total, check_witness_total
 
 STANDARD_CONFIGS = tuple(PRESETS)
 
@@ -60,10 +61,15 @@ def metrics_row(config: str, ctx) -> dict:
 
 
 def _simplified(item: CorpusItem, config: str, full_dirt: bool):
-    """The pipeline's result on one item under a phase configuration."""
+    """The pipeline's result on one item under a phase configuration, and
+    the item's type and term rewritten by it: (sim, poltype', term'). The
+    one rewrite of an item, so `verify` checks the term `simplify` prints."""
     instructions = parse_phase_config(config, full_dirt=full_dirt)
     fps = fp_vty(item.poltype) if item.poltype is not None else EMPTY_FPS
-    return simplify(item.signature, item.context, fps, instructions)
+    sim = simplify(item.signature, item.context, fps, instructions)
+    new_ty = apply_vty(sim.subst, item.poltype) if item.poltype is not None else None
+    new_term = apply_value(sim.subst, item.term) if item.term is not None else None
+    return sim, new_ty, new_term
 
 
 def cmd_simplify(item: CorpusItem, config: str, full_dirt: bool = False):
@@ -73,14 +79,11 @@ def cmd_simplify(item: CorpusItem, config: str, full_dirt: bool = False):
     term is re-typechecked against the rewritten type; a mismatch means
     the substitution layer is broken and raises InternalError.
     """
-    sim = _simplified(item, config, full_dirt)
+    sim, new_ty, new_term = _simplified(item, config, full_dirt)
     label = config_label(config)
     before = metrics_row(label, sim.reduction.context)
     after = metrics_row(label, sim.context)
-    new_ty = apply_vty(sim.subst, item.poltype) if item.poltype is not None else None
-    new_term = None
-    if item.term is not None:
-        new_term = apply_value(sim.subst, item.term)
+    if new_term is not None:
         try:
             got = type_of_value(item.signature, sim.context, (), new_term)
         except CheckError as exc:
@@ -96,22 +99,22 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
                seed: int = 0, samples: int = 20, full_dirt: bool = False) -> dict:
     """Sample ground instantiations and check the semantic claims.
 
-    Per sample: the skeletal projection of the instantiated term commutes
-    with evaluation, and the pipeline's witness makes the strengthened
-    term denote the same value as the original. Non-enumerable draws are
-    retried with every parameter pinned to an enumerable image. Each
-    distinct ground coercion is checked once per signature
-    (`Signature.ground_checks`), so a later run on the same parsed item
-    rechecks none that an earlier run checked.
+    Per sample (`check_sample`): the skeletal projection of the
+    instantiated term commutes with evaluation, and the pipeline's witness
+    makes the term `simplify` prints, rewritten once per run, denote the
+    same value as the original. Non-enumerable draws are retried with every
+    parameter pinned to an enumerable image. Each distinct ground coercion
+    is checked once per signature (`Signature.ground_checks`), so a later
+    run on the same parsed item rechecks none that an earlier run checked.
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
-    sim = _simplified(item, config, full_dirt)
+    sim, _, term = _simplified(item, config, full_dirt)
     failures = []
     for i in range(samples):
         rng = random.Random(f"{seed}:{item.name}:{config}:{i}")
         try:
-            _verify_once(item, sim, rng, budget)
+            _verify_once(item, sim, term, rng, budget)
         except (ModelBug, CheckError, SampleError) as exc:
             failures.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return {
@@ -123,16 +126,29 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     }
 
 
-def _verify_once(item: CorpusItem, sim, rng: random.Random, budget: int) -> None:
+def _verify_once(item: CorpusItem, sim, term: ValueTerm, rng: random.Random, budget: int) -> None:
     sig = item.signature
     try:
         eta0 = sample_eta(sig, item.context, rng, enumerable=True,
                           poltype=item.poltype, term=item.term)
-        check_preservation(sig, sim, item.poltype, item.term, eta0, budget)
+        check_sample(item, sim, term, eta0, budget)
     except DomainTooLarge:
         eta0 = sample_eta(sig, item.context, rng, poltype=item.poltype,
                           term=item.term, strict=True)
-        check_preservation(sig, sim, item.poltype, item.term, eta0, budget)
+        check_sample(item, sim, term, eta0, budget)
+
+
+def check_sample(item: CorpusItem, sim, term: ValueTerm, eta0: Substitution,
+                 budget: int = DEFAULT_BUDGET) -> None:
+    """Both semantic claims at one ground instantiation `eta0` of the
+    item's context, for `term`, the item's term rewritten by `sim`: the
+    run's checked witness grounds `term` and casts it back along the item's
+    type, and the model checks the two ground terms and that cast."""
+    sig = item.signature
+    wit = build_witness_total(sig, sim, eta0)
+    check_witness_total(sig, sim, eta0, wit)
+    check_preservation(sig, apply_value(eta0, item.term), apply_value(wit.eta, term),
+                       extend_family_vty(wit.family, item.poltype), budget)
 
 
 def cmd_report(corpus: list[CorpusItem], configs: list[str],

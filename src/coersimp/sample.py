@@ -67,25 +67,13 @@ class SampleError(Exception):
     pass
 
 
-def _collect_all(t: ValueType, acc: set[str]) -> None:
-    if isinstance(t, TyParam):
-        acc.add(t.name)
-    elif isinstance(t, TyArrow):
-        _collect_all(t.dom, acc)
-        _collect_all(t.cod.ty, acc)
-        if t.cod.dirt.tail is not None:
-            acc.add(t.cod.dirt.tail)
-
-
 def _walk_domains(t: ValueType, acc: set[str], in_dom: bool) -> None:
+    """Add to `acc` the parameters of `t` in a function argument; all of them if `in_dom`."""
     if isinstance(t, TyParam):
         if in_dom:
             acc.add(t.name)
     elif isinstance(t, TyArrow):
-        if in_dom:
-            _collect_all(t.dom, acc)
-        else:
-            _walk_domains(t.dom, acc, True)
+        _walk_domains(t.dom, acc, True)
         if in_dom and t.cod.dirt.tail is not None:
             acc.add(t.cod.dirt.tail)
         _walk_domains(t.cod.ty, acc, in_dom)
@@ -93,7 +81,7 @@ def _walk_domains(t: ValueType, acc: set[str], in_dom: bool) -> None:
 
 def _walk_term(t, acc: set[str]) -> None:
     if isinstance(t, Lam):
-        _collect_all(t.ty, acc)  # the whole annotation gets enumerated
+        _walk_domains(t.ty, acc, True)  # the whole annotation gets enumerated
         _walk_term(t.body, acc)
     elif isinstance(t, CastV):
         _walk_term(t.val, acc)
@@ -311,8 +299,8 @@ def sample_eta(
     mentions: dict[str, list[int]] = {}
     for i, (_, lo, hi) in enumerate(ctx.ty_cos):
         names: set[str] = set()
-        _collect_all(lo, names)
-        _collect_all(hi, names)
+        _walk_domains(lo, names, True)
+        _walk_domains(hi, names, True)
         for n in names:
             mentions.setdefault(n, []).append(i)
     _settle(len(ctx.ty_cos), repair_type, mentions)

@@ -36,8 +36,12 @@ between the endpoints `vco_endpoint` reads off its composition spine.
 Carriers are enumerated only where evaluation demands it (lambda tables and
 operation continuations). Enumeration fails with `DomainTooLarge` when a
 carrier is infinite (a non-empty dirt in a function argument) or exceeds the
-budget; the samplers below pick ground instantiations shaped to keep the
-demanded carriers small and retry smaller ones when they miss.
+budget; `sample.sample_eta` draws instantiations that keep the demanded
+carriers small, and `verify` retries smaller ones when they miss.
+
+The model imports nothing from the pipeline it checks, only the checker
+and the syntax: `check_preservation` takes closed ground terms and a
+ground cast, which `cli.check_sample` builds.
 """
 
 from __future__ import annotations
@@ -54,8 +58,6 @@ from .check import (
     vco_endpoint,
     wf_vtype,
 )
-from .polarity import extend_family_vty
-from .subst import Substitution, apply_value
 from .syntax import (
     App,
     CastC,
@@ -84,7 +86,6 @@ from .syntax import (
     Var,
     VCoercion,
 )
-from .witness import build_witness_total, check_witness_total
 
 
 class DomainTooLarge(Exception):
@@ -489,34 +490,28 @@ def check_square_comp(sig: Signature, tyctx: TypingContext, c: CompTerm,
 
 
 # ---------------------------------------------------------------------------
-# Semantic preservation across a phase run
+# Semantic preservation across simplification
 
-def check_preservation(sig: Signature, sim, poltype: ValueType, term: ValueTerm,
-                       eta0: Substitution, budget: int = DEFAULT_BUDGET) -> None:
-    """Both semantic claims at one ground instantiation `eta0` of the
-    original context.
+def check_preservation(sig: Signature, original: ValueTerm, strengthened: ValueTerm,
+                       co: VCoercion, budget: int = DEFAULT_BUDGET) -> None:
+    """Both semantic claims about a closed ground term and its
+    simplification, instantiated.
 
-    First the commuting square holds for the instantiated original term.
-    Then its meaning survives the whole simplification run: the original
-    denotes the same value as the strengthened term, instantiated with the
-    replayed instantiation and cast back up along the extended witness
-    family. The original is instantiated, typed and evaluated once; the
-    square check returns its type and meaning for the second claim, and a
-    strengthened term equal to the original reuses both.
+    First the commuting square holds for `original`. Then its meaning
+    survives simplification: `strengthened`, cast along `co`, denotes the
+    same value. `co` must run from the type of `strengthened` to the type
+    of `original`. The original is typed and evaluated once; the square
+    check returns its type and meaning, and a strengthened term equal to
+    the original reuses both.
     """
-    original = apply_value(eta0, term)
     original_ty, lhs = check_square_value(sig, (), original, budget)
-    wit = build_witness_total(sig, sim, eta0)
-    check_witness_total(sig, sim, eta0, wit)
-    strengthened = apply_value(wit.eta, apply_value(sim.subst, term))
-    co = extend_family_vty(wit.family, poltype)
     # Typecheck the strengthened term; `interp_vco` checks the cast, which
     # then has the endpoints its spine shows.
     same = strengthened == original
     types = [original_ty if same else type_of_value(sig, EMPTY_CONTEXT, (), strengthened),
              original_ty]
     if [vco_endpoint(co, upper=False), vco_endpoint(co, upper=True)] != types:
-        raise EndpointMismatch(f"the family does not cast {types[0]} to {types[1]}")
+        raise EndpointMismatch(f"the cast does not run from {types[0]} to {types[1]}")
     meaning = lhs if same else eval_value(sig, {}, strengthened, budget)
     rhs_cast = interp_vco(sig, co, meaning, budget)
     if lhs != rhs_cast:

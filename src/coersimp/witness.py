@@ -42,11 +42,9 @@ from .check import (
 from .phases import PhaseResult, PhaseStep
 from .polarity import (
     CoercionFamily,
-    FreeParamSet,
     check_family,
     compose_families,
     precompose_family,
-    subst_fps,
 )
 from .subst import (
     Substitution,
@@ -138,10 +136,12 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
         sub = step.subst
         for n in {n for p in (*sub.ty, *sub.dirt) for n in users.pop(p, ())}:
             if n in so_far.ty or n in sub.ty:
-                so_far.ty[n] = apply_vty(sub, so_far.ty.get(n, TyParam(n)))
+                image = so_far.ty[n] = apply_vty(sub, so_far.ty.get(n, TyParam(n)))
+                p = image.name if isinstance(image, TyParam) else None
             else:
-                so_far.dirt[n] = apply_dirt(sub, so_far.dirt.get(n, Dirt(frozenset(), n)))
-            for p in subst_fps(so_far, FreeParamSet(pos=frozenset((n,)))).members():
+                image = so_far.dirt[n] = apply_dirt(sub, so_far.dirt.get(n, Dirt(frozenset(), n)))
+                p = image.tail
+            if p is not None:
                 users.setdefault(p, set()).add(n)
     return WitnessResult(eta, acc)
 

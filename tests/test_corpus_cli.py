@@ -185,9 +185,9 @@ def test_cli_verify_small_item(capsys):
 def break_d1_family_entry(monkeypatch):
     """Make every witness's family entry for `d1` a reflexivity at the
     wrong dirt, so that its endpoints cannot check."""
-    import coersimp.semantics
+    import coersimp.cli
 
-    build = coersimp.semantics.build_witness_total
+    build = coersimp.cli.build_witness_total
 
     def bad_d1(sig, sim, eta0):
         wit = build(sig, sim, eta0)
@@ -195,7 +195,7 @@ def break_d1_family_entry(monkeypatch):
         wit.family.dco["d1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
         return wit
 
-    monkeypatch.setattr(coersimp.semantics, "build_witness_total", bad_d1)
+    monkeypatch.setattr(coersimp.cli, "build_witness_total", bad_d1)
 
 
 def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):
@@ -210,6 +210,46 @@ def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):
     assert all(f["error"].startswith("EndpointMismatch:") for f in report["failures"])
     assert main(["verify", "--item", "apply_randomly", "--samples", "3"]) == 1
     assert "0/3 FAIL" in capsys.readouterr().out
+
+
+def assert_internal_error(capsys, argv, says=""):
+    """`argv` exits 2 with one `internal error:` line and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1, err
+    assert says in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("broken", ["subst", "type"])
+def test_cli_simplify_exits_two_when_the_rewrite_does_not_typecheck(monkeypatch, capsys, broken):
+    """A rewritten term that no longer typechecks (the run's substitution
+    is lost), or that has another type than the rewritten type, is a broken
+    invariant, not a diagnostic."""
+    import dataclasses
+
+    import coersimp.cli
+    from coersimp.subst import Substitution
+
+    if broken == "subst":
+        run = coersimp.cli.simplify
+        monkeypatch.setattr(coersimp.cli, "simplify", lambda *args: dataclasses.replace(
+            run(*args), subst=Substitution()))
+        says = "no longer typechecks"
+    else:
+        monkeypatch.setattr(coersimp.cli, "apply_vty", lambda sub, t: TyUnit())
+        says = "wanted unit"
+    assert_internal_error(capsys, ["simplify", "--item", "apply_randomly"], says)
+
+
+def test_cli_verify_exits_two_on_a_witness_bug(monkeypatch, capsys):
+    import coersimp.cli
+    from coersimp.witness import WitnessBug
+
+    def broken(sig, sim, eta0):
+        raise WitnessBug("replay lost a parameter")
+
+    monkeypatch.setattr(coersimp.cli, "build_witness_total", broken)
+    assert_internal_error(capsys, ["verify", "--item", "apply_randomly", "--samples", "1"])
 
 
 def test_cli_verify_prints_a_reproducer_per_failed_sample(monkeypatch, capsys, tmp_path):
@@ -406,6 +446,15 @@ def test_reader_matches_reference_on_bundled_and_generated_corpora():
         assert isinstance(items, list) and items
 
 
+# A `(base NAME)` skeleton and a `(drefl DIRT)` coercion, which the bundled
+# corpus does not use.
+BASE_AND_DREFL = """(item based (signature) (context (dirt d) (typaram a (base bool)))
+  (poltype (arrow (param a) (comp (param a) (dirt () d))))
+  (term (lam x (param a)
+    (castc (castc (return (var x)) (cco (corefl (param a)) (dempty (dirt () d))))
+           (cco (corefl (param a)) (drefl (dirt () d)))))))"""
+
+
 def test_reader_matches_reference_on_edge_cases():
     def deep_skeleton(arrows):  # nests 3 + arrows + 1 parentheses deep
         skel = "(arrow " * arrows + "(unit)" + " (unit))" * arrows
@@ -426,6 +475,7 @@ def test_reader_matches_reference_on_edge_cases():
     ]
     for text in cases:
         assert_reads_like_reference(text)
+    assert isinstance(assert_reads_like_reference(BASE_AND_DREFL), list)
 
 
 def test_context_lookups_cost_linear_in_the_context(monkeypatch):

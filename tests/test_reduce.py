@@ -380,6 +380,22 @@ def test_reduce_matches_reference_on_structural_shapes():
                     assert got[1].dirt, (depth, size, seed)  # some tail absorbed
 
 
+def test_reduce_matches_reference_on_base_skeletons():
+    """A type parameter at a base skeleton, alone or inside an arrow
+    skeleton, becomes the base type; its constraints become reflexivities."""
+    from coersimp.corpus import parse_corpus
+
+    (item,) = parse_corpus("""(item based (signature (op Random (unit) (base bit)))
+      (context (skel s) (dirt d)
+        (typaram a (base bool)) (typaram b (arrow (base bool) (param s)))
+        (typaram c (arrow (base bool) (param s)))
+        (tyco w (param a) (param a)) (tyco v (param b) (param c))
+        (dco p (dirt (Random)) (dirt () d))))""")
+    _, sub, _ = assert_same_reduction(item.signature, item.context, item.name)
+    assert sub.ty["a"] == TyBase("bool")
+    assert sub.ty["b"].dom == sub.ty["c"].dom == TyBase("bool")
+
+
 def test_reduce_matches_reference_on_random_contexts():
     rng = random.Random(404)
     reduced = absorbed = 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coersimp import check, cli, sample, semantics, subst
 from coersimp.check import (
     CheckError,
+    EndpointMismatch,
     check_dco,
     check_vco,
     derived_refl_dirt,
@@ -21,8 +22,6 @@ from coersimp.check import (
 )
 from coersimp.cli import cmd_verify
 from coersimp.corpus import load_bundled, parse_corpus
-from coersimp.phases import PRESETS, simplify
-from coersimp.polarity import fp_vty
 from coersimp.reduce import is_canonical
 from coersimp.sample import sample_eta
 from coersimp.semantics import (
@@ -306,15 +305,13 @@ def test_preservation_on_worked_examples():
     items = {i.name: i for i in load_bundled()}
     for name in ("apply_if", "apply_randomly"):
         item = items[name]
-        sim = simplify(item.signature, item.context, fp_vty(item.poltype),
-                       PRESETS["all"])
+        sim, _, term = cli._simplified(item, "all", False)
         for i in range(5):
             rng = random.Random(f"sem:{name}:{i}")
             eta0 = sample_eta(item.signature, item.context, rng,
                               enumerable=True, poltype=item.poltype,
                               term=item.term)
-            check_preservation(item.signature, sim, item.poltype, item.term,
-                               eta0)
+            cli.check_sample(item, sim, term, eta0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +352,8 @@ def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_ch
     """A strengthened term whose cast got a coercion with the wrong
     endpoints fails a check before anything is evaluated."""
     item = {i.name: i for i in load_bundled()}["apply_randomly"]
-    sim = simplify(item.signature, item.context, fp_vty(item.poltype), PRESETS["none"])
-    build = semantics.build_witness_total
+    sim, _, term = cli._simplified(item, "none", False)
+    build = cli.build_witness_total
 
     def bad_p1(sig, sim, eta0):
         wit = build(sig, sim, eta0)
@@ -364,14 +361,42 @@ def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_ch
         wit.eta.dco["p1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
         return wit
 
-    monkeypatch.setattr(semantics, "build_witness_total", bad_p1)
+    monkeypatch.setattr(cli, "build_witness_total", bad_p1)
     if not family_checked:
-        monkeypatch.setattr(semantics, "check_witness_total", lambda *args: None)
+        monkeypatch.setattr(cli, "check_witness_total", lambda *args: None)
     for i in range(3):
         eta0 = sample_eta(item.signature, item.context, random.Random(f"bad:{i}"),
                           enumerable=True, poltype=item.poltype, term=item.term)
         with pytest.raises(CheckError):
-            check_preservation(item.signature, sim, item.poltype, item.term, eta0)
+            cli.check_sample(item, sim, term, eta0)
+
+
+def test_preservation_rejects_a_term_that_means_something_else():
+    """A strengthened term of the original's type that denotes another
+    value passes every typing and endpoint check and fails the comparison."""
+    keep = Lam("x", BIT, OpCall("Random", UnitVal(), "y", BIT,
+                                widen(Return(Var("x")), BIT, ("Random",))))
+    swap = Lam("x", BIT, RAND_BIT)
+    ty = check.type_of_value(TEST_SIG, EMPTY_CONTEXT, (), keep)
+    assert check.type_of_value(TEST_SIG, EMPTY_CONTEXT, (), swap) == ty
+    check_preservation(TEST_SIG, keep, keep, derived_refl_vty(ty))
+    with pytest.raises(ModelBug, match="preservation failed"):
+        check_preservation(TEST_SIG, keep, swap, derived_refl_vty(ty))
+
+
+def test_preservation_rejects_a_cast_between_other_types():
+    """The cast must run from the strengthened term's type to the
+    original's. Each wrong cast here would pass the comparison: it only
+    widens a dirt, which leaves the meaning alone."""
+    ident = Lam("x", BIT, Return(Var("x")))
+    lo, hi = arrow(BIT, BIT), arrow(BIT, BIT, dirt(("Random",)))
+    up = value_inclusion_coercion(lo, hi)
+    check_preservation(TEST_SIG, ident, ident, derived_refl_vty(lo))
+    check_preservation(TEST_SIG, CastV(ident, up), ident, up)
+    with pytest.raises(EndpointMismatch):
+        check_preservation(TEST_SIG, ident, ident, up)
+    with pytest.raises(EndpointMismatch):
+        check_preservation(TEST_SIG, CastV(ident, up), ident, derived_refl_vty(hi))
 
 
 # ---------------------------------------------------------------------------

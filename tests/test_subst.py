@@ -11,6 +11,9 @@ import random
 import pytest
 
 from coersimp.check import (
+    EndpointMismatch,
+    SkeletonMismatch,
+    UnknownName,
     check_dco,
     check_vco,
     derived_empty,
@@ -26,6 +29,7 @@ from coersimp.reduce import reduce_context
 from coersimp.sample import sample_eta
 from coersimp.subst import (
     Substitution,
+    UnmappedParam,
     apply_dco,
     apply_dirt,
     apply_skel,
@@ -41,8 +45,13 @@ from coersimp.syntax import (
     DCoParam,
     Dirt,
     EMPTY_CONTEXT,
+    ParamContext,
+    SkelBase,
     SkelParam,
+    SkelUnit,
+    TyBase,
     TyParam,
+    TyUnit,
     VCoArrow,
     VCoCompose,
     VCoParam,
@@ -172,3 +181,31 @@ def test_check_validity_rejects_wrong_endpoint():
     broken.dco[name] = derived_refl_dirt(dirt(("Random", "Fail")))
     with pytest.raises(CheckError):
         check_validity(TEST_SIG, ctx, broken, EMPTY_CONTEXT)
+
+
+def test_check_validity_names_each_failure():
+    """An unmapped parameter missing from the target, an image of the wrong
+    skeleton, a coercion image with the wrong endpoints and a mapped image
+    that is itself ill-formed each raise their own error."""
+    ctx = ParamContext(dirt_params=("d",))
+    with pytest.raises(UnmappedParam) as unmapped:
+        check_validity(TEST_SIG, ctx, Substitution(), EMPTY_CONTEXT)
+    assert isinstance(unmapped.value.__cause__, UnknownName)
+    check_validity(TEST_SIG, ctx, Substitution(), ctx)
+
+    bad_op = Substitution(dirt={"d": dirt(("Nope",))})
+    with pytest.raises(UnknownName):
+        check_validity(TEST_SIG, ctx, bad_op, EMPTY_CONTEXT)
+
+    ctx = ParamContext(ty_params=(("a", SkelBase("bit")),))
+    check_validity(TEST_SIG, ctx, Substitution(ty={"a": TyBase("bit")}), EMPTY_CONTEXT)
+    with pytest.raises(SkeletonMismatch):
+        check_validity(TEST_SIG, ctx, Substitution(ty={"a": TyUnit()}), EMPTY_CONTEXT)
+
+    ctx = ParamContext(ty_params=(("a", SkelUnit()),),
+                       ty_cos=(("w", TyParam("a"), TyParam("a")),))
+    good = Substitution(ty={"a": TyUnit()}, vco={"w": derived_refl_vty(TyUnit())})
+    check_validity(TEST_SIG, ctx, good, EMPTY_CONTEXT)
+    bad = Substitution(ty={"a": TyUnit()}, vco={"w": derived_refl_vty(TyBase("bit"))})
+    with pytest.raises(EndpointMismatch):
+        check_validity(TEST_SIG, ctx, bad, EMPTY_CONTEXT)
