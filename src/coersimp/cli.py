@@ -39,6 +39,8 @@ from .syntax import ValueTerm
 from .witness import WitnessBug, build_witness_total, check_witness_total
 
 STANDARD_CONFIGS = tuple(PRESETS)
+# What fails one verify sample; any other exception ends the run.
+SAMPLE_FAILURES = (ModelBug, CheckError, SampleError)
 
 
 class InternalError(Exception):
@@ -103,39 +105,72 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     instantiated term commutes with evaluation, and the pipeline's witness
     makes the term `simplify` prints, rewritten once per run, denote the
     same value as the original. Non-enumerable draws are retried with every
-    parameter pinned to an enumerable image. Each distinct ground coercion
-    is checked once per signature (`Signature.ground_checks`), so a later
-    run on the same parsed item rechecks none that an earlier run checked.
+    parameter pinned to an enumerable image.
+
+    Samples are draws, and equal draws are checked once per run. Every
+    sample draws in order from its own rng stream; a draw with the
+    `fingerprint` of an earlier one takes that one's outcome: a pass, the
+    same failure, or `DomainTooLarge`, which still sends it to the strict
+    redraw. `distinct` counts the instantiations checked. The memo dies
+    with the call; each distinct ground coercion, though, is checked once
+    per signature (`Signature.ground_checks`), so a later run on the same
+    parsed item rechecks none that an earlier run checked.
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
     sim, _, term = _simplified(item, config, full_dirt)
+    images: dict = {}
+    # Fingerprint -> None on a pass, else the exception's class and args:
+    # a remembered failure keeps no traceback, so no frames of its sample.
+    outcomes: dict[tuple[int, ...], tuple | None] = {}
+
+    def check(eta0: Substitution) -> None:
+        key = fingerprint(eta0, images)
+        if key not in outcomes:
+            try:
+                check_sample(item, sim, term, eta0, budget)
+                outcomes[key] = None
+            except (DomainTooLarge, *SAMPLE_FAILURES) as exc:
+                outcomes[key] = (type(exc), exc.args)
+        if outcomes[key] is not None:
+            kind, args = outcomes[key]
+            raise kind(*args)
+
     failures = []
     for i in range(samples):
         rng = random.Random(f"{seed}:{item.name}:{config}:{i}")
         try:
-            _verify_once(item, sim, term, rng, budget)
-        except (ModelBug, CheckError, SampleError) as exc:
+            _verify_once(item, check, rng)
+        except SAMPLE_FAILURES as exc:
             failures.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return {
         "item": item.name,
         "config": config_label(config),
         "samples": samples,
+        "distinct": len(outcomes),
         "passed": samples - len(failures),
         "failures": failures,
     }
 
 
-def _verify_once(item: CorpusItem, sim, term: ValueTerm, rng: random.Random, budget: int) -> None:
+def fingerprint(eta0: Substitution, images: dict) -> tuple[int, ...]:
+    """`eta0`'s images, each numbered by `images`, which gives an image it
+    has not seen the next number. The images are taken map by map in the
+    order `sample_eta` fills them, so two draws over one context, numbered
+    by one table, have equal fingerprints exactly when they are equal."""
+    return tuple(images.setdefault(image, len(images))
+                 for part in (eta0.skel, eta0.dirt, eta0.ty, eta0.dco, eta0.vco)
+                 for image in part.values())
+
+
+def _verify_once(item: CorpusItem, check, rng: random.Random) -> None:
     sig = item.signature
     try:
-        eta0 = sample_eta(sig, item.context, rng, enumerable=True,
-                          poltype=item.poltype, term=item.term)
-        check_sample(item, sim, term, eta0, budget)
+        check(sample_eta(sig, item.context, rng, enumerable=True,
+                         poltype=item.poltype, term=item.term))
     except DomainTooLarge:
-        eta0 = sample_eta(sig, item.context, rng, poltype=item.poltype,
-                          term=item.term, strict=True)
-        check_sample(item, sim, term, eta0, budget)
+        check(sample_eta(sig, item.context, rng, poltype=item.poltype,
+                         term=item.term, strict=True))
 
 
 def check_sample(item: CorpusItem, sim, term: ValueTerm, eta0: Substitution,
@@ -328,7 +363,7 @@ def _run_verify(args, items) -> int:
         for r in reports:
             status = "ok" if not r["failures"] else "FAIL"
             print(f"{r['item']:24s} {r['config']:8s} "
-                  f"{r['passed']}/{r['samples']} {status}")
+                  f"{r['passed']}/{r['samples']} {status} ({r['distinct']} distinct)")
             for f in r["failures"]:
                 print(f"    sample {f['sample']}: {f['error']}")
                 print(f"      reproduce: {f['reproduce']}")

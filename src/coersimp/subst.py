@@ -270,6 +270,22 @@ def compose(s2: Substitution, s1: Substitution) -> Substitution:
     return out
 
 
+def compose_at(s2: Substitution, s1: Substitution, names) -> Substitution:
+    """`compose(s2, s1)` at the type and dirt parameters in `names` only,
+    at the cost of those names rather than of both substitutions."""
+    out = Substitution()
+    for n in names:
+        if n in s1.ty:
+            out.ty[n] = apply_vty(s2, s1.ty[n])
+        elif n in s2.ty:
+            out.ty[n] = s2.ty[n]
+        if n in s1.dirt:
+            out.dirt[n] = apply_dirt(s2, s1.dirt[n])
+        elif n in s2.dirt:
+            out.dirt[n] = s2.dirt[n]
+    return out
+
+
 def resolve(steps) -> Substitution:
     """`compose(steps[-1], ... compose(steps[1], steps[0]))`, built once,
     from the last step back, with each map's names in step order.

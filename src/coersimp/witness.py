@@ -53,7 +53,7 @@ from .subst import (
     apply_vco,
     apply_vty,
     check_validity,
-    compose,
+    compose_at,
 )
 from .syntax import (
     Dirt,
@@ -238,13 +238,9 @@ def check_witness_total(sig: Signature, sim, eta0: Substitution,
                         wit: WitnessResult) -> None:
     """Validate a witness of a run (a `SimplifyResult` or a `PhaseResult`):
     `wit.eta` grounds the strengthened context and the family links the
-    two instantiations at the run's polarity set."""
+    two instantiations at the run's polarity set. The family is read only
+    at the tracked names, so the composition is built only there."""
     check_validity(sig, sim.context, wit.eta, EMPTY_CONTEXT)
-    check_family(
-        sig,
-        EMPTY_CONTEXT,
-        wit.family,
-        compose(wit.eta, sim.subst),
-        eta0,
-        sim.fps0,
-    )
+    tracked = sim.fps0.members()
+    check_family(sig, EMPTY_CONTEXT, wit.family, compose_at(wit.eta, sim.subst, tracked),
+                 eta0, sim.fps0)

@@ -177,9 +177,10 @@ def test_cli_verify_small_item(capsys):
                  "--samples", "3"]) == 0
     (report,) = json.loads(capsys.readouterr().out)
     assert report["passed"] == 3
+    assert report["distinct"] == 1
     assert report["failures"] == []
     assert main(["verify", "--item", "unit_value", "--samples", "3"]) == 0
-    assert "3/3 ok" in capsys.readouterr().out
+    assert "3/3 ok (1 distinct)" in capsys.readouterr().out
 
 
 def break_d1_family_entry(monkeypatch):
@@ -210,6 +211,30 @@ def test_cli_verify_lists_a_failed_witness_check(monkeypatch, capsys):
     assert all(f["error"].startswith("EndpointMismatch:") for f in report["failures"])
     assert main(["verify", "--item", "apply_randomly", "--samples", "3"]) == 1
     assert "0/3 FAIL" in capsys.readouterr().out
+
+
+def test_cli_verify_lists_every_sample_of_a_remembered_failure(monkeypatch, capsys):
+    """A failure is checked once per distinct draw, and every sample that
+    drew it is listed with the same error and its own reproducer."""
+    import coersimp.cli
+    from coersimp.semantics import ModelBug
+
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise ModelBug("preservation failed")
+
+    monkeypatch.setattr(coersimp.cli, "check_sample", failing)
+    assert main(["verify", "--item", "apply_if", "--emit", "json", "--samples", "40"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["passed"] == 0
+    assert len(calls) == report["distinct"] == 6
+    assert [f["sample"] for f in report["failures"]] == list(range(40))
+    assert {f["error"] for f in report["failures"]} == {"ModelBug: preservation failed"}
+    assert [f["reproduce"] for f in report["failures"]] == [
+        f"coersimp verify --item apply_if --phases all --seed 0 --samples {i + 1}"
+        for i in range(40)]
 
 
 def assert_internal_error(capsys, argv, says=""):

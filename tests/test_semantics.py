@@ -1,5 +1,6 @@
 """The finite call-tree model: carriers, evaluation, and commuting squares."""
 
+import itertools
 import random
 import sys
 
@@ -501,11 +502,12 @@ def test_verify_checks_each_ground_coercion_once_per_signature(monkeypatch):
         assert run(reparsed)[0] == first, name
 
 
-@pytest.mark.parametrize("preset", ["none", "all"])
+@pytest.mark.parametrize("preset", ["none", "scc", "all"])
 def test_verify_passes_samples_that_need_the_strict_draw(monkeypatch, preset):
     """The unpinned parameter `a` can draw a type that the repair through
     `w` raises the pinned domain `b` to, one too large to enumerate; those
-    samples are drawn again with every parameter pinned, and pass."""
+    samples are drawn again with every parameter pinned, and pass. A
+    remembered `DomainTooLarge` still sends a repeated draw to its redraw."""
     (item,) = parse_corpus("""
         (item raised (signature (op Random (unit) (base bit)))
           (context (typaram a (arrow (unit) (unit))) (typaram b (arrow (unit) (unit)))
@@ -521,7 +523,46 @@ def test_verify_passes_samples_that_need_the_strict_draw(monkeypatch, preset):
     monkeypatch.setattr(cli, "sample_eta", draw)
     report = cmd_verify(item, preset, samples=40)
     assert report["passed"] == 40, report["failures"]
-    assert any(strict)
+    redrawn = {"none": 10, "scc": 12, "all": 12}[preset]
+    assert sum(strict) == redrawn and len(strict) == 40 + redrawn
+
+
+def test_verify_checks_a_repeated_draw_once(monkeypatch):
+    """`unit_value` draws one instantiation 40 times and checks it once."""
+    item = {i.name: i for i in load_bundled()}["unit_value"]
+    checks = count_calls(monkeypatch, cli.check_sample)
+    report = cmd_verify(item, "all", samples=40)
+    assert (report["passed"], report["distinct"], len(checks)) == (40, 1, 1)
+
+
+def test_verify_remembers_outcomes_for_one_run_only(monkeypatch):
+    """A second `cmd_verify` on the same parsed item checks every distinct
+    draw again and reports the same."""
+    item = {i.name: i for i in load_bundled()}["apply_if"]
+    checks = count_calls(monkeypatch, cli.check_sample)
+    first = cmd_verify(item, "all", samples=40)
+    assert len(checks) == first["distinct"] > 1
+    assert cmd_verify(item, "all", samples=40) == first
+    assert len(checks) == 2 * first["distinct"]
+
+
+def test_fingerprints_are_equal_exactly_when_draws_are():
+    """Over every pair of draws of an item, enumerable and strict ones
+    numbered by one table, equal fingerprints mean equal instantiations."""
+    repeats = 0
+    for item in load_bundled():
+        images: dict = {}
+        draws = []
+        for i in range(20):
+            for strict in (False, True):
+                rng = random.Random(f"0:{item.name}:all:{i}")
+                eta0 = sample_eta(item.signature, item.context, rng, enumerable=True,
+                                  poltype=item.poltype, term=item.term, strict=strict)
+                draws.append((cli.fingerprint(eta0, images), eta0))
+        for (key1, eta1), (key2, eta2) in itertools.combinations(draws, 2):
+            assert (key1 == key2) == (eta1 == eta2), item.name
+            repeats += key1 == key2
+    assert repeats
 
 
 @pytest.mark.parametrize("k", [1, 50])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coersimp.cli import _simplified
 from coersimp.check import (
     check_dco,
     check_vco,
@@ -20,6 +21,7 @@ from coersimp.subst import (
     apply_dirt,
     apply_vty,
     compose,
+    compose_at,
 )
 from coersimp.syntax import (
     CompType,
@@ -40,6 +42,7 @@ from coersimp.syntax import (
 from coersimp.witness import (
     WitnessBug,
     WitnessResult,
+    _match_dirt,
     build_witness,
     build_witness_total,
     check_witness_total,
@@ -179,6 +182,44 @@ def test_total_witness_on_corpus_items():
                                   poltype=item.poltype, term=item.term)
                 wit = build_witness_total(item.signature, sim, eta0)
                 check_witness_total(item.signature, sim, eta0, wit)
+
+
+@pytest.mark.parametrize("full_dirt", [False, True])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_witness_check_composes_at_the_tracked_names_as_compose_does(preset, full_dirt):
+    """`check_witness_total` composes the witness with the run's
+    substitution only at the tracked names, the only names its family
+    check reads. There the images equal those of the full composition."""
+    checked = 0
+    for item in load_bundled():
+        sim, _, _ = _simplified(item, preset, full_dirt)
+        tracked = sim.fps0.members()
+        for i in range(3):
+            rng = random.Random(f"at:{item.name}:{preset}:{i}")
+            eta0 = sample_eta(item.signature, item.context, rng,
+                              poltype=item.poltype, term=item.term)
+            wit = build_witness_total(item.signature, sim, eta0)
+            full = compose(wit.eta, sim.subst)
+            some = compose_at(wit.eta, sim.subst, tracked)
+            assert some.domain() <= tracked, item.name
+            for n in tracked:
+                assert apply_vty(some, TyParam(n)) == apply_vty(full, TyParam(n)), (item.name, n)
+                assert apply_dirt(some, dirt((), n)) == apply_dirt(full, dirt((), n)), (item.name, n)
+                checked += 1
+    assert checked > 100
+
+
+def test_match_dirt_guards():
+    """A closed pattern equal to its ground dirt binds nothing; one with
+    other operations, or a ground image with a tail, is a witness bug."""
+    eta = Substitution()
+    _match_dirt(dirt(("Random",)), dirt(("Random",)), eta)
+    assert eta == Substitution()
+    with pytest.raises(WitnessBug, match="dirt mismatch"):
+        _match_dirt(dirt(("Random",)), dirt(("Flip",)), eta)
+    with pytest.raises(WitnessBug, match="not ground"):
+        _match_dirt(dirt((), "d1"), dirt((), "d2"), eta)
+    assert eta == Substitution()
 
 
 NESTED_SKELETONS = """
