@@ -455,6 +455,29 @@ def value_inclusion_coercion(lo: ValueType, hi: ValueType) -> VCoercion:
     raise NoWitness(f"no value coercion {lo} <= {hi}")
 
 
+def ground_inclusion(sig: Signature, lo: Dirt | ValueType,
+                     hi: Dirt | ValueType) -> DCoercion | VCoercion:
+    """The canonical inclusion coercion `lo <= hi` between two dirts or two
+    value types, built once per signature.
+
+    `sig.ground_inclusions` keeps each coercion built, two closed dirts
+    keyed by their operation sets and two value types by the pair, so a
+    repeated request returns the same object. A dirt with a tail is built
+    directly and not remembered, nor is a pair without a witness: that
+    raises `NoWitness` each time."""
+    if isinstance(lo, Dirt):
+        if lo.tail is not None or hi.tail is not None:
+            return dirt_inclusion_coercion(lo, hi)
+        key, build = (lo.ops, hi.ops), dirt_inclusion_coercion
+    else:
+        key, build = (lo, hi), value_inclusion_coercion
+    memo = sig.ground_inclusions
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = build(lo, hi)
+    return got
+
+
 # ---------------------------------------------------------------------------
 # Term typing
 

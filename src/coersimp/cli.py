@@ -27,7 +27,7 @@ from .graph import to_dot
 from .phases import PRESETS, parse_phase_config, simplify
 from .polarity import EMPTY_FPS, extend_family_vty, fp_vty
 from .reduce import ReductionBug, Unsatisfiable
-from .sample import SampleError, sample_eta
+from .sample import SampleError, Sampler
 from .semantics import (
     DEFAULT_BUDGET,
     DomainTooLarge,
@@ -112,13 +112,17 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     `fingerprint` of an earlier one takes that one's outcome: a pass, the
     same failure, or `DomainTooLarge`, which still sends it to the strict
     redraw. `distinct` counts the instantiations checked. The memo dies
-    with the call; each distinct ground coercion, though, is checked once
-    per signature (`Signature.ground_checks`), so a later run on the same
-    parsed item rechecks none that an earlier run checked.
+    with the call, and so does the run's one `Sampler`, which prepares
+    what every draw of the context reads. Each distinct ground coercion,
+    though, is checked once per signature (`Signature.ground_checks`), and
+    each ground inclusion coercion the draws and the replayed reductions
+    take is built once per signature (`Signature.ground_inclusions`), so a
+    later run on the same parsed item rechecks and rebuilds none of them.
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
     sim, _, term = _simplified(item, config, full_dirt)
+    sampler = Sampler(item.signature, item.context, item.poltype, item.term)
     images: dict = {}
     # Fingerprint -> None on a pass, else the exception's class and args:
     # a remembered failure keeps no traceback, so no frames of its sample.
@@ -140,7 +144,7 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     for i in range(samples):
         rng = random.Random(f"{seed}:{item.name}:{config}:{i}")
         try:
-            _verify_once(item, check, rng)
+            _verify_once(sampler, check, rng)
         except SAMPLE_FAILURES as exc:
             failures.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return {
@@ -156,21 +160,18 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
 def fingerprint(eta0: Substitution, images: dict) -> tuple[int, ...]:
     """`eta0`'s images, each numbered by `images`, which gives an image it
     has not seen the next number. The images are taken map by map in the
-    order `sample_eta` fills them, so two draws over one context, numbered
+    order `Sampler.draw` fills them, so two draws over one context, numbered
     by one table, have equal fingerprints exactly when they are equal."""
     return tuple(images.setdefault(image, len(images))
                  for part in (eta0.skel, eta0.dirt, eta0.ty, eta0.dco, eta0.vco)
                  for image in part.values())
 
 
-def _verify_once(item: CorpusItem, check, rng: random.Random) -> None:
-    sig = item.signature
+def _verify_once(sampler: Sampler, check, rng: random.Random) -> None:
     try:
-        check(sample_eta(sig, item.context, rng, enumerable=True,
-                         poltype=item.poltype, term=item.term))
+        check(sampler.draw(rng, enumerable=True))
     except DomainTooLarge:
-        check(sample_eta(sig, item.context, rng, poltype=item.poltype,
-                         term=item.term, strict=True))
+        check(sampler.draw(rng, strict=True))
 
 
 def check_sample(item: CorpusItem, sim, term: ValueTerm, eta0: Substitution,

@@ -5,7 +5,13 @@ fixpoint pushed up by concrete operations on lower bounds) plus random
 noise, then repaired by shrinking lower tails only; shrinking is monotone,
 so the repair always lands on a valid assignment. Type upper bounds are
 raised to their join with the lower bound when no inclusion coercion
-exists. Constraint names then get actual inclusion coercions.
+exists. Constraint names then get actual inclusion coercions, each taken
+from the signature, which builds it once (`check.ground_inclusion`).
+
+A `Sampler` prepares once what every draw of one context reads: the
+forced content, the pinned parameters of each mode and the repairs'
+watcher maps. `verify` makes one per run and draws every sample from it;
+`sample_eta` is one draw of a fresh one.
 
 Both repairs run on a worklist (`_settle`): a repair re-examines only the
 constraints that the parameter it changed may have unsettled, and reaches
@@ -30,11 +36,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .check import (
-    NoWitness,
-    dirt_inclusion_coercion,
-    value_inclusion_coercion,
-)
+from .check import NoWitness, ground_inclusion
 from .subst import Substitution, apply_dirt, apply_skel, apply_vty, check_validity
 from .syntax import (
     CastV,
@@ -206,24 +208,130 @@ def _settle(count: int, repair, watchers: dict[str, list[int]]) -> None:
     change of `p` may unsettle; every other constraint a sweep would find
     as it left it. A constraint unsettled by the repair of constraint `i`
     is examined later in the current sweep if it comes after `i`, else in
-    the next one, as a sweep would reach it.
+    the next one, as a sweep would reach it. The first sweep examines every
+    constraint, so it runs in order and queues only for the next one.
     """
-    sweep, later = list(range(count)), set()  # a sorted list is a heap
-    queued = set(sweep)
-    while sweep or later:
-        if not sweep:
-            sweep, queued, later = sorted(later), later, set()
-        i = heapq.heappop(sweep)
-        queued.discard(i)
+    later: set[int] = set()
+    for i in range(count):
         changed = repair(i)
-        if changed is None:
-            continue
-        for j in watchers.get(changed, ()):
-            if j <= i:
-                later.add(j)
-            elif j not in queued:
-                queued.add(j)
-                heapq.heappush(sweep, j)
+        if changed is not None:
+            later.update(j for j in watchers.get(changed, ()) if j <= i)
+    while later:
+        sweep, queued, later = sorted(later), later, set()  # a sorted list is a heap
+        while sweep:
+            i = heapq.heappop(sweep)
+            queued.discard(i)
+            changed = repair(i)
+            if changed is None:
+                continue
+            for j in watchers.get(changed, ()):
+                if j <= i:
+                    later.add(j)
+                elif j not in queued:
+                    queued.add(j)
+                    heapq.heappush(sweep, j)
+
+
+class Sampler:
+    """Ground instantiations of `ctx`, one per `draw`.
+
+    What depends only on the context is computed once, here: the operation
+    list, the forced dirt content, the parameters pinned by an enumerable
+    and by a strict draw, and the constraints each repair's change may
+    unsettle. A draw reads these tables and never changes them. A context
+    without any valid instantiation is not refused here: each draw draws
+    its skeletons and then raises the `SampleError`, as `sample_eta` does.
+    """
+
+    def __init__(self, sig: Signature, ctx: ParamContext,
+                 poltype: ValueType | None = None, term: ValueTerm | None = None):
+        self.sig, self.ctx = sig, ctx
+        self.ops = sorted(sig.names())
+        try:
+            self.least, self.unsat = forced_dirt_content(ctx), None
+        except SampleError as exc:
+            self.least, self.unsat = None, str(exc)
+        self.buried = frozenset(buried_params(poltype, term))
+        self.every = frozenset(ctx.dirt_params) | {n for n, _ in ctx.ty_params}
+        # A dirt repair shrinks a lower tail, which may unsettle the
+        # constraints with that tail above; a type repair raises an upper
+        # parameter, which may unsettle every constraint that mentions it.
+        self.uppers: dict[str, list[int]] = {}
+        for i, (_, _, hi) in enumerate(ctx.dirt_cos):
+            if hi.tail is not None:
+                self.uppers.setdefault(hi.tail, []).append(i)
+        self.mentions: dict[str, list[int]] = {}
+        for i, (_, lo, hi) in enumerate(ctx.ty_cos):
+            names: set[str] = set()
+            _walk_domains(lo, names, True)
+            _walk_domains(hi, names, True)
+            for n in names:
+                self.mentions.setdefault(n, []).append(i)
+
+    def draw(self, rng: random.Random, enumerable: bool = False,
+             strict: bool = False) -> Substitution:
+        """One ground instantiation, validated before returning."""
+        sig, ctx, ops = self.sig, self.ctx, self.ops
+        enumerable = enumerable or strict
+        pinned = self.every if strict else self.buried if enumerable else frozenset()
+
+        sub = Substitution()
+        for s in ctx.skel_params:
+            sub.skel[s] = _sample_skeleton(rng, enumerable)
+        if self.unsat is not None:
+            raise SampleError(self.unsat)
+        least = self.least
+        for d in ctx.dirt_params:
+            extra = _sample_dirt(rng, ops, d in pinned)
+            sub.dirt[d] = Dirt(least[d] | extra.ops, None)
+
+        # Repair dirt inclusions by shrinking lower tails: the lower tail keeps
+        # only what the upper side carries. Forced content never goes missing
+        # (the upper side carries it by construction), so a repair only strips
+        # random noise, and only a shrunk upper tail can unsettle a constraint.
+        def repair_dirt(i: int) -> str | None:
+            name, lo, hi = ctx.dirt_cos[i]
+            missing = apply_dirt(sub, lo).ops - apply_dirt(sub, hi).ops
+            if not missing:
+                return None
+            if lo.tail is None or not missing <= sub.dirt[lo.tail].ops:
+                raise SampleError(f"cannot satisfy {name}: {lo} <= {hi}")
+            sub.dirt[lo.tail] = Dirt(sub.dirt[lo.tail].ops - missing, None)
+            return lo.tail
+
+        _settle(len(ctx.dirt_cos), repair_dirt, self.uppers)
+
+        for name, skel in ctx.ty_params:
+            gskel = apply_skel(sub, skel)
+            sub.ty[name] = _ground_of_skeleton(gskel, rng, ops, name in pinned)
+
+        # Repair type inclusions by raising the upper image to its join with
+        # the lower one. Joins only climb a finite lattice, so this settles.
+        # Each constraint keeps the inclusion coercion of its last
+        # examination, which is then the one between its final images.
+        vcos: list = [None] * len(ctx.ty_cos)
+
+        def repair_type(i: int) -> str | None:
+            _, lo, hi = ctx.ty_cos[i]
+            glo, ghi = apply_vty(sub, lo), apply_vty(sub, hi)
+            try:
+                vcos[i] = ground_inclusion(sig, glo, ghi)
+                return None
+            except NoWitness:
+                if not isinstance(hi, TyParam):
+                    raise SampleError(f"cannot satisfy {lo} <= {hi}")
+                sub.ty[hi.name] = _join_vty(glo, ghi)
+                return hi.name
+
+        _settle(len(ctx.ty_cos), repair_type, self.mentions)
+
+        for name, lo, hi in ctx.dirt_cos:
+            sub.dco[name] = ground_inclusion(sig, apply_dirt(sub, lo), apply_dirt(sub, hi))
+        for (name, _, _), co in zip(ctx.ty_cos, vcos):
+            sub.vco[name] = co
+
+        check_validity(sig, ctx, sub, EMPTY_CONTEXT)
+        return sub
 
 
 def sample_eta(
@@ -235,80 +343,6 @@ def sample_eta(
     term: ValueTerm | None = None,
     strict: bool = False,
 ) -> Substitution:
-    """One ground instantiation of `ctx`, validated before returning."""
-    enumerable = enumerable or strict
-    ops = sorted(sig.names())
-    if strict:
-        pinned = set(ctx.dirt_params) | {n for n, _ in ctx.ty_params}
-    elif enumerable:
-        pinned = buried_params(poltype, term)
-    else:
-        pinned = set()
-
-    sub = Substitution()
-    for s in ctx.skel_params:
-        sub.skel[s] = _sample_skeleton(rng, enumerable)
-    least = forced_dirt_content(ctx)
-    for d in ctx.dirt_params:
-        extra = _sample_dirt(rng, ops, d in pinned)
-        sub.dirt[d] = Dirt(least[d] | extra.ops, None)
-
-    # Repair dirt inclusions by shrinking lower tails: the lower tail keeps
-    # only what the upper side carries. Forced content never goes missing
-    # (the upper side carries it by construction), so a repair only strips
-    # random noise, and only a shrunk upper tail can unsettle a constraint.
-    def repair_dirt(i: int) -> str | None:
-        name, lo, hi = ctx.dirt_cos[i]
-        missing = apply_dirt(sub, lo).ops - apply_dirt(sub, hi).ops
-        if not missing:
-            return None
-        if lo.tail is None or not missing <= sub.dirt[lo.tail].ops:
-            raise SampleError(f"cannot satisfy {name}: {lo} <= {hi}")
-        sub.dirt[lo.tail] = Dirt(sub.dirt[lo.tail].ops - missing, None)
-        return lo.tail
-
-    uppers: dict[str, list[int]] = {}
-    for i, (_, _, hi) in enumerate(ctx.dirt_cos):
-        if hi.tail is not None:
-            uppers.setdefault(hi.tail, []).append(i)
-    _settle(len(ctx.dirt_cos), repair_dirt, uppers)
-
-    for name, skel in ctx.ty_params:
-        gskel = apply_skel(sub, skel)
-        sub.ty[name] = _ground_of_skeleton(gskel, rng, ops, name in pinned)
-
-    # Repair type inclusions by raising the upper image to its join with
-    # the lower one. Joins only climb a finite lattice, so this settles. A
-    # raised parameter unsettles every constraint that mentions it; each
-    # constraint keeps the inclusion coercion of its last examination,
-    # which is then the one between its final images.
-    vcos: list = [None] * len(ctx.ty_cos)
-
-    def repair_type(i: int) -> str | None:
-        _, lo, hi = ctx.ty_cos[i]
-        glo, ghi = apply_vty(sub, lo), apply_vty(sub, hi)
-        try:
-            vcos[i] = value_inclusion_coercion(glo, ghi)
-            return None
-        except NoWitness:
-            if not isinstance(hi, TyParam):
-                raise SampleError(f"cannot satisfy {lo} <= {hi}")
-            sub.ty[hi.name] = _join_vty(glo, ghi)
-            return hi.name
-
-    mentions: dict[str, list[int]] = {}
-    for i, (_, lo, hi) in enumerate(ctx.ty_cos):
-        names: set[str] = set()
-        _walk_domains(lo, names, True)
-        _walk_domains(hi, names, True)
-        for n in names:
-            mentions.setdefault(n, []).append(i)
-    _settle(len(ctx.ty_cos), repair_type, mentions)
-
-    for name, lo, hi in ctx.dirt_cos:
-        sub.dco[name] = dirt_inclusion_coercion(apply_dirt(sub, lo), apply_dirt(sub, hi))
-    for (name, _, _), co in zip(ctx.ty_cos, vcos):
-        sub.vco[name] = co
-
-    check_validity(sig, ctx, sub, EMPTY_CONTEXT)
-    return sub
+    """One ground instantiation of `ctx`, validated before returning: one
+    draw of a `Sampler` made for it."""
+    return Sampler(sig, ctx, poltype, term).draw(rng, enumerable, strict)

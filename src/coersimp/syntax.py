@@ -409,10 +409,14 @@ class Signature:
     # Endpoints of the ground coercions checked under this signature, by
     # coercion; `check` fills it (see `check._remembered`).
     ground_checks: dict = field(init=False, repr=False, compare=False)
+    # The canonical inclusion coercions built under this signature, by
+    # endpoints; `check.ground_inclusion` fills it.
+    ground_inclusions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name_set", frozenset(name for name, _ in self.ops))
         object.__setattr__(self, "ground_checks", {})
+        object.__setattr__(self, "ground_inclusions", {})
 
     def names(self) -> list[str]:
         return [name for name, _ in self.ops]

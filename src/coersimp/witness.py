@@ -36,7 +36,7 @@ from .check import (
     derived_refl_dirt,
     derived_refl_vty,
     dirt_inclusion_coercion,
-    value_inclusion_coercion,
+    ground_inclusion,
     vco_endpoint,
 )
 from .phases import PhaseResult, PhaseStep
@@ -197,22 +197,24 @@ def replay_reduction(sig: Signature, red, eta0: Substitution) -> Substitution:
     image; a successful match makes the two agree at that name. Reduction's
     substitution also maps intermediate names it made up on the way, which
     have no ground image and are not read. The result grounds the reduced
-    context with fresh inclusion coercions and is checked valid before it
-    is returned. `build_witness_total` does not replay a reduction that
-    returned its input; there the result would be `eta0` itself."""
+    context with the signature's inclusion coercions
+    (`check.ground_inclusion`) and is checked valid before it is returned.
+    `build_witness_total` does not replay a reduction that returned its
+    input; there the result would be `eta0` itself."""
     eta = Substitution(skel=dict(eta0.skel))
     for name, ground in eta0.dirt.items():
         _match_dirt(red.subst.dirt.get(name, Dirt(frozenset(), name)), ground, eta)
     for name, ground in eta0.ty.items():
         _match_vty(red.subst.ty.get(name, TyParam(name)), ground, eta)
 
-    # Coercion names get fresh inclusion witnesses; the bounds hold because
-    # the factored instantiation satisfies every reduced constraint.
+    # Coercion names get the signature's inclusion witnesses; the bounds
+    # hold because the factored instantiation satisfies every reduced
+    # constraint.
     rc = red.context
     for name, lo, hi in rc.dirt_cos:
-        eta.dco[name] = dirt_inclusion_coercion(apply_dirt(eta, lo), apply_dirt(eta, hi))
+        eta.dco[name] = ground_inclusion(sig, apply_dirt(eta, lo), apply_dirt(eta, hi))
     for name, lo, hi in rc.ty_cos:
-        eta.vco[name] = value_inclusion_coercion(apply_vty(eta, lo), apply_vty(eta, hi))
+        eta.vco[name] = ground_inclusion(sig, apply_vty(eta, lo), apply_vty(eta, hi))
 
     check_validity(sig, rc, eta, EMPTY_CONTEXT)
     return eta

@@ -16,6 +16,7 @@ from coersimp.check import (
     derived_refl_dirt,
     derived_refl_vty,
     dirt_inclusion_coercion,
+    ground_inclusion,
     type_of_comp,
     type_of_value,
     value_inclusion_coercion,
@@ -43,6 +44,7 @@ from coersimp.syntax import (
     OpCall,
     ParamContext,
     Return,
+    Signature,
     SkelArrow,
     SkelBase,
     SkelParam,
@@ -222,6 +224,59 @@ def test_value_inclusion_coercion():
     assert check_vco(SIG, CTX, value_inclusion_coercion(lo, hi)) == (lo, hi)
     with pytest.raises(NoWitness):
         value_inclusion_coercion(TyUnit(), TyBase("bit"))
+
+
+def test_ground_inclusion_is_built_once_per_signature():
+    """Equal endpoints, as distinct but equal objects, get the one coercion
+    the signature built for them, equal to the builder's; an equal
+    signature parsed anew builds its own."""
+    sig = Signature(SIG.ops)
+    lo, hi = dirt(("Random",)), dirt(("Random", "Fail"))
+    got = ground_inclusion(sig, lo, hi)
+    assert got == dirt_inclusion_coercion(lo, hi)
+    assert ground_inclusion(sig, dirt(("Random",)), dirt(("Fail", "Random"))) is got
+    vlo = TyArrow(TyUnit(), CompType(TyUnit(), dirt()))
+    vhi = TyArrow(TyUnit(), CompType(TyUnit(), dirt(("Random",))))
+    vgot = ground_inclusion(sig, vlo, vhi)
+    assert vgot == value_inclusion_coercion(vlo, vhi)
+    assert ground_inclusion(sig, TyArrow(TyUnit(), CompType(TyUnit(), dirt())),
+                            TyArrow(TyUnit(), CompType(TyUnit(), dirt(("Random",))))) is vgot
+    assert len(sig.ground_inclusions) == 2
+    other = Signature(SIG.ops)
+    assert other == sig and not other.ground_inclusions
+    assert ground_inclusion(other, lo, hi) == got
+
+
+def test_ground_inclusion_remembers_no_failure():
+    """A pair without a witness raises `NoWitness` on every request and
+    leaves the signature's inclusions as they were."""
+    sig = Signature(SIG.ops)
+    ground_inclusion(sig, dirt(()), dirt(("Random",)))
+    before = dict(sig.ground_inclusions)
+    for _ in range(2):
+        with pytest.raises(NoWitness):
+            ground_inclusion(sig, dirt(("Fail",)), dirt(("Random",)))
+        with pytest.raises(NoWitness):
+            ground_inclusion(sig, TyUnit(), TyBase("bit"))
+        with pytest.raises(NoWitness):
+            ground_inclusion(sig, dirt((), "d1"), dirt(("Random",)))
+    assert sig.ground_inclusions == before
+
+
+def test_ground_inclusion_serves_no_closed_entry_to_a_dirt_with_a_tail():
+    """Dirts that differ from remembered closed ones only in a tail get
+    their own coercion, built directly and not remembered."""
+    sig = Signature(SIG.ops)
+    pairs = [((), ("Random",)), (("Random",), ("Random", "Fail")), (("Fail",), ("Fail",))]
+    closed = {pair: ground_inclusion(sig, dirt(pair[0]), dirt(pair[1])) for pair in pairs}
+    remembered = dict(sig.ground_inclusions)
+    for pair in pairs:
+        for lo_tail, hi_tail in ((None, "d1"), ("d1", "d1")):
+            lo, hi = dirt(pair[0], lo_tail), dirt(pair[1], hi_tail)
+            got = ground_inclusion(sig, lo, hi)
+            assert got == dirt_inclusion_coercion(lo, hi) != closed[pair]
+            assert check_dco(SIG, CTX, got) == (lo, hi)
+    assert sig.ground_inclusions == remembered
 
 
 def test_check_cco():

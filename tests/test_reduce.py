@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from coersimp.check import check_dco, check_vco, wf_context
+from coersimp.check import SkeletonMismatch, check_dco, check_vco, wf_context
 from coersimp.reduce import (
     ReductionBug,
     ReductionResult,
@@ -427,3 +427,16 @@ def test_reduce_cost_does_not_grow_with_steps(monkeypatch):
         red = reduce_context(TEST_SIG, structural_context(2, size))
         assert len(red.subst.domain()) > size // 2
     assert calls == {}
+
+
+def test_type_constraint_across_skeletons_is_unsatisfiable_without_wf_context():
+    """`wf_context` refuses a type constraint between types of different
+    skeletons, so reduction's type stage never meets one on a checked
+    context. Its guard still holds for a caller that skips the check:
+    reducing such a context directly raises `Unsatisfiable` there."""
+    ctx = ParamContext(ty_cos=(("w", TyUnit(), TyBase("bit")),))
+    with pytest.raises(SkeletonMismatch):
+        wf_context(TEST_SIG, ctx)
+    with pytest.raises(Unsatisfiable, match="type constraint w") as exc:
+        reduce_context(TEST_SIG, ctx)
+    assert exc.traceback[-1].name == "_phi_tc"

@@ -1,5 +1,6 @@
 """Ground instantiation sampling: forced content, pinning, and repair."""
 
+import copy
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from coersimp.check import value_inclusion_coercion
 from coersimp.corpus import load_bundled
 from coersimp.sample import (
     SampleError,
+    Sampler,
     buried_params,
     forced_dirt_content,
     sample_eta,
@@ -255,6 +257,88 @@ def test_sampler_matches_reference_on_failures():
                 failed += 1
             same_draw(TEST_SIG, c, i)
     assert 40 < failed < 80
+
+
+# ---------------------------------------------------------------------------
+# One prepared sampler, many draws
+
+
+def outcome(draw, rng):
+    """A draw's instantiation, or its `SampleError` message, and the state
+    of its rng after it."""
+    try:
+        got = draw(rng)
+    except SampleError as exc:
+        got = str(exc)
+    return got, rng.getstate()
+
+
+def tables(sampler):
+    return copy.deepcopy((sampler.ops, sampler.least, sampler.unsat, sampler.buried,
+                          sampler.every, sampler.uppers, sampler.mentions))
+
+
+# The modes of a sequence of draws on one rng: every mode, and enumerable
+# draws followed by strict redraws as `cli._verify_once` makes them.
+SEQUENCE = ("free", "enumerable", "strict", "enumerable", "enumerable", "strict",
+            "free", "strict", "enumerable")
+
+
+def same_sequence(sig, ctx, seed, poltype=None, term=None):
+    """One `Sampler` draws the modes of `SEQUENCE` in turn from one rng;
+    each draw equals a one-shot `sample_eta` draw and the reference's, each
+    on its own rng of the same seed, and leaves its rng as they leave
+    theirs. The prepared tables never change."""
+    sampler = Sampler(sig, ctx, poltype, term)
+    prepared = tables(sampler)
+    assert prepared == tables(Sampler(sig, ctx, poltype, term))
+    mine, once, ref = (random.Random(seed) for _ in range(3))
+    for mode in SEQUENCE:
+        kw = dict(MODES[mode], poltype=poltype, term=term)
+        got = outcome(lambda r: sampler.draw(r, **MODES[mode]), mine)
+        assert got == outcome(lambda r: sample_eta(sig, ctx, r, **kw), once), (seed, mode)
+        assert got == outcome(lambda r: sample_eta_reference(sig, ctx, r, **kw), ref), (seed, mode)
+        assert tables(sampler) == prepared, (seed, mode)
+
+
+def test_prepared_sampler_draws_as_one_shot_draws_on_corpus_items():
+    for item in load_bundled():
+        for i in range(3):
+            same_sequence(item.signature, item.context, f"seq:{item.name}:{i}",
+                          item.poltype, item.term)
+
+
+@pytest.mark.parametrize("family", SHAPES)
+def test_prepared_sampler_draws_as_one_shot_draws_on_bench_shapes(family):
+    ctx, pol = shape_context(family, 50)
+    for i in range(2):
+        same_sequence(TEST_SIG, ctx, f"seq:{family}:{i}", pol)
+
+
+def test_prepared_sampler_draws_as_one_shot_draws_on_random_contexts():
+    rng = random.Random("seq")
+    for i in range(150):
+        ctx = random_context(rng, max_dirts=8, max_tys=8, max_cos=12)
+        same_sequence(TEST_SIG, ctx, i)
+
+
+def test_prepared_sampler_fails_in_the_draw_with_the_reference_message():
+    """Preparing a sampler for an unsatisfiable context raises nothing;
+    each draw then raises the reference's `SampleError`, after drawing
+    what the reference draws before it fails. A context that fails only
+    on some draws (an inclusion into a closed arrow) fails on the same."""
+    unsat = ParamContext(("s1", "s2"), (), (), (
+        ("p1", Dirt(R, None), Dirt(frozenset({"Fail"}), None)),), ())
+    closed = ParamContext(
+        (), (), (("a1", SkelArrow(SkelUnit(), SkelUnit())),), (),
+        (("w1", TyParam("a1"), arrow(TyUnit(), TyUnit())),))
+    sampler = Sampler(TEST_SIG, unsat)
+    for i in range(4):
+        same_sequence(TEST_SIG, unsat, f"unsat:{i}")
+        same_sequence(TEST_SIG, closed, f"closed:{i}")
+        for mode in MODES:
+            with pytest.raises(SampleError, match="unsatisfiable constraint p1"):
+                sampler.draw(random.Random(i), **MODES[mode])
 
 
 def test_dirt_repair_costs_linear_in_the_constraints(monkeypatch):

@@ -422,13 +422,28 @@ def count_calls(monkeypatch, original):
     return calls
 
 
+def count_draws(monkeypatch):
+    """Route every `Sampler.draw` through a wrapper; return the list of
+    (keyword arguments, result) of the draws it sees."""
+    calls = []
+    original = sample.Sampler.draw
+
+    def counted(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        calls.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(sample.Sampler, "draw", counted)
+    return calls
+
+
 def test_verify_sample_checks_validity_twice_on_a_canonical_item(monkeypatch):
     """The sampler checks its draw and `check_witness_total` checks the
     replayed instantiation. Reduction returns a canonical input as it is,
     so the sample itself is the reduced instantiation; no third check."""
     item = {i.name: i for i in load_bundled()}["apply_if"]
     assert is_canonical(item.context)
-    draws = count_calls(monkeypatch, sample.sample_eta)
+    draws = count_draws(monkeypatch)
     checks = count_calls(monkeypatch, subst.check_validity)
     assert cmd_verify(item, "all", samples=1)["passed"] == 1
     assert len(draws) == 1
@@ -440,7 +455,7 @@ def test_verify_sample_types_and_evaluates_the_original_once(monkeypatch):
     one meaning of the instantiated original term, also where the
     strengthened term equals it (`do_let_term`)."""
     items = {i.name: i for i in load_bundled()}
-    draws = count_calls(monkeypatch, sample.sample_eta)
+    draws = count_draws(monkeypatch)
     typings = count_calls(monkeypatch, check.type_of_value)
     evals = count_calls(monkeypatch, semantics.eval_value)
     for name, differs in (("apply_randomly", True), ("do_let_term", False)):
@@ -502,6 +517,64 @@ def test_verify_checks_each_ground_coercion_once_per_signature(monkeypatch):
         assert run(reparsed)[0] == first, name
 
 
+def test_ground_inclusions_equal_the_builders_on_every_drawn_pair(monkeypatch):
+    """Every inclusion the sampler and `replay_reduction` take from the
+    signature, over the bundled corpus, is what the builders give."""
+    asked = count_calls(monkeypatch, check.ground_inclusion)
+    for item in load_bundled():
+        for i in range(4):
+            sample_eta(item.signature, item.context, random.Random(f"incl:{i}"))
+        if item.term is not None:
+            for preset in ("none", "scc", "all"):
+                assert cmd_verify(item, preset, samples=6)["passed"] == 6
+    sorts = set()
+    for (_, lo, hi), got in asked:
+        build = dirt_inclusion_coercion if isinstance(lo, Dirt) else value_inclusion_coercion
+        assert got == build(lo, hi), (lo, hi)
+        sorts.add(build)
+    assert len(sorts) == 2
+
+
+def test_verify_builds_each_ground_inclusion_once_per_signature(monkeypatch):
+    """Over a whole `cmd_verify` run, the inclusion builders run at most
+    once per distinct pair of endpoints, and the forced dirt content is
+    computed once. A second run on the same parsed item builds none. Only
+    the builders' outermost calls through `check` count: an arrow's
+    builder builds its parts by recursion."""
+    built = []
+    depth = [0]
+    for name in ("dirt_inclusion_coercion", "value_inclusion_coercion"):
+
+        def recorded(lo, hi, build=getattr(check, name)):
+            depth[0] += 1
+            try:
+                got = build(lo, hi)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                built.append((lo, hi))
+            return got
+
+        monkeypatch.setattr(check, name, recorded)
+    forced = count_calls(monkeypatch, sample.forced_dirt_content)
+    total = 0
+    for item in load_bundled():
+        if item.term is None:
+            continue
+        for preset in ("none", "scc", "all"):
+            built.clear()
+            forced.clear()
+            report = cmd_verify(item, preset, samples=12)
+            assert len(built) == len(set(built)), (item.name, preset)
+            assert len(forced) == 1, (item.name, preset)
+            total += len(built)
+        built.clear()
+        forced.clear()
+        assert cmd_verify(item, "all", samples=12) == report
+        assert not built and len(forced) == 1, item.name
+    assert total
+
+
 @pytest.mark.parametrize("preset", ["none", "scc", "all"])
 def test_verify_passes_samples_that_need_the_strict_draw(monkeypatch, preset):
     """The unpinned parameter `a` can draw a type that the repair through
@@ -514,15 +587,10 @@ def test_verify_passes_samples_that_need_the_strict_draw(monkeypatch, preset):
             (tyco w (param a) (param b)))
           (poltype (arrow (param b) (comp (unit) (dirt ()))))
           (term (lam x (param b) (return (unitval)))))""")
-    strict = []
-
-    def draw(*args, **kwargs):
-        strict.append(kwargs.get("strict", False))
-        return sample_eta(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "sample_eta", draw)
+    draws = count_draws(monkeypatch)
     report = cmd_verify(item, preset, samples=40)
     assert report["passed"] == 40, report["failures"]
+    strict = [kwargs.get("strict", False) for kwargs, _ in draws]
     redrawn = {"none": 10, "scc": 12, "all": 12}[preset]
     assert sum(strict) == redrawn and len(strict) == 40 + redrawn
 

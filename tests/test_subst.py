@@ -7,8 +7,11 @@ composition legs from the canonicalizing reduction.
 """
 
 import random
+from collections import Counter
 
 import pytest
+
+from coersimp import subst
 
 from coersimp.check import (
     EndpointMismatch,
@@ -39,22 +42,35 @@ from coersimp.subst import (
     check_validity,
     compose,
     identity,
+    resolve,
 )
 from coersimp.syntax import (
     CCoercion,
+    CompType,
+    DCoCompose,
+    DCoEmptyUnder,
     DCoParam,
+    DCoReflEmpty,
+    DCoReflParam,
+    DCoUnionBoth,
+    DCoUnionRight,
     Dirt,
     EMPTY_CONTEXT,
     ParamContext,
+    SkelArrow,
     SkelBase,
     SkelParam,
     SkelUnit,
+    TyArrow,
     TyBase,
     TyParam,
     TyUnit,
     VCoArrow,
     VCoCompose,
     VCoParam,
+    VCoReflBase,
+    VCoReflParam,
+    VCoReflUnit,
     dirt,
 )
 
@@ -209,3 +225,120 @@ def test_check_validity_names_each_failure():
     bad = Substitution(ty={"a": TyUnit()}, vco={"w": derived_refl_vty(TyBase("bit"))})
     with pytest.raises(EndpointMismatch):
         check_validity(TEST_SIG, ctx, bad, EMPTY_CONTEXT)
+
+
+# ---------------------------------------------------------------------------
+# Resolving a run's steps, against composing them one by one
+#
+# Step `k` maps some names of level `k` (`d2_1` is dirt parameter 1 of
+# level 2), and its images mention only names of later levels, which a
+# later step maps or none does. So every step maps each name at most once
+# and mentions no name that it or an earlier step maps, as `resolve`
+# requires.
+
+
+def _later(rng, kind, k, levels):
+    return f"{kind}{rng.randint(k + 1, levels)}_{rng.randint(1, 2)}"
+
+
+def _skel(rng, k, levels, depth=2):
+    pick = rng.randrange(4 if depth else 3)
+    if pick == 0:
+        return SkelParam(_later(rng, "s", k, levels))
+    if pick == 1:
+        return SkelUnit()
+    if pick == 2:
+        return SkelBase("bit")
+    return SkelArrow(_skel(rng, k, levels, depth - 1), _skel(rng, k, levels, depth - 1))
+
+
+def _dirt(rng, k, levels):
+    ops = frozenset(op for op in ("Random", "Fail") if rng.random() < 0.4)
+    return Dirt(ops, _later(rng, "d", k, levels) if rng.random() < 0.7 else None)
+
+
+def _vty(rng, k, levels, depth=2):
+    pick = rng.randrange(4 if depth else 3)
+    if pick == 0:
+        return TyParam(_later(rng, "a", k, levels))
+    if pick == 1:
+        return TyUnit()
+    if pick == 2:
+        return TyBase("bit")
+    return TyArrow(_vty(rng, k, levels, depth - 1),
+                   CompType(_vty(rng, k, levels, depth - 1), _dirt(rng, k, levels)))
+
+
+def _dco(rng, k, levels, depth=3):
+    pick = rng.randrange(7 if depth else 4)
+    if pick == 0:
+        return DCoParam(_later(rng, "p", k, levels))
+    if pick == 1:
+        return DCoReflParam(_later(rng, "d", k, levels))
+    if pick == 2:
+        return DCoReflEmpty()
+    if pick == 3:
+        return DCoEmptyUnder(_later(rng, "d", k, levels))
+    if pick == 6:
+        return DCoCompose(_dco(rng, k, levels, depth - 1), _dco(rng, k, levels, depth - 1))
+    union = DCoUnionBoth if pick == 4 else DCoUnionRight
+    return union(rng.choice(("Random", "Fail")), _dco(rng, k, levels, depth - 1))
+
+
+def _vco(rng, k, levels, depth=3):
+    pick = rng.randrange(6 if depth else 4)
+    if pick == 0:
+        return VCoParam(_later(rng, "w", k, levels))
+    if pick == 1:
+        return VCoReflParam(_later(rng, "a", k, levels))
+    if pick == 2:
+        return VCoReflUnit()
+    if pick == 3:
+        return VCoReflBase("bit")
+    if pick == 4:
+        return VCoArrow(_vco(rng, k, levels, depth - 1),
+                        CCoercion(_vco(rng, k, levels, depth - 1), _dco(rng, k, levels)))
+    return VCoCompose(_vco(rng, k, levels, depth - 1), _vco(rng, k, levels, depth - 1))
+
+
+def layered_steps(rng, levels):
+    steps = []
+    for k in range(levels):
+        step = Substitution()
+        for part, kind, image in ((step.skel, "s", _skel), (step.dirt, "d", _dirt),
+                                  (step.ty, "a", _vty), (step.dco, "p", _dco),
+                                  (step.vco, "w", _vco)):
+            for i in (1, 2):
+                if rng.random() < 0.6:
+                    part[f"{kind}{k}_{i}"] = image(rng, k, levels)
+        steps.append(step)
+    return steps
+
+
+def test_resolve_equals_composing_the_steps_one_by_one(monkeypatch):
+    """`resolve` gives what folding `compose` over the steps gives, each
+    map's names in step order. The steps map skeleton parameters and
+    compose coercions of both sorts whose links later steps rewrite."""
+    seen = Counter()
+    for name in ("dco", "vco"):
+
+        def counted(self, g, method=getattr(subst._Resolver, name)):
+            seen[type(g)] += 1
+            return method(self, g)
+
+        monkeypatch.setattr(subst._Resolver, name, counted)
+    rng = random.Random("resolve")
+    rewritten = Counter()
+    for i in range(300):
+        steps = layered_steps(rng, rng.randint(1, 4))
+        want = steps[0]
+        for step in steps[1:]:
+            want = compose(step, want)
+        got = resolve(steps)
+        assert got == want, i
+        for part in ("skel", "dirt", "ty", "dco", "vco"):
+            assert list(getattr(got, part)) == list(getattr(want, part)), (i, part)
+            rewritten[part] += sum(getattr(got, part)[n] != image
+                                   for step in steps for n, image in getattr(step, part).items())
+    assert all(rewritten[part] for part in ("skel", "dirt", "ty", "dco", "vco")), rewritten
+    assert seen[DCoCompose] and seen[VCoCompose], seen

@@ -190,11 +190,13 @@ def test_signature_membership_reads_a_name_set():
     assert "Choose" not in sig and "Fail " not in sig
     assert sig.name_set == frozenset({"Fail", "Random"})
     # The declared operations and their order are unchanged; the set is
-    # derived from them, and neither it nor the ground-check memo takes
-    # part in equality, hashing or the repr.
+    # derived from them, and neither it nor the ground-check and inclusion
+    # memos take part in equality, hashing or the repr.
     assert sig.names() == ["Random", "Fail"]
     sig.ground_checks[DCoReflEmpty()] = (dirt(), dirt())
+    sig.ground_inclusions[(frozenset(), frozenset())] = DCoReflEmpty()
     assert sig == Signature(sig.ops) and hash(sig) == hash(Signature(sig.ops))
     assert repr(sig) == repr(Signature(sig.ops))
     assert "name_set" not in repr(sig) and "ground_checks" not in repr(sig)
+    assert "ground_inclusions" not in repr(sig)
     assert not hasattr(sig, "__dict__")
