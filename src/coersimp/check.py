@@ -116,9 +116,10 @@ def wf_skeleton(ctx: ParamContext, s: Skeleton) -> None:
 
 
 def wf_dirt(sig: Signature, ctx: ParamContext, d: Dirt) -> None:
-    for op in d.ops:
-        if op not in sig:
-            raise UnknownName(f"operation {op} not in signature")
+    if not d.ops <= sig.name_set:
+        for op in d.ops:
+            if op not in sig:
+                raise UnknownName(f"operation {op} not in signature")
     if d.tail is not None and d.tail not in ctx.dirt_param_set:
         raise UnknownName(f"dirt parameter {d.tail} not in context")
 

@@ -9,7 +9,9 @@ file / stdin in the same s-expression format):
 
 Exit codes: 0 all checks passed, 1 at least one diagnostic (a failed
 verification, an unsatisfiable context, a bad input, nothing to verify),
-2 an internal invariant was violated.
+2 an internal invariant was violated. Any other exception that escapes a
+command is a fault of the tool: it prints one `internal error:` line
+naming where it was raised, and exits 2.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .semantics import (
 )
 from .subst import Substitution, apply_value, apply_vty
 from .syntax import ValueTerm
-from .witness import WitnessBug, build_witness_total, check_witness_total
+from .witness import WitnessBug, WitnessPlan, build_witness_total, check_witness_total
 
 STANDARD_CONFIGS = tuple(PRESETS)
 # What fails one verify sample; any other exception ends the run.
@@ -111,18 +113,26 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     sample draws in order from its own rng stream; a draw with the
     `fingerprint` of an earlier one takes that one's outcome: a pass, the
     same failure, or `DomainTooLarge`, which still sends it to the strict
-    redraw. `distinct` counts the instantiations checked. The memo dies
-    with the call, and so does the run's one `Sampler`, which prepares
-    what every draw of the context reads. Each distinct ground coercion,
-    though, is checked once per signature (`Signature.ground_checks`), and
-    each ground inclusion coercion the draws and the replayed reductions
-    take is built once per signature (`Signature.ground_inclusions`), so a
-    later run on the same parsed item rechecks and rebuilds none of them.
+    redraw. `distinct` counts the instantiations checked.
+
+    What depends only on the run is prepared once, next to the memo: the
+    `Sampler`, which prepares what every draw of the context reads and
+    the validity check of a draw, and the `WitnessPlan`, which holds the
+    replay of the reduction and the validity check of the strengthened
+    context. Each sample is still checked valid three times (twice where
+    reduction returned the context as it was): as drawn, as replayed and
+    as its witness grounds the strengthened context. All of these die with
+    the call. Each distinct ground coercion, though, is checked once per
+    signature (`Signature.ground_checks`), and each ground inclusion
+    coercion the draws and the replayed reductions take is built once per
+    signature (`Signature.ground_inclusions`), so a later run on the same
+    parsed item rechecks and rebuilds none of them.
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
     sim, _, term = _simplified(item, config, full_dirt)
     sampler = Sampler(item.signature, item.context, item.poltype, item.term)
+    plan = WitnessPlan(item.signature, sim)
     images: dict = {}
     # Fingerprint -> None on a pass, else the exception's class and args:
     # a remembered failure keeps no traceback, so no frames of its sample.
@@ -132,7 +142,7 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
         key = fingerprint(eta0, images)
         if key not in outcomes:
             try:
-                check_sample(item, sim, term, eta0, budget)
+                check_sample(item, sim, term, eta0, budget, plan)
                 outcomes[key] = None
             except (DomainTooLarge, *SAMPLE_FAILURES) as exc:
                 outcomes[key] = (type(exc), exc.args)
@@ -175,14 +185,15 @@ def _verify_once(sampler: Sampler, check, rng: random.Random) -> None:
 
 
 def check_sample(item: CorpusItem, sim, term: ValueTerm, eta0: Substitution,
-                 budget: int = DEFAULT_BUDGET) -> None:
+                 budget: int = DEFAULT_BUDGET, plan: WitnessPlan | None = None) -> None:
     """Both semantic claims at one ground instantiation `eta0` of the
     item's context, for `term`, the item's term rewritten by `sim`: the
     run's checked witness grounds `term` and casts it back along the item's
-    type, and the model checks the two ground terms and that cast."""
+    type, and the model checks the two ground terms and that cast. `plan`
+    is the run's `WitnessPlan`, if the caller prepared one."""
     sig = item.signature
-    wit = build_witness_total(sig, sim, eta0)
-    check_witness_total(sig, sim, eta0, wit)
+    wit = build_witness_total(sig, sim, eta0, plan)
+    check_witness_total(sig, sim, eta0, wit, plan)
     check_preservation(sig, apply_value(eta0, item.term), apply_value(wit.eta, term),
                        extend_family_vty(wit.family, item.poltype), budget)
 
@@ -389,6 +400,23 @@ def _run_report(args, items) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # a fault of the tool itself, not of the input
+        print(f"internal error: {_origin(exc)}: {type(exc).__name__}: {exc}".replace("\n", " "),
+              file=sys.stderr)
+        return 2
+
+
+def _origin(exc: Exception) -> str:
+    """`module.function` of the frame that raised `exc`."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return f"{tb.tb_frame.f_globals.get('__name__')}.{tb.tb_frame.f_code.co_qualname}"
+
+
+def _run(args) -> int:
     if args.command == "verify":
         for flag in ("samples", "budget"):
             if getattr(args, flag) < 1:

@@ -9,9 +9,9 @@ exists. Constraint names then get actual inclusion coercions, each taken
 from the signature, which builds it once (`check.ground_inclusion`).
 
 A `Sampler` prepares once what every draw of one context reads: the
-forced content, the pinned parameters of each mode and the repairs'
-watcher maps. `verify` makes one per run and draws every sample from it;
-`sample_eta` is one draw of a fresh one.
+forced content, the pinned parameters of each mode, the repairs' watcher
+maps and the validity check of a draw. `verify` makes one per run and
+draws every sample from it; `sample_eta` is one draw of a fresh one.
 
 Both repairs run on a worklist (`_settle`): a repair re-examines only the
 constraints that the parameter it changed may have unsettled, and reaches
@@ -37,7 +37,7 @@ import heapq
 import random
 
 from .check import NoWitness, ground_inclusion
-from .subst import Substitution, apply_dirt, apply_skel, apply_vty, check_validity
+from .subst import Substitution, ValidityCheck, apply_dirt, apply_skel, apply_vty
 from .syntax import (
     CastV,
     CompType,
@@ -237,10 +237,11 @@ class Sampler:
 
     What depends only on the context is computed once, here: the operation
     list, the forced dirt content, the parameters pinned by an enumerable
-    and by a strict draw, and the constraints each repair's change may
-    unsettle. A draw reads these tables and never changes them. A context
-    without any valid instantiation is not refused here: each draw draws
-    its skeletons and then raises the `SampleError`, as `sample_eta` does.
+    and by a strict draw, the constraints each repair's change may
+    unsettle, and the check that a draw is valid. A draw reads these
+    tables and never changes them. A context without any valid
+    instantiation is not refused here: each draw draws its skeletons and
+    then raises the `SampleError`, as `sample_eta` does.
     """
 
     def __init__(self, sig: Signature, ctx: ParamContext,
@@ -267,6 +268,7 @@ class Sampler:
             _walk_domains(hi, names, True)
             for n in names:
                 self.mentions.setdefault(n, []).append(i)
+        self.valid = ValidityCheck(sig, ctx, EMPTY_CONTEXT)
 
     def draw(self, rng: random.Random, enumerable: bool = False,
              strict: bool = False) -> Substitution:
@@ -330,7 +332,7 @@ class Sampler:
         for (name, _, _), co in zip(ctx.ty_cos, vcos):
             sub.vco[name] = co
 
-        check_validity(sig, ctx, sub, EMPTY_CONTEXT)
+        self.valid.check(sub)
         return sub
 
 

@@ -53,7 +53,6 @@ from .check import (
     EndpointMismatch,
     check_cco,
     check_vco,
-    type_of_comp,
     type_of_value,
     vco_endpoint,
     wf_vtype,
@@ -477,16 +476,6 @@ def check_square_value(sig: Signature, tyctx: TypingContext, v: ValueTerm,
         if not equal_skel_at(sig, t, inject(meaning), rhs, budget):
             raise ModelBug(f"square failed for value term at env {env!r}")
     return t, meaning
-
-
-def check_square_comp(sig: Signature, tyctx: TypingContext, c: CompTerm,
-                      budget: int = DEFAULT_BUDGET) -> None:
-    ct = type_of_comp(sig, EMPTY_CONTEXT, tyctx, c)
-    for env in enumerate_envs(sig, tyctx, budget):
-        lhs = inject(eval_comp(sig, env, c, budget))
-        rhs = skel_comp(sig, {n: inject(x) for n, x in env.items()}, c)
-        if not equal_skel_tree(sig, ct.ty, lhs, rhs, budget):
-            raise ModelBug(f"square failed for computation term at env {env!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .check import (
     derived_empty,
     derived_refl_dirt,
     derived_refl_vty,
+    is_closed_vty,
     wf_dirt,
     wf_skeleton,
     wf_vtype,
@@ -110,10 +111,6 @@ class Substitution:
         return Substitution(
             dict(self.skel), dict(self.dirt), dict(self.ty), dict(self.dco), dict(self.vco)
         )
-
-
-def identity() -> Substitution:
-    return Substitution()
 
 
 # ---------------------------------------------------------------------------
@@ -375,62 +372,159 @@ class _Resolver:
 def check_validity(
     sig: Signature, src: ParamContext, sub: Substitution, dst: ParamContext
 ) -> None:
-    """Check `sub : src -> dst`, left to right through `src`."""
+    """Check `sub : src -> dst`, left to right through `src`: prepare the
+    check once, then run it once."""
+    ValidityCheck(sig, src, dst).check(sub)
 
-    for name in src.skel_params:
-        s = sub.skel.get(name)
-        try:
-            wf_skeleton(dst, SkelParam(name) if s is None else s)
-        except CheckError as e:
-            _fail(name, s is None, e)
 
-    for name in src.dirt_params:
-        d = sub.dirt.get(name)
-        try:
-            wf_dirt(sig, dst, Dirt(frozenset(), name) if d is None else d)
-        except CheckError as e:
-            _fail(name, d is None, e)
+class ValidityCheck:
+    """The check of `sub : src -> dst` for every `sub`, prepared once for
+    one signature and pair of contexts.
 
-    for name, skel in src.ty_params:
-        t = sub.ty.get(name)
-        want = apply_skel(sub, skel)
-        try:
-            got = wf_vtype(sig, dst, TyParam(name) if t is None else t)
-        except CheckError as e:
-            _fail(name, t is None, e)
-        else:
+    Each row of `src` keeps a reader for each classifier: a bare parameter
+    (or a dirt that is a bare tail) is read as its image by name, a closed
+    classifier is its own image, and any other is substituted, once per
+    check for equal classifiers of type parameters. A check then costs
+    lookups and comparisons.
+
+    Two things are remembered for the checker's life. The endpoints of
+    each coercion image, by identity: `check.ground_inclusion` returns one
+    object per pair of endpoints, so a coercion that several rows or
+    substitutions share is checked once per checker (and, before that,
+    once per signature in `sig.ground_checks`). And copies of the maps of
+    the last substitution that passed: a substitution equal to it passes
+    without its rows being read again. The witness of a run without phase
+    steps is one, as it grounds the reduced context with the replayed
+    instantiation's own images, whose comparison meets the same objects.
+    A failed check remembers nothing.
+
+    The rows are checked in the order of `src`, and each failure raises
+    what the judgments in `check` raise, as `UnmappedParam` for an
+    unmapped name that `dst` lacks.
+    """
+
+    def __init__(self, sig: Signature, src: ParamContext, dst: ParamContext):
+        self.sig, self.src, self.dst = sig, src, dst
+        shared: dict = {}  # equal classifiers of type parameters share one object
+        self.ty_rows = [(n, *_skel_reader(s, shared)) for n, s in src.ty_params]
+        self.dco_rows = [(n, *_dirt_reader(lo), *_dirt_reader(hi)) for n, lo, hi in src.dirt_cos]
+        self.vco_rows = [(n, *_vty_reader(lo), *_vty_reader(hi)) for n, lo, hi in src.ty_cos]
+        self.ends: dict[int, tuple] = {}  # id(coercion) -> (coercion, endpoints)
+        self.accepted: tuple | None = None
+
+    def check(self, sub: Substitution) -> None:
+        maps = (sub.skel, sub.dirt, sub.ty, sub.dco, sub.vco)
+        if maps == self.accepted:
+            return
+        sig, dst, ends = self.sig, self.dst, self.ends
+        skels, dirts, tys, dcos, vcos = maps
+
+        for name in self.src.skel_params:
+            s = skels.get(name)
+            try:
+                wf_skeleton(dst, SkelParam(name) if s is None else s)
+            except CheckError as e:
+                _fail(name, s is None, e)
+
+        for name in self.src.dirt_params:
+            d = dirts.get(name)
+            try:
+                wf_dirt(sig, dst, Dirt(frozenset(), name) if d is None else d)
+            except CheckError as e:
+                _fail(name, d is None, e)
+
+        wants: dict[int, Skeleton] = {}  # id(classifier) -> its image
+        for name, skel, key, const in self.ty_rows:
+            t = tys.get(name)
+            if key is not None:
+                want = skels.get(key, skel)
+            elif const is not None:
+                want = const
+            else:
+                want = wants.get(id(skel))
+                if want is None:
+                    want = wants[id(skel)] = apply_skel(sub, skel)
+            try:
+                got = wf_vtype(sig, dst, TyParam(name) if t is None else t)
+            except CheckError as e:
+                _fail(name, t is None, e)
             if got != want:
                 raise SkeletonMismatch(
                     f"image of {name} has skeleton {got}, classifier demands {want}"
                 )
 
-    for name, lo, hi in src.dirt_cos:
-        g = sub.dco.get(name)
-        want = (apply_dirt(sub, lo), apply_dirt(sub, hi))
-        try:
-            got = check_dco(sig, dst, DCoParam(name) if g is None else g)
-        except CheckError as e:
-            _fail(name, g is None, e)
-        else:
-            if got != want:
-                raise EndpointMismatch(
-                    f"image of {name} has endpoints {got[0]} <= {got[1]}, "
-                    f"classifier demands {want[0]} <= {want[1]}"
-                )
+        for name, lo, lkey, lconst, hi, hkey, hconst in self.dco_rows:
+            g = dcos.get(name)
+            want_lo = (dirts.get(lkey, lo) if lkey is not None
+                       else lconst if lconst is not None else apply_dirt(sub, lo))
+            want_hi = (dirts.get(hkey, hi) if hkey is not None
+                       else hconst if hconst is not None else apply_dirt(sub, hi))
+            known = ends.get(id(g))
+            if known is not None and known[0] is g:
+                got_lo, got_hi = known[1]
+            else:
+                try:
+                    got_lo, got_hi = got = check_dco(sig, dst, DCoParam(name) if g is None else g)
+                except CheckError as e:
+                    _fail(name, g is None, e)
+                if g is not None:
+                    ends[id(g)] = (g, got)
+            # Two dirts are equal when their operation sets and tails are.
+            if not (got_lo.ops == want_lo.ops and got_lo.tail == want_lo.tail
+                    and got_hi.ops == want_hi.ops and got_hi.tail == want_hi.tail):
+                _mismatch(name, (got_lo, got_hi), (want_lo, want_hi))
 
-    for name, lo, hi in src.ty_cos:
-        g = sub.vco.get(name)
-        want = (apply_vty(sub, lo), apply_vty(sub, hi))
-        try:
-            got = check_vco(sig, dst, VCoParam(name) if g is None else g)
-        except CheckError as e:
-            _fail(name, g is None, e)
-        else:
+        for name, lo, lkey, lconst, hi, hkey, hconst in self.vco_rows:
+            g = vcos.get(name)
+            want = (tys.get(lkey, lo) if lkey is not None
+                    else lconst if lconst is not None else apply_vty(sub, lo),
+                    tys.get(hkey, hi) if hkey is not None
+                    else hconst if hconst is not None else apply_vty(sub, hi))
+            known = ends.get(id(g))
+            if known is not None and known[0] is g:
+                got = known[1]
+            else:
+                try:
+                    got = check_vco(sig, dst, VCoParam(name) if g is None else g)
+                except CheckError as e:
+                    _fail(name, g is None, e)
+                if g is not None:
+                    ends[id(g)] = (g, got)
             if got != want:
-                raise EndpointMismatch(
-                    f"image of {name} has endpoints {got[0]} <= {got[1]}, "
-                    f"classifier demands {want[0]} <= {want[1]}"
-                )
+                _mismatch(name, got, want)
+
+        self.accepted = tuple(dict(m) for m in maps)
+
+
+# A reader of a classifier is `(classifier, key, const)`: a bare parameter
+# is read by its name `key`, a closed classifier is the constant `const`,
+# and any other, with both None, is substituted.
+
+def _skel_reader(s: Skeleton, shared: dict) -> tuple:
+    if isinstance(s, SkelParam):
+        return s, s.name, None
+    if isinstance(s, (SkelUnit, SkelBase)):
+        return s, None, s
+    return shared.setdefault(s, s), None, None
+
+
+def _dirt_reader(d: Dirt) -> tuple:
+    if d.tail is None:
+        return d, None, d
+    return d, d.tail if not d.ops else None, None
+
+
+def _vty_reader(t: ValueType) -> tuple:
+    if isinstance(t, TyParam):
+        return t, t.name, None
+    return t, None, t if is_closed_vty(t) else None
+
+
+def _mismatch(name: str, got: tuple, want: tuple):
+    raise EndpointMismatch(
+        f"image of {name} has endpoints {got[0]} <= {got[1]}, "
+        f"classifier demands {want[0]} <= {want[1]}"
+    )
 
 
 def _fail(name: str, unmapped: bool, cause: CheckError):

@@ -48,6 +48,7 @@ from .polarity import (
 )
 from .subst import (
     Substitution,
+    ValidityCheck,
     apply_dco,
     apply_dirt,
     apply_vco,
@@ -159,7 +160,8 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
 # original parameters.
 
 def _bind(part: dict, name: str, ground) -> None:
-    if part.setdefault(name, ground) != ground:
+    bound = part.setdefault(name, ground)
+    if bound is not ground and bound != ground:
         raise WitnessBug(f"{name} matched twice, unequally")
 
 
@@ -172,7 +174,7 @@ def _match_dirt(pattern: Dirt, ground: Dirt, eta: Substitution) -> None:
         return
     if not pattern.ops <= ground.ops:
         raise WitnessBug(f"dirt mismatch: {pattern} vs {ground}")
-    _bind(eta.dirt, pattern.tail, Dirt(ground.ops - pattern.ops, None))
+    _bind(eta.dirt, pattern.tail, Dirt(ground.ops - pattern.ops, None) if pattern.ops else ground)
 
 
 def _match_vty(pattern, ground, eta: Substitution) -> None:
@@ -188,7 +190,78 @@ def _match_vty(pattern, ground, eta: Substitution) -> None:
         raise WitnessBug(f"type mismatch: {pattern} vs {ground}")
 
 
-def replay_reduction(sig: Signature, red, eta0: Substitution) -> Substitution:
+class ReductionReplay:
+    """What `replay_reduction` reads of one reduction, prepared once per run.
+
+    It keeps each original name's pattern, the image of that name under
+    reduction; a name reduction kept has none, and its ground image is
+    its own. Each reduced constraint keeps the parameter that each bound
+    is, when the bound is a bare parameter or tail, and the reduced
+    context's validity check is prepared too. A replay then matches ground
+    images against the patterns and asks the signature for inclusion
+    coercions between looked-up images.
+    """
+
+    def __init__(self, sig: Signature, red):
+        self.sig = sig
+        self.dirt_patterns = red.subst.dirt
+        self.ty_patterns = red.subst.ty
+        rc = red.context
+        self.dco_rows = [(n, lo, _bare(lo), hi, _bare(hi)) for n, lo, hi in rc.dirt_cos]
+        self.vco_rows = [(n, lo, _bare(lo), hi, _bare(hi)) for n, lo, hi in rc.ty_cos]
+        self.valid = ValidityCheck(sig, rc, EMPTY_CONTEXT)
+
+    def replay(self, eta0: Substitution) -> Substitution:
+        sig = self.sig
+        eta = Substitution(skel=dict(eta0.skel))
+        dirts, tys = eta.dirt, eta.ty
+        patterns = self.dirt_patterns
+        for name, ground in eta0.dirt.items():
+            pattern = patterns.get(name)
+            if pattern is not None:
+                _match_dirt(pattern, ground, eta)
+            elif ground.tail is not None:
+                raise WitnessBug(f"instantiation image {ground} is not ground")
+            else:
+                _bind(dirts, name, ground)
+        patterns = self.ty_patterns
+        for name, ground in eta0.ty.items():
+            pattern = patterns.get(name)
+            if pattern is not None:
+                _match_vty(pattern, ground, eta)
+            else:
+                _bind(tys, name, ground)
+
+        # Coercion names get the signature's inclusion witnesses; the bounds
+        # hold because the factored instantiation satisfies every reduced
+        # constraint.
+        for name, lo, lkey, hi, hkey in self.dco_rows:
+            eta.dco[name] = ground_inclusion(
+                sig,
+                dirts.get(lkey, lo) if lkey is not None else apply_dirt(eta, lo),
+                dirts.get(hkey, hi) if hkey is not None else apply_dirt(eta, hi))
+        for name, lo, lkey, hi, hkey in self.vco_rows:
+            eta.vco[name] = ground_inclusion(
+                sig,
+                tys.get(lkey, lo) if lkey is not None else apply_vty(eta, lo),
+                tys.get(hkey, hi) if hkey is not None else apply_vty(eta, hi))
+
+        self.valid.check(eta)
+        return eta
+
+
+def _bare(bound) -> str | None:
+    """The parameter a constraint bound is, if it is a bare type parameter
+    or a dirt that is a bare tail."""
+    if isinstance(bound, TyParam):
+        return bound.name
+    if isinstance(bound, Dirt) and not bound.ops:
+        return bound.tail
+    return None
+
+
+def replay_reduction(sig: Signature, red, eta0: Substitution,
+                     plan: ReductionReplay | None = None) -> Substitution:
     """The instantiation of the reduced context that `eta0` factors through,
     with `compose(result, red.subst)` agreeing with `eta0` exactly.
 
@@ -200,36 +273,46 @@ def replay_reduction(sig: Signature, red, eta0: Substitution) -> Substitution:
     context with the signature's inclusion coercions
     (`check.ground_inclusion`) and is checked valid before it is returned.
     `build_witness_total` does not replay a reduction that returned its
-    input; there the result would be `eta0` itself."""
-    eta = Substitution(skel=dict(eta0.skel))
-    for name, ground in eta0.dirt.items():
-        _match_dirt(red.subst.dirt.get(name, Dirt(frozenset(), name)), ground, eta)
-    for name, ground in eta0.ty.items():
-        _match_vty(red.subst.ty.get(name, TyParam(name)), ground, eta)
+    input; there the result would be `eta0` itself.
 
-    # Coercion names get the signature's inclusion witnesses; the bounds
-    # hold because the factored instantiation satisfies every reduced
-    # constraint.
-    rc = red.context
-    for name, lo, hi in rc.dirt_cos:
-        eta.dco[name] = ground_inclusion(sig, apply_dirt(eta, lo), apply_dirt(eta, hi))
-    for name, lo, hi in rc.ty_cos:
-        eta.vco[name] = ground_inclusion(sig, apply_vty(eta, lo), apply_vty(eta, hi))
-
-    check_validity(sig, rc, eta, EMPTY_CONTEXT)
-    return eta
+    `plan` is the reduction's `ReductionReplay`, which a caller that
+    replays many instantiations prepares once; without one, a replay
+    prepares its own."""
+    if plan is None:
+        plan = ReductionReplay(sig, red)
+    return plan.replay(eta0)
 
 
-def build_witness_total(sig: Signature, sim, eta0: Substitution) -> WitnessResult:
+class WitnessPlan:
+    """What every witness of one simplification run reads, prepared once
+    per run: the reduction's `ReductionReplay`, None where reduction
+    returned its input, and the validity check of the strengthened
+    context."""
+
+    def __init__(self, sig: Signature, sim):
+        red = sim.reduction
+        self.replay = None if red.context is sim.original else ReductionReplay(sig, red)
+        if self.replay is not None and sim.context is red.context:
+            self.valid = self.replay.valid
+        else:
+            self.valid = ValidityCheck(sig, sim.context, EMPTY_CONTEXT)
+
+
+def build_witness_total(sig: Signature, sim, eta0: Substitution,
+                        plan: WitnessPlan | None = None) -> WitnessResult:
     """Witness for a whole simplification run, reduction included.
 
     `eta0` must be a valid instantiation of `sim.original`, as `sample_eta`
     checks before it returns one. When reduction returned its input (a
     canonical context, with an empty substitution), `eta0` then already
     grounds the reduced context, and it is not replayed or checked again.
+    `plan` is the run's `WitnessPlan`, if the caller prepared one.
     """
     red = sim.reduction
-    eta_r = eta0 if red.context is sim.original else replay_reduction(sig, red, eta0)
+    if red.context is sim.original:
+        eta_r = eta0
+    else:
+        eta_r = replay_reduction(sig, red, eta0, None if plan is None else plan.replay)
     wit = build_witness(sim.phases, eta_r)
     names0 = sorted(sim.fps0.members())
     fam = precompose_family(wit.family, red.subst, names0)
@@ -237,12 +320,16 @@ def build_witness_total(sig: Signature, sim, eta0: Substitution) -> WitnessResul
 
 
 def check_witness_total(sig: Signature, sim, eta0: Substitution,
-                        wit: WitnessResult) -> None:
+                        wit: WitnessResult, plan: WitnessPlan | None = None) -> None:
     """Validate a witness of a run (a `SimplifyResult` or a `PhaseResult`):
     `wit.eta` grounds the strengthened context and the family links the
     two instantiations at the run's polarity set. The family is read only
-    at the tracked names, so the composition is built only there."""
-    check_validity(sig, sim.context, wit.eta, EMPTY_CONTEXT)
+    at the tracked names, so the composition is built only there. `plan`
+    is the run's `WitnessPlan`, if the caller prepared one."""
+    if plan is None:
+        check_validity(sig, sim.context, wit.eta, EMPTY_CONTEXT)
+    else:
+        plan.valid.check(wit.eta)
     tracked = sim.fps0.members()
     check_family(sig, EMPTY_CONTEXT, wit.family, compose_at(wit.eta, sim.subst, tracked),
                  eta0, sim.fps0)

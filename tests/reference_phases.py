@@ -18,7 +18,7 @@ from coersimp.check import derived_empty, derived_refl_dirt, right_extend
 from coersimp.graph import tarjan_scc
 from coersimp.phases import PhaseResult
 from coersimp.polarity import FreeParamSet, subst_fps
-from coersimp.subst import Substitution, apply_context, apply_dirt, compose, identity
+from coersimp.subst import Substitution, apply_context, apply_dirt, compose
 from coersimp.syntax import (
     DCoParam,
     DCoReflParam,
@@ -30,6 +30,8 @@ from coersimp.syntax import (
     VCoParam,
     VCoReflParam,
 )
+
+from support import identity
 
 
 # The node a closed upper bound points to; not a parameter name.

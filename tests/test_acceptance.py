@@ -21,10 +21,11 @@ from coersimp.polarity import EMPTY_FPS, fp_vty
 from coersimp.sample import sample_eta
 from coersimp.semantics import BASE_CARRIERS
 from coersimp.subst import check_validity
-from coersimp.syntax import CompType, TyArrow, TyBase, TyParam, alpha_equivalent, dirt
+from coersimp.syntax import CompType, TyArrow, TyBase, TyParam, dirt
 from coersimp.witness import build_witness, check_witness_total
 
 from gen import TEST_SIG, random_context, random_fps
+from support import alpha_equivalent
 
 GOLDEN = Path(__file__).parent / "golden_metrics.json"
 

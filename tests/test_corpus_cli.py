@@ -190,8 +190,8 @@ def break_d1_family_entry(monkeypatch):
 
     build = coersimp.cli.build_witness_total
 
-    def bad_d1(sig, sim, eta0):
-        wit = build(sig, sim, eta0)
+    def bad_d1(sig, sim, eta0, *plan):
+        wit = build(sig, sim, eta0, *plan)
         lo, _ = check_dco(sig, EMPTY_CONTEXT, wit.family.dco["d1"])
         wit.family.dco["d1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
         return wit
@@ -270,11 +270,62 @@ def test_cli_verify_exits_two_on_a_witness_bug(monkeypatch, capsys):
     import coersimp.cli
     from coersimp.witness import WitnessBug
 
-    def broken(sig, sim, eta0):
+    def broken(sig, sim, eta0, *plan):
         raise WitnessBug("replay lost a parameter")
 
     monkeypatch.setattr(coersimp.cli, "build_witness_total", broken)
     assert_internal_error(capsys, ["verify", "--item", "apply_randomly", "--samples", "1"])
+
+
+class MissingEverything(dict):
+    """A map whose `get` raises `KeyError` from C, so that the raising
+    frame is its Python caller."""
+
+    get = dict.__getitem__
+
+
+def test_cli_verify_exits_two_on_a_fault_in_the_replay_plan(monkeypatch, capsys):
+    """A `KeyError` raised in `ReductionReplay.replay` is a fault of the
+    tool: one `internal error:` line names where it was raised."""
+    from coersimp.witness import ReductionReplay
+
+    prepare = ReductionReplay.__init__
+
+    def faulty(self, *args):
+        prepare(self, *args)
+        self.dirt_patterns = MissingEverything()
+
+    monkeypatch.setattr(ReductionReplay, "__init__", faulty)
+    assert_internal_error(capsys, ["verify", "--item", "apply_randomly", "--samples", "2"],
+                          "internal error: coersimp.witness.ReductionReplay.replay: KeyError: ")
+
+
+def test_cli_verify_exits_two_on_a_fault_in_the_prepared_check(monkeypatch, capsys):
+    """A `RecursionError` escaping the validity check exits 2 with one
+    line and no traceback."""
+    from coersimp.subst import ValidityCheck
+
+    def bottomless(self, sub):
+        return bottomless(self, sub)
+
+    monkeypatch.setattr(ValidityCheck, "check", bottomless)
+    assert_internal_error(capsys, ["verify", "--item", "apply_randomly", "--samples", "2"],
+                          "bottomless: RecursionError: maximum recursion depth exceeded")
+
+
+def test_cli_keeps_its_diagnostics_and_lets_an_interrupt_through(monkeypatch, capsys):
+    """The rc-1 lines are unchanged, and an interrupt is not a fault."""
+    import coersimp.cli
+
+    assert main(["verify", "--item", "no_such_item"]) == 1
+    assert capsys.readouterr().err == "error: no item named 'no_such_item'\n"
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coersimp.cli, "cmd_verify", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--item", "apply_randomly"])
 
 
 def test_cli_verify_prints_a_reproducer_per_failed_sample(monkeypatch, capsys, tmp_path):

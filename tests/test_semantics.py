@@ -1,6 +1,7 @@
 """The finite call-tree model: carriers, evaluation, and commuting squares."""
 
 import itertools
+import operator
 import random
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coersimp import check, cli, sample, semantics, subst
+from coersimp import check, cli, sample, semantics, subst, witness
 from coersimp.check import (
     CheckError,
     EndpointMismatch,
@@ -34,7 +35,6 @@ from coersimp.semantics import (
     TreeOp,
     TreeReturn,
     check_preservation,
-    check_square_comp,
     check_square_value,
     default_skel,
     enum_comp,
@@ -78,6 +78,7 @@ from coersimp.syntax import (
 
 import reference_semantics
 from gen import TEST_SIG
+from support import check_square_comp
 
 BIT = TyBase("bit")
 UNIT = TyUnit()
@@ -356,8 +357,8 @@ def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_ch
     sim, _, term = cli._simplified(item, "none", False)
     build = cli.build_witness_total
 
-    def bad_p1(sig, sim, eta0):
-        wit = build(sig, sim, eta0)
+    def bad_p1(sig, sim, eta0, *plan):
+        wit = build(sig, sim, eta0, *plan)
         lo, _ = check_dco(sig, EMPTY_CONTEXT, wit.eta.dco["p1"])
         wit.eta.dco["p1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
         return wit
@@ -437,6 +438,20 @@ def count_draws(monkeypatch):
     return calls
 
 
+def count_method(monkeypatch, cls, name):
+    """Route every call of method `name` of `cls` through a wrapper; return
+    the list of (instance, positional arguments) of the calls it sees."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append((self, args))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_verify_sample_checks_validity_twice_on_a_canonical_item(monkeypatch):
     """The sampler checks its draw and `check_witness_total` checks the
     replayed instantiation. Reduction returns a canonical input as it is,
@@ -444,10 +459,47 @@ def test_verify_sample_checks_validity_twice_on_a_canonical_item(monkeypatch):
     item = {i.name: i for i in load_bundled()}["apply_if"]
     assert is_canonical(item.context)
     draws = count_draws(monkeypatch)
-    checks = count_calls(monkeypatch, subst.check_validity)
+    checks = count_method(monkeypatch, subst.ValidityCheck, "check")
     assert cmd_verify(item, "all", samples=1)["passed"] == 1
     assert len(draws) == 1
     assert len(checks) == 2
+
+
+@pytest.mark.parametrize("preset", ["none", "scc", "all"])
+def test_verify_prepares_each_check_and_the_replay_once_per_run(monkeypatch, preset):
+    """However many samples a `cmd_verify` run draws, it prepares one
+    validity check for its draws, one reduction replay with its check
+    where reduction changed the context, and one check of the strengthened
+    context, which is the replay's own where the phases took no step.
+    Every draw is checked, and each distinct sample twice more, once where
+    reduction returned its input."""
+    prepared = count_method(monkeypatch, subst.ValidityCheck, "__init__")
+    replays = count_method(monkeypatch, witness.ReductionReplay, "__init__")
+    plans = count_method(monkeypatch, witness.WitnessPlan, "__init__")
+    checks = count_method(monkeypatch, subst.ValidityCheck, "check")
+    draws = count_draws(monkeypatch)
+    canonical = 0
+    for item in load_bundled():
+        if item.term is None:
+            continue
+        for samples in (1, 12):
+            for calls in (prepared, replays, plans, checks, draws):
+                calls.clear()
+            report = cmd_verify(item, preset, samples=samples)
+            assert report["passed"] == samples, item.name
+            ((plan, (_, sim)),) = plans
+            red = sim.reduction
+            replayed = red.context is not sim.original
+            assert len(replays) == replayed, item.name
+            shared = replayed and sim.context is red.context
+            contexts = [args[1] for _, args in prepared]
+            want = [item.context] + [red.context] * replayed + [sim.context] * (not shared)
+            assert len(contexts) == len(want), item.name
+            assert all(map(operator.is_, contexts, want)), item.name
+            assert (replayed and plan.valid is plan.replay.valid) == shared, item.name
+            assert len(checks) == len(draws) + (1 + replayed) * report["distinct"], item.name
+            canonical += not replayed
+    assert canonical
 
 
 def test_verify_sample_types_and_evaluates_the_original_once(monkeypatch):

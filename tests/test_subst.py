@@ -14,6 +14,7 @@ import pytest
 from coersimp import subst
 
 from coersimp.check import (
+    CheckError,
     EndpointMismatch,
     SkeletonMismatch,
     UnknownName,
@@ -28,11 +29,14 @@ from coersimp.check import (
     wf_vtype,
 )
 from coersimp.corpus import load_bundled
-from coersimp.reduce import reduce_context
-from coersimp.sample import sample_eta
+from coersimp.phases import PRESETS, parse_phase_config, simplify
+from coersimp.polarity import EMPTY_FPS
+from coersimp.reduce import Unsatisfiable, reduce_context
+from coersimp.sample import SampleError, sample_eta
 from coersimp.subst import (
     Substitution,
     UnmappedParam,
+    ValidityCheck,
     apply_dco,
     apply_dirt,
     apply_skel,
@@ -41,9 +45,9 @@ from coersimp.subst import (
     apply_vty,
     check_validity,
     compose,
-    identity,
     resolve,
 )
+from coersimp.witness import build_witness_total, replay_reduction
 from coersimp.syntax import (
     CCoercion,
     CompType,
@@ -74,7 +78,10 @@ from coersimp.syntax import (
     dirt,
 )
 
-from gen import TEST_SIG, random_context, random_dirt, random_vty
+import reference_subst
+import test_reduce
+from gen import SHAPES, TEST_SIG, random_context, random_dirt, random_vty, shape_context
+from support import identity
 
 
 def random_vco(rng, ctx, depth=1):
@@ -185,8 +192,6 @@ def test_identity_and_compose_units():
 
 
 def test_check_validity_rejects_wrong_endpoint():
-    from coersimp.check import CheckError
-
     rng = random.Random(7)
     ctx = random_context(rng)
     while not ctx.dirt_cos:
@@ -342,3 +347,161 @@ def test_resolve_equals_composing_the_steps_one_by_one(monkeypatch):
                                    for step in steps for n, image in getattr(step, part).items())
     assert all(rewritten[part] for part in ("skel", "dirt", "ty", "dco", "vco")), rewritten
     assert seen[DCoCompose] and seen[VCoCompose], seen
+
+
+# ---------------------------------------------------------------------------
+# The prepared check against the reference
+#
+# `tests/reference_subst.py` keeps the validity check as it was before it
+# was prepared once per pair of contexts. On every substitution below,
+# valid or broken, the reference, `check_validity` and one `ValidityCheck`
+# used for a whole sequence of substitutions raise the same error class
+# with the same message and cause, or all pass.
+
+WRONG_DIRT = derived_refl_dirt(dirt(("Random", "Fail")))
+WRONG_VTY = derived_refl_vty(TyArrow(TyUnit(), CompType(TyBase("bool"), dirt(("Fail",)))))
+
+
+def verdict(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+    return None
+
+
+def broken_copies(sig, dst, sub, rng):
+    """Copies of `sub`, each broken in one way: an image dropped, a
+    coercion image with other endpoints (the upper one only, or both), a
+    dirt image with an operation outside the signature, a type image of
+    another skeleton."""
+    out = []
+    for part, check, refl in (("dco", check_dco, derived_refl_dirt),
+                              ("vco", check_vco, derived_refl_vty)):
+        names = [n for n, g in getattr(sub, part).items() if verdict(check, sig, dst, g) is None]
+        if names:
+            bad = sub.copy()
+            name = rng.choice(sorted(names))
+            lo, _ = check(sig, dst, getattr(bad, part)[name])
+            getattr(bad, part)[name] = refl(lo)
+            out.append(bad)
+    for part in ("skel", "dirt", "ty", "dco", "vco"):
+        if getattr(sub, part):
+            bad = sub.copy()
+            del getattr(bad, part)[rng.choice(sorted(getattr(sub, part)))]
+            out.append(bad)
+    for part, wrong in (("dco", WRONG_DIRT), ("vco", WRONG_VTY)):
+        if getattr(sub, part):
+            bad = sub.copy()
+            getattr(bad, part)[rng.choice(sorted(getattr(sub, part)))] = wrong
+            out.append(bad)
+    if sub.dirt:
+        bad = sub.copy()
+        name = rng.choice(sorted(sub.dirt))
+        bad.dirt[name] = Dirt(bad.dirt[name].ops | {"Nope"}, bad.dirt[name].tail)
+        out.append(bad)
+    if sub.ty:
+        bad = sub.copy()
+        name = rng.choice(sorted(sub.ty))
+        arrow = TyArrow(TyUnit(), CompType(TyUnit(), dirt()))
+        bad.ty[name] = TyUnit() if isinstance(bad.ty[name], TyArrow) else arrow
+        out.append(bad)
+    return out
+
+
+def assert_same_verdicts(sig, src, dst, sub, rng, seen: Counter) -> None:
+    """`sub`, each broken copy of it with `sub` again in between, and a
+    copy of `sub` broken in place after it passed get the reference's
+    verdict from `check_validity` and from one prepared check."""
+    prepared = ValidityCheck(sig, src, dst)
+    subs = [sub]
+    for bad in broken_copies(sig, dst, sub, rng):
+        subs += [bad, sub]
+    for s in subs:
+        want = verdict(reference_subst.check_validity, sig, src, s, dst)
+        assert verdict(check_validity, sig, src, s, dst) == want
+        assert verdict(prepared.check, s) == want
+        seen[None if want is None else want[0].__name__] += 1
+    rows = [name for name in src.dirt_params if name in sub.dirt]
+    if verdict(prepared.check, sub) is None and rows:
+        prepared = ValidityCheck(sig, src, dst)
+        in_place = sub.copy()
+        prepared.check(in_place)
+        name = rng.choice(rows)
+        in_place.dirt[name] = Dirt(frozenset({"Nope"}), None)
+        want = verdict(reference_subst.check_validity, sig, src, in_place, dst)
+        assert want is not None and verdict(prepared.check, in_place) == want
+
+
+def assert_same_verdicts_on_run(sig, ctx, preset, rng, seen, fps=EMPTY_FPS, term=None):
+    """Symbolic, `sim.subst : original -> simplified`, and ground: a sample
+    of the original, its replay over reduction and its witness's
+    instantiation of the simplified context."""
+    try:
+        sim = simplify(sig, ctx, fps, parse_phase_config(preset))
+    except Unsatisfiable:
+        seen["unsatisfiable"] += 1
+        return
+    assert_same_verdicts(sig, ctx, sim.context, sim.subst, rng, seen)
+    try:
+        eta0 = sample_eta(sig, ctx, rng, enumerable=True, term=term)
+    except SampleError:
+        seen["unsampled"] += 1
+        return
+    assert_same_verdicts(sig, ctx, EMPTY_CONTEXT, eta0, rng, seen)
+    red = sim.reduction
+    if red.context is not sim.original:
+        try:
+            eta_r = replay_reduction(sig, red, eta0)
+        except CheckError:  # a sample that the reduced context loses
+            seen["unreplayed"] += 1
+            return
+        assert_same_verdicts(sig, red.context, EMPTY_CONTEXT, eta_r, rng, seen)
+    wit = build_witness_total(sig, sim, eta0)
+    assert_same_verdicts(sig, sim.context, EMPTY_CONTEXT, wit.eta, rng, seen)
+
+
+def test_prepared_check_agrees_with_the_reference_on_corpus_items():
+    rng = random.Random("valid:corpus")
+    seen = Counter()
+    for item in load_bundled():
+        for preset in PRESETS:
+            assert_same_verdicts_on_run(item.signature, item.context, preset, rng, seen,
+                                        term=item.term)
+    assert {"UnmappedParam", "EndpointMismatch", "UnknownName", "SkeletonMismatch"} <= set(seen)
+    assert seen[None] > 500, seen
+
+
+def test_prepared_check_agrees_with_the_reference_on_bench_shapes():
+    rng = random.Random("valid:shapes")
+    seen = Counter()
+    for family in SHAPES:
+        ctx, fps = shape_context(family, 40)
+        assert_same_verdicts_on_run(TEST_SIG, ctx, "all", rng, seen, fps)
+    for depth in (1, 2, 3):
+        ctx = test_reduce.structural_context(depth, 60, extra=2)
+        for preset in ("none", "scc", "all"):
+            assert_same_verdicts_on_run(TEST_SIG, ctx, preset, rng, seen)
+    # Type parameters at two arrow skeletons, each image checked against
+    # its own classifier's image.
+    ctx = test_reduce.structural_context(1, 30)
+    deep = SkelArrow(SkelArrow(SkelParam("s1"), SkelParam("s1")), SkelParam("s1"))
+    mixed = ParamContext(ctx.skel_params, ctx.dirt_params,
+                         ctx.ty_params + (("m1", deep), ("m2", deep)), ctx.dirt_cos, ctx.ty_cos)
+    for i in range(4):
+        eta = sample_eta(TEST_SIG, mixed, rng)
+        swapped = eta.copy()
+        swapped.ty["f0"], swapped.ty["m1"] = eta.ty["m1"], eta.ty["f0"]
+        for sub in (eta, swapped):
+            assert_same_verdicts(TEST_SIG, mixed, EMPTY_CONTEXT, sub, rng, seen)
+    assert {"UnmappedParam", "EndpointMismatch", "UnknownName", "SkeletonMismatch"} <= set(seen)
+
+
+def test_prepared_check_agrees_with_the_reference_on_random_contexts():
+    rng = random.Random("valid:random")
+    seen = Counter()
+    for i in range(60):
+        ctx = random_context(rng) if i % 2 else test_reduce.random_structural_context(rng)
+        assert_same_verdicts_on_run(TEST_SIG, ctx, rng.choice(list(PRESETS)), rng, seen)
+    assert {"UnmappedParam", "EndpointMismatch", "UnknownName", "SkeletonMismatch"} <= set(seen)
+    assert seen[None] > 100, seen

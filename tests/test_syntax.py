@@ -20,12 +20,12 @@ from coersimp.syntax import (
     TyBase,
     TyParam,
     TyUnit,
-    alpha_equivalent,
     dirt,
     signature,
 )
 
 from gen import SHAPES, TEST_SIG, shape_context
+from support import alpha_equivalent
 
 
 def test_dirt_helper_normalizes():

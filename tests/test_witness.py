@@ -6,8 +6,10 @@ import pytest
 
 from coersimp.cli import _simplified
 from coersimp.check import (
+    EndpointMismatch,
     check_dco,
     check_vco,
+    derived_refl_dirt,
     dirt_inclusion_coercion,
     value_inclusion_coercion,
 )
@@ -40,7 +42,9 @@ from coersimp.syntax import (
     dirt,
 )
 from coersimp.witness import (
+    ReductionReplay,
     WitnessBug,
+    WitnessPlan,
     WitnessResult,
     _match_dirt,
     build_witness,
@@ -165,6 +169,15 @@ def test_replay_reduction_rejects_an_instantiation_that_does_not_factor():
         red = reduce_context(TEST_SIG, ctx)
         with pytest.raises(WitnessBug):
             replay_reduction(TEST_SIG, red, eta0)
+    # Reduction keeps d1 and maps a1; an image of d1 with a tail is not ground.
+    kept = ParamContext((), ("d1",), (("a1", SkelArrow(SkelUnit(), SkelUnit())),), (), ())
+    red = reduce_context(TEST_SIG, kept)
+    assert "d1" not in red.subst.dirt and "a1" in red.subst.ty
+    eta0 = Substitution(dirt={"d1": dirt((), "d9")},
+                        ty={"a1": TyArrow(TyUnit(), CompType(TyUnit(), dirt()))})
+    for plan in (None, ReductionReplay(TEST_SIG, red)):
+        with pytest.raises(WitnessBug, match="instantiation image d9 is not ground"):
+            replay_reduction(TEST_SIG, red, eta0, plan)
 
 
 def test_total_witness_on_corpus_items():
@@ -373,3 +386,27 @@ def test_witness_cost_is_the_size_of_the_change(monkeypatch):
         run_reference_phases(TEST_SIG, ctx, pol, PRESETS["all"]), eta0)
     assert sum(map(links, entries)) * 2 < sum(
         map(links, [*ref.family.vco.values(), *ref.family.dco.values()]))
+
+
+@pytest.mark.parametrize("prepared", [False, True])
+def test_zero_step_witness_check_rejects_a_forged_coercion(prepared):
+    """Under `scc` the run on `apply_randomly` takes no phase step, so the
+    witness's instantiation of the strengthened context is the replayed
+    one, and only `check_witness_total`'s validity check reads its
+    coercions: a forged one, with endpoints its constraint does not have,
+    fails there, also right after the run's plan accepted the replay."""
+    item = {i.name: i for i in load_bundled()}["apply_randomly"]
+    sig = item.signature
+    sim, _, _ = _simplified(item, "scc", False)
+    assert not sim.phases.steps and sim.context is sim.reduction.context
+    plan = WitnessPlan(sig, sim) if prepared else None
+    for i in range(4):
+        eta0 = sample_eta(sig, item.context, random.Random(f"forge:{i}"), enumerable=True,
+                          poltype=item.poltype, term=item.term)
+        wit = build_witness_total(sig, sim, eta0, plan)
+        check_witness_total(sig, sim, eta0, wit, plan)
+        (name,) = wit.eta.dco
+        lo, _ = check_dco(sig, EMPTY_CONTEXT, wit.eta.dco[name])
+        wit.eta.dco[name] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
+        with pytest.raises(EndpointMismatch, match=f"image of {name} has endpoints"):
+            check_witness_total(sig, sim, eta0, wit, plan)
