@@ -68,6 +68,7 @@ from .syntax import (
     ValueType,
     Var,
     dirt,
+    intern,
 )
 
 
@@ -461,21 +462,43 @@ def ground_inclusion(sig: Signature, lo: Dirt | ValueType,
     """The canonical inclusion coercion `lo <= hi` between two dirts or two
     value types, built once per signature.
 
-    `sig.ground_inclusions` keeps each coercion built, two closed dirts
-    keyed by their operation sets and two value types by the pair, so a
-    repeated request returns the same object. A dirt with a tail is built
-    directly and not remembered, nor is a pair without a witness: that
-    raises `NoWitness` each time."""
+    Both endpoints are interned in `sig.interned`, and the coercion is
+    `interned_inclusion`'s, so equal endpoints get one object. A dirt with
+    a tail is built directly and not remembered. A pair without a witness
+    raises `NoWitness` on every request, with the builder's message."""
     if isinstance(lo, Dirt):
         if lo.tail is not None or hi.tail is not None:
             return dirt_inclusion_coercion(lo, hi)
-        key, build = (lo.ops, hi.ops), dirt_inclusion_coercion
+        build = dirt_inclusion_coercion
     else:
-        key, build = (lo, hi), value_inclusion_coercion
-    memo = sig.ground_inclusions
-    got = memo.get(key)
+        build = value_inclusion_coercion
+    got = interned_inclusion(sig, intern(sig.interned, lo), intern(sig.interned, hi))
     if got is None:
-        got = memo[key] = build(lo, hi)
+        build(lo, hi)  # raises the NoWitness that the builder raised
+    return got
+
+
+def interned_inclusion(sig: Signature, lo: Dirt | ValueType,
+                       hi: Dirt | ValueType) -> DCoercion | VCoercion | None:
+    """The canonical inclusion coercion `lo <= hi` between two closed dirts
+    or two value types interned in `sig.interned`, or None where there is
+    none.
+
+    `sig.ground_inclusions` keeps the answer for each pair, by the two
+    identities, so each pair is decided once per signature and a repeated
+    request costs one lookup: the same coercion, interned too, or None."""
+    memo = sig.ground_inclusions
+    key = (id(lo), id(hi))
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    build = dirt_inclusion_coercion if isinstance(lo, Dirt) else value_inclusion_coercion
+    try:
+        got = intern(sig.interned, build(lo, hi))
+    except NoWitness:
+        got = None
+    memo[key] = got
     return got
 
 

@@ -37,7 +37,7 @@ from .semantics import (
     check_preservation,
 )
 from .subst import Substitution, apply_value, apply_vty
-from .syntax import ValueTerm
+from .syntax import ValueTerm, intern
 from .witness import WitnessBug, WitnessPlan, build_witness_total, check_witness_total
 
 STANDARD_CONFIGS = tuple(PRESETS)
@@ -122,24 +122,25 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     context. Each sample is still checked valid three times (twice where
     reduction returned the context as it was): as drawn, as replayed and
     as its witness grounds the strengthened context. All of these die with
-    the call. Each distinct ground coercion, though, is checked once per
-    signature (`Signature.ground_checks`), and each ground inclusion
-    coercion the draws and the replayed reductions take is built once per
-    signature (`Signature.ground_inclusions`), so a later run on the same
-    parsed item rechecks and rebuilds none of them.
+    the call. What the signature keeps outlives it: each distinct value
+    drawn or replayed is one object of `Signature.interned`, each ground
+    inclusion coercion is decided once per pair of them
+    (`Signature.ground_inclusions`) and each distinct ground coercion is
+    checked once (`Signature.ground_checks`), so a later run on the same
+    parsed item that draws the same instantiations adds to none of them. A
+    draw's fingerprint is the identities of its images in that table.
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
     sim, _, term = _simplified(item, config, full_dirt)
     sampler = Sampler(item.signature, item.context, item.poltype, item.term)
     plan = WitnessPlan(item.signature, sim)
-    images: dict = {}
     # Fingerprint -> None on a pass, else the exception's class and args:
     # a remembered failure keeps no traceback, so no frames of its sample.
     outcomes: dict[tuple[int, ...], tuple | None] = {}
 
     def check(eta0: Substitution) -> None:
-        key = fingerprint(eta0, images)
+        key = fingerprint(eta0, item.signature.interned)
         if key not in outcomes:
             try:
                 check_sample(item, sim, term, eta0, budget, plan)
@@ -167,12 +168,14 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     }
 
 
-def fingerprint(eta0: Substitution, images: dict) -> tuple[int, ...]:
-    """`eta0`'s images, each numbered by `images`, which gives an image it
-    has not seen the next number. The images are taken map by map in the
-    order `Sampler.draw` fills them, so two draws over one context, numbered
-    by one table, have equal fingerprints exactly when they are equal."""
-    return tuple(images.setdefault(image, len(images))
+def fingerprint(eta0: Substitution, interned: dict) -> tuple[int, ...]:
+    """The identities of `eta0`'s images, each interned in `interned` (see
+    `syntax.intern`), map by map in the order `Sampler.draw` fills them.
+    The table keeps every object it holds alive, so no identity in a
+    fingerprint is reused while the table lives, and two draws over one
+    context have equal fingerprints exactly when they are equal. The
+    sampler's images are the signature's own, so each costs one lookup."""
+    return tuple(id(intern(interned, image))
                  for part in (eta0.skel, eta0.dirt, eta0.ty, eta0.dco, eta0.vco)
                  for image in part.values())
 

@@ -186,9 +186,10 @@ def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply,
                 deltas.append(Substitution(dco={name: dirt_inclusion_coercion(lo, hi)}))
                 rows[pos] = None
             elif o1:
-                # Keep the less restrictive residual d1 <= O2 (+ d2).
+                # Keep the less restrictive residual d1 <= O2 (+ d2): `O1`
+                # is in `O2`, so `d1` may carry any of it.
                 p = supply.fresh("p")
-                rows[pos] = (p, dirt((), d1), hi if d2 is None else Dirt(o2 - o1, d2))
+                rows[pos] = (p, dirt((), d1), hi)
                 deltas.append(Substitution(dco={name: both_extend(o1, DCoParam(p))}))
             continue
         if d2 is None:

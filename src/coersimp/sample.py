@@ -5,8 +5,17 @@ fixpoint pushed up by concrete operations on lower bounds) plus random
 noise, then repaired by shrinking lower tails only; shrinking is monotone,
 so the repair always lands on a valid assignment. Type upper bounds are
 raised to their join with the lower bound when no inclusion coercion
-exists. Constraint names then get actual inclusion coercions, each taken
-from the signature, which builds it once (`check.ground_inclusion`).
+exists. Constraint names then get actual inclusion coercions.
+
+A draw builds every image in its signature's intern table
+(`Signature.interned`, `syntax.intern`), so equal images are one object.
+The dirt repair runs on operation sets and interns each dirt once, when it
+has settled. The type repair asks the signature's inclusion table, by the
+identities of two images, whether a coercion exists
+(`check.interned_inclusion`); the table decides each pair once and
+remembers a missing coercion too, so an examination costs one lookup.
+Each constraint then takes its coercion from the same table, once, at its
+final images.
 
 A `Sampler` prepares once what every draw of one context reads: the
 forced content, the pinned parameters of each mode, the repairs' watcher
@@ -20,8 +29,7 @@ one changed nothing, would have reached it. The repairs, and so the
 samples, are those of the sweeps, at a cost of the changes made rather
 than of the passes times the context. Neither repair has a pass bound:
 each change strictly shrinks a finite dirt set or strictly raises a type
-in a finite lattice. A type constraint keeps the inclusion coercion built
-at its last examination, which is the one between its final images.
+in a finite lattice.
 
 An `enumerable` sample additionally keeps the carriers demanded by a term
 evaluation finite: skeleton parameters become first-order shapes and every
@@ -36,8 +44,8 @@ from __future__ import annotations
 import heapq
 import random
 
-from .check import NoWitness, ground_inclusion
-from .subst import Substitution, ValidityCheck, apply_dirt, apply_skel, apply_vty
+from .check import interned_inclusion
+from .subst import Substitution, ValidityCheck, apply_skel, apply_vty
 from .syntax import (
     CastV,
     CompType,
@@ -56,6 +64,10 @@ from .syntax import (
     TyUnit,
     ValueTerm,
     ValueType,
+    closed_dirt,
+    intern,
+    leaf,
+    node,
     App,
     CastC,
     Do,
@@ -127,10 +139,14 @@ def _sample_skeleton(rng: random.Random, enumerable: bool) -> Skeleton:
     return SkelBase(kind)
 
 
-def _sample_dirt(rng: random.Random, ops, pinned: bool) -> Dirt:
+def _sample_dirt(rng: random.Random, ops, pinned: bool, table: dict | None = None) -> Dirt:
+    """A closed dirt of random operations, made in `table` (see
+    `syntax.closed_dirt`; a table of its own by default)."""
+    if table is None:
+        table = {}
     if pinned:
-        return Dirt(frozenset(), None)
-    return Dirt(frozenset(op for op in ops if rng.random() < 0.4), None)
+        return closed_dirt(table, frozenset())
+    return closed_dirt(table, frozenset(op for op in ops if rng.random() < 0.4))
 
 
 def forced_dirt_content(ctx: ParamContext) -> dict[str, frozenset]:
@@ -159,42 +175,45 @@ def forced_dirt_content(ctx: ParamContext) -> dict[str, frozenset]:
     return least
 
 
-def _join_vty(a: ValueType, b: ValueType) -> ValueType:
-    """Least upper bound of two ground types with a common skeleton."""
-    if a == b:
+def _join_vty(a: ValueType, b: ValueType, table: dict | None = None) -> ValueType:
+    """Least upper bound of two ground types with a common skeleton, made
+    in `table` (see `syntax.node`; a table of its own by default)."""
+    if table is None:
+        table = {}
+    if a is b or a == b:
         return a
     if isinstance(a, TyArrow) and isinstance(b, TyArrow):
-        return TyArrow(
-            _meet_vty(a.dom, b.dom),
-            CompType(_join_vty(a.cod.ty, b.cod.ty),
-                     Dirt(a.cod.dirt.ops | b.cod.dirt.ops, None)),
-        )
+        return node(table, TyArrow, _meet_vty(a.dom, b.dom, table), node(
+            table, CompType, _join_vty(a.cod.ty, b.cod.ty, table),
+            closed_dirt(table, a.cod.dirt.ops | b.cod.dirt.ops)))
     raise SampleError(f"no join of {a} and {b}")
 
 
-def _meet_vty(a: ValueType, b: ValueType) -> ValueType:
-    if a == b:
+def _meet_vty(a: ValueType, b: ValueType, table: dict) -> ValueType:
+    if a is b or a == b:
         return a
     if isinstance(a, TyArrow) and isinstance(b, TyArrow):
-        return TyArrow(
-            _join_vty(a.dom, b.dom),
-            CompType(_meet_vty(a.cod.ty, b.cod.ty),
-                     Dirt(a.cod.dirt.ops & b.cod.dirt.ops, None)),
-        )
+        return node(table, TyArrow, _join_vty(a.dom, b.dom, table), node(
+            table, CompType, _meet_vty(a.cod.ty, b.cod.ty, table),
+            closed_dirt(table, a.cod.dirt.ops & b.cod.dirt.ops)))
     raise SampleError(f"no meet of {a} and {b}")
 
 
-def _ground_of_skeleton(s: Skeleton, rng: random.Random, ops, pinned: bool) -> ValueType:
+def _ground_of_skeleton(s: Skeleton, rng: random.Random, ops, pinned: bool,
+                        table: dict | None = None) -> ValueType:
+    """A ground type of skeleton `s`, its dirts drawn, made in `table` (a
+    table of its own by default)."""
+    if table is None:
+        table = {}
     if isinstance(s, SkelUnit):
-        return TyUnit()
+        return leaf(table, TyUnit)
     if isinstance(s, SkelBase):
-        return TyBase(s.name)
+        return leaf(table, TyBase, s.name)
     if isinstance(s, SkelArrow):
-        return TyArrow(
-            _ground_of_skeleton(s.dom, rng, ops, pinned),
-            CompType(_ground_of_skeleton(s.cod, rng, ops, pinned),
-                     _sample_dirt(rng, ops, pinned)),
-        )
+        dom = _ground_of_skeleton(s.dom, rng, ops, pinned, table)
+        cod = _ground_of_skeleton(s.cod, rng, ops, pinned, table)
+        d = _sample_dirt(rng, ops, pinned, table)
+        return node(table, TyArrow, dom, node(table, CompType, cod, d))
     raise SampleError(f"cannot ground skeleton {s}")
 
 
@@ -268,24 +287,30 @@ class Sampler:
             _walk_domains(hi, names, True)
             for n in names:
                 self.mentions.setdefault(n, []).append(i)
+        shared: dict = {}  # equal classifiers of type parameters share one object
+        self.ty_params = [(n, shared.setdefault(s, s)) for n, s in ctx.ty_params]
         self.valid = ValidityCheck(sig, ctx, EMPTY_CONTEXT)
 
     def draw(self, rng: random.Random, enumerable: bool = False,
              strict: bool = False) -> Substitution:
-        """One ground instantiation, validated before returning."""
-        sig, ctx, ops = self.sig, self.ctx, self.ops
+        """One ground instantiation, validated before returning. Every image
+        is interned in `sig.interned`."""
+        sig, ctx, ops, table = self.sig, self.ctx, self.ops, self.sig.interned
         enumerable = enumerable or strict
         pinned = self.every if strict else self.buried if enumerable else frozenset()
 
         sub = Substitution()
         for s in ctx.skel_params:
-            sub.skel[s] = _sample_skeleton(rng, enumerable)
+            sub.skel[s] = intern(table, _sample_skeleton(rng, enumerable))
         if self.unsat is not None:
             raise SampleError(self.unsat)
         least = self.least
-        for d in ctx.dirt_params:
-            extra = _sample_dirt(rng, ops, d in pinned)
-            sub.dirt[d] = Dirt(least[d] | extra.ops, None)
+        sets = {d: least[d] | _sample_dirt(rng, ops, d in pinned, table).ops
+                for d in ctx.dirt_params}
+
+        def ops_of(d: Dirt) -> frozenset:
+            image = sets.get(d.tail)
+            return d.ops if image is None else d.ops | image if d.ops else image
 
         # Repair dirt inclusions by shrinking lower tails: the lower tail keeps
         # only what the upper side carries. Forced content never goes missing
@@ -293,44 +318,57 @@ class Sampler:
         # random noise, and only a shrunk upper tail can unsettle a constraint.
         def repair_dirt(i: int) -> str | None:
             name, lo, hi = ctx.dirt_cos[i]
-            missing = apply_dirt(sub, lo).ops - apply_dirt(sub, hi).ops
+            missing = ops_of(lo) - ops_of(hi)
             if not missing:
                 return None
-            if lo.tail is None or not missing <= sub.dirt[lo.tail].ops:
+            if lo.tail is None or not missing <= sets[lo.tail]:
                 raise SampleError(f"cannot satisfy {name}: {lo} <= {hi}")
-            sub.dirt[lo.tail] = Dirt(sub.dirt[lo.tail].ops - missing, None)
+            sets[lo.tail] -= missing
             return lo.tail
 
         _settle(len(ctx.dirt_cos), repair_dirt, self.uppers)
+        dirts = sub.dirt
+        for d, s in sets.items():
+            dirts[d] = closed_dirt(table, s)
 
-        for name, skel in ctx.ty_params:
-            gskel = apply_skel(sub, skel)
-            sub.ty[name] = _ground_of_skeleton(gskel, rng, ops, name in pinned)
+        def dirt_image(d: Dirt) -> Dirt:
+            if d.ops or d.tail not in dirts:
+                return closed_dirt(table, ops_of(d))
+            return dirts[d.tail]
+
+        tys = sub.ty
+        gskels: dict[int, Skeleton] = {}  # id(classifier) -> its image
+        for name, skel in self.ty_params:
+            gskel = gskels.get(id(skel))
+            if gskel is None:
+                gskel = gskels[id(skel)] = apply_skel(sub, skel)
+            tys[name] = _ground_of_skeleton(gskel, rng, ops, name in pinned, table)
+
+        def image(t: ValueType) -> ValueType:
+            if type(t) is TyParam:
+                return tys.get(t.name) or intern(table, t)
+            return intern(table, apply_vty(sub, t))
 
         # Repair type inclusions by raising the upper image to its join with
         # the lower one. Joins only climb a finite lattice, so this settles.
-        # Each constraint keeps the inclusion coercion of its last
-        # examination, which is then the one between its final images.
-        vcos: list = [None] * len(ctx.ty_cos)
-
         def repair_type(i: int) -> str | None:
             _, lo, hi = ctx.ty_cos[i]
-            glo, ghi = apply_vty(sub, lo), apply_vty(sub, hi)
-            try:
-                vcos[i] = ground_inclusion(sig, glo, ghi)
+            glo, ghi = image(lo), image(hi)
+            if interned_inclusion(sig, glo, ghi) is not None:
                 return None
-            except NoWitness:
-                if not isinstance(hi, TyParam):
-                    raise SampleError(f"cannot satisfy {lo} <= {hi}")
-                sub.ty[hi.name] = _join_vty(glo, ghi)
-                return hi.name
+            if not isinstance(hi, TyParam):
+                raise SampleError(f"cannot satisfy {lo} <= {hi}")
+            tys[hi.name] = _join_vty(glo, ghi, table)
+            return hi.name
 
         _settle(len(ctx.ty_cos), repair_type, self.mentions)
 
+        # Every constraint holds at the final images, and takes its coercion
+        # there.
         for name, lo, hi in ctx.dirt_cos:
-            sub.dco[name] = ground_inclusion(sig, apply_dirt(sub, lo), apply_dirt(sub, hi))
-        for (name, _, _), co in zip(ctx.ty_cos, vcos):
-            sub.vco[name] = co
+            sub.dco[name] = interned_inclusion(sig, dirt_image(lo), dirt_image(hi))
+        for name, lo, hi in ctx.ty_cos:
+            sub.vco[name] = interned_inclusion(sig, image(lo), image(hi))
 
         self.valid.check(sub)
         return sub

@@ -38,6 +38,7 @@ from .check import (
     wf_vtype,
 )
 from .syntax import (
+    EMPTY_CONTEXT,
     App,
     CastC,
     CastV,
@@ -80,6 +81,7 @@ from .syntax import (
     ValueTerm,
     ValueType,
     Var,
+    intern,
 )
 
 
@@ -387,16 +389,19 @@ class ValidityCheck:
     check for equal classifiers of type parameters. A check then costs
     lookups and comparisons.
 
-    Two things are remembered for the checker's life. The endpoints of
-    each coercion image, by identity: `check.ground_inclusion` returns one
-    object per pair of endpoints, so a coercion that several rows or
-    substitutions share is checked once per checker (and, before that,
-    once per signature in `sig.ground_checks`). And copies of the maps of
-    the last substitution that passed: a substitution equal to it passes
-    without its rows being read again. The witness of a run without phase
-    steps is one, as it grounds the reduced context with the replayed
-    instantiation's own images, whose comparison meets the same objects.
-    A failed check remembers nothing.
+    Skeletons and endpoints are compared as interned values, so equal ones
+    usually compare by identity: a check against `EMPTY_CONTEXT` interns
+    them in `sig.interned`, which a draw's images already are, and any
+    other check in a table of its own. Three things are remembered for the
+    checker's life. By the identity of an image, which the entry keeps
+    alive: the skeleton of each type image, and the endpoints of each
+    coercion image (and, before that, once per signature in
+    `sig.ground_checks`). And copies of the maps of the last substitution
+    that passed: a substitution equal to it passes without its rows being
+    read again. The witness of a run without phase steps is one, as it
+    grounds the reduced context with the replayed instantiation's own
+    images, whose comparison meets the same objects. A failed check
+    remembers nothing.
 
     The rows are checked in the order of `src`, and each failure raises
     what the judgments in `check` raise, as `UnmappedParam` for an
@@ -405,10 +410,15 @@ class ValidityCheck:
 
     def __init__(self, sig: Signature, src: ParamContext, dst: ParamContext):
         self.sig, self.src, self.dst = sig, src, dst
+        # Only a ground check shares the signature's table of ground values.
+        self.table = table = sig.interned if dst is EMPTY_CONTEXT else {}
         shared: dict = {}  # equal classifiers of type parameters share one object
-        self.ty_rows = [(n, *_skel_reader(s, shared)) for n, s in src.ty_params]
-        self.dco_rows = [(n, *_dirt_reader(lo), *_dirt_reader(hi)) for n, lo, hi in src.dirt_cos]
-        self.vco_rows = [(n, *_vty_reader(lo), *_vty_reader(hi)) for n, lo, hi in src.ty_cos]
+        self.ty_rows = [(n, *_skel_reader(table, s, shared)) for n, s in src.ty_params]
+        self.dco_rows = [(n, *_dirt_reader(table, lo), *_dirt_reader(table, hi))
+                         for n, lo, hi in src.dirt_cos]
+        self.vco_rows = [(n, *_vty_reader(table, lo), *_vty_reader(table, hi))
+                         for n, lo, hi in src.ty_cos]
+        self.skeletons: dict[int, tuple] = {}  # id(type image) -> (image, its skeleton)
         self.ends: dict[int, tuple] = {}  # id(coercion) -> (coercion, endpoints)
         self.accepted: tuple | None = None
 
@@ -416,7 +426,7 @@ class ValidityCheck:
         maps = (sub.skel, sub.dirt, sub.ty, sub.dco, sub.vco)
         if maps == self.accepted:
             return
-        sig, dst, ends = self.sig, self.dst, self.ends
+        sig, dst, ends, table = self.sig, self.dst, self.ends, self.table
         skels, dirts, tys, dcos, vcos = maps
 
         for name in self.src.skel_params:
@@ -434,6 +444,7 @@ class ValidityCheck:
                 _fail(name, d is None, e)
 
         wants: dict[int, Skeleton] = {}  # id(classifier) -> its image
+        skeletons = self.skeletons
         for name, skel, key, const in self.ty_rows:
             t = tys.get(name)
             if key is not None:
@@ -443,81 +454,71 @@ class ValidityCheck:
             else:
                 want = wants.get(id(skel))
                 if want is None:
-                    want = wants[id(skel)] = apply_skel(sub, skel)
-            try:
-                got = wf_vtype(sig, dst, TyParam(name) if t is None else t)
-            except CheckError as e:
-                _fail(name, t is None, e)
-            if got != want:
+                    want = wants[id(skel)] = intern(table, apply_skel(sub, skel))
+            known = skeletons.get(id(t))
+            if known is not None and known[0] is t:
+                got = known[1]
+            else:
+                try:
+                    got = intern(table, wf_vtype(sig, dst, TyParam(name) if t is None else t))
+                except CheckError as e:
+                    _fail(name, t is None, e)
+                if t is not None:
+                    skeletons[id(t)] = (t, got)
+            if got is not want and got != want:
                 raise SkeletonMismatch(
                     f"image of {name} has skeleton {got}, classifier demands {want}"
                 )
 
-        for name, lo, lkey, lconst, hi, hkey, hconst in self.dco_rows:
-            g = dcos.get(name)
-            want_lo = (dirts.get(lkey, lo) if lkey is not None
-                       else lconst if lconst is not None else apply_dirt(sub, lo))
-            want_hi = (dirts.get(hkey, hi) if hkey is not None
-                       else hconst if hconst is not None else apply_dirt(sub, hi))
-            known = ends.get(id(g))
-            if known is not None and known[0] is g:
-                got_lo, got_hi = known[1]
-            else:
-                try:
-                    got_lo, got_hi = got = check_dco(sig, dst, DCoParam(name) if g is None else g)
-                except CheckError as e:
-                    _fail(name, g is None, e)
-                if g is not None:
-                    ends[id(g)] = (g, got)
-            # Two dirts are equal when their operation sets and tails are.
-            if not (got_lo.ops == want_lo.ops and got_lo.tail == want_lo.tail
-                    and got_hi.ops == want_hi.ops and got_hi.tail == want_hi.tail):
-                _mismatch(name, (got_lo, got_hi), (want_lo, want_hi))
-
-        for name, lo, lkey, lconst, hi, hkey, hconst in self.vco_rows:
-            g = vcos.get(name)
-            want = (tys.get(lkey, lo) if lkey is not None
-                    else lconst if lconst is not None else apply_vty(sub, lo),
-                    tys.get(hkey, hi) if hkey is not None
-                    else hconst if hconst is not None else apply_vty(sub, hi))
-            known = ends.get(id(g))
-            if known is not None and known[0] is g:
-                got = known[1]
-            else:
-                try:
-                    got = check_vco(sig, dst, VCoParam(name) if g is None else g)
-                except CheckError as e:
-                    _fail(name, g is None, e)
-                if g is not None:
-                    ends[id(g)] = (g, got)
-            if got != want:
-                _mismatch(name, got, want)
+        for rows, images, cos, apply, check_co, param in (
+                (self.dco_rows, dirts, dcos, apply_dirt, check_dco, DCoParam),
+                (self.vco_rows, tys, vcos, apply_vty, check_vco, VCoParam)):
+            for name, lo, lkey, lconst, hi, hkey, hconst in rows:
+                g = cos.get(name)
+                want = (images.get(lkey, lo) if lkey is not None
+                        else lconst if lconst is not None else apply(sub, lo),
+                        images.get(hkey, hi) if hkey is not None
+                        else hconst if hconst is not None else apply(sub, hi))
+                known = ends.get(id(g))
+                if known is not None and known[0] is g:
+                    got = known[1]
+                else:
+                    try:
+                        got_lo, got_hi = check_co(sig, dst, param(name) if g is None else g)
+                    except CheckError as e:
+                        _fail(name, g is None, e)
+                    got = intern(table, got_lo), intern(table, got_hi)
+                    if g is not None:
+                        ends[id(g)] = (g, got)
+                if got != want:
+                    _mismatch(name, got, want)
 
         self.accepted = tuple(dict(m) for m in maps)
 
 
 # A reader of a classifier is `(classifier, key, const)`: a bare parameter
 # is read by its name `key`, a closed classifier is the constant `const`,
-# and any other, with both None, is substituted.
+# interned where it is compared as a value, and any other, with both None,
+# is substituted.
 
-def _skel_reader(s: Skeleton, shared: dict) -> tuple:
+def _skel_reader(table: dict, s: Skeleton, shared: dict) -> tuple:
     if isinstance(s, SkelParam):
         return s, s.name, None
     if isinstance(s, (SkelUnit, SkelBase)):
-        return s, None, s
+        return s, None, intern(table, s)
     return shared.setdefault(s, s), None, None
 
 
-def _dirt_reader(d: Dirt) -> tuple:
+def _dirt_reader(table: dict, d: Dirt) -> tuple:
     if d.tail is None:
-        return d, None, d
+        return d, None, intern(table, d)
     return d, d.tail if not d.ops else None, None
 
 
-def _vty_reader(t: ValueType) -> tuple:
+def _vty_reader(table: dict, t: ValueType) -> tuple:
     if isinstance(t, TyParam):
         return t, t.name, None
-    return t, None, t if is_closed_vty(t) else None
+    return t, None, intern(table, t) if is_closed_vty(t) else None
 
 
 def _mismatch(name: str, got: tuple, want: tuple):

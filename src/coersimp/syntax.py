@@ -15,6 +15,10 @@ where it is declared in a `ParamContext`. A context answers lookups by name
 from indexes it builds on the first lookup of each kind and keeps outside
 its fields, so a lookup costs constant time and a context that is never
 queried builds none.
+
+An intern table (`intern`) holds one object per distinct value, so that
+`is` decides the equality of values interned in one table; a signature
+keeps the table of the values its ground instantiations use.
 """
 
 from __future__ import annotations
@@ -409,13 +413,19 @@ class Signature:
     # Endpoints of the ground coercions checked under this signature, by
     # coercion; `check` fills it (see `check._remembered`).
     ground_checks: dict = field(init=False, repr=False, compare=False)
-    # The canonical inclusion coercions built under this signature, by
-    # endpoints; `check.ground_inclusion` fills it.
+    # One object per distinct value drawn or built for a ground
+    # instantiation under this signature (see `intern`), which keeps it
+    # alive, so its identity stands for its value.
+    interned: dict = field(init=False, repr=False, compare=False)
+    # The canonical inclusion coercion between two interned values, or
+    # None where there is none, by the identities of the two;
+    # `check.interned_inclusion` fills it.
     ground_inclusions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name_set", frozenset(name for name, _ in self.ops))
         object.__setattr__(self, "ground_checks", {})
+        object.__setattr__(self, "interned", {})
         object.__setattr__(self, "ground_inclusions", {})
 
     def names(self) -> list[str]:
@@ -429,10 +439,6 @@ class Signature:
             if name == op:
                 return sig
         return None
-
-
-def signature(**ops: tuple[ValueType, ValueType]) -> Signature:
-    return Signature(tuple((name, OpSig(a, b)) for name, (a, b) in ops.items()))
 
 
 @dataclass(frozen=True)
@@ -506,6 +512,64 @@ class ParamContext:
 TypingContext = tuple[tuple[str, ValueType], ...]
 
 EMPTY_CONTEXT = ParamContext((), (), (), (), ())
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing (Filliâtre and Conchon, "Type-safe modular hash-consing", 2006)
+#
+# An intern table holds one node per distinct value. A node is entered
+# only over children that the table holds, under its key and under its own
+# identity. A closed dirt's key is its operation set; any other node's key
+# is its class, its atoms (names, operation sets, an absent tail) and the
+# identities of its children. The table keeps every node alive, so no
+# identity in it is reused while it lives, and equal values interned in one
+# table are one object: `is` decides their equality.
+
+_ATOMS = (str, frozenset, type(None))
+
+
+def intern(table: dict, x):
+    """The node of `table` equal to the syntax value `x`: `x` itself if the
+    table holds it, else the node over `x`'s children interned first."""
+    got = table.get(id(x))
+    if got is x:
+        return x
+    cls = type(x)
+    if cls is Dirt and x.tail is None:
+        return closed_dirt(table, x.ops)
+    parts = [v if isinstance(v, _ATOMS) else intern(table, v)
+             for v in [getattr(x, n) for n in cls.__match_args__]]
+    return _entry(table, (cls, *[v if isinstance(v, _ATOMS) else id(v) for v in parts]),
+                  cls, parts)
+
+
+def node(table: dict, cls, *kids):
+    """The node `cls(*kids)` of `table`, over children that are its nodes."""
+    return _entry(table, (cls, *map(id, kids)), cls, kids)
+
+
+def leaf(table: dict, cls, *atoms):
+    """The node `cls(*atoms)` of `table`, whose fields are all atoms (a
+    closed dirt is `closed_dirt`'s)."""
+    return _entry(table, (cls, *atoms), cls, atoms)
+
+
+def _entry(table: dict, key: tuple, cls, parts):
+    got = table.get(key)
+    if got is None:
+        got = table[key] = cls(*parts)
+        table[id(got)] = got
+    return got
+
+
+def closed_dirt(table: dict, ops: frozenset) -> Dirt:
+    """The closed dirt with operations `ops` of `table`, keyed by its
+    operation set."""
+    got = table.get(ops)
+    if got is None:
+        got = table[ops] = Dirt(ops, None)
+        table[id(got)] = got
+    return got
 
 
 # ---------------------------------------------------------------------------

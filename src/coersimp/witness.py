@@ -62,6 +62,7 @@ from .syntax import (
     Signature,
     TyArrow,
     TyParam,
+    closed_dirt,
 )
 
 
@@ -165,7 +166,7 @@ def _bind(part: dict, name: str, ground) -> None:
         raise WitnessBug(f"{name} matched twice, unequally")
 
 
-def _match_dirt(pattern: Dirt, ground: Dirt, eta: Substitution) -> None:
+def _match_dirt(pattern: Dirt, ground: Dirt, eta: Substitution, interned: dict) -> None:
     if ground.tail is not None:
         raise WitnessBug(f"instantiation image {ground} is not ground")
     if pattern.tail is None:
@@ -174,18 +175,19 @@ def _match_dirt(pattern: Dirt, ground: Dirt, eta: Substitution) -> None:
         return
     if not pattern.ops <= ground.ops:
         raise WitnessBug(f"dirt mismatch: {pattern} vs {ground}")
-    _bind(eta.dirt, pattern.tail, Dirt(ground.ops - pattern.ops, None) if pattern.ops else ground)
+    _bind(eta.dirt, pattern.tail,
+          closed_dirt(interned, ground.ops - pattern.ops) if pattern.ops else ground)
 
 
-def _match_vty(pattern, ground, eta: Substitution) -> None:
+def _match_vty(pattern, ground, eta: Substitution, interned: dict) -> None:
     if isinstance(pattern, TyParam):
         _bind(eta.ty, pattern.name, ground)
     elif isinstance(pattern, TyArrow):
         if not isinstance(ground, TyArrow):
             raise WitnessBug(f"type shape mismatch: {pattern} vs {ground}")
-        _match_vty(pattern.dom, ground.dom, eta)
-        _match_vty(pattern.cod.ty, ground.cod.ty, eta)
-        _match_dirt(pattern.cod.dirt, ground.cod.dirt, eta)
+        _match_vty(pattern.dom, ground.dom, eta, interned)
+        _match_vty(pattern.cod.ty, ground.cod.ty, eta, interned)
+        _match_dirt(pattern.cod.dirt, ground.cod.dirt, eta, interned)
     elif pattern != ground:
         raise WitnessBug(f"type mismatch: {pattern} vs {ground}")
 
@@ -198,8 +200,9 @@ class ReductionReplay:
     its own. Each reduced constraint keeps the parameter that each bound
     is, when the bound is a bare parameter or tail, and the reduced
     context's validity check is prepared too. A replay then matches ground
-    images against the patterns and asks the signature for inclusion
-    coercions between looked-up images.
+    images against the patterns, binding each sub-image as the object it
+    is and each dirt it computes as the signature's interned one, and asks
+    the signature for inclusion coercions between looked-up images.
     """
 
     def __init__(self, sig: Signature, red):
@@ -212,14 +215,14 @@ class ReductionReplay:
         self.valid = ValidityCheck(sig, rc, EMPTY_CONTEXT)
 
     def replay(self, eta0: Substitution) -> Substitution:
-        sig = self.sig
+        sig, interned = self.sig, self.sig.interned
         eta = Substitution(skel=dict(eta0.skel))
         dirts, tys = eta.dirt, eta.ty
         patterns = self.dirt_patterns
         for name, ground in eta0.dirt.items():
             pattern = patterns.get(name)
             if pattern is not None:
-                _match_dirt(pattern, ground, eta)
+                _match_dirt(pattern, ground, eta, interned)
             elif ground.tail is not None:
                 raise WitnessBug(f"instantiation image {ground} is not ground")
             else:
@@ -228,23 +231,20 @@ class ReductionReplay:
         for name, ground in eta0.ty.items():
             pattern = patterns.get(name)
             if pattern is not None:
-                _match_vty(pattern, ground, eta)
+                _match_vty(pattern, ground, eta, interned)
             else:
                 _bind(tys, name, ground)
 
         # Coercion names get the signature's inclusion witnesses; the bounds
         # hold because the factored instantiation satisfies every reduced
         # constraint.
-        for name, lo, lkey, hi, hkey in self.dco_rows:
-            eta.dco[name] = ground_inclusion(
-                sig,
-                dirts.get(lkey, lo) if lkey is not None else apply_dirt(eta, lo),
-                dirts.get(hkey, hi) if hkey is not None else apply_dirt(eta, hi))
-        for name, lo, lkey, hi, hkey in self.vco_rows:
-            eta.vco[name] = ground_inclusion(
-                sig,
-                tys.get(lkey, lo) if lkey is not None else apply_vty(eta, lo),
-                tys.get(hkey, hi) if hkey is not None else apply_vty(eta, hi))
+        for rows, images, apply, cos in ((self.dco_rows, dirts, apply_dirt, eta.dco),
+                                         (self.vco_rows, tys, apply_vty, eta.vco)):
+            for name, lo, lkey, hi, hkey in rows:
+                cos[name] = ground_inclusion(
+                    sig,
+                    images.get(lkey, lo) if lkey is not None else apply(eta, lo),
+                    images.get(hkey, hi) if hkey is not None else apply(eta, hi))
 
         self.valid.check(eta)
         return eta

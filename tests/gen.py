@@ -26,8 +26,9 @@ from coersimp.syntax import (
     TyUnit,
     ValueType,
     dirt,
-    signature,
 )
+
+from support import signature
 
 TEST_SIG = signature(
     Random=(TyUnit(), TyBase("bit")),

@@ -125,23 +125,13 @@ def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply, sub: Subs
                 sub = compose(
                     Substitution(dco={name: dirt_inclusion_coercion(lo, hi)}), sub
                 )
-            elif d2 is None:
-                # Keep the less restrictive residual d1 <= O2.
+            else:
+                # Keep the less restrictive residual d1 <= O2 (+ d2).
                 if not o1:
                     kept.append((name, lo, hi))
                 else:
                     p = supply.fresh("p")
                     kept.append((p, dirt((), d1), hi))
-                    sub = compose(
-                        Substitution(dco={name: _both_ext(o1, DCoParam(p))}), sub
-                    )
-            else:
-                residual_hi = Dirt(o2 - o1, d2)
-                if not o1:
-                    kept.append((name, lo, hi))
-                else:
-                    p = supply.fresh("p")
-                    kept.append((p, dirt((), d1), residual_hi))
                     sub = compose(
                         Substitution(dco={name: _both_ext(o1, DCoParam(p))}), sub
                     )

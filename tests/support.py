@@ -17,6 +17,7 @@ from coersimp.syntax import (
     EMPTY_CONTEXT,
     CompTerm,
     Dirt,
+    OpSig,
     Signature,
     TyArrow,
     TyBase,
@@ -25,6 +26,10 @@ from coersimp.syntax import (
     TypingContext,
     ValueType,
 )
+
+
+def signature(**ops: tuple[ValueType, ValueType]) -> Signature:
+    return Signature(tuple((name, OpSig(a, b)) for name, (a, b) in ops.items()))
 
 
 def identity() -> Substitution:

@@ -17,6 +17,7 @@ from coersimp.check import (
     derived_refl_vty,
     dirt_inclusion_coercion,
     ground_inclusion,
+    interned_inclusion,
     type_of_comp,
     type_of_value,
     value_inclusion_coercion,
@@ -59,8 +60,10 @@ from coersimp.syntax import (
     VCoCompose,
     VCoParam,
     dirt,
-    signature,
+    intern,
 )
+
+from support import signature
 
 SIG = signature(Random=(TyUnit(), TyBase("bit")), Fail=(TyUnit(), TyUnit()))
 
@@ -247,20 +250,32 @@ def test_ground_inclusion_is_built_once_per_signature():
     assert ground_inclusion(other, lo, hi) == got
 
 
-def test_ground_inclusion_remembers_no_failure():
-    """A pair without a witness raises `NoWitness` on every request and
-    leaves the signature's inclusions as they were."""
+def test_ground_inclusion_remembers_a_missing_witness():
+    """A pair of closed endpoints without a witness is decided once per
+    signature and remembered as None; each request for it still raises
+    `NoWitness` with the builder's message. A dirt with a tail is not
+    remembered."""
     sig = Signature(SIG.ops)
     ground_inclusion(sig, dirt(()), dirt(("Random",)))
     before = dict(sig.ground_inclusions)
+    pairs = [(dirt(("Fail",)), dirt(("Random",))), (TyUnit(), TyBase("bit"))]
+    messages = []
+    for lo, hi in pairs:
+        with pytest.raises(NoWitness) as exc:
+            (dirt_inclusion_coercion if isinstance(lo, Dirt) else value_inclusion_coercion)(lo, hi)
+        messages.append(str(exc.value))
     for _ in range(2):
-        with pytest.raises(NoWitness):
-            ground_inclusion(sig, dirt(("Fail",)), dirt(("Random",)))
-        with pytest.raises(NoWitness):
-            ground_inclusion(sig, TyUnit(), TyBase("bit"))
+        for (lo, hi), message in zip(pairs, messages):
+            with pytest.raises(NoWitness) as exc:
+                ground_inclusion(sig, lo, hi)
+            assert str(exc.value) == message
         with pytest.raises(NoWitness):
             ground_inclusion(sig, dirt((), "d1"), dirt(("Random",)))
-    assert sig.ground_inclusions == before
+    table = sig.interned
+    missing = {(id(intern(table, lo)), id(intern(table, hi))): None for lo, hi in pairs}
+    assert sig.ground_inclusions == {**before, **missing}
+    assert all(interned_inclusion(sig, intern(table, lo), intern(table, hi)) is None
+               for lo, hi in pairs)
 
 
 def test_ground_inclusion_serves_no_closed_entry_to_a_dirt_with_a_tail():

@@ -10,7 +10,13 @@ from collections import Counter
 
 import pytest
 
-from coersimp.check import SkeletonMismatch, check_dco, check_vco, wf_context
+from coersimp.check import (
+    SkeletonMismatch,
+    check_dco,
+    check_vco,
+    dirt_inclusion_coercion,
+    wf_context,
+)
 from coersimp.reduce import (
     ReductionBug,
     ReductionResult,
@@ -18,7 +24,15 @@ from coersimp.reduce import (
     is_canonical,
     reduce_context,
 )
-from coersimp.subst import Substitution, apply_dco, apply_dirt, apply_vty, check_validity
+from coersimp.sample import SampleError, sample_eta
+from coersimp.subst import (
+    Substitution,
+    apply_dco,
+    apply_dirt,
+    apply_vty,
+    check_validity,
+    compose,
+)
 from coersimp.syntax import (
     CompType,
     DCoParam,
@@ -34,6 +48,8 @@ from coersimp.syntax import (
     TyUnit,
     dirt,
 )
+
+from coersimp.witness import replay_reduction
 
 from gen import TEST_SIG, random_context, random_dirt
 from reference_reduce import reference_reduce_context
@@ -110,7 +126,7 @@ def test_dc_tail_tail_subset():
     assert len(red.context.dirt_cos) == 1
     _, rlo, rhi = red.context.dirt_cos[0]
     assert rlo == dirt((), "d1")
-    assert rhi == Dirt(F, "d2")
+    assert rhi == hi  # d1 may carry Random too
     endpoints_match(red, "p", lo, hi)
 
 
@@ -122,9 +138,48 @@ def test_dc_tail_tail_restart():
     fresh = rhi.tail
     assert fresh is not None and fresh != "d2"
     assert rlo == dirt((), "d1")
-    assert rhi.ops == F
+    assert rhi.ops == RF
     assert red.subst.dirt["d2"] == Dirt(R, fresh)
     endpoints_match(red, "p", lo, hi)
+
+
+def test_dc_tail_tail_keeps_a_shared_operation_on_the_lower_tail():
+    """`{Random}+d3 <= {Random}+d1` holds where `d3` carries Random and
+    `d1` does not. The reduced constraint keeps that instantiation, which
+    then factors through the reduced context."""
+    lo, hi = Dirt(R, "d3"), Dirt(R, "d1")
+    ctx = dctx(("d1", "d3"), [("p", lo, hi)])
+    red = reduce_context(TEST_SIG, ctx)
+    ((_, rlo, rhi),) = red.context.dirt_cos
+    assert (rlo, rhi) == (dirt((), "d3"), hi)
+    eta0 = Substitution(dirt={"d1": dirt(), "d3": dirt(R)},
+                        dco={"p": dirt_inclusion_coercion(dirt(R), dirt(R))})
+    check_validity(TEST_SIG, ctx, eta0, EMPTY_CONTEXT)
+    eta_r = replay_reduction(TEST_SIG, red, eta0)
+    assert apply_dirt(compose(eta_r, red.subst), dirt((), "d3")) == dirt(R)
+    endpoints_match(red, "p", lo, hi)
+
+
+def test_every_drawn_instantiation_of_a_structural_context_factors():
+    """Every valid draw of a seeded structural context replays through its
+    reduction, as `replay_reduction` promises: dropping a shared operation
+    from a kept upper bound lost some of them."""
+    rng = random.Random(5)
+    replayed = 0
+    for i in range(300):
+        ctx = random_structural_context(rng)
+        try:
+            red = reduce_context(TEST_SIG, ctx)
+        except Unsatisfiable:
+            continue
+        for j in range(3):
+            try:
+                eta0 = sample_eta(TEST_SIG, ctx, random.Random(f"{i}:{j}"))
+            except SampleError:
+                continue
+            replay_reduction(TEST_SIG, red, eta0)
+            replayed += 1
+    assert replayed > 600
 
 
 def test_dc_restart_reprocesses_reduced_constraints():

@@ -343,22 +343,25 @@ def test_prepared_sampler_fails_in_the_draw_with_the_reference_message():
 
 def test_dirt_repair_costs_linear_in_the_constraints(monkeypatch):
     """The dirt repair re-examines only constraints whose upper tail
-    shrank, so `apply_dirt` calls per constraint do not grow with the
-    chain (in-order sweeps over a chain need more passes as it grows)."""
-    calls = []
-    original = sample.apply_dirt
+    shrank, so examinations per constraint do not grow with the chain
+    (in-order sweeps over a chain need more passes as it grows). The dirt
+    repair is the first that a draw settles."""
+    settled = []
+    original = sample._settle
 
-    def counted(sub, d):
-        calls.append(d)
-        return original(sub, d)
+    def counted(count, repair, watchers):
+        calls = []
+        settled.append(calls)
+        return original(count, lambda i: calls.append(i) or repair(i), watchers)
 
-    monkeypatch.setattr(sample, "apply_dirt", counted)
+    monkeypatch.setattr(sample, "_settle", counted)
     per_constraint = {}
     for n in (100, 400):
         ctx, pol = shape_context("chain", n)
-        calls.clear()
+        settled.clear()
         for i in range(5):
             sample_eta(TEST_SIG, ctx, random.Random(f"cost:{i}"), enumerable=True)
-        per_constraint[n] = len(calls) / (5 * len(ctx.dirt_cos))
+        examined = sum(len(calls) for calls in settled[::2])
+        per_constraint[n] = examined / (5 * len(ctx.dirt_cos))
     assert per_constraint[400] <= 1.1 * per_constraint[100], per_constraint
-    assert per_constraint[400] <= 8, per_constraint
+    assert per_constraint[400] <= 3, per_constraint

@@ -13,6 +13,7 @@ from coersimp import check, cli, sample, semantics, subst, witness
 from coersimp.check import (
     CheckError,
     EndpointMismatch,
+    NoWitness,
     check_dco,
     check_vco,
     derived_refl_dirt,
@@ -74,6 +75,7 @@ from coersimp.syntax import (
     VCoArrow,
     VCoCompose,
     dirt,
+    intern,
 )
 
 import reference_semantics
@@ -571,20 +573,29 @@ def test_verify_checks_each_ground_coercion_once_per_signature(monkeypatch):
 
 def test_ground_inclusions_equal_the_builders_on_every_drawn_pair(monkeypatch):
     """Every inclusion the sampler and `replay_reduction` take from the
-    signature, over the bundled corpus, is what the builders give."""
-    asked = count_calls(monkeypatch, check.ground_inclusion)
+    signature, over the bundled corpus, is what the builders give, and
+    None exactly where they find no witness. Each is interned, and so are
+    the endpoints it was asked for."""
+    asked = count_calls(monkeypatch, check.interned_inclusion)
     for item in load_bundled():
         for i in range(4):
             sample_eta(item.signature, item.context, random.Random(f"incl:{i}"))
         if item.term is not None:
             for preset in ("none", "scc", "all"):
                 assert cmd_verify(item, preset, samples=6)["passed"] == 6
-    sorts = set()
-    for (_, lo, hi), got in asked:
+    sorts, missing = set(), 0
+    for (sig, lo, hi), got in asked:
         build = dirt_inclusion_coercion if isinstance(lo, Dirt) else value_inclusion_coercion
-        assert got == build(lo, hi), (lo, hi)
+        assert intern(sig.interned, lo) is lo and intern(sig.interned, hi) is hi
+        try:
+            want = build(lo, hi)
+        except NoWitness:
+            want = None
+        assert got == want, (lo, hi)
+        assert got is None or intern(sig.interned, got) is got
         sorts.add(build)
-    assert len(sorts) == 2
+        missing += got is None
+    assert len(sorts) == 2 and missing
 
 
 def test_verify_builds_each_ground_inclusion_once_per_signature(monkeypatch):
@@ -683,6 +694,88 @@ def test_fingerprints_are_equal_exactly_when_draws_are():
             assert (key1 == key2) == (eta1 == eta2), item.name
             repeats += key1 == key2
     assert repeats
+
+
+def nodes(value):
+    """`value` and every node under it."""
+    todo = [value]
+    while todo:
+        x = todo.pop()
+        yield x
+        todo.extend(v for v in (getattr(x, n) for n in type(x).__match_args__)
+                    if not isinstance(v, (str, frozenset, type(None))))
+
+
+@pytest.mark.parametrize("preset", ["none", "all"])
+def test_equal_values_drawn_or_replayed_under_one_signature_are_one_object(monkeypatch, preset):
+    """Every image a verify run draws or replays, and every node under it,
+    is the one object its signature holds for its value: equal ones are
+    identical, and each is found in `sig.interned` by its identity."""
+    draws = count_draws(monkeypatch)
+    replays = []
+    original = witness.ReductionReplay.replay
+
+    def replay(self, eta0):
+        replays.append(original(self, eta0))
+        return replays[-1]
+
+    monkeypatch.setattr(witness.ReductionReplay, "replay", replay)
+    checked = 0
+    for item in load_bundled():
+        if item.term is None:
+            continue
+        draws.clear()
+        replays.clear()
+        assert cmd_verify(item, preset, samples=12)["passed"] == 12
+        table, first = item.signature.interned, {}
+        for eta in [eta for _, eta in draws] + replays:
+            for part in (eta.skel, eta.dirt, eta.ty, eta.dco, eta.vco):
+                for image in part.values():
+                    for x in nodes(image):
+                        assert first.setdefault(x, x) is x, (item.name, x)
+                        assert table[id(x)] is x, (item.name, x)
+                        checked += 1
+    assert checked > 400
+
+
+def test_a_second_run_adds_no_table_entry_and_the_corpus_draws_25_instantiations():
+    """The bundled corpus draws 25 distinct instantiations in its 320
+    samples under `all`. A second run on the same parsed items reports the
+    same and adds nothing to any table of their signatures."""
+    items = [item for item in load_bundled() if item.term is not None]
+
+    def sizes():
+        return [(len(i.signature.interned), len(i.signature.ground_inclusions),
+                 len(i.signature.ground_checks)) for i in items]
+
+    first = [cmd_verify(item, "all", samples=40) for item in items]
+    assert sum(r["samples"] for r in first) == 320
+    assert sum(r["distinct"] for r in first) == 25
+    grown = sizes()
+    assert sum(n for n, _, _ in grown)
+    assert [cmd_verify(item, "all", samples=40) for item in items] == first
+    assert sizes() == grown
+
+
+def test_fingerprints_of_short_lived_instantiations_never_match_unequal_ones():
+    """Hand-built instantiations, none of them interned, each dropped before
+    the next is built, so that the next may reuse its objects' memory: two
+    have equal fingerprints exactly when they are equal, because the
+    identities are those of the table's own objects."""
+    rng = random.Random("short-lived")
+    table, seen = {}, {}
+    for i in range(400):
+        ops = [frozenset(o for o in ("Random", "Fail") if rng.random() < 0.5) for _ in range(3)]
+        eta = subst.Substitution(
+            dirt={"d1": Dirt(ops[0]), "d2": Dirt(ops[1])},
+            ty={"a1": TyArrow(TyUnit(), CompType(TyBase(rng.choice(["bit", "bool"])),
+                                                  Dirt(ops[2])))},
+            dco={"p1": dirt_inclusion_coercion(Dirt(ops[0]), Dirt(ops[0] | ops[1]))})
+        key = cli.fingerprint(eta, table)
+        text = repr(eta)
+        del eta
+        assert seen.setdefault(key, text) == text, i
+    assert 1 < len(seen) < 400
 
 
 @pytest.mark.parametrize("k", [1, 50])

@@ -21,11 +21,10 @@ from coersimp.syntax import (
     TyParam,
     TyUnit,
     dirt,
-    signature,
 )
 
 from gen import SHAPES, TEST_SIG, shape_context
-from support import alpha_equivalent
+from support import alpha_equivalent, signature
 
 
 def test_dirt_helper_normalizes():

@@ -226,12 +226,12 @@ def test_match_dirt_guards():
     """A closed pattern equal to its ground dirt binds nothing; one with
     other operations, or a ground image with a tail, is a witness bug."""
     eta = Substitution()
-    _match_dirt(dirt(("Random",)), dirt(("Random",)), eta)
+    _match_dirt(dirt(("Random",)), dirt(("Random",)), eta, {})
     assert eta == Substitution()
     with pytest.raises(WitnessBug, match="dirt mismatch"):
-        _match_dirt(dirt(("Random",)), dirt(("Flip",)), eta)
+        _match_dirt(dirt(("Random",)), dirt(("Flip",)), eta, {})
     with pytest.raises(WitnessBug, match="not ground"):
-        _match_dirt(dirt((), "d1"), dirt((), "d2"), eta)
+        _match_dirt(dirt((), "d1"), dirt((), "d2"), eta, {})
     assert eta == Substitution()
 
 
