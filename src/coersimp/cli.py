@@ -36,8 +36,8 @@ from .semantics import (
     ModelBug,
     check_preservation,
 )
-from .subst import Substitution, apply_value, apply_vty
-from .syntax import ValueTerm, intern
+from .subst import Substitution, apply_value, apply_vty, erase_value
+from .syntax import CastC, CastV, CompTerm, ValueTerm, intern
 from .witness import WitnessBug, WitnessPlan, build_witness_total, check_witness_total
 
 STANDARD_CONFIGS = tuple(PRESETS)
@@ -66,37 +66,47 @@ def metrics_row(config: str, ctx) -> dict:
 
 def _simplified(item: CorpusItem, config: str, full_dirt: bool):
     """The pipeline's result on one item under a phase configuration, and
-    the item's type and term rewritten by it: (sim, poltype', term'). The
-    one rewrite of an item, so `verify` checks the term `simplify` prints."""
+    the item's type and term rewritten by it: (sim, poltype', rewritten,
+    term'), where term' is the rewritten term with the casts the rewrite
+    made trivial erased (`erase_value`), or `rewritten` itself where there
+    are none. The one rewrite of an item, so `verify` checks the term
+    `simplify` prints."""
     instructions = parse_phase_config(config, full_dirt=full_dirt)
     fps = fp_vty(item.poltype) if item.poltype is not None else EMPTY_FPS
     sim = simplify(item.signature, item.context, fps, instructions)
     new_ty = apply_vty(sim.subst, item.poltype) if item.poltype is not None else None
-    new_term = apply_value(sim.subst, item.term) if item.term is not None else None
-    return sim, new_ty, new_term
+    if item.term is None:
+        return sim, new_ty, None, None
+    rewritten = apply_value(sim.subst, item.term)
+    return sim, new_ty, rewritten, erase_value(rewritten)
 
 
 def cmd_simplify(item: CorpusItem, config: str, full_dirt: bool = False):
     """Run the pipeline on one item; rewrite its type and term.
 
-    Returns (sim, poltype', term', before_row, after_row). The rewritten
-    term is re-typechecked against the rewritten type; a mismatch means
-    the substitution layer is broken and raises InternalError.
+    Returns (sim, poltype', term', before_row, after_row), with term' erased.
+    The rewritten term is re-typechecked against the rewritten type, and so
+    is the erased term where erasure changed it; a mismatch means the
+    substitution layer or the eraser is broken and raises InternalError.
     """
-    sim, new_ty, new_term = _simplified(item, config, full_dirt)
+    sim, new_ty, rewritten, new_term = _simplified(item, config, full_dirt)
     label = config_label(config)
     before = metrics_row(label, sim.reduction.context)
     after = metrics_row(label, sim.context)
-    if new_term is not None:
-        try:
-            got = type_of_value(item.signature, sim.context, (), new_term)
-        except CheckError as exc:
-            raise InternalError(
-                f"{item.name}: rewritten term no longer typechecks: {exc}") from exc
-        if got != new_ty:
-            raise InternalError(
-                f"{item.name}: rewritten term has type {got}, wanted {new_ty}")
+    if rewritten is not None:
+        _typecheck(item, sim, rewritten, new_ty, "rewritten")
+        if new_term is not rewritten:
+            _typecheck(item, sim, new_term, new_ty, "erased")
     return sim, new_ty, new_term, before, after
+
+
+def _typecheck(item: CorpusItem, sim, term: ValueTerm, want, what: str) -> None:
+    try:
+        got = type_of_value(item.signature, sim.context, (), term)
+    except CheckError as exc:
+        raise InternalError(f"{item.name}: {what} term no longer typechecks: {exc}") from exc
+    if got != want:
+        raise InternalError(f"{item.name}: {what} term has type {got}, wanted {want}")
 
 
 def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
@@ -132,7 +142,7 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
-    sim, _, term = _simplified(item, config, full_dirt)
+    sim, _, _, term = _simplified(item, config, full_dirt)
     sampler = Sampler(item.signature, item.context, item.poltype, item.term)
     plan = WitnessPlan(item.signature, sim)
     # Fingerprint -> None on a pass, else the exception's class and args:
@@ -218,6 +228,13 @@ def cmd_report(corpus: list[CorpusItem], configs: list[str],
                 totals[c][k] += after[k]
         per_item.append({"item": item.name, "rows": rows})
     return {"items": per_item, "totals": [totals[c] for c in configs]}
+
+
+def cast_count(term: ValueTerm | CompTerm) -> int:
+    """The casts in a value or computation term."""
+    kids = (getattr(term, name) for name in type(term).__match_args__)
+    return isinstance(term, (CastV, CastC)) + sum(
+        cast_count(kid) for kid in kids if isinstance(kid, (ValueTerm, CompTerm)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +339,8 @@ def _run_simplify(args, items) -> int:
                           ("dirt_nodes", "dirt_edges", "type_nodes", "type_edges")},
                 "type": None if new_ty is None else str(new_ty),
                 "term": None if new_term is None else str(new_term),
+                "coercion_params": after["dirt_edges"] + after["type_edges"],
+                "casts": None if new_term is None else cast_count(new_term),
             }
             for item, sim, new_ty, new_term, before, after in out
         ])

@@ -1,5 +1,6 @@
 """Substitutions over the five parameter kinds, their application, validity
-checking, and composition.
+checking, and composition, and the erasure of the casts that application
+made trivial.
 
 A substitution is five finite maps. Mappings that are omitted are identities:
 applying a substitution to a parameter outside its domain leaves it alone.
@@ -221,6 +222,110 @@ def apply_comp(sub: Substitution, c: CompTerm) -> CompTerm:
     if isinstance(c, CastC):
         return CastC(apply_comp(sub, c.comp), apply_cco(sub, c.co))
     raise TypeError(f"not a computation term: {c!r}")
+
+
+# ---------------------------------------------------------------------------
+# Erasure of trivial casts
+#
+# A reflexive coercion is a reflexivity on a parameter, unit or a base type;
+# the empty or a parameter's dirt reflexivity under any number of
+# `DCoUnionBoth`; or an arrow or computation coercion whose parts are all
+# reflexive. `DCoUnionRight`, `DCoEmptyUnder` and coercion parameters never
+# are. Erasure drops a reflexive link of a composition (`refl . c = c`,
+# `c . refl = c`) and a cast by a reflexive coercion. It keeps the tree
+# shape of what it keeps, and returns a node itself where nothing under it
+# is erased.
+
+def erase_value(v: ValueTerm) -> ValueTerm:
+    """`v` with its trivial casts erased: `v` itself if it has none."""
+    if isinstance(v, (Var, UnitVal)):
+        return v
+    if isinstance(v, Lam):
+        body = erase_comp(v.body)
+        return v if body is v.body else Lam(v.var, v.ty, body)
+    if isinstance(v, CastV):
+        val = erase_value(v.val)
+        co, refl = _erase_vco(v.co)
+        if refl:
+            return val
+        return v if val is v.val and co is v.co else CastV(val, co)
+    raise TypeError(f"not a value term: {v!r}")
+
+
+def erase_comp(c: CompTerm) -> CompTerm:
+    """`erase_value` for a computation term."""
+    if isinstance(c, Return):
+        val = erase_value(c.val)
+        return c if val is c.val else Return(val)
+    if isinstance(c, OpCall):
+        arg, cont = erase_value(c.arg), erase_comp(c.cont)
+        if arg is c.arg and cont is c.cont:
+            return c
+        return OpCall(c.op, arg, c.bind, c.bind_ty, cont)
+    if isinstance(c, Do):
+        first, rest = erase_comp(c.first), erase_comp(c.rest)
+        return c if first is c.first and rest is c.rest else Do(c.var, first, rest)
+    if isinstance(c, App):
+        fn, arg = erase_value(c.fn), erase_value(c.arg)
+        return c if fn is c.fn and arg is c.arg else App(fn, arg)
+    if isinstance(c, LetVal):
+        val, body = erase_value(c.val), erase_comp(c.body)
+        return c if val is c.val and body is c.body else LetVal(c.var, val, body)
+    if isinstance(c, CastC):
+        comp = erase_comp(c.comp)
+        co, refl = _erase_cco(c.co)
+        if refl:
+            return comp
+        return c if comp is c.comp and co is c.co else CastC(comp, co)
+    raise TypeError(f"not a computation term: {c!r}")
+
+
+def _erase_dco(g: DCoercion) -> tuple[DCoercion, bool]:
+    """`g` with its reflexive links erased, and whether that is reflexive."""
+    if isinstance(g, (DCoReflEmpty, DCoReflParam)):
+        return g, True
+    if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
+        body, refl = _erase_dco(g.body)
+        return (g if body is g.body else type(g)(g.op, body),
+                refl and isinstance(g, DCoUnionBoth))
+    if isinstance(g, DCoCompose):
+        return _erase_link(g, _erase_dco(g.after), _erase_dco(g.before), DCoCompose)
+    if isinstance(g, (DCoParam, DCoEmptyUnder)):
+        return g, False
+    raise TypeError(f"not a dirt coercion: {g!r}")
+
+
+def _erase_vco(g: VCoercion) -> tuple[VCoercion, bool]:
+    """`_erase_dco` for a value coercion."""
+    if isinstance(g, (VCoReflParam, VCoReflUnit, VCoReflBase)):
+        return g, True
+    if isinstance(g, VCoArrow):
+        arg, arg_refl = _erase_vco(g.arg)
+        res, res_refl = _erase_cco(g.res)
+        return (g if arg is g.arg and res is g.res else VCoArrow(arg, res),
+                arg_refl and res_refl)
+    if isinstance(g, VCoCompose):
+        return _erase_link(g, _erase_vco(g.after), _erase_vco(g.before), VCoCompose)
+    if isinstance(g, VCoParam):
+        return g, False
+    raise TypeError(f"not a value coercion: {g!r}")
+
+
+def _erase_cco(g: CCoercion) -> tuple[CCoercion, bool]:
+    vco, vrefl = _erase_vco(g.vco)
+    dco, drefl = _erase_dco(g.dco)
+    return (g if vco is g.vco and dco is g.dco else CCoercion(vco, dco),
+            vrefl and drefl)
+
+
+def _erase_link(g, after: tuple, before: tuple, compose) -> tuple:
+    """The erased composition `g` of the erased links `after . before`."""
+    (a, a_refl), (b, b_refl) = after, before
+    if a_refl:
+        return b, b_refl
+    if b_refl:
+        return a, False
+    return (g if a is g.after and b is g.before else compose(a, b)), False
 
 
 def apply_context(sub: Substitution, ctx: ParamContext) -> ParamContext:

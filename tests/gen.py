@@ -13,10 +13,12 @@ import random
 from dataclasses import replace
 
 from coersimp.polarity import FreeParamSet
+from coersimp.reduce import reduce_context
 from coersimp.subst import apply_context
 from coersimp.syntax import (
     CompType,
     Dirt,
+    NameSupply,
     ParamContext,
     Signature,
     SkelParam,
@@ -28,6 +30,7 @@ from coersimp.syntax import (
     dirt,
 )
 
+from reference_phases import run_reference_phases
 from support import signature
 
 TEST_SIG = signature(
@@ -159,6 +162,15 @@ def shape_context(family, n, seed=0):
         frozenset(f"{s}{i}" for i in (edges[-1][1], *held) for s in "ad"),
         frozenset(f"{s}{i}" for i in (0, *held) for s in "ad"))
     return ctx, pol
+
+
+def reference_run(sig, sim, instructions):
+    """The reference engine's run of the canonical context `sim` reduced to,
+    with the name supply in the state reduction left it in."""
+    supply = NameSupply.seeded(sim.original)
+    reduce_context(sig, sim.original, supply)
+    return run_reference_phases(sig, sim.reduction.context, sim.phases.fps0,
+                                instructions, supply)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,20 @@ from coersimp.corpus import (
     load_bundled,
     parse_corpus,
 )
-from coersimp.syntax import EMPTY_CONTEXT, ParamContext, SkelParam, TyParam, TyUnit, UnitVal, dirt
+from coersimp.syntax import (
+    EMPTY_CONTEXT,
+    CastC,
+    CastV,
+    CompTerm,
+    ParamContext,
+    SkelParam,
+    TyParam,
+    TyUnit,
+    UnitVal,
+    ValueTerm,
+    VCoReflParam,
+    dirt,
+)
 
 from reference_corpus import parse_corpus_reference
 
@@ -133,6 +146,20 @@ def test_cli_simplify_json_metrics(capsys):
     assert entry["after"]["dirt_edges"] == 0
     assert isinstance(entry["type"], str)
     assert isinstance(entry["term"], str)
+
+
+def test_cli_simplify_json_counts_the_coercions_left(capsys):
+    """Over the 8 corpus items with a term, reduction alone leaves 11
+    constraints and 11 casts; `all` leaves 1 constraint, and erasure
+    leaves the 2 casts between different types."""
+    totals = {}
+    for preset in ("none", "all"):
+        assert main(["simplify", "--emit", "json", "--phases", preset]) == 0
+        entries = [e for e in json.loads(capsys.readouterr().out) if e["term"] is not None]
+        assert len(entries) == 8
+        totals[preset] = (sum(e["coercion_params"] for e in entries),
+                          sum(e["casts"] for e in entries))
+    assert totals == {"none": (11, 11), "all": (1, 2)}
 
 
 def test_metrics_row_counts_rows():
@@ -264,6 +291,44 @@ def test_cli_simplify_exits_two_when_the_rewrite_does_not_typecheck(monkeypatch,
         monkeypatch.setattr(coersimp.cli, "apply_vty", lambda sub, t: TyUnit())
         says = "wanted unit"
     assert_internal_error(capsys, ["simplify", "--item", "apply_randomly"], says)
+
+
+def test_cli_simplify_checks_the_rewrite_before_erasing_it(monkeypatch, capsys):
+    """A run whose substitution maps a constraint to a reflexivity at the
+    wrong type exits 2, although erasure drops that reflexivity and the
+    erased term has the rewritten type."""
+    import coersimp.cli
+
+    run = coersimp.cli.simplify
+
+    def forged(*args):
+        sim = run(*args)
+        sim.subst.vco["w1"] = VCoReflParam("a2")  # w1 : a3 <= a3 after the run
+        return sim
+
+    monkeypatch.setattr(coersimp.cli, "simplify", forged)
+    sim, _, rewritten, erased = coersimp.cli._simplified(
+        {i.name: i for i in load_bundled()}["ho_compose"], "all", False)
+    assert "(x |> <a2>)" in str(rewritten) and "f x" in str(erased)
+    assert_internal_error(capsys, ["simplify", "--item", "ho_compose"],
+                          "rewritten term no longer typechecks")
+
+
+def test_cli_rejects_an_eraser_that_drops_a_cast_between_different_types(monkeypatch, capsys):
+    import coersimp.cli
+
+    def strip(term):
+        """`term` with every cast dropped, trivial or not."""
+        if isinstance(term, (CastV, CastC)):
+            return strip(term.val if isinstance(term, CastV) else term.comp)
+        return type(term)(*(strip(k) if isinstance(k, (ValueTerm, CompTerm)) else k
+                            for k in (getattr(term, n) for n in type(term).__match_args__)))
+
+    monkeypatch.setattr(coersimp.cli, "erase_value", strip)
+    for item in ("apply_if", "op_annotated"):
+        assert_internal_error(capsys, ["simplify", "--item", item], "erased term")
+        assert main(["verify", "--item", item, "--samples", "4"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_cli_verify_exits_two_on_a_witness_bug(monkeypatch, capsys):

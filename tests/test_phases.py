@@ -378,6 +378,11 @@ def assert_same_run(sig, ctx, pol, instructions, label, contexts=True):
     between steps are the reference's too."""
     got = run_phases(sig, ctx, pol, instructions)
     want = run_reference_phases(sig, ctx, pol, instructions)
+    return assert_same_runs(got, want, label, contexts)
+
+
+def assert_same_runs(got, want, label, contexts=True):
+    """`assert_same_run` on the engine's run `got` and the reference's `want`."""
     assert len(got.steps) == len(want.steps), label
     for i, (mine, ref) in enumerate(zip(got.steps, want.steps)):
         assert step_key(mine) == step_key(ref), (label, i)
@@ -402,12 +407,11 @@ def test_engine_matches_reference_on_corpus():
 
 
 @pytest.mark.parametrize("family", sorted(SHAPES))
-def test_engine_matches_reference_on_bench_shapes(family):
+def test_engine_matches_reference_on_bench_shapes(family, shape_runs):
     for n in (50, 200):
-        ctx, pol = shape_context(family, n)
-        for instructions in (PRESETS["all"], parse_phase_config("all", full_dirt=True)):
-            assert_same_run(TEST_SIG, ctx, pol, instructions, (family, n),
-                            contexts=n <= 50)
+        for preset in ("all", "full"):
+            sim, ref = shape_runs(family, n, preset)
+            assert_same_runs(sim.phases, ref, (family, n, preset), contexts=n <= 50)
 
 
 def test_engine_matches_reference_on_random_contexts():

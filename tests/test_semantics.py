@@ -309,7 +309,7 @@ def test_preservation_on_worked_examples():
     items = {i.name: i for i in load_bundled()}
     for name in ("apply_if", "apply_randomly"):
         item = items[name]
-        sim, _, term = cli._simplified(item, "all", False)
+        sim, _, _, term = cli._simplified(item, "all", False)
         for i in range(5):
             rng = random.Random(f"sem:{name}:{i}")
             eta0 = sample_eta(item.signature, item.context, rng,
@@ -356,7 +356,7 @@ def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_ch
     """A strengthened term whose cast got a coercion with the wrong
     endpoints fails a check before anything is evaluated."""
     item = {i.name: i for i in load_bundled()}["apply_randomly"]
-    sim, _, term = cli._simplified(item, "none", False)
+    sim, _, _, term = cli._simplified(item, "none", False)
     build = cli.build_witness_total
 
     def bad_p1(sig, sim, eta0, *plan):

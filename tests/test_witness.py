@@ -30,7 +30,6 @@ from coersimp.syntax import (
     DCoCompose,
     SkelArrow,
     EMPTY_CONTEXT,
-    NameSupply,
     ParamContext,
     SkelParam,
     SkelUnit,
@@ -53,7 +52,7 @@ from coersimp.witness import (
     replay_reduction,
 )
 
-from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context
+from gen import SHAPES, TEST_SIG, random_context, random_fps, reference_run, shape_context
 from reference_phases import run_reference_phases
 from reference_witness import build_witness as build_reference_witness
 
@@ -205,7 +204,7 @@ def test_witness_check_composes_at_the_tracked_names_as_compose_does(preset, ful
     check reads. There the images equal those of the full composition."""
     checked = 0
     for item in load_bundled():
-        sim, _, _ = _simplified(item, preset, full_dirt)
+        sim, _, _, _ = _simplified(item, preset, full_dirt)
         tracked = sim.fps0.members()
         for i in range(3):
             rng = random.Random(f"at:{item.name}:{preset}:{i}")
@@ -293,15 +292,6 @@ def links(co):
     return count
 
 
-def reference_run(sig, sim, instructions):
-    """The reference engine's run of the canonical context `sim` reduced to,
-    with the name supply in the state reduction left it in."""
-    supply = NameSupply.seeded(sim.original)
-    reduce_context(sig, sim.original, supply)
-    return run_reference_phases(sig, sim.reduction.context, sim.phases.fps0,
-                                instructions, supply)
-
-
 def assert_same_witness(sig, sim, ref, eta0, label):
     """The builder, on the engine's run, and the reference, on the reference
     engine's run `ref`, give the same instantiation and family entries with
@@ -342,13 +332,12 @@ def test_witness_matches_reference_on_corpus():
 
 
 @pytest.mark.parametrize("family", sorted(SHAPES))
-def test_witness_matches_reference_on_bench_shapes(family):
+def test_witness_matches_reference_on_bench_shapes(family, shape_runs):
     for n in (50, 200):
-        ctx, pol = shape_context(family, n)
+        ctx, _ = shape_context(family, n)
         eta0 = sample_eta(TEST_SIG, ctx, random.Random(f"diff:{family}:{n}"))
         for preset in ("all", "full"):
-            sim = simplify(TEST_SIG, ctx, pol, CONFIGS[preset])
-            ref = reference_run(TEST_SIG, sim, CONFIGS[preset])
+            sim, ref = shape_runs(family, n, preset)
             assert_same_witness(TEST_SIG, sim, ref, eta0, (family, n, preset))
 
 
@@ -397,7 +386,7 @@ def test_zero_step_witness_check_rejects_a_forged_coercion(prepared):
     fails there, also right after the run's plan accepted the replay."""
     item = {i.name: i for i in load_bundled()}["apply_randomly"]
     sig = item.signature
-    sim, _, _ = _simplified(item, "scc", False)
+    sim, _, _, _ = _simplified(item, "scc", False)
     assert not sim.phases.steps and sim.context is sim.reduction.context
     plan = WitnessPlan(sig, sim) if prepared else None
     for i in range(4):
