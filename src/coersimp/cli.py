@@ -153,7 +153,7 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
         key = fingerprint(eta0, item.signature.interned)
         if key not in outcomes:
             try:
-                check_sample(item, sim, term, eta0, budget, plan)
+                check_sample(item, sim, term, eta0, plan, budget)
                 outcomes[key] = None
             except (DomainTooLarge, *SAMPLE_FAILURES) as exc:
                 outcomes[key] = (type(exc), exc.args)
@@ -198,12 +198,12 @@ def _verify_once(sampler: Sampler, check, rng: random.Random) -> None:
 
 
 def check_sample(item: CorpusItem, sim, term: ValueTerm, eta0: Substitution,
-                 budget: int = DEFAULT_BUDGET, plan: WitnessPlan | None = None) -> None:
+                 plan: WitnessPlan, budget: int = DEFAULT_BUDGET) -> None:
     """Both semantic claims at one ground instantiation `eta0` of the
     item's context, for `term`, the item's term rewritten by `sim`: the
     run's checked witness grounds `term` and casts it back along the item's
     type, and the model checks the two ground terms and that cast. `plan`
-    is the run's `WitnessPlan`, if the caller prepared one."""
+    is the run's `WitnessPlan`."""
     sig = item.signature
     wit = build_witness_total(sig, sim, eta0, plan)
     check_witness_total(sig, sim, eta0, wit, plan)

@@ -5,10 +5,12 @@ it occurs: argument positions flip polarity, result positions keep it, and
 operation sets contribute nothing. A parameter can end up in both sets
 (bipolar) or in neither (it does not occur).
 
-A coercion family assigns one coercion to each tracked parameter and acts as
-a directed bridge between two substitutions: checked against `(sub1, sub2)`
-at polarity set `F`, the family must run `sub1(p) <= sub2(p)` for positive
-`p` and `sub2(p) <= sub1(p)` for negative `p`. Bipolar parameters therefore
+A coercion family is a plain dict that assigns one coercion to each tracked
+parameter, a value coercion at a type parameter and a dirt coercion at a
+dirt parameter. It acts as a directed bridge between two substitutions:
+checked against `(sub1, sub2)` at polarity set `F`, the family must run
+`sub1(p) <= sub2(p)` for positive `p` and `sub2(p) <= sub1(p)` for
+negative `p`. Bipolar parameters therefore
 need both directions at once, which forces equal images and a reflexivity
 witness. Families extend homomorphically to whole types, compose pointwise,
 and precompose with substitutions; those three operations are what the
@@ -17,7 +19,7 @@ simplifier's completeness witnesses are assembled from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .check import CheckError, EndpointMismatch, both_extend, check_dco, check_vco
 from .subst import Substitution, apply_dirt, apply_vty
@@ -120,30 +122,21 @@ class FamilyError(CheckError):
     pass
 
 
-@dataclass
-class CoercionFamily:
-    vco: dict[str, VCoercion] = field(default_factory=dict)
-    dco: dict[str, DCoercion] = field(default_factory=dict)
-
-    def members(self) -> set[str]:
-        return set(self.vco) | set(self.dco)
-
-
-def extend_family_dirt(fam: CoercionFamily, d: Dirt) -> DCoercion:
+def extend_family_dirt(fam: dict, d: Dirt) -> DCoercion:
     if d.tail is None:
         body: DCoercion = DCoReflEmpty()
     else:
         try:
-            body = fam.dco[d.tail]
+            body = fam[d.tail]
         except KeyError:
             raise FamilyError(f"family has no entry for dirt parameter {d.tail}")
     return both_extend(d.ops, body)
 
 
-def extend_family_vty(fam: CoercionFamily, t: ValueType) -> VCoercion:
+def extend_family_vty(fam: dict, t: ValueType) -> VCoercion:
     if isinstance(t, TyParam):
         try:
-            return fam.vco[t.name]
+            return fam[t.name]
         except KeyError:
             raise FamilyError(f"family has no entry for type parameter {t.name}")
     if isinstance(t, TyUnit):
@@ -161,9 +154,7 @@ def extend_family_vty(fam: CoercionFamily, t: ValueType) -> VCoercion:
     raise TypeError(f"not a value type: {t!r}")
 
 
-def compose_families(
-    after: CoercionFamily, before: CoercionFamily, fps: FreeParamSet
-) -> CoercionFamily:
+def compose_families(after: dict, before: dict, fps: FreeParamSet) -> dict:
     """Pointwise composition of `before : s1 <= s2` and `after : s2 <= s3`
     into a family for `s1 <= s3`.
 
@@ -174,32 +165,26 @@ def compose_families(
     and either order typechecks; the positive order is used.
     """
     flipped = fps.neg - fps.pos
-    out = CoercionFamily()
-    for name, g in before.vco.items():
-        if name not in after.vco:
+    out = {}
+    for name, g in before.items():
+        if name not in after:
             raise FamilyError(f"composition: no matching entry for {name}")
-        f = after.vco[name]
-        out.vco[name] = VCoCompose(g, f) if name in flipped else VCoCompose(f, g)
-    for name, g in before.dco.items():
-        if name not in after.dco:
-            raise FamilyError(f"composition: no matching entry for {name}")
-        f = after.dco[name]
-        out.dco[name] = DCoCompose(g, f) if name in flipped else DCoCompose(f, g)
+        f = after[name]
+        compose = DCoCompose if isinstance(g, DCoercion) else VCoCompose
+        out[name] = compose(g, f) if name in flipped else compose(f, g)
     return out
 
 
-def precompose_family(fam: CoercionFamily, sub: Substitution, names) -> CoercionFamily:
+def precompose_family(fam: dict, sub: Substitution, names) -> dict:
     """The family `a -> extend(fam, sub(a))` over the given parameter names."""
-    out = CoercionFamily()
+    out = {}
     for name in names:
         if name in sub.ty:
-            out.vco[name] = extend_family_vty(fam, sub.ty[name])
+            out[name] = extend_family_vty(fam, sub.ty[name])
         elif name in sub.dirt:
-            out.dco[name] = extend_family_dirt(fam, sub.dirt[name])
-        elif name in fam.vco:
-            out.vco[name] = fam.vco[name]
-        elif name in fam.dco:
-            out.dco[name] = fam.dco[name]
+            out[name] = extend_family_dirt(fam, sub.dirt[name])
+        elif name in fam:
+            out[name] = fam[name]
         else:
             raise FamilyError(f"cannot precompose: {name} unknown to family")
     return out
@@ -208,7 +193,7 @@ def precompose_family(fam: CoercionFamily, sub: Substitution, names) -> Coercion
 def check_family(
     sig: Signature,
     use_ctx: ParamContext,
-    fam: CoercionFamily,
+    fam: dict,
     sub1: Substitution,
     sub2: Substitution,
     fps: FreeParamSet,
@@ -217,15 +202,19 @@ def check_family(
 
     Every tracked parameter needs an entry whose endpoints are the two
     images, in the direction its polarity demands (both for bipolar ones).
+    Each entry is held to the images of its own sort: an entry of the
+    wrong sort is held to the bare parameter, which names no parameter of
+    that sort.
     """
 
     for name in sorted(fps.members()):
-        if name in fam.vco:
-            got = check_vco(sig, use_ctx, fam.vco[name])
+        co = fam.get(name)
+        if isinstance(co, VCoercion):
+            got = check_vco(sig, use_ctx, co)
             img1 = apply_vty(sub1, TyParam(name))
             img2 = apply_vty(sub2, TyParam(name))
-        elif name in fam.dco:
-            got = check_dco(sig, use_ctx, fam.dco[name])
+        elif isinstance(co, DCoercion):
+            got = check_dco(sig, use_ctx, co)
             img1 = apply_dirt(sub1, Dirt(frozenset(), name))
             img2 = apply_dirt(sub2, Dirt(frozenset(), name))
         else:

@@ -47,7 +47,7 @@ import random
 from .check import interned_inclusion
 from .subst import Substitution, ValidityCheck, apply_skel, apply_vty
 from .syntax import (
-    CastV,
+    CompTerm,
     CompType,
     Dirt,
     EMPTY_CONTEXT,
@@ -68,12 +68,6 @@ from .syntax import (
     intern,
     leaf,
     node,
-    App,
-    CastC,
-    Do,
-    LetVal,
-    OpCall,
-    Return,
 )
 
 
@@ -93,28 +87,14 @@ def _walk_domains(t: ValueType, acc: set[str], in_dom: bool) -> None:
         _walk_domains(t.cod.ty, acc, in_dom)
 
 
-def _walk_term(t, acc: set[str]) -> None:
+def _walk_term(t: ValueTerm | CompTerm, acc: set[str]) -> None:
+    """Add to `acc` the parameters of every lambda annotation in `t`."""
     if isinstance(t, Lam):
         _walk_domains(t.ty, acc, True)  # the whole annotation gets enumerated
-        _walk_term(t.body, acc)
-    elif isinstance(t, CastV):
-        _walk_term(t.val, acc)
-    elif isinstance(t, Return):
-        _walk_term(t.val, acc)
-    elif isinstance(t, OpCall):
-        _walk_term(t.arg, acc)
-        _walk_term(t.cont, acc)
-    elif isinstance(t, Do):
-        _walk_term(t.first, acc)
-        _walk_term(t.rest, acc)
-    elif isinstance(t, App):
-        _walk_term(t.fn, acc)
-        _walk_term(t.arg, acc)
-    elif isinstance(t, LetVal):
-        _walk_term(t.val, acc)
-        _walk_term(t.body, acc)
-    elif isinstance(t, CastC):
-        _walk_term(t.comp, acc)
+    for name in type(t).__match_args__:
+        kid = getattr(t, name)
+        if isinstance(kid, (ValueTerm, CompTerm)):
+            _walk_term(kid, acc)
 
 
 def buried_params(poltype: ValueType | None, term=None) -> set[str]:
@@ -139,11 +119,9 @@ def _sample_skeleton(rng: random.Random, enumerable: bool) -> Skeleton:
     return SkelBase(kind)
 
 
-def _sample_dirt(rng: random.Random, ops, pinned: bool, table: dict | None = None) -> Dirt:
+def _sample_dirt(rng: random.Random, ops, pinned: bool, table: dict) -> Dirt:
     """A closed dirt of random operations, made in `table` (see
-    `syntax.closed_dirt`; a table of its own by default)."""
-    if table is None:
-        table = {}
+    `syntax.closed_dirt`)."""
     if pinned:
         return closed_dirt(table, frozenset())
     return closed_dirt(table, frozenset(op for op in ops if rng.random() < 0.4))
@@ -175,11 +153,9 @@ def forced_dirt_content(ctx: ParamContext) -> dict[str, frozenset]:
     return least
 
 
-def _join_vty(a: ValueType, b: ValueType, table: dict | None = None) -> ValueType:
+def _join_vty(a: ValueType, b: ValueType, table: dict) -> ValueType:
     """Least upper bound of two ground types with a common skeleton, made
-    in `table` (see `syntax.node`; a table of its own by default)."""
-    if table is None:
-        table = {}
+    in `table` (see `syntax.node`)."""
     if a is b or a == b:
         return a
     if isinstance(a, TyArrow) and isinstance(b, TyArrow):
@@ -200,11 +176,8 @@ def _meet_vty(a: ValueType, b: ValueType, table: dict) -> ValueType:
 
 
 def _ground_of_skeleton(s: Skeleton, rng: random.Random, ops, pinned: bool,
-                        table: dict | None = None) -> ValueType:
-    """A ground type of skeleton `s`, its dirts drawn, made in `table` (a
-    table of its own by default)."""
-    if table is None:
-        table = {}
+                        table: dict) -> ValueType:
+    """A ground type of skeleton `s`, its dirts drawn, made in `table`."""
     if isinstance(s, SkelUnit):
         return leaf(table, TyUnit)
     if isinstance(s, SkelBase):

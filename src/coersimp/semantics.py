@@ -36,8 +36,8 @@ between the endpoints `vco_endpoint` reads off its composition spine.
 Carriers are enumerated only where evaluation demands it (lambda tables and
 operation continuations). Enumeration fails with `DomainTooLarge` when a
 carrier is infinite (a non-empty dirt in a function argument) or exceeds the
-budget; `sample.sample_eta` draws instantiations that keep the demanded
-carriers small, and `verify` retries smaller ones when they miss.
+budget; `verify` draws instantiations that keep the demanded carriers
+small (`sample.Sampler.draw`), and retries smaller ones when they miss.
 
 The model imports nothing from the pipeline it checks, only the checker
 and the syntax: `check_preservation` takes closed ground terms and a

@@ -236,48 +236,24 @@ def apply_comp(sub: Substitution, c: CompTerm) -> CompTerm:
 # shape of what it keeps, and returns a node itself where nothing under it
 # is erased.
 
-def erase_value(v: ValueTerm) -> ValueTerm:
-    """`v` with its trivial casts erased: `v` itself if it has none."""
-    if isinstance(v, (Var, UnitVal)):
-        return v
-    if isinstance(v, Lam):
-        body = erase_comp(v.body)
-        return v if body is v.body else Lam(v.var, v.ty, body)
-    if isinstance(v, CastV):
-        val = erase_value(v.val)
-        co, refl = _erase_vco(v.co)
+def erase_value(t: ValueTerm | CompTerm) -> ValueTerm | CompTerm:
+    """`t`, a value or a computation term, with its trivial casts erased:
+    `t` itself if it has none. One call per nesting level of terms."""
+    kids, same = [], True
+    for name in type(t).__match_args__:
+        kid = getattr(t, name)
+        if isinstance(kid, (ValueTerm, CompTerm)):
+            new = erase_value(kid)
+            same = same and new is kid
+            kid = new
+        kids.append(kid)
+    if isinstance(t, (CastV, CastC)):
+        co, refl = (_erase_vco if isinstance(t, CastV) else _erase_cco)(t.co)
         if refl:
-            return val
-        return v if val is v.val and co is v.co else CastV(val, co)
-    raise TypeError(f"not a value term: {v!r}")
-
-
-def erase_comp(c: CompTerm) -> CompTerm:
-    """`erase_value` for a computation term."""
-    if isinstance(c, Return):
-        val = erase_value(c.val)
-        return c if val is c.val else Return(val)
-    if isinstance(c, OpCall):
-        arg, cont = erase_value(c.arg), erase_comp(c.cont)
-        if arg is c.arg and cont is c.cont:
-            return c
-        return OpCall(c.op, arg, c.bind, c.bind_ty, cont)
-    if isinstance(c, Do):
-        first, rest = erase_comp(c.first), erase_comp(c.rest)
-        return c if first is c.first and rest is c.rest else Do(c.var, first, rest)
-    if isinstance(c, App):
-        fn, arg = erase_value(c.fn), erase_value(c.arg)
-        return c if fn is c.fn and arg is c.arg else App(fn, arg)
-    if isinstance(c, LetVal):
-        val, body = erase_value(c.val), erase_comp(c.body)
-        return c if val is c.val and body is c.body else LetVal(c.var, val, body)
-    if isinstance(c, CastC):
-        comp = erase_comp(c.comp)
-        co, refl = _erase_cco(c.co)
-        if refl:
-            return comp
-        return c if comp is c.comp and co is c.co else CastC(comp, co)
-    raise TypeError(f"not a computation term: {c!r}")
+            return kids[0]
+        same = same and co is t.co
+        kids[1] = co
+    return t if same else type(t)(*kids)
 
 
 def _erase_dco(g: DCoercion) -> tuple[DCoercion, bool]:

@@ -40,12 +40,7 @@ from .check import (
     vco_endpoint,
 )
 from .phases import PhaseResult, PhaseStep
-from .polarity import (
-    CoercionFamily,
-    check_family,
-    compose_families,
-    precompose_family,
-)
+from .polarity import check_family, compose_families, precompose_family
 from .subst import (
     Substitution,
     ValidityCheck,
@@ -73,7 +68,7 @@ class WitnessBug(Exception):
 @dataclass
 class WitnessResult:
     eta: Substitution  # ground instantiation of the strengthened context
-    family: CoercionFamily  # compose(eta, run.subst) <= eta0 at run.fps0
+    family: dict  # compose(eta, run.subst) <= eta0 at run.fps0
 
 
 def _ground(entry, eta: Substitution, apply):
@@ -84,17 +79,17 @@ def _ground(entry, eta: Substitution, apply):
     return apply(eta, entry)
 
 
-def _replay(step: PhaseStep, eta: Substitution) -> CoercionFamily:
+def _replay(step: PhaseStep, eta: Substitution) -> dict:
     """Turn `eta`, in place, from a ground instantiation of the context
     before `step` into one after it; return the step's own family entries."""
     typed = step.sort == "type"
     apply, endpoint = (apply_vco, vco_endpoint) if typed else (apply_dco, dco_endpoint)
     new = {name: _ground(entry, eta, apply) for name, entry in step.eta.items()}
-    fam = CoercionFamily()
-    own, images = (fam.vco, eta.ty) if typed else (fam.dco, eta.dirt)
+    fam = {}
+    images = eta.ty if typed else eta.dirt
     for p, entry in step.family.items():
         # The entry ends at p's image at a positive p, and starts there otherwise.
-        co = own[p] = _ground(entry, eta, apply)
+        co = fam[p] = _ground(entry, eta, apply)
         if endpoint(co, p in step.fps.pos) != images[p]:
             raise WitnessBug(f"family entry for {p} misses its image {images[p]} under eta")
     sub = step.subst
@@ -109,12 +104,12 @@ def _replay(step: PhaseStep, eta: Substitution) -> CoercionFamily:
 def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
     eta = eta0.copy()
     names0 = sorted(run.fps0.members())
-    acc = CoercionFamily()
+    acc = {}
     for name in names0:
         if name in eta0.ty:
-            acc.vco[name] = derived_refl_vty(eta0.ty[name])
+            acc[name] = derived_refl_vty(eta0.ty[name])
         elif name in eta0.dirt:
-            acc.dco[name] = derived_refl_dirt(eta0.dirt[name])
+            acc[name] = derived_refl_dirt(eta0.dirt[name])
         else:
             raise WitnessBug(f"tracked parameter {name} has no ground image")
     # The steps so far, composed, restricted to the tracked names: all that
@@ -129,12 +124,10 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
         # every other name the step's family is a reflexivity. A step maps
         # a parameter to one parameter or to closed data, so a touched
         # name's image names just the parameter that has its entry here.
-        touched = {n for p in special.members() for n in users.get(p, ())}
+        touched = {n for p in special for n in users.get(p, ())}
         if touched:
-            step_acc = compose_families(
-                acc, precompose_family(special, so_far, touched), run.fps0)
-            acc.vco.update(step_acc.vco)
-            acc.dco.update(step_acc.dco)
+            acc.update(compose_families(
+                acc, precompose_family(special, so_far, touched), run.fps0))
         sub = step.subst
         for n in {n for p in (*sub.ty, *sub.dirt) for n in users.pop(p, ())}:
             if n in so_far.ty or n in sub.ty:
@@ -260,10 +253,10 @@ def _bare(bound) -> str | None:
     return None
 
 
-def replay_reduction(sig: Signature, red, eta0: Substitution,
-                     plan: ReductionReplay | None = None) -> Substitution:
-    """The instantiation of the reduced context that `eta0` factors through,
-    with `compose(result, red.subst)` agreeing with `eta0` exactly.
+def replay_reduction(plan: ReductionReplay, eta0: Substitution) -> Substitution:
+    """The instantiation of the context that `plan`'s reduction returned
+    that `eta0` factors through, with `compose(result, red.subst)` agreeing
+    with `eta0` exactly.
 
     Each original dirt and type name's image under reduction (the name
     itself where reduction kept it) is matched once against its ground
@@ -273,13 +266,7 @@ def replay_reduction(sig: Signature, red, eta0: Substitution,
     context with the signature's inclusion coercions
     (`check.ground_inclusion`) and is checked valid before it is returned.
     `build_witness_total` does not replay a reduction that returned its
-    input; there the result would be `eta0` itself.
-
-    `plan` is the reduction's `ReductionReplay`, which a caller that
-    replays many instantiations prepares once; without one, a replay
-    prepares its own."""
-    if plan is None:
-        plan = ReductionReplay(sig, red)
+    input; there the result would be `eta0` itself."""
     return plan.replay(eta0)
 
 
@@ -302,21 +289,19 @@ def build_witness_total(sig: Signature, sim, eta0: Substitution,
                         plan: WitnessPlan | None = None) -> WitnessResult:
     """Witness for a whole simplification run, reduction included.
 
-    `eta0` must be a valid instantiation of `sim.original`, as `sample_eta`
-    checks before it returns one. When reduction returned its input (a
-    canonical context, with an empty substitution), `eta0` then already
-    grounds the reduced context, and it is not replayed or checked again.
-    `plan` is the run's `WitnessPlan`, if the caller prepared one.
+    `eta0` must be a valid instantiation of `sim.original`, as
+    `Sampler.draw` checks before it returns one. When reduction returned
+    its input (a canonical context, with an empty substitution), `eta0`
+    then already grounds the reduced context, and it is not replayed or
+    checked again. `plan` is the run's `WitnessPlan`; a caller that builds
+    one witness may leave it out, and one is prepared for the call.
     """
-    red = sim.reduction
-    if red.context is sim.original:
-        eta_r = eta0
-    else:
-        eta_r = replay_reduction(sig, red, eta0, None if plan is None else plan.replay)
+    if plan is None:
+        plan = WitnessPlan(sig, sim)
+    eta_r = eta0 if plan.replay is None else replay_reduction(plan.replay, eta0)
     wit = build_witness(sim.phases, eta_r)
     names0 = sorted(sim.fps0.members())
-    fam = precompose_family(wit.family, red.subst, names0)
-    return WitnessResult(wit.eta, fam)
+    return WitnessResult(wit.eta, precompose_family(wit.family, sim.reduction.subst, names0))
 
 
 def check_witness_total(sig: Signature, sim, eta0: Substitution,

@@ -62,7 +62,7 @@ def sample_eta_reference(
         sub.skel[s] = _sample_skeleton(rng, enumerable)
     least = forced_dirt_content(ctx)
     for d in ctx.dirt_params:
-        extra = _sample_dirt(rng, ops, d in pinned)
+        extra = _sample_dirt(rng, ops, d in pinned, {})
         sub.dirt[d] = Dirt(least[d] | extra.ops, None)
 
     # Repair dirt inclusions by shrinking lower tails. Forced content never
@@ -87,7 +87,7 @@ def sample_eta_reference(
 
     for name, skel in ctx.ty_params:
         gskel = apply_skel(sub, skel)
-        sub.ty[name] = _ground_of_skeleton(gskel, rng, ops, name in pinned)
+        sub.ty[name] = _ground_of_skeleton(gskel, rng, ops, name in pinned, {})
 
     # Repair type inclusions by raising the upper image to its join with
     # the lower one. Joins only climb a finite lattice, so this settles.
@@ -99,7 +99,7 @@ def sample_eta_reference(
             except NoWitness:
                 if not isinstance(hi, TyParam):
                     raise SampleError(f"cannot satisfy {lo} <= {hi}")
-                sub.ty[hi.name] = _join_vty(apply_vty(sub, lo), apply_vty(sub, hi))
+                sub.ty[hi.name] = _join_vty(apply_vty(sub, lo), apply_vty(sub, hi), {})
                 settled = False
         if settled:
             break

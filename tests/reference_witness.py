@@ -18,30 +18,30 @@ from coersimp.check import (
     dirt_inclusion_coercion,
 )
 from coersimp.phases import PhaseResult, PhaseStep
-from coersimp.polarity import CoercionFamily, compose_families, precompose_family
+from coersimp.polarity import compose_families, precompose_family
 from coersimp.subst import Substitution, apply_dirt, apply_vty
 from coersimp.syntax import DCoCompose, VCoCompose
 from coersimp.witness import WitnessBug, WitnessResult
 
 
-def _refl_entries(fam: CoercionFamily, eta: Substitution, names) -> None:
+def _refl_entries(fam: dict, eta: Substitution, names) -> None:
     for name in names:
-        if name in fam.vco or name in fam.dco:
+        if name in fam:
             continue
         if name in eta.ty:
-            fam.vco[name] = derived_refl_vty(eta.ty[name])
+            fam[name] = derived_refl_vty(eta.ty[name])
         elif name in eta.dirt:
-            fam.dco[name] = derived_refl_dirt(eta.dirt[name])
+            fam[name] = derived_refl_dirt(eta.dirt[name])
         else:
             raise WitnessBug(f"tracked parameter {name} has no ground image")
 
 
-def _step_family(step: PhaseStep, eta: Substitution, special: CoercionFamily) -> CoercionFamily:
+def _step_family(step: PhaseStep, eta: Substitution, special: dict) -> dict:
     _refl_entries(special, eta, sorted(step.fps.members()))
     return special
 
 
-def _replay(step: PhaseStep, eta: Substitution) -> tuple[Substitution, CoercionFamily]:
+def _replay(step: PhaseStep, eta: Substitution) -> tuple[Substitution, dict]:
     """Ground instantiation of `step.after` plus the step's own family."""
     out = eta.copy()
     for name in step.subst.domain():
@@ -50,7 +50,7 @@ def _replay(step: PhaseStep, eta: Substitution) -> tuple[Substitution, CoercionF
         out.dirt.pop(name, None)
         out.vco.pop(name, None)
         out.dco.pop(name, None)
-    fam = CoercionFamily()
+    fam = {}
     data = step.data
     kind = (step.phase, step.sort)
 
@@ -69,49 +69,49 @@ def _replay(step: PhaseStep, eta: Substitution) -> tuple[Substitution, CoercionF
             if eta.ty[m] != rep:
                 raise WitnessBug(f"cycle members {m}/{data['rep']} differ under eta")
             if m in step.fps.members():
-                fam.vco[m] = derived_refl_vty(rep)
+                fam[m] = derived_refl_vty(rep)
     elif kind == ("scc", "dirt"):
         rep = eta.dirt[data["rep"]]
         for m in data["merged"]:
             if eta.dirt[m] != rep:
                 raise WitnessBug(f"cycle members {m}/{data['rep']} differ under eta")
             if m in step.fps.members():
-                fam.dco[m] = derived_refl_dirt(rep)
+                fam[m] = derived_refl_dirt(rep)
     elif kind == ("bridge-in", "type"):
         crossing = eta.vco[data["edge"]]
         for n in data["moved"]:
             out.vco[n] = VCoCompose(eta.vco[n], crossing)
         if data["dst"] in step.fps.members():
-            fam.vco[data["dst"]] = crossing
+            fam[data["dst"]] = crossing
     elif kind == ("bridge-out", "type"):
         crossing = eta.vco[data["edge"]]
         for n in data["moved"]:
             out.vco[n] = VCoCompose(crossing, eta.vco[n])
         if data["src"] in step.fps.members():
-            fam.vco[data["src"]] = crossing
+            fam[data["src"]] = crossing
     elif kind == ("bridge-in", "dirt"):
         crossing = eta.dco[data["edge"]]
         for n in data["moved"]:
             out.dco[n] = DCoCompose(eta.dco[n], crossing)
         if data["dst"] in step.fps.members():
-            fam.dco[data["dst"]] = crossing
+            fam[data["dst"]] = crossing
     elif kind == ("bridge-out", "dirt"):
         crossing = eta.dco[data["edge"]]
         for n, ops in data["moved"]:
             out.dco[n] = DCoCompose(both_extend(ops, crossing), eta.dco[n])
         if data["src"] in step.fps.members():
-            fam.dco[data["src"]] = crossing
+            fam[data["src"]] = crossing
     elif kind == ("empty", "dirt"):
         for d in data["params"]:
             if d in step.fps.members():
-                fam.dco[d] = derived_empty(eta.dirt[d])
+                fam[d] = derived_empty(eta.dirt[d])
     elif kind == ("full", "dirt"):
         full = step.subst.dirt[data["param"]]
         rows = {n: lo for n, lo, _ in step.before.dirt_cos}
         for n in data["survivors"]:
             out.dco[n] = dirt_inclusion_coercion(eta.dirt[rows[n].tail], full)
         if data["param"] in step.fps.members():
-            fam.dco[data["param"]] = dirt_inclusion_coercion(
+            fam[data["param"]] = dirt_inclusion_coercion(
                 eta.dirt[data["param"]], full
             )
     else:
@@ -122,7 +122,7 @@ def _replay(step: PhaseStep, eta: Substitution) -> tuple[Substitution, CoercionF
 def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
     eta = eta0
     names0 = sorted(run.fps0.members())
-    acc = CoercionFamily()
+    acc = {}
     _refl_entries(acc, eta0, names0)
     # The steps so far, composed, restricted to the tracked names: all that
     # `precompose_family` reads of it.

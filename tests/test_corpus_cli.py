@@ -219,8 +219,8 @@ def break_d1_family_entry(monkeypatch):
 
     def bad_d1(sig, sim, eta0, *plan):
         wit = build(sig, sim, eta0, *plan)
-        lo, _ = check_dco(sig, EMPTY_CONTEXT, wit.family.dco["d1"])
-        wit.family.dco["d1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
+        lo, _ = check_dco(sig, EMPTY_CONTEXT, wit.family["d1"])
+        wit.family["d1"] = derived_refl_dirt(dirt(("Random",)) if lo == dirt() else dirt())
         return wit
 
     monkeypatch.setattr(coersimp.cli, "build_witness_total", bad_d1)

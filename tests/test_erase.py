@@ -13,7 +13,7 @@ import pytest
 from coersimp import cli
 from coersimp.check import both_extend, derived_refl_vty, type_of_value
 from coersimp.corpus import MAX_NESTING, CorpusItem, ParseError, load_bundled, parse_corpus
-from coersimp.subst import erase_comp, erase_value
+from coersimp.subst import erase_value
 from coersimp.syntax import (
     CCoercion,
     CastC,
@@ -78,7 +78,7 @@ def test_a_value_cast_by_a_reflexivity_is_dropped(co):
                                 both_extend({"Fail", "Random"}, DCoReflEmpty()),
                                 DCoCompose(REFL_D, REFL_D)])
 def test_a_computation_cast_by_a_reflexivity_is_dropped(co):
-    assert erase_comp(cast_c(co)) is RET
+    assert erase_value(cast_c(co)) is RET
 
 
 @pytest.mark.parametrize("co", [W, VCoArrow(W, CCoercion(REFL_A, REFL_D)),
@@ -97,12 +97,12 @@ def test_a_value_cast_by_a_parameter_or_an_arrow_over_one_stays(co):
                                 DCoUnionBoth("Random", P)])
 def test_a_computation_cast_by_a_lift_an_empty_or_a_parameter_stays(co):
     term = cast_c(co)
-    assert erase_comp(term) is term
+    assert erase_value(term) is term
 
 
 def test_a_computation_cast_with_one_non_reflexive_part_stays():
     term = CastC(RET, CCoercion(W, REFL_D))
-    assert erase_comp(term) is term
+    assert erase_value(term) is term
 
 
 @pytest.mark.parametrize("refl", [REFL_A, VCoArrow(REFL_A, CCoercion(REFL_A, REFL_D))])
@@ -114,9 +114,9 @@ def test_a_reflexive_value_link_leaves_the_other(refl):
 
 @pytest.mark.parametrize("refl", [REFL_D, DCoUnionBoth("Fail", DCoReflEmpty())])
 def test_a_reflexive_dirt_link_leaves_the_other(refl):
-    assert erase_comp(cast_c(DCoCompose(refl, P))) == cast_c(P)
-    assert erase_comp(cast_c(DCoCompose(P, refl))) == cast_c(P)
-    assert erase_comp(cast_c(DCoCompose(DCoCompose(refl, P), refl))) == cast_c(P)
+    assert erase_value(cast_c(DCoCompose(refl, P))) == cast_c(P)
+    assert erase_value(cast_c(DCoCompose(P, refl))) == cast_c(P)
+    assert erase_value(cast_c(DCoCompose(DCoCompose(refl, P), refl))) == cast_c(P)
 
 
 def test_erasure_keeps_the_tree_shape_of_a_composition():
@@ -127,7 +127,7 @@ def test_erasure_keeps_the_tree_shape_of_a_composition():
         VCoCompose(VCoCompose(w1, w2), VCoCompose(w3, w4)))
     p1, p2 = DCoParam("p1"), DCoParam("p2")
     dtree = DCoUnionRight("Fail", DCoCompose(DCoCompose(REFL_D, p1), DCoCompose(p2, REFL_D)))
-    assert erase_comp(cast_c(dtree)) == cast_c(DCoUnionRight("Fail", DCoCompose(p1, p2)))
+    assert erase_value(cast_c(dtree)) == cast_c(DCoUnionRight("Fail", DCoCompose(p1, p2)))
 
 
 def test_erasure_rebuilds_only_the_nodes_above_what_it_erases():

@@ -4,7 +4,6 @@ import pytest
 
 from coersimp.check import EndpointMismatch, check_dco, check_vco
 from coersimp.polarity import (
-    CoercionFamily,
     EMPTY_FPS,
     FamilyError,
     FreeParamSet,
@@ -21,6 +20,7 @@ from coersimp.polarity import (
 from coersimp.subst import Substitution, apply_dirt, apply_vty, compose
 from coersimp.syntax import (
     CompType,
+    DCoCompose,
     DCoParam,
     DCoReflParam,
     DCoUnionBoth,
@@ -32,6 +32,7 @@ from coersimp.syntax import (
     TyBase,
     TyParam,
     TyUnit,
+    VCoCompose,
     VCoParam,
     VCoReflParam,
     VCoReflUnit,
@@ -121,7 +122,7 @@ USE_CTX = ParamContext(
 
 
 def test_extend_family_dirt():
-    fam = CoercionFamily(dco={"d": DCoParam("p")})
+    fam = {"d": DCoParam("p")}
     g = extend_family_dirt(fam, dirt(("Fail",), "d"))
     assert check_dco(TEST_SIG, USE_CTX, g) == (
         dirt(("Fail",), "e1"), dirt(("Fail", "Random"), "e2"))
@@ -129,7 +130,7 @@ def test_extend_family_dirt():
     want = dirt(("Fail", "Random"))
     assert check_dco(TEST_SIG, USE_CTX, closed) == (want, want)
     with pytest.raises(FamilyError):
-        extend_family_dirt(CoercionFamily(), dirt((), "d"))
+        extend_family_dirt({}, dirt((), "d"))
 
 
 def test_extend_family_vty_over_arrow():
@@ -140,10 +141,7 @@ def test_extend_family_vty_over_arrow():
     sub1.dirt["d"] = dirt((), "e1")
     sub2.ty.update(a=TyParam("c1"), b=TyParam("c2"))
     sub2.dirt["d"] = dirt(("Random",), "e2")
-    fam = CoercionFamily(
-        vco={"a": VCoParam("w"), "b": VCoParam("w")},
-        dco={"d": DCoParam("p")},
-    )
+    fam = {"a": VCoParam("w"), "b": VCoParam("w"), "d": DCoParam("p")}
     check_family(TEST_SIG, USE_CTX, fam, sub1, sub2, fp_vty(t))
     g = extend_family_vty(fam, t)
     assert check_vco(TEST_SIG, USE_CTX, g) == (
@@ -152,7 +150,7 @@ def test_extend_family_vty_over_arrow():
 
 def test_check_family_missing_entry():
     with pytest.raises(FamilyError):
-        check_family(TEST_SIG, USE_CTX, CoercionFamily(),
+        check_family(TEST_SIG, USE_CTX, {},
                      Substitution(), Substitution(), fps(pos={"a"}))
 
 
@@ -160,7 +158,7 @@ def test_check_family_direction():
     sub1, sub2 = Substitution(), Substitution()
     sub1.ty["b"] = TyParam("c1")
     sub2.ty["b"] = TyParam("c2")
-    fam = CoercionFamily(vco={"b": VCoParam("w")})
+    fam = {"b": VCoParam("w")}
     check_family(TEST_SIG, USE_CTX, fam, sub1, sub2, fps(pos={"b"}))
     with pytest.raises(EndpointMismatch):
         check_family(TEST_SIG, USE_CTX, fam, sub1, sub2, fps(neg={"b"}))
@@ -171,12 +169,44 @@ def test_check_family_bipolar_forces_equal_images():
     sub1, sub2 = Substitution(), Substitution()
     sub1.ty["b"] = TyParam("c1")
     sub2.ty["b"] = TyParam("c1")
-    fam = CoercionFamily(vco={"b": VCoReflParam("c1")})
+    fam = {"b": VCoReflParam("c1")}
     check_family(TEST_SIG, USE_CTX, fam, sub1, sub2, both)
     sub2.ty["b"] = TyParam("c2")
     with pytest.raises(EndpointMismatch):
-        check_family(TEST_SIG, USE_CTX, CoercionFamily(vco={"b": VCoParam("w")}),
+        check_family(TEST_SIG, USE_CTX, {"b": VCoParam("w")},
                      sub1, sub2, both)
+
+
+def test_check_family_holds_each_entry_to_its_parameters_sort():
+    """A family is one map over both sorts: a dirt coercion at a type
+    parameter and a value coercion at a dirt parameter are rejected."""
+    sub1, sub2 = Substitution(), Substitution()
+    sub1.ty["b"], sub2.ty["b"] = TyParam("c1"), TyParam("c2")
+    sub1.dirt["k"], sub2.dirt["k"] = dirt((), "e1"), dirt(("Random",), "e2")
+    pol = fps(pos={"b", "k"})
+    check_family(TEST_SIG, USE_CTX, {"b": VCoParam("w"), "k": DCoParam("p")}, sub1, sub2, pol)
+    for bad in ({"b": DCoParam("p"), "k": DCoParam("p")},
+                {"b": VCoParam("w"), "k": VCoParam("w")}):
+        with pytest.raises(EndpointMismatch):
+            check_family(TEST_SIG, USE_CTX, bad, sub1, sub2, pol)
+
+
+def test_compose_families_composes_a_mixed_family_entry_by_entry():
+    """Value entries compose with `VCoCompose` and dirt entries with
+    `DCoCompose`; only a strictly negative name runs `after` first."""
+    before = {"a": VCoParam("w1"), "b": VCoParam("w2"), "c": VCoParam("w3"),
+              "d": DCoParam("p1"), "e": DCoParam("p2"), "f": DCoParam("p3")}
+    after = {"a": VCoParam("v1"), "b": VCoParam("v2"), "c": VCoParam("v3"),
+             "d": DCoParam("q1"), "e": DCoParam("q2"), "f": DCoParam("q3")}
+    pol = fps(pos={"a", "c", "d", "f"}, neg={"b", "c", "e", "f"})
+    assert compose_families(after, before, pol) == {
+        "a": VCoCompose(after["a"], before["a"]),
+        "b": VCoCompose(before["b"], after["b"]),
+        "c": VCoCompose(after["c"], before["c"]),
+        "d": DCoCompose(after["d"], before["d"]),
+        "e": DCoCompose(before["e"], after["e"]),
+        "f": DCoCompose(after["f"], before["f"]),
+    }
 
 
 def subs_chain():
@@ -196,22 +226,20 @@ def test_compose_families_flips_at_negative_names():
     pol = fps(pos={"d1"}, neg={"d2"})
     grow_f = DCoUnionRight("Fail", DCoReflParam("e1"))
     grow_fr = DCoUnionBoth("Fail", DCoUnionRight("Random", DCoReflParam("e1")))
-    before = CoercionFamily(dco={"d1": grow_f, "d2": grow_fr})
-    after = CoercionFamily(dco={"d1": grow_fr, "d2": grow_f})
+    before = {"d1": grow_f, "d2": grow_fr}
+    after = {"d1": grow_fr, "d2": grow_f}
     check_family(TEST_SIG, USE_CTX, before, sub1, sub2, pol)
     check_family(TEST_SIG, USE_CTX, after, sub2, sub3, pol)
     comp = compose_families(after, before, pol)
     check_family(TEST_SIG, USE_CTX, comp, sub1, sub3, pol)
     # positive entry runs `before` first, negative entry runs `after` first
-    assert comp.dco["d1"].before is before.dco["d1"]
-    assert comp.dco["d2"].before is after.dco["d2"]
+    assert comp["d1"].before is before["d1"]
+    assert comp["d2"].before is after["d2"]
 
 
 def test_compose_families_missing_entry():
     with pytest.raises(FamilyError):
-        compose_families(CoercionFamily(),
-                         CoercionFamily(dco={"d": DCoReflParam("e1")}),
-                         fps(pos={"d"}))
+        compose_families({}, {"d": DCoReflParam("e1")}, fps(pos={"d"}))
 
 
 def test_invert_family_swaps_direction():
@@ -221,14 +249,14 @@ def test_invert_family_swaps_direction():
     pol = fps(pos={"d1"}, neg={"d2"})
     grow_f = DCoUnionRight("Fail", DCoReflParam("e1"))
     grow_fr = DCoUnionBoth("Fail", DCoUnionRight("Random", DCoReflParam("e1")))
-    fam = CoercionFamily(dco={"d1": grow_f, "d2": grow_fr})
+    fam = {"d1": grow_f, "d2": grow_fr}
     check_family(TEST_SIG, USE_CTX, fam, sub1, sub2, pol)
     check_family(TEST_SIG, USE_CTX, fam, sub2, sub1, pol.swap())
 
 
 def test_precompose_family():
     """Precomposition pushes a family through an inner substitution."""
-    fam = CoercionFamily(vco={"b": VCoParam("w")}, dco={"k": DCoParam("p")})
+    fam = {"b": VCoParam("w"), "k": DCoParam("p")}
     sub1, sub2 = Substitution(), Substitution()
     sub1.ty["b"] = TyParam("c1")
     sub1.dirt["k"] = dirt((), "e1")
@@ -240,9 +268,9 @@ def test_precompose_family():
     inner.ty["a"] = arrow(TyUnit(), TyParam("b"), dirt((), "k"))
     inner.dirt["d"] = dirt(("Fail",), "k")
     pre = precompose_family(fam, inner, ["a", "d", "b"])
-    assert pre.vco["a"] == extend_family_vty(fam, inner.ty["a"])
-    assert pre.dco["d"] == DCoUnionBoth("Fail", DCoParam("p"))
-    assert pre.vco["b"] is fam.vco["b"]  # untouched names fall through
+    assert pre["a"] == extend_family_vty(fam, inner.ty["a"])
+    assert pre["d"] == DCoUnionBoth("Fail", DCoParam("p"))
+    assert pre["b"] is fam["b"]  # untouched names fall through
     check_family(TEST_SIG, USE_CTX, pre,
                  compose(sub1, inner), compose(sub2, inner),
                  fps(pos={"a", "d", "b"}))
@@ -251,7 +279,7 @@ def test_precompose_family():
 
 
 def test_extend_family_vty_refl_leaves():
-    fam = CoercionFamily()
+    fam = {}
     assert extend_family_vty(fam, TyUnit()) == VCoReflUnit()
     got = check_vco(TEST_SIG, USE_CTX, extend_family_vty(fam, TyBase("bit")))
     assert got == (TyBase("bit"), TyBase("bit"))

@@ -49,7 +49,7 @@ from coersimp.syntax import (
     dirt,
 )
 
-from coersimp.witness import replay_reduction
+from coersimp.witness import ReductionReplay, replay_reduction
 
 from gen import TEST_SIG, random_context, random_dirt
 from reference_reduce import reference_reduce_context
@@ -155,7 +155,7 @@ def test_dc_tail_tail_keeps_a_shared_operation_on_the_lower_tail():
     eta0 = Substitution(dirt={"d1": dirt(), "d3": dirt(R)},
                         dco={"p": dirt_inclusion_coercion(dirt(R), dirt(R))})
     check_validity(TEST_SIG, ctx, eta0, EMPTY_CONTEXT)
-    eta_r = replay_reduction(TEST_SIG, red, eta0)
+    eta_r = replay_reduction(ReductionReplay(TEST_SIG, red), eta0)
     assert apply_dirt(compose(eta_r, red.subst), dirt((), "d3")) == dirt(R)
     endpoints_match(red, "p", lo, hi)
 
@@ -172,12 +172,13 @@ def test_every_drawn_instantiation_of_a_structural_context_factors():
             red = reduce_context(TEST_SIG, ctx)
         except Unsatisfiable:
             continue
+        plan = ReductionReplay(TEST_SIG, red)
         for j in range(3):
             try:
                 eta0 = sample_eta(TEST_SIG, ctx, random.Random(f"{i}:{j}"))
             except SampleError:
                 continue
-            replay_reduction(TEST_SIG, red, eta0)
+            replay_reduction(plan, eta0)
             replayed += 1
     assert replayed > 600
 

@@ -310,12 +310,13 @@ def test_preservation_on_worked_examples():
     for name in ("apply_if", "apply_randomly"):
         item = items[name]
         sim, _, _, term = cli._simplified(item, "all", False)
+        plan = witness.WitnessPlan(item.signature, sim)
         for i in range(5):
             rng = random.Random(f"sem:{name}:{i}")
             eta0 = sample_eta(item.signature, item.context, rng,
                               enumerable=True, poltype=item.poltype,
                               term=item.term)
-            cli.check_sample(item, sim, term, eta0)
+            cli.check_sample(item, sim, term, eta0, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +369,12 @@ def test_preservation_rejects_a_cast_with_wrong_endpoints(monkeypatch, family_ch
     monkeypatch.setattr(cli, "build_witness_total", bad_p1)
     if not family_checked:
         monkeypatch.setattr(cli, "check_witness_total", lambda *args: None)
+    plan = witness.WitnessPlan(item.signature, sim)
     for i in range(3):
         eta0 = sample_eta(item.signature, item.context, random.Random(f"bad:{i}"),
                           enumerable=True, poltype=item.poltype, term=item.term)
         with pytest.raises(CheckError):
-            cli.check_sample(item, sim, term, eta0)
+            cli.check_sample(item, sim, term, eta0, plan)
 
 
 def test_preservation_rejects_a_term_that_means_something_else():

@@ -47,7 +47,7 @@ from coersimp.subst import (
     compose,
     resolve,
 )
-from coersimp.witness import build_witness_total, replay_reduction
+from coersimp.witness import ReductionReplay, build_witness_total, replay_reduction
 from coersimp.syntax import (
     CCoercion,
     CompType,
@@ -452,7 +452,7 @@ def assert_same_verdicts_on_run(sig, ctx, preset, rng, seen, fps=EMPTY_FPS, term
     red = sim.reduction
     if red.context is not sim.original:
         try:
-            eta_r = replay_reduction(sig, red, eta0)
+            eta_r = replay_reduction(ReductionReplay(sig, red), eta0)
         except CheckError:  # a sample that the reduced context loses
             seen["unreplayed"] += 1
             return

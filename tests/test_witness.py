@@ -38,6 +38,7 @@ from coersimp.syntax import (
     TyParam,
     TyUnit,
     VCoCompose,
+    VCoercion,
     dirt,
 )
 from coersimp.witness import (
@@ -76,7 +77,7 @@ def test_bridge_in_dirt_witness_reuses_crossing_coercion():
         eta0.dirt["d1"], eta0.dirt["d2"])
     wit = build_witness(run, eta0)
     check_witness_total(TEST_SIG, run, eta0, wit)
-    got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family.dco["d2"])
+    got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family["d2"])
     assert got == (dirt(("Fail",)), dirt(("Fail", "Random")))
     assert wit.eta.dirt == {"d1": dirt(("Fail",))}
 
@@ -95,7 +96,7 @@ def test_bridge_out_type_witness_negative_orientation():
     wit = build_witness(run, eta0)
     check_witness_total(TEST_SIG, run, eta0, wit)
     # a1 is negative: its entry embeds the original image into the merged one
-    assert check_vco(TEST_SIG, EMPTY_CONTEXT, wit.family.vco["a1"]) == (lo, hi)
+    assert check_vco(TEST_SIG, EMPTY_CONTEXT, wit.family["a1"]) == (lo, hi)
 
 
 def test_empty_grounding_witness_endpoints():
@@ -104,7 +105,7 @@ def test_empty_grounding_witness_endpoints():
     eta0 = Substitution(dirt={"d1": dirt(("Random",))})
     wit = build_witness(run, eta0)
     check_witness_total(TEST_SIG, run, eta0, wit)
-    got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family.dco["d1"])
+    got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family["d1"])
     assert got == (dirt(), dirt(("Random",)))
 
 
@@ -114,7 +115,7 @@ def test_full_grounding_witness_endpoints():
     eta0 = Substitution(dirt={"d1": dirt(("Random",))})
     wit = build_witness(run, eta0)
     check_witness_total(TEST_SIG, run, eta0, wit)
-    got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family.dco["d1"])
+    got = check_dco(TEST_SIG, EMPTY_CONTEXT, wit.family["d1"])
     assert got == (dirt(("Random",)), dirt(("Fail", "Random")))
 
 
@@ -145,10 +146,11 @@ def test_replay_reduction_factors_exactly():
         red = reduce_context(item.signature, item.context)
         if red.subst.is_identity():
             continue
+        plan = ReductionReplay(item.signature, red)
         for i in range(5):
             eta0 = sample_eta(item.signature, item.context,
                               random.Random(f"rr:{item.name}:{i}"))
-            eta_r = replay_reduction(item.signature, red, eta0)
+            eta_r = replay_reduction(plan, eta0)
             for d in item.context.dirt_params:
                 assert apply_dirt(compose(eta_r, red.subst),
                                   dirt((), d)) == eta0.dirt[d]
@@ -167,16 +169,15 @@ def test_replay_reduction_rejects_an_instantiation_that_does_not_factor():
     ):
         red = reduce_context(TEST_SIG, ctx)
         with pytest.raises(WitnessBug):
-            replay_reduction(TEST_SIG, red, eta0)
+            replay_reduction(ReductionReplay(TEST_SIG, red), eta0)
     # Reduction keeps d1 and maps a1; an image of d1 with a tail is not ground.
     kept = ParamContext((), ("d1",), (("a1", SkelArrow(SkelUnit(), SkelUnit())),), (), ())
     red = reduce_context(TEST_SIG, kept)
     assert "d1" not in red.subst.dirt and "a1" in red.subst.ty
     eta0 = Substitution(dirt={"d1": dirt((), "d9")},
                         ty={"a1": TyArrow(TyUnit(), CompType(TyUnit(), dirt()))})
-    for plan in (None, ReductionReplay(TEST_SIG, red)):
-        with pytest.raises(WitnessBug, match="instantiation image d9 is not ground"):
-            replay_reduction(TEST_SIG, red, eta0, plan)
+    with pytest.raises(WitnessBug, match="instantiation image d9 is not ground"):
+        replay_reduction(ReductionReplay(TEST_SIG, red), eta0)
 
 
 def test_total_witness_on_corpus_items():
@@ -296,18 +297,15 @@ def assert_same_witness(sig, sim, ref, eta0, label):
     """The builder, on the engine's run, and the reference, on the reference
     engine's run `ref`, give the same instantiation and family entries with
     the same endpoints, and both witnesses check."""
-    eta_r = replay_reduction(sig, sim.reduction, eta0)
+    eta_r = replay_reduction(ReductionReplay(sig, sim.reduction), eta0)
     got = build_witness(sim.phases, eta_r)
     want = build_reference_witness(ref, eta_r)
     assert got.eta == want.eta, label
-    assert got.family.vco.keys() == want.family.vco.keys(), label
-    assert got.family.dco.keys() == want.family.dco.keys(), label
-    for name, co in got.family.vco.items():
-        assert check_vco(sig, EMPTY_CONTEXT, co) == check_vco(
-            sig, EMPTY_CONTEXT, want.family.vco[name]), (label, name)
-    for name, co in got.family.dco.items():
-        assert check_dco(sig, EMPTY_CONTEXT, co) == check_dco(
-            sig, EMPTY_CONTEXT, want.family.dco[name]), (label, name)
+    assert got.family.keys() == want.family.keys(), label
+    for name, co in got.family.items():
+        check = check_vco if isinstance(co, VCoercion) else check_dco
+        assert check(sig, EMPTY_CONTEXT, co) == check(
+            sig, EMPTY_CONTEXT, want.family[name]), (label, name)
     names0 = sorted(sim.fps0.members())
     for wit in (got, want):
         fam = precompose_family(wit.family, sim.reduction.subst, names0)
@@ -369,12 +367,12 @@ def test_witness_cost_is_the_size_of_the_change(monkeypatch):
     monkeypatch.setattr(Substitution, "copy", counted)
     wit = build_witness(run, eta0)
     assert len(copies) == 1
-    entries = [*wit.family.vco.values(), *wit.family.dco.values()]
+    entries = list(wit.family.values())
     assert sum(map(links, entries)) <= len(run.steps) + len(entries)
     ref = build_reference_witness(
         run_reference_phases(TEST_SIG, ctx, pol, PRESETS["all"]), eta0)
     assert sum(map(links, entries)) * 2 < sum(
-        map(links, [*ref.family.vco.values(), *ref.family.dco.values()]))
+        map(links, ref.family.values()))
 
 
 @pytest.mark.parametrize("prepared", [False, True])
