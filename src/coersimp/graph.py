@@ -36,52 +36,49 @@ def build_dirt_graph(ctx: ParamContext) -> ConstraintGraph:
 def tarjan_scc(nodes: list[str], succ: dict[str, list[str]]) -> list[list[str]]:
     """Strongly connected components, iteratively, in reverse topological
     order of the condensation. Node order inside a component follows
-    discovery order."""
+    discovery order.
+
+    A node leaves the search stack with its component; its index is then
+    raised above every other, so that an edge into a finished component
+    lowers no lowlink and no on-stack set is needed."""
     index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     sccs: list[list[str]] = []
-    counter = 0
+    done = float("inf")  # the index of a node whose component is out
 
     for root in nodes:
         if root in index:
             continue
-        # Each frame is (node, iterator position into its successors).
-        work = [(root, 0)]
+        index[root] = len(index)
+        stack.append(root)
+        # Each frame is [node, iterator over its remaining successors, lowlink].
+        work = [[root, iter(succ.get(root, ())), index[root]]]
         while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            kids = succ.get(node, [])
-            for i in range(pos, len(kids)):
-                kid = kids[i]
-                if kid not in index:
-                    work.append((node, i + 1))
-                    work.append((kid, 0))
-                    advanced = True
+            frame = work[-1]
+            node, kids, low = frame
+            for kid in kids:
+                seen = index.get(kid)
+                if seen is None:
+                    frame[2] = low
+                    index[kid] = seen = len(index)
+                    stack.append(kid)
+                    work.append([kid, iter(succ.get(kid, ())), seen])
                     break
-                if kid in on_stack:
-                    lowlink[node] = min(lowlink[node], index[kid])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                comp.reverse()
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if seen < low:
+                    low = seen
+            else:
+                work.pop()
+                if low == index[node]:
+                    at = len(stack) - 1
+                    while stack[at] != node:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    for member in comp:
+                        index[member] = done
+                    sccs.append(comp)
+                elif low < work[-1][2]:  # not a component's root, so not the search's
+                    work[-1][2] = low
     return sccs
 
 
@@ -100,12 +97,14 @@ class ConstraintGraph:
 
     Nodes keep their context order (`order` maps each live node to its
     position) and edges their constraint order (`Edge.key`). Besides the
-    in- and out-edges of every node, the graph indexes the edges of every
-    (source, target) pair, the self loops, and the pairs holding two or
-    more edges, so cleanup finds its work without a scan. Every endpoint
-    of an added or removed edge, and every removed node, is recorded in
-    `touched` until the owner clears it; `additions` counts the edges
-    added after construction.
+    in- and out-edges of every node, the graph counts the edges of every
+    (source, target) pair and indexes the self loops and the pairs holding
+    two or more edges, so cleanup finds its work without a scan. The
+    constructor fills every index in one pass over the rows, and leaves
+    `touched` empty: nothing has changed yet. From then on every end of an
+    added, moved or removed edge, and every removed node, is recorded in
+    `touched` until the owner clears it. `additions` counts the edges added
+    after construction.
     """
 
     def __init__(self, nodes: list[str], rows: list[tuple[str, str, str, frozenset[str]]]):
@@ -116,29 +115,49 @@ class ConstraintGraph:
         self.outs: dict[str, dict[int, Edge]] = {n: {} for n in nodes}
         self.ins[SINK] = {}
         self.edges: dict[int, Edge] = {}
-        self.pairs: dict[tuple[str, str], dict[int, Edge]] = {}
+        self.pairs: dict[tuple[str, str], int] = {}
         self.loops: dict[int, Edge] = {}
         self.multi: set[tuple[str, str]] = set()
         self.touched: set[str] = set()
         self.additions = 0
+        ins, outs, edges, pairs = self.ins, self.outs, self.edges, self.pairs
         for key, (name, src, dst, ops) in enumerate(rows):
-            self.add(Edge(name, src, dst, ops, key))
-        self.additions = 0  # edges added since construction
+            e = edges[key] = outs[src][key] = ins[dst][key] = Edge(name, src, dst, ops, key)
+            pair = (src, dst)
+            if pair in pairs:
+                pairs[pair] += 1
+                self.multi.add(pair)
+            else:
+                pairs[pair] = 1
+            if src == dst:
+                self.loops[key] = e
 
     def add(self, e: Edge) -> None:
-        self.edges[e.key] = e
-        self._attach(e)
+        self.edges[e.key] = self.outs[e.src][e.key] = self.ins[e.dst][e.key] = e
+        self._pair(e)
         self.additions += 1
 
     def remove(self, e: Edge) -> None:
-        del self.edges[e.key]
-        self._detach(e)
+        del self.edges[e.key], self.outs[e.src][e.key], self.ins[e.dst][e.key]
+        self._unpair(e)
 
-    def move(self, e: Edge, src: str, dst: str, ops: frozenset[str]) -> None:
-        """Re-point (and relabel) a live edge."""
-        self._detach(e)
-        e.src, e.dst, e.ops = src, dst, ops
-        self._attach(e)
+    def merge(self, node: str, target: str, ops: frozenset[str] = frozenset()) -> None:
+        """Re-point every edge of `node` to `target` and drop the node.
+
+        `node` becomes `ops` over `target`, so every edge into it gains
+        `ops`. Only the end of an edge that changes is indexed again."""
+        for e in self.outs.pop(node).values():
+            self._unpair(e)
+            e.src = target
+            self.outs[target][e.key] = e
+            self._pair(e)
+        for e in self.ins.pop(node).values():
+            self._unpair(e)
+            e.dst, e.ops = target, e.ops | ops
+            self.ins[target][e.key] = e
+            self._pair(e)
+        del self.order[node]
+        self.touched.add(node)
 
     def remove_node(self, node: str) -> None:
         """Drop a node; its edges must already be gone."""
@@ -146,33 +165,31 @@ class ConstraintGraph:
         del self.order[node], self.ins[node], self.outs[node]
         self.touched.add(node)
 
-    def _attach(self, e: Edge) -> None:
-        self.outs[e.src][e.key] = e
-        self.ins[e.dst][e.key] = e
-        group = self.pairs.setdefault((e.src, e.dst), {})
-        group[e.key] = e
-        if len(group) == 2:
-            self.multi.add((e.src, e.dst))
+    def _pair(self, e: Edge) -> None:
+        """Count `e` in its (source, target) pair; it touches both."""
+        pair = (e.src, e.dst)
+        count = self.pairs[pair] = self.pairs.get(pair, 0) + 1
+        if count == 2:
+            self.multi.add(pair)
         if e.src == e.dst:
             self.loops[e.key] = e
-        self.touched.add(e.src)
-        self.touched.add(e.dst)
+        self.touched.update(pair)
 
-    def _detach(self, e: Edge) -> None:
-        del self.outs[e.src][e.key], self.ins[e.dst][e.key]
+    def _unpair(self, e: Edge) -> None:
         pair = (e.src, e.dst)
-        group = self.pairs[pair]
-        del group[e.key]
-        if len(group) == 1:
+        count = self.pairs.pop(pair) - 1
+        if count:
+            self.pairs[pair] = count
+        if count == 1:
             self.multi.discard(pair)
-        elif not group:
-            del self.pairs[pair]
-        self.loops.pop(e.key, None)
-        self.touched.add(e.src)
-        self.touched.add(e.dst)
+        if e.src == e.dst:
+            del self.loops[e.key]
+        self.touched.update(pair)
 
     @staticmethod
     def ordered(edges: dict[int, Edge]) -> list[Edge]:
+        if len(edges) < 2:
+            return list(edges.values())
         return [edges[k] for k in sorted(edges)]
 
     def in_edges(self, node: str) -> list[Edge]:

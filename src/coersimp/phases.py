@@ -37,13 +37,16 @@ The engine keeps one `ConstraintGraph` per sort for the whole run and
 updates it in place, so a step costs the size of its change, not the size
 of the context. Bridge and grounding candidates sit in queues that are
 re-checked only at the nodes a step touched; cleanup reads its loops and
-parallel pairs off the graph's indexes; one cycle search serves a whole
-`scc` phase unless cleanup adds an edge. A step records its own delta
-substitution, its polarity set and its witness. The final context is read off
-the graphs once, and the total substitution is resolved once from the step
-substitutions (`subst.resolve`). The contexts between steps are not
-kept. Steps, their order and every result equal those of the plain engine
-that rewrites the whole context after each step.
+parallel pairs off the graph's indexes; one cycle search, over a successor
+map built for it, serves a whole `scc` phase unless cleanup adds an edge.
+A step keeps only its record (`PhaseStep`): its own delta substitution,
+its polarity set, its witness and a line of text. The image a step maps
+onto and its reflexivity are built once per run and shared
+(`_Engine.image`); the rest of what a step allocates is its own coercions
+and maps, or dies with it. The final context is read off the graphs once,
+and the total substitution is resolved once from the step substitutions
+(`subst.resolve`). Steps, their order and every result equal those of the
+plain engine that rewrites the whole context after each step.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .check import both_extend, derived_empty, derived_refl_dirt, derived_refl_vty, right_extend
 from .graph import SINK, ConstraintGraph, Edge, build_dirt_graph, build_type_graph, tarjan_scc
@@ -71,8 +75,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class PhaseStep:
+class PhaseStep(NamedTuple):
     """One strengthening step and its witness. An entry of `eta` or
     `family` is a coercion over the context before the step, or a (lower,
     upper) pair of dirt bounds that every ground instantiation of that
@@ -80,7 +83,8 @@ class PhaseStep:
     re-points or introduces; `family` holds, for each tracked parameter the
     step eliminates, one between its images after and before the step
     (after to before at a positive parameter, before to after at a negative
-    one)."""
+    one). A named tuple, as a frozen dataclass takes three times as long to
+    build."""
 
     phase: str  # cleanup-loop | cleanup-parallel | scc | bridge-in | bridge-out | empty | full
     sort: str  # "type" | "dirt"
@@ -152,12 +156,11 @@ def parse_phase_config(text: str, full_dirt: bool = False):
 class _Sort:
     """What a move needs to know about the sort it works on."""
 
-    __slots__ = ("name", "params", "cos", "co_param", "compose")
+    __slots__ = ("name", "params", "co_param", "compose")
 
-    def __init__(self, name: str, params: str, cos: str, co_param, compose):
+    def __init__(self, name: str, params: str, co_param, compose):
         self.name = name  # "type" | "dirt"
         self.params = params  # Substitution field of the parameters
-        self.cos = cos  # Substitution field of the constraint names
         self.co_param = co_param  # coercion parameter constructor
         self.compose = compose  # coercion composition constructor (after, before)
 
@@ -169,11 +172,12 @@ class _Sort:
         return derived_refl_vty(image) if self.name == "type" else derived_refl_dirt(image)
 
     def subst(self, params: dict, cos: dict) -> Substitution:
-        return Substitution(**{self.params: params, self.cos: cos})
+        return (Substitution({}, {}, params, {}, cos) if self.name == "type"
+                else Substitution({}, params, {}, cos, {}))
 
 
-_TYPE = _Sort("type", "ty", "vco", VCoParam, VCoCompose)
-_DIRT = _Sort("dirt", "dirt", "dco", DCoParam, DCoCompose)
+_TYPE = _Sort("type", "ty", VCoParam, VCoCompose)
+_DIRT = _Sort("dirt", "dirt", DCoParam, DCoCompose)
 _SORTS = {"type": (_TYPE,), "dirt": (_DIRT,), "both": (_TYPE, _DIRT)}
 
 
@@ -188,35 +192,35 @@ class _Candidates:
     clears the record, so one graph serves one queue at a time."""
 
     def __init__(self, graph: ConstraintGraph, *tests):
-        self.graph, self.tests = graph, tests
-        self.heap: list[tuple[int, int, str]] = []
-        self.queued: set[tuple[int, str]] = set()
+        self.graph = graph
+        # Per test: its index, the test and the nodes queued for it.
+        self.ranks = [(rank, test, set()) for rank, test in enumerate(tests)]
+        # `order` lists its nodes by position, so this list is sorted: a heap.
+        self.heap = [(rank, pos, node) for rank, test, _ in self.ranks
+                     for node, pos in graph.order.items() if test(node)]
+        for rank, _, node in self.heap:
+            self.ranks[rank][2].add(node)
         graph.touched.clear()
-        self._push(graph.order)
-
-    def _push(self, nodes) -> None:
-        order = self.graph.order
-        for node in nodes:
-            if node not in order:
-                continue
-            for rank, test in enumerate(self.tests):
-                if (rank, node) not in self.queued and test(node):
-                    heapq.heappush(self.heap, (rank, order[node], node))
-                    self.queued.add((rank, node))
 
     def first(self) -> tuple[int, str] | None:
         """The first candidate, as (index of its test, node)."""
-        g = self.graph
+        g, heap, order = self.graph, self.heap, self.graph.order
         if g.touched:
-            self._push(g.touched)
+            for node in g.touched:
+                pos = order.get(node)
+                if pos is not None:
+                    for rank, test, queued in self.ranks:
+                        if node not in queued and test(node):
+                            heapq.heappush(heap, (rank, pos, node))
+                            queued.add(node)
             g.touched.clear()
-        heap = self.heap
         while heap:
             rank, _, node = heap[0]
-            if node in g.order and self.tests[rank](node):
+            _, test, queued = self.ranks[rank]
+            if node in order and test(node):
                 return rank, node
             heapq.heappop(heap)
-            self.queued.discard((rank, node))
+            queued.discard(node)
         return None
 
 
@@ -247,7 +251,18 @@ class _Engine:
         self.original = ctx
         self.graphs = _Graphs(ctx)
         self.changed: set[str] = set()  # sorts some step has rewritten
+        self.images: dict[tuple, tuple] = {}
         self.steps: list[PhaseStep] = []
+
+    def image(self, sort: _Sort, target: str, ops: frozenset[str] = frozenset()) -> tuple:
+        """`sort.image(target, ops)` and its reflexivity, built once per run
+        and shared by the steps that map onto that image."""
+        key = (sort.name, target, ops)
+        pair = self.images.get(key)
+        if pair is None:
+            image = sort.image(target, ops)
+            pair = self.images[key] = (image, sort.refl(image))
+        return pair
 
     def tracked(self, param: str) -> bool:
         return param in self.fps.pos or param in self.fps.neg
@@ -257,24 +272,13 @@ class _Engine:
         """Record a step, then move the polarity of every parameter it maps
         onto the parameter its image names (none: the image is ground).
         The set is rebuilt only when a tracked parameter moves."""
-        self.steps.append(PhaseStep(phase, sort.name, info, sub, self.fps, eta, family))
+        fps = self.fps
+        self.steps.append(PhaseStep(phase, sort.name, info, sub, fps, eta, family))
         self.changed.add(sort.name)
-        if any(self.tracked(m) for m in getattr(sub, sort.params)):
-            self.fps = subst_fps(sub, self.fps)
-
-    @staticmethod
-    def _merge(g: ConstraintGraph, node: str, target: str, ops=frozenset()) -> None:
-        """Re-point every edge of `node` to `target` and drop the node.
-
-        `node` becomes `ops` over `target`, so every constraint with `node`
-        as its upper bound gains `ops` there. Canonical lower bounds carry
-        no operations, so `ops` is empty unless `node` bounds nothing from
-        below any more."""
-        for e in list(g.outs[node].values()):
-            g.move(e, target, e.dst, e.ops)
-        for e in list(g.ins[node].values()):
-            g.move(e, e.src, target, e.ops | ops)
-        g.remove_node(node)
+        for m in getattr(sub, sort.params):
+            if m in fps.pos or m in fps.neg:
+                self.fps = subst_fps(sub, fps)
+                return
 
     # -- cleanup ------------------------------------------------------------
 
@@ -292,13 +296,13 @@ class _Engine:
     def _drop_loops(self, sort: _Sort, g: ConstraintGraph) -> None:
         for e in g.ordered(g.loops):
             g.remove(e)
-            co = right_extend(e.ops, sort.refl(sort.image(e.src)))
+            co = right_extend(e.ops, self.image(sort, e.src)[1])
             self.commit("cleanup-loop", sort, f"drop loop {e.name} on {e.src}",
                         sort.subst({}, {e.name: co}), {}, {})
 
     def _collapse_parallels(self, sort: _Sort, g: ConstraintGraph) -> None:
-        bundles = sorted((g.ordered(g.pairs[pair]) for pair in g.multi),
-                         key=lambda rows: rows[0].key)
+        bundles = sorted(([e for e in g.ordered(g.outs[src]) if e.dst == dst]
+                          for src, dst in g.multi), key=lambda rows: rows[0].key)
         for rows in bundles:
             src, dst = rows[0].src, rows[0].dst
             meet = frozenset.intersection(*[e.ops for e in rows])
@@ -306,8 +310,8 @@ class _Engine:
             fresh = None if kept is not None else self.supply.fresh("p")
             rep = kept if kept is not None else fresh
             dropped = [e for e in rows if e.name != kept]
-            sub = sort.subst({}, {e.name: right_extend(e.ops - meet, sort.co_param(rep))
-                                  for e in dropped})
+            param = sort.co_param(rep)
+            sub = sort.subst({}, {e.name: right_extend(e.ops - meet, param) for e in dropped})
             for e in dropped:
                 g.remove(e)
             eta = {}
@@ -325,11 +329,9 @@ class _Engine:
     def scc(self, sorts) -> None:
         self.cleanup(sorts)
         cycles: dict[_Sort, tuple[int, deque]] = {}
-        live = list(sorts)  # a sort's graph only changes by its own steps
+        live = sorts  # a sort's graph only changes by its own steps
         while live:
-            for sort in list(live):
-                if not self._contract_one(sort, cycles):
-                    live.remove(sort)
+            live = [sort for sort in live if self._contract_one(sort, cycles)]
 
     def _contract_one(self, sort: _Sort, cycles: dict) -> bool:
         """Contract the first cycle (in Tarjan order) of the sort's graph;
@@ -346,8 +348,10 @@ class _Engine:
             return False
         additions, pending = cycles.get(sort, (None, None))
         if additions != g.additions:
-            succ = {n: [e.dst for e in g.out_edges(n) if not e.ops and e.dst != SINK]
-                    for n in g.order}
+            succ: dict[str, list[str]] = {}  # unlabeled successors, in edge order
+            for e in g.all_edges():
+                if not e.ops and e.dst != SINK:
+                    succ.setdefault(e.src, []).append(e.dst)
             pending = deque(c for c in tarjan_scc(list(g.order), succ) if len(c) > 1)
             cycles[sort] = (g.additions, pending)
         if not pending:
@@ -358,16 +362,16 @@ class _Engine:
         internal = sorted((e for m in comp for e in g.outs[m].values()
                            if e.dst in members and not e.ops), key=lambda e: e.key)
         merged = [m for m in comp if m != rep]
-        image = sort.image(rep)
-        refl = sort.refl(image)
+        image, refl = self.image(sort, rep)
         sub = sort.subst({m: image for m in merged}, {e.name: refl for e in internal})
         for e in internal:
             g.remove(e)
         for m in merged:
-            self._merge(g, m, rep)
+            g.merge(m, rep)
         self.commit("scc", sort, f"contract cycle {'/'.join(comp)} to {rep}", sub,
                     {}, {m: refl for m in merged if self.tracked(m)})
-        self.cleanup((sort,))  # labeled dirt cycle edges became self-loops
+        if g.loops or g.multi:  # labeled dirt cycle edges became self-loops
+            self.cleanup((sort,))
         return True
 
     # -- bridges ------------------------------------------------------------
@@ -393,11 +397,9 @@ class _Engine:
                 return e.dst != node and e.dst != SINK
 
             queues[sort] = _Candidates(g, bridge_in, bridge_out)
-        live = list(sorts)  # a sort's graph only changes by its own steps
+        live = sorts  # a sort's graph only changes by its own steps
         while live:
-            for sort in list(live):
-                if not self._bridge_one(sort, queues[sort]):
-                    live.remove(sort)
+            live = [sort for sort in live if self._bridge_one(sort, queues[sort])]
 
     def _bridge_one(self, sort: _Sort, queue: _Candidates) -> bool:
         """One bridge step: bridge-in on the first node that allows it, else
@@ -406,24 +408,25 @@ class _Engine:
         if found is None:
             return False
         rank, node = found
-        g = self.graphs[sort.name]
+        g = queue.graph
         co, make = sort.co_param, sort.compose
         if rank == 0:  # an edge x out of node becomes x . e
             (e,) = g.ins[node].values()
-            image, crossing = sort.image(e.src), co(e.name)
+            (image, refl), crossing = self.image(sort, e.src), co(e.name)
             eta = {x.name: make(co(x.name), crossing) for x in g.out_edges(node)}
             phase, info, target = "bridge-in", f"merge {node} down into {e.src} via {e.name}", e.src
         else:  # an edge x into node becomes (ops(x) + e) . x
             (e,) = g.outs[node].values()
-            image, crossing = sort.image(e.dst, e.ops), co(e.name)  # the label folds into the image
+            (image, refl), crossing = self.image(sort, e.dst, e.ops), co(e.name)  # label folds in
             eta = {x.name: make(both_extend(x.ops, crossing), co(x.name)) for x in g.in_edges(node)}
             phase, info, target = "bridge-out", f"merge {node} up into {image} via {e.name}", e.dst
-        sub = sort.subst({node: image}, {e.name: sort.refl(image)})
+        sub = sort.subst({node: image}, {e.name: refl})
         g.remove(e)
-        self._merge(g, node, target, e.ops)
+        g.merge(node, target, e.ops)  # edges into node gain the label it folds in
         self.commit(phase, sort, info, sub, eta,
                     {node: crossing} if self.tracked(node) else {})
-        self.cleanup((sort,))
+        if g.loops or g.multi:
+            self.cleanup((sort,))
         return True
 
     # -- dirt grounding ------------------------------------------------------
@@ -470,15 +473,14 @@ class _Engine:
             if found is None:
                 return
             node = found[1]
-            eta = {}
-            for e in g.in_edges(node):  # lower bounds survive, closed
-                g.move(e, e.src, SINK, e.ops | full.ops)
-                eta[e.name] = (Dirt(frozenset(), e.src), Dirt(e.ops, None))
-            g.remove_node(node)
+            eta = {e.name: (Dirt(frozenset(), e.src), Dirt(e.ops | full.ops, None))
+                   for e in g.in_edges(node)}
+            g.merge(node, SINK, full.ops)  # lower bounds survive, closed
             family = {node: (Dirt(frozenset(), node), full)} if self.tracked(node) else {}
             self.commit("full", _DIRT, f"ground {node} to the full dirt {full}",
                         Substitution(dirt={node: full}), eta, family)
-            self.cleanup((_DIRT,))
+            if g.loops or g.multi:
+                self.cleanup((_DIRT,))
 
     # -- results ---------------------------------------------------------------
 

@@ -376,57 +376,73 @@ def resolve(steps) -> Substitution:
     built once and shared. A reflexivity or empty-below coercion of a
     mapped parameter becomes the derived coercion of its step image,
     rewritten by the later steps, as repeated application does (not the
-    derived coercion of the final image). A type reflexivity, as large as
-    its image, is built when first needed; a step that maps a type
-    parameter to another needs the other's itself, so a chain of such steps
-    builds its reflexivities one at a time, not by deep recursion.
+    derived coercion of the final image).
     """
     final = _Resolver()
     for step in reversed(steps):
         final.add(step)
-    done = final.sub
-    return Substitution(
-        skel={n: done.skel[n] for s in steps for n in s.skel},
-        dirt={n: done.dirt[n] for s in steps for n in s.dirt},
-        ty={n: done.ty[n] for s in steps for n in s.ty},
-        dco={n: done.dco[n] for s in steps for n in s.dco},
-        vco={n: done.vco[n] for s in steps for n in s.vco},
-    )
+    done = final.sub  # each map's names are in reverse step order
+    return Substitution(*(dict(reversed(m.items())) for m in
+                          (done.skel, done.dirt, done.ty, done.dco, done.vco)))
 
 
 class _Resolver:
-    """Final images of the names that the steps added so far map."""
+    """Final images of the names that the steps added so far map.
+
+    The derived reflexivity or empty-below coercion of a mapped parameter
+    is built when an image first mentions it; most are never mentioned. It
+    is built from the parameter's step image and the final images of the
+    names that image mentions, which only later steps map, all added by
+    then: building it later gives the same coercion. A step that maps a
+    parameter to another mentions the other's reflexivity itself, so a
+    chain of such steps builds its reflexivities one at a time, not by
+    deep recursion.
+    """
 
     def __init__(self):
         self.sub = Substitution()
         self.step_ty: dict[str, ValueType] = {}
         self.refl_ty: dict[str, VCoercion] = {}
+        self.step_dirt: dict[str, Dirt] = {}
         self.refl_dirt: dict[str, DCoercion] = {}
         self.empty_under: dict[str, DCoercion] = {}
 
     def add(self, step: Substitution) -> None:
+        """Add the step before those added so far, its names backwards."""
         sub = self.sub
-        for n, s in step.skel.items():
-            sub.skel[n] = apply_skel(sub, s)
-        for n, d in step.dirt.items():
-            sub.dirt[n] = apply_dirt(sub, d)
-            self.refl_dirt[n] = self.dco(derived_refl_dirt(d))
-            self.empty_under[n] = self.dco(derived_empty(d))
-        for n, t in step.ty.items():
-            sub.ty[n] = apply_vty(sub, t)
-            self.step_ty[n] = t
-        for n, g in step.dco.items():
-            sub.dco[n] = self.dco(g)
-        for n, g in step.vco.items():
-            sub.vco[n] = self.vco(g)
+        if step.skel:  # most steps map two of the five kinds
+            for n, s in reversed(step.skel.items()):
+                sub.skel[n] = apply_skel(sub, s)
+        if step.dirt:
+            for n, d in reversed(step.dirt.items()):
+                sub.dirt[n] = apply_dirt(sub, d)
+                self.step_dirt[n] = d
+        if step.ty:
+            for n, t in reversed(step.ty.items()):
+                sub.ty[n] = apply_vty(sub, t)
+                self.step_ty[n] = t
+        if step.dco:
+            for n, g in reversed(step.dco.items()):
+                sub.dco[n] = self.dco(g)
+        if step.vco:
+            for n, g in reversed(step.vco.items()):
+                sub.vco[n] = self.vco(g)
 
     def dco(self, g: DCoercion) -> DCoercion:
         if isinstance(g, DCoParam):
             return self.sub.dco.get(g.name, g)
         if isinstance(g, DCoReflParam):
-            return self.refl_dirt.get(g.name, g)
+            if g.name not in self.step_dirt:
+                return g
+            if g.name not in self.refl_dirt:
+                self.refl_dirt[g.name] = self.dco(derived_refl_dirt(self.step_dirt[g.name]))
+            return self.refl_dirt[g.name]
         if isinstance(g, DCoEmptyUnder):
-            return self.empty_under.get(g.tail, g)
+            if g.tail not in self.step_dirt:
+                return g
+            if g.tail not in self.empty_under:
+                self.empty_under[g.tail] = self.dco(derived_empty(self.step_dirt[g.tail]))
+            return self.empty_under[g.tail]
         if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
             return type(g)(g.op, self.dco(g.body))
         if isinstance(g, DCoCompose):
@@ -474,12 +490,13 @@ class ValidityCheck:
     usually compare by identity: a check against `EMPTY_CONTEXT` interns
     them in `sig.interned`, which a draw's images already are, and any
     other check in a table of its own. Three things are remembered for the
-    checker's life. By the identity of an image, which the entry keeps
-    alive: the skeleton of each type image, and the endpoints of each
-    coercion image (and, before that, once per signature in
-    `sig.ground_checks`). And copies of the maps of the last substitution
-    that passed: a substitution equal to it passes without its rows being
-    read again. The witness of a run without phase steps is one, as it
+    checker's life. By the identity of an image: the skeleton of each type
+    image, and the endpoints of each coercion image (and, before that, once
+    per signature in `sig.ground_checks`). An entry holds its image, so no
+    other object can take that identity while the entry lives: an entry
+    found by identity is the image's own. And copies of the maps of the
+    last substitution that passed: a substitution equal to it passes
+    without its rows being read again. The witness of a run without phase steps is one, as it
     grounds the reduced context with the replayed instantiation's own
     images, whose comparison meets the same objects. A failed check
     remembers nothing.
@@ -537,7 +554,7 @@ class ValidityCheck:
                 if want is None:
                     want = wants[id(skel)] = intern(table, apply_skel(sub, skel))
             known = skeletons.get(id(t))
-            if known is not None and known[0] is t:
+            if known is not None:
                 got = known[1]
             else:
                 try:
@@ -561,7 +578,7 @@ class ValidityCheck:
                         images.get(hkey, hi) if hkey is not None
                         else hconst if hconst is not None else apply(sub, hi))
                 known = ends.get(id(g))
-                if known is not None and known[0] is g:
+                if known is not None:
                     got = known[1]
                 else:
                     try:

@@ -32,8 +32,8 @@ MUTANTS = (
         "bridge-out runs each moved edge first and the crossing after it"),
     Mutant(
         "full-survivor-misses-an-operation", "phases.py",
-        "g.move(e, e.src, SINK, e.ops | full.ops)",
-        "g.move(e, e.src, SINK, (e.ops | full.ops) - {max(full.ops)})",
+        "g.merge(node, SINK, full.ops)",
+        "g.merge(node, SINK, full.ops - {max(full.ops)})",
         "a lower bound of a parameter grounded to the full dirt keeps every operation above it"),
     Mutant(
         "final-type-rows-reversed", "phases.py",
@@ -50,6 +50,21 @@ MUTANTS = (
         "        out[name] = compose(g, f) if name in flipped else compose(f, g)",
         "        out[name] = compose(f, g)",
         "at a strictly negative name both entries point the other way, so `after` runs first"),
+    Mutant(
+        "image-cache-ignores-the-label", "phases.py",
+        "        key = (sort.name, target, ops)",
+        "        key = (sort.name, target)",
+        "a shared image is shared only by steps that map onto the same parameter and label"),
+    Mutant(
+        "merge-drops-the-folded-label", "graph.py",
+        "            e.dst, e.ops = target, e.ops | ops",
+        "            e.dst = target",
+        "an edge into a merged node gains the label the node folds into its target"),
+    Mutant(
+        "tarjan-keeps-finished-indexes", "graph.py",
+        "                        index[member] = done",
+        "                        pass",
+        "an edge into a finished component lowers no lowlink"),
     # -- reduction and resolution
     Mutant(
         "phi-tc-guard-deleted", "reduce.py",
@@ -94,10 +109,8 @@ MUTANTS = (
         "a constraint's coercion must meet both bounds' images"),
     Mutant(
         "validity-memo-serves-another-coercion", "subst.py",
-        "                known = ends.get(id(g))\n"
-        "                if known is not None and known[0] is g:",
-        "                known = ends.get(id(g)) or next(iter(ends.values()), None)\n"
-        "                if known is not None:",
+        "                known = ends.get(id(g))\n",
+        "                known = ends.get(id(g)) or next(iter(ends.values()), None)\n",
         "a remembered coercion's endpoints serve only that object"),
     Mutant(
         "validity-reads-a-bare-tail-as-a-constant", "subst.py",
@@ -153,9 +166,7 @@ MUTANTS = (
         "settle-drops-a-same-index-requeue", "sample.py",
         "            later.update(j for j in watchers.get(changed, ()) if j <= i)",
         "            later.update(j for j in watchers.get(changed, ()) if j < i)",
-        "a repair that unsettles its own constraint examines it again next sweep; no"
-        " repair was found to do so",
-        survives=True),
+        "a repair that unsettles its own constraint examines it again next sweep"),
     # -- verify
     Mutant(
         "verify-makes-a-sampler-per-sample", "cli.py",

@@ -6,8 +6,9 @@ polarity set and re-composes the total substitution, and rebuilds the
 constraint graphs from the context for every scan. It is slow but simple;
 `tests/test_phases.py` checks that `coersimp.phases.run_phases` picks the
 same steps, in the same order, with the same results. It reads its graphs
-off the context rows with its own scan (`_Graph`), so it shares no graph
-code with the engine it checks.
+off the context rows with its own scan (`_Graph`) and finds their cycles
+with its own search (`_tarjan_scc`, the engine's as it was when copied),
+so it shares no graph code with the engine it checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from coersimp.check import derived_empty, derived_refl_dirt, right_extend
-from coersimp.graph import tarjan_scc
 from coersimp.phases import PhaseResult
 from coersimp.polarity import FreeParamSet, subst_fps
 from coersimp.subst import Substitution, apply_context, apply_dirt, compose
@@ -79,6 +79,58 @@ def _dirt_graph(ctx: ParamContext) -> _Graph:
     return _Graph(list(ctx.dirt_params),
                   [_Edge(name, lo.tail, SINK if hi.tail is None else hi.tail, hi.ops)
                    for name, lo, hi in ctx.dirt_cos])
+
+
+def _tarjan_scc(nodes: list[str], succ: dict[str, list[str]]) -> list[list[str]]:
+    """Strongly connected components, iteratively, in reverse topological
+    order of the condensation. Node order inside a component follows
+    discovery order."""
+    index: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    sccs: list[list[str]] = []
+    counter = 0
+
+    for root in nodes:
+        if root in index:
+            continue
+        # Each frame is (node, iterator position into its successors).
+        work = [(root, 0)]
+        while work:
+            node, pos = work.pop()
+            if pos == 0:
+                index[node] = lowlink[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            kids = succ.get(node, [])
+            for i in range(pos, len(kids)):
+                kid = kids[i]
+                if kid not in index:
+                    work.append((node, i + 1))
+                    work.append((kid, 0))
+                    advanced = True
+                    break
+                if kid in on_stack:
+                    lowlink[node] = min(lowlink[node], index[kid])
+            if advanced:
+                continue
+            if lowlink[node] == index[node]:
+                comp = []
+                while True:
+                    top = stack.pop()
+                    on_stack.discard(top)
+                    comp.append(top)
+                    if top == node:
+                        break
+                comp.reverse()
+                sccs.append(comp)
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return sccs
 
 
 @dataclass(frozen=True)
@@ -212,7 +264,7 @@ class _Runner:
         g = _type_graph(self.ctx)
         order = {n: i for i, n in enumerate(g.nodes)}
         changed = False
-        for comp in tarjan_scc(g.nodes, g.successors()):
+        for comp in _tarjan_scc(g.nodes, g.successors()):
             if len(comp) < 2:
                 continue
             rep = min(comp, key=order.__getitem__)
@@ -241,7 +293,7 @@ class _Runner:
             if e.dst != SINK and not e.ops:
                 empty_succ[e.src].append(e.dst)
         order = {n: i for i, n in enumerate(g.nodes)}
-        for comp in tarjan_scc(g.nodes, empty_succ):
+        for comp in _tarjan_scc(g.nodes, empty_succ):
             if len(comp) < 2:
                 continue
             rep = min(comp, key=order.__getitem__)

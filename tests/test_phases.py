@@ -16,8 +16,19 @@ from coersimp.phases import (
 )
 from coersimp.polarity import EMPTY_FPS, FreeParamSet, fp_vty, subst_fps
 from coersimp.reduce import is_canonical, reduce_context
-from coersimp.subst import apply_dirt, apply_vty, check_validity
-from coersimp.syntax import Dirt, ParamContext, SkelParam, TyParam, dirt
+from coersimp.subst import apply_dirt, apply_vty, check_validity, resolve
+from coersimp.syntax import (
+    CCoercion,
+    DCoEmptyUnder,
+    DCoercion,
+    DCoReflParam,
+    Dirt,
+    ParamContext,
+    SkelParam,
+    TyParam,
+    VCoercion,
+    dirt,
+)
 
 from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context, step_contexts
 from reference_phases import run_reference_phases
@@ -429,8 +440,10 @@ def test_engine_matches_reference_on_random_contexts():
 
 
 def test_phase_cost_does_not_grow_with_steps(monkeypatch):
-    """A run rewrites no whole context, composes no substitutions and
-    builds each constraint graph once, however many steps it takes."""
+    """A run rewrites no whole context, composes no substitutions, builds
+    each constraint graph once and searches each sort's graph for cycles
+    once per `scc` phase (with the one successor map built for that
+    search) when cleanup adds no edge, however many steps it takes."""
     import coersimp.graph
     import coersimp.phases
     import coersimp.subst
@@ -444,16 +457,63 @@ def test_phase_cost_does_not_grow_with_steps(monkeypatch):
         return wrapper
 
     for module in (coersimp.phases, coersimp.subst, coersimp.graph):
-        for name in ("apply_context", "compose", "build_type_graph", "build_dirt_graph"):
+        for name in ("apply_context", "compose", "build_type_graph", "build_dirt_graph",
+                     "tarjan_scc"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    counts = {}
-    for n in (100, 400):
-        ctx, pol = shape_context("chain", n)
-        calls.clear()
-        res = run_phases(TEST_SIG, ctx, pol, PRESETS["all"])
-        counts[n] = (len(res.steps), dict(calls))
-    (short, few), (long, many) = counts[100], counts[400]
-    assert long > 3 * short
-    assert few == many
-    assert many == {"build_type_graph": 1, "build_dirt_graph": 1}
+    # A ring run's steps grow with its number of rings, about sqrt(n).
+    for family, growth in (("chain", 3), ("ring", 1.5)):
+        counts = {}
+        for n in (100, 400):
+            ctx, pol = shape_context(family, n)
+            calls.clear()
+            res = run_phases(TEST_SIG, ctx, pol, PRESETS["all"])
+            counts[n] = (len(res.steps), dict(calls))
+        (short, few), (long, many) = counts[100], counts[400]
+        assert long > growth * short, family
+        assert few == many == {"build_type_graph": 1, "build_dirt_graph": 1, "tarjan_scc": 2}
+
+
+def _derived_dirt_mentions(g):
+    """(derivation, parameter) for each dirt reflexivity and empty-below
+    coercion of a parameter in the coercion `g`."""
+    if isinstance(g, DCoReflParam):
+        yield "derived_refl_dirt", g.name
+    elif isinstance(g, DCoEmptyUnder):
+        yield "derived_empty", g.tail
+    for name in type(g).__match_args__:
+        kid = getattr(g, name)
+        if isinstance(kid, (CCoercion, DCoercion, VCoercion)):
+            yield from _derived_dirt_mentions(kid)
+
+
+def test_resolution_derives_only_the_dirt_coercions_an_image_mentions(monkeypatch):
+    """`resolve` builds the derived reflexivity or empty-below coercion of
+    a mapped dirt parameter once, and only if a step image mentions it, so
+    its calls follow the mentions, not the steps (on a chain, no image
+    mentions a mapped parameter's; on rings, each contracted ring's
+    representative is mentioned and later bridged)."""
+    import coersimp.subst
+
+    calls = Counter()
+    for derive in ("derived_refl_dirt", "derived_empty"):
+        def counted(d, derive=derive, fn=getattr(coersimp.subst, derive)):
+            calls[derive, d] += 1
+            return fn(d)
+        monkeypatch.setattr(coersimp.subst, derive, counted)
+    for family in ("chain", "ring"):
+        for n in (100, 400):
+            ctx, pol = shape_context(family, n)
+            res = run_phases(TEST_SIG, ctx, pol, PRESETS["all"])
+            steps = [step.subst for step in res.steps]
+            images = {name: d for sub in steps for name, d in sub.dirt.items()}
+            mentioned = {(derive, name) for sub in steps
+                         for g in (*sub.dco.values(), *sub.vco.values())
+                         for derive, name in _derived_dirt_mentions(g) if name in images}
+            calls.clear()
+            assert resolve(steps) == res.subst
+            assert calls == Counter((derive, images[name]) for derive, name in mentioned)
+            if family == "ring":
+                assert 0 < sum(calls.values()) < len(images) / 4
+            else:
+                assert not calls

@@ -341,6 +341,35 @@ def test_prepared_sampler_fails_in_the_draw_with_the_reference_message():
                 sampler.draw(random.Random(i), **MODES[mode])
 
 
+def test_settle_examines_again_a_constraint_its_own_repair_left_unsettled():
+    """`_settle` makes the repairs that in-order sweeps repeated until one
+    changes nothing make, in their order, also where a repair leaves its
+    own constraint unsettled: constraint 0 raises x by one towards 2, so it
+    needs a second examination after its first repair."""
+
+    def system():
+        state, changes = {"x": 0, "y": 0}, []
+
+        def repair(i):  # 0: x >= 2, raised by one; 1: y >= x
+            if i == 0 and state["x"] < 2:
+                state["x"] += 1
+            elif i == 1 and state["y"] < state["x"]:
+                state["y"] = state["x"]
+            else:
+                return None
+            changes.append(i)
+            return "xy"[i]
+
+        return state, changes, repair
+
+    state, changes, repair = system()
+    sample._settle(2, repair, {"x": [0, 1], "y": [1]})
+    want_state, want_changes, sweep_repair = system()
+    while any([sweep_repair(i) is not None for i in range(2)]):  # one in-order sweep
+        pass
+    assert (state, changes) == (want_state, want_changes) == ({"x": 2, "y": 2}, [0, 1, 0, 1])
+
+
 def test_dirt_repair_costs_linear_in_the_constraints(monkeypatch):
     """The dirt repair re-examines only constraints whose upper tail
     shrank, so examinations per constraint do not grow with the chain
