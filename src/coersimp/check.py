@@ -457,27 +457,6 @@ def value_inclusion_coercion(lo: ValueType, hi: ValueType) -> VCoercion:
     raise NoWitness(f"no value coercion {lo} <= {hi}")
 
 
-def ground_inclusion(sig: Signature, lo: Dirt | ValueType,
-                     hi: Dirt | ValueType) -> DCoercion | VCoercion:
-    """The canonical inclusion coercion `lo <= hi` between two dirts or two
-    value types, built once per signature.
-
-    Both endpoints are interned in `sig.interned`, and the coercion is
-    `interned_inclusion`'s, so equal endpoints get one object. A dirt with
-    a tail is built directly and not remembered. A pair without a witness
-    raises `NoWitness` on every request, with the builder's message."""
-    if isinstance(lo, Dirt):
-        if lo.tail is not None or hi.tail is not None:
-            return dirt_inclusion_coercion(lo, hi)
-        build = dirt_inclusion_coercion
-    else:
-        build = value_inclusion_coercion
-    got = interned_inclusion(sig, intern(sig.interned, lo), intern(sig.interned, hi))
-    if got is None:
-        build(lo, hi)  # raises the NoWitness that the builder raised
-    return got
-
-
 def interned_inclusion(sig: Signature, lo: Dirt | ValueType,
                        hi: Dirt | ValueType) -> DCoercion | VCoercion | None:
     """The canonical inclusion coercion `lo <= hi` between two closed dirts
@@ -486,7 +465,9 @@ def interned_inclusion(sig: Signature, lo: Dirt | ValueType,
 
     `sig.ground_inclusions` keeps the answer for each pair, by the two
     identities, so each pair is decided once per signature and a repeated
-    request costs one lookup: the same coercion, interned too, or None."""
+    request costs one lookup: the same coercion, interned too, or None.
+    Where there is none, `dirt_inclusion_coercion` or
+    `value_inclusion_coercion` raises `NoWitness` with its own message."""
     memo = sig.ground_inclusions
     key = (id(lo), id(hi))
     try:

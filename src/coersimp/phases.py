@@ -56,23 +56,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .check import both_extend, derived_empty, derived_refl_dirt, derived_refl_vty, right_extend
+from .check import both_extend, derived_empty, right_extend
 from .graph import SINK, ConstraintGraph, Edge, build_dirt_graph, build_type_graph, tarjan_scc
 from .polarity import FreeParamSet, subst_fps
 from .reduce import ReductionResult, is_canonical, reduce_context
-from .subst import Substitution, compose, resolve
-from .syntax import (
-    DCoCompose,
-    DCoEmptyUnder,
-    DCoParam,
-    Dirt,
-    NameSupply,
-    ParamContext,
-    Signature,
-    TyParam,
-    VCoCompose,
-    VCoParam,
-)
+from .subst import DIRT, TYPE, Sort, Substitution, compose, resolve
+from .syntax import DCoEmptyUnder, Dirt, NameSupply, ParamContext, Signature, TyParam
 
 
 class PhaseStep(NamedTuple):
@@ -153,32 +142,7 @@ def parse_phase_config(text: str, full_dirt: bool = False):
     return steps
 
 
-class _Sort:
-    """What a move needs to know about the sort it works on."""
-
-    __slots__ = ("name", "params", "co_param", "compose")
-
-    def __init__(self, name: str, params: str, co_param, compose):
-        self.name = name  # "type" | "dirt"
-        self.params = params  # Substitution field of the parameters
-        self.co_param = co_param  # coercion parameter constructor
-        self.compose = compose  # coercion composition constructor (after, before)
-
-    def image(self, target: str, ops: frozenset[str] = frozenset()):
-        """The parameter `target`, extended by `ops` on the dirt side."""
-        return TyParam(target) if self.name == "type" else Dirt(ops, target)
-
-    def refl(self, image):
-        return derived_refl_vty(image) if self.name == "type" else derived_refl_dirt(image)
-
-    def subst(self, params: dict, cos: dict) -> Substitution:
-        return (Substitution({}, {}, params, {}, cos) if self.name == "type"
-                else Substitution({}, params, {}, cos, {}))
-
-
-_TYPE = _Sort("type", "ty", VCoParam, VCoCompose)
-_DIRT = _Sort("dirt", "dirt", DCoParam, DCoCompose)
-_SORTS = {"type": (_TYPE,), "dirt": (_DIRT,), "both": (_TYPE, _DIRT)}
+_SORTS = {"type": (TYPE,), "dirt": (DIRT,), "both": (TYPE, DIRT)}
 
 
 class _Candidates:
@@ -254,20 +218,21 @@ class _Engine:
         self.images: dict[tuple, tuple] = {}
         self.steps: list[PhaseStep] = []
 
-    def image(self, sort: _Sort, target: str, ops: frozenset[str] = frozenset()) -> tuple:
-        """`sort.image(target, ops)` and its reflexivity, built once per run
-        and shared by the steps that map onto that image."""
+    def image(self, sort: Sort, target: str, ops: frozenset[str] = frozenset()) -> tuple:
+        """The parameter `target` as an image of its sort, extended by `ops`
+        (only dirt edges carry any), and its reflexivity, built once per
+        run and shared by the steps that map onto that image."""
         key = (sort.name, target, ops)
         pair = self.images.get(key)
         if pair is None:
-            image = sort.image(target, ops)
+            image = Dirt(ops, target) if ops else sort.bare(target)
             pair = self.images[key] = (image, sort.refl(image))
         return pair
 
     def tracked(self, param: str) -> bool:
         return param in self.fps.pos or param in self.fps.neg
 
-    def commit(self, phase: str, sort: _Sort, info: str, sub: Substitution,
+    def commit(self, phase: str, sort: Sort, info: str, sub: Substitution,
                eta: dict, family: dict) -> None:
         """Record a step, then move the polarity of every parameter it maps
         onto the parameter its image names (none: the image is ground).
@@ -293,14 +258,14 @@ class _Engine:
             if g.multi:
                 self._collapse_parallels(sort, g)
 
-    def _drop_loops(self, sort: _Sort, g: ConstraintGraph) -> None:
+    def _drop_loops(self, sort: Sort, g: ConstraintGraph) -> None:
         for e in g.ordered(g.loops):
             g.remove(e)
             co = right_extend(e.ops, self.image(sort, e.src)[1])
             self.commit("cleanup-loop", sort, f"drop loop {e.name} on {e.src}",
                         sort.subst({}, {e.name: co}), {}, {})
 
-    def _collapse_parallels(self, sort: _Sort, g: ConstraintGraph) -> None:
+    def _collapse_parallels(self, sort: Sort, g: ConstraintGraph) -> None:
         bundles = sorted(([e for e in g.ordered(g.outs[src]) if e.dst == dst]
                           for src, dst in g.multi), key=lambda rows: rows[0].key)
         for rows in bundles:
@@ -318,7 +283,7 @@ class _Engine:
             if fresh is not None:  # a dirt meet no bundle edge carried
                 g.add(Edge(fresh, src, dst, meet, rows[0].key))
                 eta[fresh] = (Dirt(frozenset(), src), Dirt(meet, None if dst == SINK else dst))
-            if sort is _TYPE:
+            if sort is TYPE:
                 info = f"merge parallel {'/'.join(e.name for e in rows)} into {kept}"
             else:
                 info = f"intersect parallel bundle on {src} into {rep}"
@@ -328,12 +293,12 @@ class _Engine:
 
     def scc(self, sorts) -> None:
         self.cleanup(sorts)
-        cycles: dict[_Sort, tuple[int, deque]] = {}
+        cycles: dict[Sort, tuple[int, deque]] = {}
         live = sorts  # a sort's graph only changes by its own steps
         while live:
             live = [sort for sort in live if self._contract_one(sort, cycles)]
 
-    def _contract_one(self, sort: _Sort, cycles: dict) -> bool:
+    def _contract_one(self, sort: Sort, cycles: dict) -> bool:
         """Contract the first cycle (in Tarjan order) of the sort's graph;
         on dirt only unlabeled edges count.
 
@@ -401,7 +366,7 @@ class _Engine:
         while live:
             live = [sort for sort in live if self._bridge_one(sort, queues[sort])]
 
-    def _bridge_one(self, sort: _Sort, queue: _Candidates) -> bool:
+    def _bridge_one(self, sort: Sort, queue: _Candidates) -> bool:
         """One bridge step: bridge-in on the first node that allows it, else
         bridge-out on the first node that allows that."""
         found = queue.first()
@@ -459,7 +424,7 @@ class _Engine:
         for n in grounded:
             g.remove_node(n)
         params = sorted(grounded)
-        self.commit("empty", _DIRT, f"ground {'/'.join(params)} to the empty dirt", sub,
+        self.commit("empty", DIRT, f"ground {'/'.join(params)} to the empty dirt", sub,
                     {}, {n: DCoEmptyUnder(n) for n in params if self.tracked(n)})
 
     def full_dirt(self) -> None:
@@ -477,10 +442,10 @@ class _Engine:
                    for e in g.in_edges(node)}
             g.merge(node, SINK, full.ops)  # lower bounds survive, closed
             family = {node: (Dirt(frozenset(), node), full)} if self.tracked(node) else {}
-            self.commit("full", _DIRT, f"ground {node} to the full dirt {full}",
+            self.commit("full", DIRT, f"ground {node} to the full dirt {full}",
                         Substitution(dirt={node: full}), eta, family)
             if g.loops or g.multi:
-                self.cleanup((_DIRT,))
+                self.cleanup((DIRT,))
 
     # -- results ---------------------------------------------------------------
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .check import CheckError, EndpointMismatch, both_extend, check_dco, check_vco
-from .subst import Substitution, apply_dirt, apply_vty
+from .check import CheckError, EndpointMismatch, both_extend
+from .subst import Substitution, sort_of
 from .syntax import (
     CCoercion,
     CompType,
-    DCoCompose,
     DCoReflEmpty,
     DCoercion,
     Dirt,
@@ -37,7 +36,6 @@ from .syntax import (
     TyParam,
     TyUnit,
     VCoArrow,
-    VCoCompose,
     VCoReflBase,
     VCoReflUnit,
     VCoercion,
@@ -170,7 +168,7 @@ def compose_families(after: dict, before: dict, fps: FreeParamSet) -> dict:
         if name not in after:
             raise FamilyError(f"composition: no matching entry for {name}")
         f = after[name]
-        compose = DCoCompose if isinstance(g, DCoercion) else VCoCompose
+        compose = sort_of(g).compose
         out[name] = compose(g, f) if name in flipped else compose(f, g)
     return out
 
@@ -209,16 +207,11 @@ def check_family(
 
     for name in sorted(fps.members()):
         co = fam.get(name)
-        if isinstance(co, VCoercion):
-            got = check_vco(sig, use_ctx, co)
-            img1 = apply_vty(sub1, TyParam(name))
-            img2 = apply_vty(sub2, TyParam(name))
-        elif isinstance(co, DCoercion):
-            got = check_dco(sig, use_ctx, co)
-            img1 = apply_dirt(sub1, Dirt(frozenset(), name))
-            img2 = apply_dirt(sub2, Dirt(frozenset(), name))
-        else:
+        sort = sort_of(co)
+        if sort is None:
             raise FamilyError(f"family has no entry for {name}")
+        got, bare = sort.check_co(sig, use_ctx, co), sort.bare(name)
+        img1, img2 = sort.apply(sub1, bare), sort.apply(sub2, bare)
         if name in fps.pos and got != (img1, img2):
             raise EndpointMismatch(
                 f"family entry for positive {name}: endpoints {got[0]} <= {got[1]}, "

@@ -18,10 +18,15 @@ Validity of `sub : src -> dst` is checked parameter by parameter, left to
 right through `src`, against the substituted classifier. A parameter without
 a mapping must itself exist (suitably classified) in `dst`; if it does not,
 the failure is reported as `UnmappedParam`.
+
+The two constraint sorts, value types with value coercions and dirts with
+dirt coercions, each have one `Sort` record here (`TYPE`, `DIRT`): what the
+phases, the witness and the checks need to know to treat both alike.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .check import (
@@ -30,10 +35,14 @@ from .check import (
     SkeletonMismatch,
     check_dco,
     check_vco,
+    dco_endpoint,
     derived_empty,
     derived_refl_dirt,
     derived_refl_vty,
+    dirt_inclusion_coercion,
     is_closed_vty,
+    value_inclusion_coercion,
+    vco_endpoint,
     wf_dirt,
     wf_skeleton,
     wf_vtype,
@@ -98,22 +107,18 @@ class Substitution:
     dco: dict[str, DCoercion] = field(default_factory=dict)
     vco: dict[str, VCoercion] = field(default_factory=dict)
 
+    def maps(self) -> tuple[dict, dict, dict, dict, dict]:
+        """The five maps, in declaration order."""
+        return self.skel, self.dirt, self.ty, self.dco, self.vco
+
     def is_identity(self) -> bool:
-        return not (self.skel or self.dirt or self.ty or self.dco or self.vco)
+        return not any(self.maps())
 
     def domain(self) -> set[str]:
-        return (
-            set(self.skel)
-            | set(self.dirt)
-            | set(self.ty)
-            | set(self.dco)
-            | set(self.vco)
-        )
+        return set().union(*self.maps())
 
     def copy(self) -> Substitution:
-        return Substitution(
-            dict(self.skel), dict(self.dirt), dict(self.ty), dict(self.dco), dict(self.vco)
-        )
+        return Substitution(*map(dict, self.maps()))
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +336,16 @@ def apply_context(sub: Substitution, ctx: ParamContext) -> ParamContext:
 # Composition: (compose(s2, s1))(p) = s2(s1(p))
 
 def compose(s2: Substitution, s1: Substitution) -> Substitution:
-    out = Substitution()
-    out.skel = {n: apply_skel(s2, s) for n, s in s1.skel.items()}
-    out.dirt = {n: apply_dirt(s2, d) for n, d in s1.dirt.items()}
-    out.ty = {n: apply_vty(s2, t) for n, t in s1.ty.items()}
-    out.dco = {n: apply_dco(s2, g) for n, g in s1.dco.items()}
-    out.vco = {n: apply_vco(s2, g) for n, g in s1.vco.items()}
-    for n, s in s2.skel.items():
-        out.skel.setdefault(n, s)
-    for n, d in s2.dirt.items():
-        out.dirt.setdefault(n, d)
-    for n, t in s2.ty.items():
-        out.ty.setdefault(n, t)
-    for n, g in s2.dco.items():
-        out.dco.setdefault(n, g)
-    for n, g in s2.vco.items():
-        out.vco.setdefault(n, g)
+    out = Substitution(
+        {n: apply_skel(s2, s) for n, s in s1.skel.items()},
+        {n: apply_dirt(s2, d) for n, d in s1.dirt.items()},
+        {n: apply_vty(s2, t) for n, t in s1.ty.items()},
+        {n: apply_dco(s2, g) for n, g in s1.dco.items()},
+        {n: apply_vco(s2, g) for n, g in s1.vco.items()})
+    for part, later in zip(out.maps(), s2.maps()):
+        if later:
+            for n, x in later.items():
+                part.setdefault(n, x)
     return out
 
 
@@ -382,8 +381,7 @@ def resolve(steps) -> Substitution:
     for step in reversed(steps):
         final.add(step)
     done = final.sub  # each map's names are in reverse step order
-    return Substitution(*(dict(reversed(m.items())) for m in
-                          (done.skel, done.dirt, done.ty, done.dco, done.vco)))
+    return Substitution(*(dict(reversed(m.items())) for m in done.maps()))
 
 
 class _Resolver:
@@ -512,20 +510,20 @@ class ValidityCheck:
         self.table = table = sig.interned if dst is EMPTY_CONTEXT else {}
         shared: dict = {}  # equal classifiers of type parameters share one object
         self.ty_rows = [(n, *_skel_reader(table, s, shared)) for n, s in src.ty_params]
-        self.dco_rows = [(n, *_dirt_reader(table, lo), *_dirt_reader(table, hi))
-                         for n, lo, hi in src.dirt_cos]
-        self.vco_rows = [(n, *_vty_reader(table, lo), *_vty_reader(table, hi))
-                         for n, lo, hi in src.ty_cos]
+        # Per sort, in context order: each constraint and its bounds' readers.
+        self.co_rows = [(sort, [(n, *sort.reader(table, lo), *sort.reader(table, hi))
+                                for n, lo, hi in getattr(src, sort.rows)])
+                        for sort in SORTS.values()]
         self.skeletons: dict[int, tuple] = {}  # id(type image) -> (image, its skeleton)
         self.ends: dict[int, tuple] = {}  # id(coercion) -> (coercion, endpoints)
         self.accepted: tuple | None = None
 
     def check(self, sub: Substitution) -> None:
-        maps = (sub.skel, sub.dirt, sub.ty, sub.dco, sub.vco)
+        maps = sub.maps()
         if maps == self.accepted:
             return
         sig, dst, ends, table = self.sig, self.dst, self.ends, self.table
-        skels, dirts, tys, dcos, vcos = maps
+        skels, dirts, tys = sub.skel, sub.dirt, sub.ty
 
         for name in self.src.skel_params:
             s = skels.get(name)
@@ -568,9 +566,8 @@ class ValidityCheck:
                     f"image of {name} has skeleton {got}, classifier demands {want}"
                 )
 
-        for rows, images, cos, apply, check_co, param in (
-                (self.dco_rows, dirts, dcos, apply_dirt, check_dco, DCoParam),
-                (self.vco_rows, tys, vcos, apply_vty, check_vco, VCoParam)):
+        for sort, rows in self.co_rows:
+            images, cos, apply = getattr(sub, sort.params), getattr(sub, sort.cos), sort.apply
             for name, lo, lkey, lconst, hi, hkey, hconst in rows:
                 g = cos.get(name)
                 want = (images.get(lkey, lo) if lkey is not None
@@ -582,7 +579,8 @@ class ValidityCheck:
                     got = known[1]
                 else:
                     try:
-                        got_lo, got_hi = check_co(sig, dst, param(name) if g is None else g)
+                        got_lo, got_hi = sort.check_co(sig, dst, sort.co_param(name)
+                                                       if g is None else g)
                     except CheckError as e:
                         _fail(name, g is None, e)
                     got = intern(table, got_lo), intern(table, got_hi)
@@ -632,3 +630,59 @@ def _fail(name: str, unmapped: bool, cause: CheckError):
             f"parameter {name} is unmapped and absent from the target context"
         ) from cause
     raise cause
+
+
+# ---------------------------------------------------------------------------
+# Constraint sorts
+#
+# The calculus has two sorts of constraints: value types with value
+# coercions and dirts with dirt coercions. The phases, the witness and the
+# checks treat both alike, reading what differs off the sort's record.
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Sort:
+    """What differs between the two constraint sorts. `TYPE` and `DIRT` are
+    the two records; `SORTS` finds each by name, in context order."""
+
+    name: str  # "type" | "dirt", as a phase step names its sort
+    params: str  # the Substitution map of its parameters' images
+    cos: str  # the Substitution map of its constraints' coercions
+    rows: str  # the ParamContext field of its constraints
+    coercion: type  # the class of its coercions
+    bare: Callable  # name -> the parameter as an image
+    named: Callable  # image -> the parameter it names, None for closed data
+    apply: Callable  # (sub, image) -> the image under sub
+    apply_co: Callable  # (sub, coercion) -> the coercion under sub
+    check_co: Callable  # (sig, ctx, coercion) -> its (lower, upper) endpoints
+    endpoint: Callable  # (ground coercion that checks, upper) -> that endpoint, unchecked
+    refl: Callable  # image -> its derived reflexivity
+    co_param: Callable  # name -> the coercion parameter
+    compose: Callable  # (after, before) -> their composition
+    inclusion: Callable  # (lo, hi) -> the canonical inclusion coercion; else NoWitness
+    reader: Callable  # (table, bound) -> `ValidityCheck`'s reader of the bound
+    subst: Callable  # (params, cos) -> a substitution of these two maps only
+
+
+DIRT = Sort(
+    name="dirt", params="dirt", cos="dco", rows="dirt_cos", coercion=DCoercion,
+    bare=lambda name: Dirt(frozenset(), name), named=lambda d: d.tail,
+    apply=apply_dirt, apply_co=apply_dco, check_co=check_dco, endpoint=dco_endpoint,
+    refl=derived_refl_dirt, co_param=DCoParam, compose=DCoCompose,
+    inclusion=dirt_inclusion_coercion, reader=_dirt_reader,
+    subst=lambda params, cos: Substitution({}, params, {}, cos, {}))
+TYPE = Sort(
+    name="type", params="ty", cos="vco", rows="ty_cos", coercion=VCoercion,
+    bare=TyParam, named=lambda t: t.name if isinstance(t, TyParam) else None,
+    apply=apply_vty, apply_co=apply_vco, check_co=check_vco, endpoint=vco_endpoint,
+    refl=derived_refl_vty, co_param=VCoParam, compose=VCoCompose,
+    inclusion=value_inclusion_coercion, reader=_vty_reader,
+    subst=lambda params, cos: Substitution({}, {}, params, {}, cos))
+SORTS = {sort.name: sort for sort in (DIRT, TYPE)}
+
+
+def sort_of(co) -> Sort | None:
+    """The sort of a value or dirt coercion, None for anything else."""
+    for sort in SORTS.values():
+        if isinstance(co, sort.coercion):
+            return sort
+    return None

@@ -31,34 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .check import (
-    dco_endpoint,
-    derived_refl_dirt,
-    derived_refl_vty,
-    dirt_inclusion_coercion,
-    ground_inclusion,
-    vco_endpoint,
-)
+from .check import dirt_inclusion_coercion, interned_inclusion
 from .phases import PhaseResult, PhaseStep
 from .polarity import check_family, compose_families, precompose_family
-from .subst import (
-    Substitution,
-    ValidityCheck,
-    apply_dco,
-    apply_dirt,
-    apply_vco,
-    apply_vty,
-    check_validity,
-    compose_at,
-)
-from .syntax import (
-    Dirt,
-    EMPTY_CONTEXT,
-    Signature,
-    TyArrow,
-    TyParam,
-    closed_dirt,
-)
+from .subst import SORTS, Substitution, ValidityCheck, apply_dirt, check_validity, compose_at
+from .syntax import EMPTY_CONTEXT, Dirt, Signature, TyArrow, TyParam, closed_dirt, intern
 
 
 class WitnessBug(Exception):
@@ -82,22 +59,19 @@ def _ground(entry, eta: Substitution, apply):
 def _replay(step: PhaseStep, eta: Substitution) -> dict:
     """Turn `eta`, in place, from a ground instantiation of the context
     before `step` into one after it; return the step's own family entries."""
-    typed = step.sort == "type"
-    apply, endpoint = (apply_vco, vco_endpoint) if typed else (apply_dco, dco_endpoint)
-    new = {name: _ground(entry, eta, apply) for name, entry in step.eta.items()}
+    sort = SORTS[step.sort]
+    new = {name: _ground(entry, eta, sort.apply_co) for name, entry in step.eta.items()}
     fam = {}
-    images = eta.ty if typed else eta.dirt
+    images = getattr(eta, sort.params)
     for p, entry in step.family.items():
         # The entry ends at p's image at a positive p, and starts there otherwise.
-        co = fam[p] = _ground(entry, eta, apply)
-        if endpoint(co, p in step.fps.pos) != images[p]:
+        co = fam[p] = _ground(entry, eta, sort.apply_co)
+        if sort.endpoint(co, p in step.fps.pos) != images[p]:
             raise WitnessBug(f"family entry for {p} misses its image {images[p]} under eta")
-    sub = step.subst
-    for part, names in ((eta.ty, sub.ty), (eta.dirt, sub.dirt), (eta.vco, sub.vco),
-                        (eta.dco, sub.dco)):
+    for part, names in zip(eta.maps(), step.subst.maps()):
         for name in names:
             part.pop(name, None)
-    (eta.vco if typed else eta.dco).update(new)
+    getattr(eta, sort.cos).update(new)
     return fam
 
 
@@ -106,10 +80,11 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
     names0 = sorted(run.fps0.members())
     acc = {}
     for name in names0:
-        if name in eta0.ty:
-            acc[name] = derived_refl_vty(eta0.ty[name])
-        elif name in eta0.dirt:
-            acc[name] = derived_refl_dirt(eta0.dirt[name])
+        for sort in SORTS.values():
+            images = getattr(eta0, sort.params)
+            if name in images:
+                acc[name] = sort.refl(images[name])
+                break
         else:
             raise WitnessBug(f"tracked parameter {name} has no ground image")
     # The steps so far, composed, restricted to the tracked names: all that
@@ -122,20 +97,18 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
         special = _replay(step, eta)
         # Only names whose image meets the step's own entries change; at
         # every other name the step's family is a reflexivity. A step maps
-        # a parameter to one parameter or to closed data, so a touched
-        # name's image names just the parameter that has its entry here.
+        # parameters of its sort, each to one parameter or to closed data,
+        # so a touched name's image names just the parameter with an entry.
         touched = {n for p in special for n in users.get(p, ())}
         if touched:
             acc.update(compose_families(
                 acc, precompose_family(special, so_far, touched), run.fps0))
-        sub = step.subst
-        for n in {n for p in (*sub.ty, *sub.dirt) for n in users.pop(p, ())}:
-            if n in so_far.ty or n in sub.ty:
-                image = so_far.ty[n] = apply_vty(sub, so_far.ty.get(n, TyParam(n)))
-                p = image.name if isinstance(image, TyParam) else None
-            else:
-                image = so_far.dirt[n] = apply_dirt(sub, so_far.dirt.get(n, Dirt(frozenset(), n)))
-                p = image.tail
+        sort, sub = SORTS[step.sort], step.subst
+        images = getattr(so_far, sort.params)
+        for n in {n for p in getattr(sub, sort.params) for n in users.pop(p, ())}:
+            image = images.get(n)
+            image = images[n] = sort.apply(sub, sort.bare(n) if image is None else image)
+            p = sort.named(image)
             if p is not None:
                 users.setdefault(p, set()).add(n)
     return WitnessResult(eta, acc)
@@ -190,22 +163,20 @@ class ReductionReplay:
 
     It keeps each original name's pattern, the image of that name under
     reduction; a name reduction kept has none, and its ground image is
-    its own. Each reduced constraint keeps the parameter that each bound
-    is, when the bound is a bare parameter or tail, and the reduced
-    context's validity check is prepared too. A replay then matches ground
+    its own. It prepares the reduced context's validity check, whose rows
+    also serve the replay: each bound of a reduced constraint is read by
+    its sort's reader, as a bare parameter's image, a closed constant
+    interned in the signature, or substituted. A replay then matches ground
     images against the patterns, binding each sub-image as the object it
     is and each dirt it computes as the signature's interned one, and asks
-    the signature for inclusion coercions between looked-up images.
+    the signature for inclusion coercions between the bounds' images.
     """
 
     def __init__(self, sig: Signature, red):
         self.sig = sig
         self.dirt_patterns = red.subst.dirt
         self.ty_patterns = red.subst.ty
-        rc = red.context
-        self.dco_rows = [(n, lo, _bare(lo), hi, _bare(hi)) for n, lo, hi in rc.dirt_cos]
-        self.vco_rows = [(n, lo, _bare(lo), hi, _bare(hi)) for n, lo, hi in rc.ty_cos]
-        self.valid = ValidityCheck(sig, rc, EMPTY_CONTEXT)
+        self.valid = ValidityCheck(sig, red.context, EMPTY_CONTEXT)
 
     def replay(self, eta0: Substitution) -> Substitution:
         sig, interned = self.sig, self.sig.interned
@@ -230,27 +201,22 @@ class ReductionReplay:
 
         # Coercion names get the signature's inclusion witnesses; the bounds
         # hold because the factored instantiation satisfies every reduced
-        # constraint.
-        for rows, images, apply, cos in ((self.dco_rows, dirts, apply_dirt, eta.dco),
-                                         (self.vco_rows, tys, apply_vty, eta.vco)):
-            for name, lo, lkey, hi, hkey in rows:
-                cos[name] = ground_inclusion(
-                    sig,
-                    images.get(lkey, lo) if lkey is not None else apply(eta, lo),
-                    images.get(hkey, hi) if hkey is not None else apply(eta, hi))
+        # constraint. A closed bound's reader holds its interned image.
+        for sort, rows in self.valid.co_rows:
+            images, cos, apply = getattr(eta, sort.params), getattr(eta, sort.cos), sort.apply
+            for name, lo, lkey, glo, hi, hkey, ghi in rows:
+                if glo is None:
+                    glo = intern(interned, images.get(lkey, lo) if lkey is not None
+                                 else apply(eta, lo))
+                if ghi is None:
+                    ghi = intern(interned, images.get(hkey, hi) if hkey is not None
+                                 else apply(eta, hi))
+                co = cos[name] = interned_inclusion(sig, glo, ghi)
+                if co is None:
+                    sort.inclusion(glo, ghi)  # raises NoWitness with its own message
 
         self.valid.check(eta)
         return eta
-
-
-def _bare(bound) -> str | None:
-    """The parameter a constraint bound is, if it is a bare type parameter
-    or a dirt that is a bare tail."""
-    if isinstance(bound, TyParam):
-        return bound.name
-    if isinstance(bound, Dirt) and not bound.ops:
-        return bound.tail
-    return None
 
 
 def replay_reduction(plan: ReductionReplay, eta0: Substitution) -> Substitution:
@@ -264,7 +230,7 @@ def replay_reduction(plan: ReductionReplay, eta0: Substitution) -> Substitution:
     substitution also maps intermediate names it made up on the way, which
     have no ground image and are not read. The result grounds the reduced
     context with the signature's inclusion coercions
-    (`check.ground_inclusion`) and is checked valid before it is returned.
+    (`check.interned_inclusion`) and is checked valid before it is returned.
     `build_witness_total` does not replay a reduction that returned its
     input; there the result would be `eta0` itself."""
     return plan.replay(eta0)

@@ -16,7 +16,6 @@ from coersimp.check import (
     derived_refl_dirt,
     derived_refl_vty,
     dirt_inclusion_coercion,
-    ground_inclusion,
     interned_inclusion,
     type_of_comp,
     type_of_value,
@@ -229,69 +228,47 @@ def test_value_inclusion_coercion():
         value_inclusion_coercion(TyUnit(), TyBase("bit"))
 
 
+def inclusion(sig, lo, hi):
+    """`interned_inclusion` between `lo` and `hi`, interned first."""
+    return interned_inclusion(sig, intern(sig.interned, lo), intern(sig.interned, hi))
+
+
 def test_ground_inclusion_is_built_once_per_signature():
     """Equal endpoints, as distinct but equal objects, get the one coercion
     the signature built for them, equal to the builder's; an equal
     signature parsed anew builds its own."""
     sig = Signature(SIG.ops)
     lo, hi = dirt(("Random",)), dirt(("Random", "Fail"))
-    got = ground_inclusion(sig, lo, hi)
+    got = inclusion(sig, lo, hi)
     assert got == dirt_inclusion_coercion(lo, hi)
-    assert ground_inclusion(sig, dirt(("Random",)), dirt(("Fail", "Random"))) is got
+    assert inclusion(sig, dirt(("Random",)), dirt(("Fail", "Random"))) is got
     vlo = TyArrow(TyUnit(), CompType(TyUnit(), dirt()))
     vhi = TyArrow(TyUnit(), CompType(TyUnit(), dirt(("Random",))))
-    vgot = ground_inclusion(sig, vlo, vhi)
+    vgot = inclusion(sig, vlo, vhi)
     assert vgot == value_inclusion_coercion(vlo, vhi)
-    assert ground_inclusion(sig, TyArrow(TyUnit(), CompType(TyUnit(), dirt())),
-                            TyArrow(TyUnit(), CompType(TyUnit(), dirt(("Random",))))) is vgot
+    assert inclusion(sig, TyArrow(TyUnit(), CompType(TyUnit(), dirt())),
+                     TyArrow(TyUnit(), CompType(TyUnit(), dirt(("Random",))))) is vgot
     assert len(sig.ground_inclusions) == 2
     other = Signature(SIG.ops)
     assert other == sig and not other.ground_inclusions
-    assert ground_inclusion(other, lo, hi) == got
+    assert inclusion(other, lo, hi) == got
 
 
 def test_ground_inclusion_remembers_a_missing_witness():
     """A pair of closed endpoints without a witness is decided once per
-    signature and remembered as None; each request for it still raises
-    `NoWitness` with the builder's message. A dirt with a tail is not
-    remembered."""
+    signature and remembered as None, which each request returns."""
     sig = Signature(SIG.ops)
-    ground_inclusion(sig, dirt(()), dirt(("Random",)))
+    inclusion(sig, dirt(()), dirt(("Random",)))
     before = dict(sig.ground_inclusions)
     pairs = [(dirt(("Fail",)), dirt(("Random",))), (TyUnit(), TyBase("bit"))]
-    messages = []
     for lo, hi in pairs:
-        with pytest.raises(NoWitness) as exc:
-            (dirt_inclusion_coercion if isinstance(lo, Dirt) else value_inclusion_coercion)(lo, hi)
-        messages.append(str(exc.value))
-    for _ in range(2):
-        for (lo, hi), message in zip(pairs, messages):
-            with pytest.raises(NoWitness) as exc:
-                ground_inclusion(sig, lo, hi)
-            assert str(exc.value) == message
         with pytest.raises(NoWitness):
-            ground_inclusion(sig, dirt((), "d1"), dirt(("Random",)))
+            (dirt_inclusion_coercion if isinstance(lo, Dirt) else value_inclusion_coercion)(lo, hi)
+    for _ in range(2):
+        assert all(inclusion(sig, lo, hi) is None for lo, hi in pairs)
     table = sig.interned
     missing = {(id(intern(table, lo)), id(intern(table, hi))): None for lo, hi in pairs}
     assert sig.ground_inclusions == {**before, **missing}
-    assert all(interned_inclusion(sig, intern(table, lo), intern(table, hi)) is None
-               for lo, hi in pairs)
-
-
-def test_ground_inclusion_serves_no_closed_entry_to_a_dirt_with_a_tail():
-    """Dirts that differ from remembered closed ones only in a tail get
-    their own coercion, built directly and not remembered."""
-    sig = Signature(SIG.ops)
-    pairs = [((), ("Random",)), (("Random",), ("Random", "Fail")), (("Fail",), ("Fail",))]
-    closed = {pair: ground_inclusion(sig, dirt(pair[0]), dirt(pair[1])) for pair in pairs}
-    remembered = dict(sig.ground_inclusions)
-    for pair in pairs:
-        for lo_tail, hi_tail in ((None, "d1"), ("d1", "d1")):
-            lo, hi = dirt(pair[0], lo_tail), dirt(pair[1], hi_tail)
-            got = ground_inclusion(sig, lo, hi)
-            assert got == dirt_inclusion_coercion(lo, hi) != closed[pair]
-            assert check_dco(SIG, CTX, got) == (lo, hi)
-    assert sig.ground_inclusions == remembered
 
 
 def test_check_cco():

@@ -32,6 +32,7 @@ from coersimp.syntax import (
 
 from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context, step_contexts
 from reference_phases import run_reference_phases
+import scale
 
 FULL = Dirt(frozenset({"Fail", "Random"}), None)
 
@@ -517,3 +518,11 @@ def test_resolution_derives_only_the_dirt_coercions_an_image_mentions(monkeypatc
                 assert 0 < sum(calls.values()) < len(images) / 4
             else:
                 assert not calls
+
+
+def test_scale_script_still_runs(capsys):
+    """`tests/scale.py`, which no other check runs, still imports and runs:
+    one row per shape at 100 parameters per sort."""
+    scale.main([100])
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["chain", "100"], ["ladder", "100"]]

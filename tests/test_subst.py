@@ -8,6 +8,7 @@ composition legs from the canonicalizing reduction.
 
 import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -23,7 +24,9 @@ from coersimp.check import (
     derived_empty,
     derived_refl_dirt,
     derived_refl_vty,
+    dirt_inclusion_coercion,
     type_of_value,
+    value_inclusion_coercion,
     wf_dirt,
     wf_skeleton,
     wf_vtype,
@@ -505,3 +508,114 @@ def test_prepared_check_agrees_with_the_reference_on_random_contexts():
         assert_same_verdicts_on_run(TEST_SIG, ctx, rng.choice(list(PRESETS)), rng, seen)
     assert {"UnmappedParam", "EndpointMismatch", "UnknownName", "SkeletonMismatch"} <= set(seen)
     assert seen[None] > 100, seen
+
+
+# ---------------------------------------------------------------------------
+# The constraint-sort table
+
+SORT_CTX = ParamContext(
+    (), ("d1", "d2"), (("a1", SkelUnit()), ("a2", SkelUnit())),
+    (("p1", dirt((), "d1"), dirt(("Fail",), "d2")),),
+    (("w1", TyParam("a1"), TyParam("a2")),))
+SORT_SUB = Substitution(dirt={"d1": dirt(("Random",))}, ty={"a1": TyUnit()},
+                        dco={"p1": DCoReflEmpty()}, vco={"w1": VCoReflUnit()})
+
+
+def _arrow(*ops):
+    return TyArrow(TyUnit(), CompType(TyUnit(), dirt(ops)))
+
+
+# Per sort: a parameter and a constraint of SORT_CTX, what the sort's
+# record should make of them, and three ground images that include each
+# other in order, as bounds and as results.
+SORT_DATA = {
+    "type": dict(p="a1", w="w1", bare=TyParam("a1"), refl=VCoReflParam("a1"),
+                 co_param=VCoParam("w1"), rows=SORT_CTX.ty_cos,
+                 image=SORT_SUB.ty["a1"], co_image=SORT_SUB.vco["w1"],
+                 closed=TyBase("bit"), compound=TyArrow(TyParam("a1"), CompType(
+                     TyParam("a2"), dirt(("Fail",), "d1"))),
+                 ground=(_arrow(), _arrow("Fail"), _arrow("Fail", "Random")),
+                 include=value_inclusion_coercion),
+    "dirt": dict(p="d1", w="p1", bare=dirt((), "d1"), refl=DCoReflParam("d1"),
+                 co_param=DCoParam("p1"), rows=SORT_CTX.dirt_cos,
+                 image=SORT_SUB.dirt["d1"], co_image=SORT_SUB.dco["p1"],
+                 closed=dirt(("Fail",)), compound=dirt(("Fail",), "d1"),
+                 ground=(dirt(()), dirt(("Fail",)), dirt(("Fail", "Random"))),
+                 include=dirt_inclusion_coercion),
+}
+
+
+def _sort_checks(sort, data):
+    """(field, property) for each field of `sort`, each property reading
+    that field and comparing with what `data` says of the sort."""
+    sig, sub, p, w, bare = TEST_SIG, SORT_SUB, data["p"], data["w"], data["bare"]
+    lo, mid, hi = data["ground"]
+    before, after = data["include"](lo, mid), data["include"](mid, hi)
+
+    def read(bound):
+        b, key, const = sort.reader({}, bound)
+        if key is not None:
+            return getattr(sub, sort.params).get(key, b)
+        return const if const is not None else sort.apply(sub, b)
+
+    def reader():
+        shapes = [sort.reader({}, b)[1:] for b in (bare, data["closed"], data["compound"])]
+        return (shapes[0] == (p, None) and shapes[1][0] is None and shapes[1][1] is not None
+                and shapes[2] == (None, None)
+                and all(read(b) == sort.apply(sub, b)
+                        for b in (bare, data["closed"], data["compound"])))
+
+    def subst_field():
+        made = sort.subst({p: lo}, {w: before})
+        return (getattr(made, sort.params) == {p: lo} and getattr(made, sort.cos) == {w: before}
+                and made.domain() == {p, w})
+
+    classifier = next((below, above) for name, below, above in data["rows"] if name == w)
+    return [
+        ("name", lambda: subst.SORTS[sort.name] is sort and sort is SORT_RECORDS[sort.name]),
+        ("params", lambda: getattr(sub, sort.params)[p] == data["image"]),
+        ("cos", lambda: getattr(sub, sort.cos)[w] == data["co_image"]),
+        ("rows", lambda: getattr(SORT_CTX, sort.rows) == data["rows"]),
+        ("coercion", lambda: isinstance(data["refl"], sort.coercion)
+         and subst.sort_of(data["co_param"]) is sort),
+        ("bare", lambda: sort.bare(p) == bare),
+        ("named", lambda: sort.named(bare) == p and sort.named(lo) is None),
+        ("apply", lambda: sort.apply(sub, bare) is getattr(sub, sort.params)[p]),
+        ("apply_co", lambda: sort.apply_co(sub, data["co_param"])
+         is getattr(sub, sort.cos)[w]),
+        ("check_co", lambda: sort.check_co(sig, SORT_CTX, data["co_param"]) == classifier),
+        ("refl", lambda: sort.refl(bare) == data["refl"]
+         and sort.check_co(sig, SORT_CTX, sort.refl(sort.bare(p))) == (bare, bare)),
+        ("co_param", lambda: sort.co_param(w) == data["co_param"]
+         and sort.check_co(sig, SORT_CTX, sort.co_param(w)) == classifier),
+        ("compose", lambda: sort.check_co(sig, EMPTY_CONTEXT, sort.compose(after, before))
+         == (lo, hi)),
+        ("inclusion", lambda: sort.inclusion(lo, mid) == before),
+        ("endpoint", lambda: all(
+            (sort.endpoint(g, False), sort.endpoint(g, True))
+            == sort.check_co(sig, EMPTY_CONTEXT, g)
+            for g in (before, after, sort.compose(after, before)))),
+        ("reader", reader),
+        ("subst", subst_field),
+    ]
+
+
+SORT_RECORDS = {"type": subst.TYPE, "dirt": subst.DIRT}
+
+
+@pytest.mark.parametrize("name", sorted(SORT_DATA))
+def test_each_sort_record_holds_its_own_sorts_functions(name):
+    """Every field of a sort's record is read once against what that sort
+    is; a field given the other sort's value fails, named."""
+    sort = SORT_RECORDS[name]
+    checks = _sort_checks(sort, SORT_DATA[name])
+    assert sorted(f for f, _ in checks) == sorted(f.name for f in fields(subst.Sort))
+    failed = []
+    for field, holds in checks:
+        try:
+            ok = holds()
+        except Exception:  # another sort's function fails on this sort's data
+            ok = False
+        if not ok:
+            failed.append(field)
+    assert failed == [], failed

@@ -7,6 +7,7 @@ import pytest
 from coersimp.cli import _simplified
 from coersimp.check import (
     EndpointMismatch,
+    NoWitness,
     check_dco,
     check_vco,
     derived_refl_dirt,
@@ -178,6 +179,31 @@ def test_replay_reduction_rejects_an_instantiation_that_does_not_factor():
                         ty={"a1": TyArrow(TyUnit(), CompType(TyUnit(), dirt()))})
     with pytest.raises(WitnessBug, match="instantiation image d9 is not ground"):
         replay_reduction(ReductionReplay(TEST_SIG, red), eta0)
+
+
+def test_replay_reduction_raises_the_inclusions_own_message_where_there_is_none():
+    """A replayed constraint whose bounds' images have no inclusion
+    coercion raises `NoWitness` with the inclusion function's own message,
+    on every replay (the signature remembers the pair as missing)."""
+    unit_arrow = SkelArrow(SkelUnit(), SkelUnit())
+    dirts = ParamContext((), ("d1", "d2"), (), (("p1", dirt(("Fail",)), dirt((), "d2")),
+                                                ("p2", dirt((), "d1"), dirt((), "d2"))), ())
+    types = ParamContext(("s",), (), (("a1", SkelParam("s")), ("a2", SkelParam("s"))), (),
+                         (("w1", TyParam("a1"), TyParam("a2")),))
+    for ctx, eta0, lo, hi, build in (
+        (dirts, Substitution(dirt={"d1": dirt(("Random",)), "d2": dirt(("Fail",))}),
+         dirt(("Random",)), dirt(("Fail",)), dirt_inclusion_coercion),
+        (types, Substitution(skel={"s": unit_arrow},
+                             ty={"a1": ground_arrow(("Fail",)), "a2": ground_arrow()}),
+         ground_arrow(("Fail",)), ground_arrow(), value_inclusion_coercion),
+    ):
+        with pytest.raises(NoWitness) as want:
+            build(lo, hi)
+        plan = ReductionReplay(TEST_SIG, reduce_context(TEST_SIG, ctx))
+        for _ in range(2):
+            with pytest.raises(NoWitness) as got:
+                replay_reduction(plan, eta0)
+            assert str(got.value) == str(want.value)
 
 
 def test_total_witness_on_corpus_items():
