@@ -19,8 +19,6 @@ simplifier's completeness witnesses are assembled from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .check import CheckError, EndpointMismatch, both_extend
 from .subst import Substitution, sort_of
 from .syntax import (
@@ -40,10 +38,11 @@ from .syntax import (
     VCoReflUnit,
     VCoercion,
     ValueType,
+    value_class,
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class FreeParamSet:
     pos: frozenset[str] = frozenset()
     neg: frozenset[str] = frozenset()

@@ -47,7 +47,6 @@ ground cast, which `cli.check_sample` builds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .check import (
     EndpointMismatch,
@@ -84,6 +83,7 @@ from .syntax import (
     ValueTerm,
     Var,
     VCoercion,
+    value_class,
 )
 
 
@@ -113,12 +113,12 @@ def base_carrier(name: str) -> tuple:
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True)
+@value_class
 class TreeReturn:
     value: object
 
 
-@dataclass(frozen=True)
+@value_class
 class TreeOp:
     op: str
     arg: object

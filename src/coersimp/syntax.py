@@ -1,9 +1,10 @@
 """Syntax trees for the calculus: skeletons, dirts, types, coercions, terms.
 
-Everything here is a frozen dataclass so values can live in dicts and sets.
-The node classes are slotted (`slots=True`, and `__slots__ = ()` on their
-abstract bases), so a node keeps no instance dict; `ParamContext` keeps
-one, for its lookup index.
+Every node here is a frozen value so values can live in dicts and sets.
+The node classes are built by `value_class`, which makes them slotted (with
+`__slots__ = ()` on their abstract bases), so a node keeps no instance
+dict. `Signature`, `ParamContext` and `NameSupply` stay dataclasses;
+`ParamContext` keeps an instance dict, for its lookup index.
 
 Dirts are kept in a canonical form throughout: a sorted set of operation
 names plus an optional tail parameter, so `{Op} u ({Op'} u d)` and
@@ -23,8 +24,63 @@ keeps the table of the values its ground instantiations use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
+
+
+# ---------------------------------------------------------------------------
+# Value classes
+#
+# `value_class` gives a class what `dataclass(frozen=True, slots=True)`
+# would, as far as the package uses it: the same `__init__`, `==`, `hash`,
+# `__match_args__` and repr, refusal of assignment, and a `__reduce__` for
+# copy and pickle. It compiles `__init__`, `__eq__` and `__hash__` from one
+# source text with a single `exec`, where a dataclass takes six, and
+# `__init__` sets each slot through its descriptor, as `__setattr__` refuses.
+
+_VALUE_METHODS = """\
+def __init__(self, {params}):
+{sets}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({own}) == ({other})
+    return NotImplemented
+def __hash__(self):
+    return hash(({own}))
+"""
+
+
+def value_class(cls):
+    """`cls` rebuilt as a frozen slotted class over its annotated fields,
+    in annotation order; a field's class attribute is its default."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__", *names)}
+    defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": names, "__match_args__": names})
+    scope = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+    exec(_VALUE_METHODS.format(
+        params=", ".join(names), sets="".join(f"    _set_{n}(self, {n})\n" for n in names) or "    pass",
+        own="".join(f"self.{n}," for n in names), other="".join(f"other.{n}," for n in names)), scope)
+    scope["__init__"].__defaults__ = defaults
+    for name in ("__init__", "__eq__", "__hash__"):
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, scope[name])
+    cls.__repr__, cls.__reduce__ = _value_repr, _value_reduce
+    cls.__setattr__ = cls.__delattr__ = _refuse_change
+    return cls
+
+
+def _value_repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _value_reduce(self):
+    return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+def _refuse_change(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +90,7 @@ class Skeleton:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class SkelParam(Skeleton):
     name: str
 
@@ -42,13 +98,13 @@ class SkelParam(Skeleton):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class SkelUnit(Skeleton):
     def __str__(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class SkelBase(Skeleton):
     # Each base type is its own skeleton constant.
     name: str
@@ -57,7 +113,7 @@ class SkelBase(Skeleton):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class SkelArrow(Skeleton):
     dom: Skeleton
     cod: Skeleton
@@ -69,7 +125,7 @@ class SkelArrow(Skeleton):
 # ---------------------------------------------------------------------------
 # Dirt
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Dirt:
     """An operation set plus an optional dirt-parameter tail."""
 
@@ -104,7 +160,7 @@ class ValueType:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class TyParam(ValueType):
     name: str
 
@@ -112,13 +168,13 @@ class TyParam(ValueType):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class TyUnit(ValueType):
     def __str__(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class TyBase(ValueType):
     name: str
 
@@ -126,7 +182,7 @@ class TyBase(ValueType):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CompType:
     """A computation type: a value type annotated with a dirt."""
 
@@ -137,7 +193,7 @@ class CompType:
         return f"{self.ty}!{self.dirt}"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class TyArrow(ValueType):
     dom: ValueType
     cod: CompType
@@ -157,7 +213,7 @@ class DCoercion:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class VCoParam(VCoercion):
     name: str
 
@@ -165,7 +221,7 @@ class VCoParam(VCoercion):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class VCoReflParam(VCoercion):
     name: str
 
@@ -173,13 +229,13 @@ class VCoReflParam(VCoercion):
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class VCoReflUnit(VCoercion):
     def __str__(self) -> str:
         return "<unit>"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class VCoReflBase(VCoercion):
     name: str
 
@@ -187,7 +243,7 @@ class VCoReflBase(VCoercion):
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CCoercion:
     """A computation coercion: value coercion bang dirt coercion."""
 
@@ -198,7 +254,7 @@ class CCoercion:
         return f"{self.vco}!{self.dco}"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class VCoArrow(VCoercion):
     # arg : A <= A' and res : C <= C' yield (A' -> C) <= (A -> C'):
     # contravariant on the argument side.
@@ -209,7 +265,7 @@ class VCoArrow(VCoercion):
         return f"({self.arg} -> {self.res})"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class VCoCompose(VCoercion):
     # after o before, diagrammatic source-to-target right to left.
     after: VCoercion
@@ -219,7 +275,7 @@ class VCoCompose(VCoercion):
         return f"({self.after} . {self.before})"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class DCoParam(DCoercion):
     name: str
 
@@ -227,7 +283,7 @@ class DCoParam(DCoercion):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class DCoReflParam(DCoercion):
     name: str
 
@@ -235,13 +291,13 @@ class DCoReflParam(DCoercion):
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class DCoReflEmpty(DCoercion):
     def __str__(self) -> str:
         return "<{}>"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class DCoEmptyUnder(DCoercion):
     """The empty dirt below a dirt parameter: witnesses {} <= tail."""
 
@@ -251,7 +307,7 @@ class DCoEmptyUnder(DCoercion):
         return f"0_{self.tail}"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class DCoUnionBoth(DCoercion):
     """Add one operation to both endpoints of a dirt coercion."""
 
@@ -262,7 +318,7 @@ class DCoUnionBoth(DCoercion):
         return f"({{{self.op}}}u{self.body})"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class DCoUnionRight(DCoercion):
     """Add one operation to the upper endpoint only."""
 
@@ -273,7 +329,7 @@ class DCoUnionRight(DCoercion):
         return f"({{{self.op}}}u+{self.body})"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class DCoCompose(DCoercion):
     after: DCoercion
     before: DCoercion
@@ -293,7 +349,7 @@ class CompTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Var(ValueTerm):
     name: str
 
@@ -301,13 +357,13 @@ class Var(ValueTerm):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class UnitVal(ValueTerm):
     def __str__(self) -> str:
         return "()"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Lam(ValueTerm):
     var: str
     ty: ValueType
@@ -317,7 +373,7 @@ class Lam(ValueTerm):
         return f"(fun {self.var}:{self.ty}. {self.body})"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CastV(ValueTerm):
     val: ValueTerm
     co: VCoercion
@@ -326,7 +382,7 @@ class CastV(ValueTerm):
         return f"({self.val} |> {self.co})"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Return(CompTerm):
     val: ValueTerm
 
@@ -334,7 +390,7 @@ class Return(CompTerm):
         return f"return {self.val}"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class OpCall(CompTerm):
     """Perform `op` with argument `arg`, binding the result in `cont`.
 
@@ -352,7 +408,7 @@ class OpCall(CompTerm):
         return f"{self.op}({self.arg}; {self.bind}:{self.bind_ty}. {self.cont})"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Do(CompTerm):
     var: str
     first: CompTerm
@@ -362,7 +418,7 @@ class Do(CompTerm):
         return f"do {self.var} <- {self.first} in {self.rest}"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class App(CompTerm):
     fn: ValueTerm
     arg: ValueTerm
@@ -371,7 +427,7 @@ class App(CompTerm):
         return f"{self.fn} {self.arg}"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class LetVal(CompTerm):
     var: str
     val: ValueTerm
@@ -381,7 +437,7 @@ class LetVal(CompTerm):
         return f"let {self.var} = {self.val} in {self.body}"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CastC(CompTerm):
     comp: CompTerm
     co: CCoercion
@@ -393,7 +449,7 @@ class CastC(CompTerm):
 # ---------------------------------------------------------------------------
 # Signatures and contexts
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class OpSig:
     """Argument and result type of one operation.
 

@@ -301,4 +301,23 @@ MUTANTS = (
         "        pass",
         "evaluation enumerates a lambda's whole annotation, so its parameters stay enumerable",
         killed_by="tests/test_sample.py::test_buried_params_from_term_annotation"),
+    # -- value classes
+    Mutant(
+        "value-eq-ignores-the-class", "syntax.py",
+        "    if other.__class__ is self.__class__:",
+        '    if getattr(other, "__match_args__", None) == self.__match_args__:',
+        "a node equals only a node of its own class, so `TyUnit()` is not `SkelUnit()`",
+        killed_by="tests/test_syntax.py::test_value_classes_agree_with_their_dataclass_twins"),
+    Mutant(
+        "value-hash-drops-the-last-field", "syntax.py",
+        "    return hash(({own}))",
+        "    return hash(({own})[:-1])",
+        "a node hashes as the tuple of all its fields, as a dataclass does",
+        killed_by="tests/test_syntax.py::test_value_classes_agree_with_their_dataclass_twins"),
+    Mutant(
+        "value-setattr-assigns", "syntax.py",
+        "    raise FrozenInstanceError(f\"cannot {'assign to' if value else 'delete'} field {name!r}\")",
+        "    object.__setattr__(self, name, *value) if value else object.__delattr__(self, name)",
+        "a node is frozen: assigning or deleting a field raises",
+        killed_by="tests/test_syntax.py::test_value_fields_cannot_be_assigned_or_deleted"),
 )

@@ -1,10 +1,18 @@
+import ast
+import copy
 import dataclasses
+import pickle
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from coersimp import polarity, semantics, syntax
+
 from coersimp.corpus import load_bundled
 from coersimp.phases import PRESETS, parse_phase_config, run_phases
-from coersimp.polarity import fp_vty, subst_fps
+from coersimp.polarity import FreeParamSet, fp_vty, subst_fps
 from coersimp.reduce import reduce_context
 from coersimp.syntax import (
     CompType,
@@ -20,10 +28,11 @@ from coersimp.syntax import (
     TyBase,
     TyParam,
     TyUnit,
+    _value_reduce,
     dirt,
 )
 
-from gen import SHAPES, TEST_SIG, shape_context
+from gen import SHAPES, TEST_SIG, random_context, random_fps, random_vty, shape_context
 from support import alpha_equivalent, signature
 
 
@@ -110,29 +119,33 @@ def test_context_describe_and_names():
 # Slotted nodes and the lazy context index
 
 
-def syntax_values(root):
-    """Every instance of a `coersimp.syntax` class reachable from `root`
-    through containers and dataclass fields."""
-    seen, todo, found = set(), [root], []
+def syntax_values(root, modules=("coersimp.syntax",)):
+    """Every instance of a class of `modules` reachable from `root` through
+    containers, the fields of value classes (`__match_args__`) and the
+    fields of dataclass records."""
+    seen, todo, found = {}, [root], []  # `seen` keeps what it saw alive, so no id is reused
     while todo:
         obj = todo.pop()
         if id(obj) in seen or isinstance(obj, (str, int, type(None))):
             continue
-        seen.add(id(obj))
+        seen[id(obj)] = obj
         if isinstance(obj, dict):
             todo.extend(obj.items())
         elif isinstance(obj, (list, tuple, set, frozenset)):
             todo.extend(obj)
-        elif dataclasses.is_dataclass(obj):
-            if type(obj).__module__ == "coersimp.syntax":
+        elif dataclasses.is_dataclass(obj) or hasattr(type(obj), "__match_args__"):
+            if type(obj).__module__ in modules:
                 found.append(obj)
-            todo.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+            names = ([f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj)
+                     else type(obj).__match_args__)
+            todo.extend(getattr(obj, n) for n in names)
     return found
 
 
-def test_syntax_values_have_no_instance_dict():
-    """What the reader, reduction and the phases build is slotted; only a
-    `ParamContext` keeps a dict, for its lazy lookup index."""
+@pytest.fixture(scope="module")
+def pipeline_roots():
+    """What the reader, reduction and the phases build on the bundled
+    corpus and on the `tests/gen.py` shapes and random contexts."""
     roots = []
     for item in load_bundled():
         roots.append(item)
@@ -145,13 +158,173 @@ def test_syntax_values_have_no_instance_dict():
     for family in sorted(SHAPES):
         ctx, pol = shape_context(family, 20)
         roots.append(run_phases(TEST_SIG, ctx, pol, PRESETS["all"]))
-    values = syntax_values(roots)
+    rng = random.Random(7)
+    for _ in range(20):
+        ctx = random_context(rng)
+        roots.append((ctx, random_fps(rng, ctx), random_vty(rng, ctx, depth=3)))
+    return roots
+
+
+def test_syntax_values_have_no_instance_dict(pipeline_roots):
+    """What the reader, reduction and the phases build is slotted; only a
+    `ParamContext` keeps a dict, for its lazy lookup index."""
+    values = syntax_values(pipeline_roots)
     kinds = {type(v).__name__ for v in values}
     assert {"SkelParam", "TyArrow", "Dirt", "VCoCompose", "VCoArrow", "DCoParam",
             "DCoUnionBoth", "Lam", "CastV", "OpCall", "Signature", "OpSig"} <= kinds
     with_dict = {type(v).__name__ for v in values
                  if not isinstance(v, ParamContext) and hasattr(v, "__dict__")}
     assert not with_dict
+
+
+# ---------------------------------------------------------------------------
+# Value classes against their dataclass twins
+
+
+VALUE_MODULES = (syntax, polarity, semantics)
+VALUE_CLASSES = [cls for module in VALUE_MODULES for cls in vars(module).values()
+                 if isinstance(cls, type) and cls.__module__ == module.__name__
+                 and vars(cls).get("__reduce__") is _value_reduce]
+ABSTRACT_BASES = (syntax.Skeleton, syntax.ValueType, syntax.VCoercion, syntax.DCoercion,
+                  syntax.ValueTerm, syntax.CompTerm)
+
+
+CLASS_SOURCES = {(module.__name__, node.name): node for module in VALUE_MODULES
+                 for node in ast.parse(Path(module.__file__).read_text()).body
+                 if isinstance(node, ast.ClassDef)}
+
+
+def dataclass_twin(cls):
+    """`dataclass(frozen=True, slots=True)` over the annotated fields and
+    defaults that `cls`'s source declares: what `cls` was as a dataclass."""
+    spec = []
+    for f in CLASS_SOURCES[cls.__module__, cls.__name__].body:
+        if isinstance(f, ast.AnnAssign):
+            field = (f.target.id, ast.unparse(f.annotation))
+            if f.value is not None:
+                field += (eval(ast.unparse(f.value), vars(sys.modules[cls.__module__])),)
+            spec.append(field)
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True, slots=True)
+
+
+TWINS = {cls: dataclass_twin(cls) for cls in VALUE_CLASSES}
+
+
+def remade(x, make=lambda cls: cls):
+    """`x` with every value-class node in it built afresh as an instance of
+    `make(its class)`: an equal copy that shares no node with `x` by
+    default, its dataclass twin under `make=TWINS.get`."""
+    if type(x) in TWINS:
+        return make(type(x))(*[remade(getattr(x, n), make) for n in type(x).__match_args__])
+    if isinstance(x, tuple):  # a field's frozensets hold names only
+        return tuple(remade(v, make) for v in x)
+    return x
+
+
+def to_twin(x):
+    return remade(x, TWINS.get)
+
+
+@pytest.fixture(scope="module")
+def value_sample(pipeline_roots):
+    """Up to 12 distinct values of each value class, from the pipeline, from
+    the model's computation trees and from skeletons no bundled context
+    declares, and an equal copy of each."""
+    bit = TyBase("bit")
+    extra = [*semantics.enum_comp(TEST_SIG, CompType(bit, dirt())),
+             semantics.eval_comp(TEST_SIG, {}, syntax.OpCall(
+                 "Random", syntax.UnitVal(), "x", bit, syntax.Return(syntax.Var("x")))),
+             SkelArrow(SkelUnit(), syntax.SkelBase("bit"))]
+    by_class = {}
+    for v in syntax_values([pipeline_roots, extra], tuple(m.__name__ for m in VALUE_MODULES)):
+        if type(v) in TWINS:
+            by_class.setdefault(type(v), {}).setdefault(repr(v), v)
+    assert set(by_class) == set(TWINS), set(TWINS) - set(by_class)
+    sample = [v for reprs in by_class.values() for v in sorted(reprs.values(), key=repr)[:12]]
+    return sample + [remade(v) for v in sample]
+
+
+def test_value_classes_are_the_node_classes_and_three_records():
+    """Each node class is built by `value_class`, so none pays for a
+    dataclass at import; the only dataclasses in `syntax` are the three
+    records."""
+    in_syntax = [cls for cls in VALUE_CLASSES if cls.__module__ == "coersimp.syntax"]
+    assert len(in_syntax) == 35
+    assert {cls.__name__ for cls in VALUE_CLASSES if cls not in in_syntax} == {
+        "FreeParamSet", "TreeReturn", "TreeOp"}
+    records = {name for name, cls in vars(syntax).items()
+               if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")}
+    assert records == {"Signature", "ParamContext", "NameSupply"}
+    concrete = {cls for base in ABSTRACT_BASES for cls in base.__subclasses__()}
+    assert len(concrete) == 31 and concrete <= set(VALUE_CLASSES)
+    for cls in VALUE_CLASSES:
+        assert not hasattr(cls, "__dataclass_fields__"), cls
+        assert cls.__slots__ == cls.__match_args__, cls
+
+
+def test_value_classes_agree_with_their_dataclass_twins(value_sample):
+    for cls, twin in TWINS.items():
+        assert cls.__match_args__ == twin.__match_args__, cls
+    twins = [to_twin(v) for v in value_sample]
+    for v, t in zip(value_sample, twins):
+        assert repr(v) == repr(t)
+        assert hash(v) == hash(t), repr(v)
+        assert not hasattr(v, "__dict__"), repr(v)
+    for i, a in enumerate(value_sample):
+        for j, b in enumerate(value_sample):
+            assert (a == b) == (twins[i] == twins[j]), (a, b)
+            assert (a != b) == (twins[i] != twins[j]), (a, b)
+    assert any(a == b and a is not b for a in value_sample for b in value_sample)
+
+
+def test_nodes_of_different_classes_with_the_same_fields_differ():
+    assert TyParam("a") != SkelParam("a")
+    assert syntax.VCoReflParam("a") != syntax.DCoReflParam("a")
+    assert syntax.TyUnit() != SkelUnit() and TyUnit() == TyUnit()
+    assert TyParam("a").__eq__("a") is NotImplemented
+    assert len({TyParam("a"), SkelParam("a"), TyParam("a")}) == 2
+
+
+def test_value_fields_cannot_be_assigned_or_deleted(value_sample):
+    for v in value_sample:
+        twin = to_twin(v)
+        for name in type(v).__match_args__:
+            for change in (lambda x: setattr(x, name, None), lambda x: delattr(x, name)):
+                with pytest.raises(dataclasses.FrozenInstanceError) as got:
+                    change(v)
+                with pytest.raises(dataclasses.FrozenInstanceError) as want:
+                    change(twin)
+                assert str(got.value) == str(want.value)
+        # Any other name is refused too (a slotted dataclass twin fails
+        # here with a TypeError from its stale `super()` cell).
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.other = None
+        assert v == remade(v)
+
+
+def test_values_survive_deepcopy_and_pickle(value_sample):
+    for v in value_sample:
+        copied = copy.deepcopy(v)
+        assert copied == v and type(copied) is type(v)
+        if type(v).__module__ != "coersimp.semantics":  # a tree may hold model functions
+            assert pickle.loads(pickle.dumps(v)) == v
+
+
+def test_value_constructors_take_the_dataclass_arguments():
+    assert Dirt(frozenset({"Fail"})) == Dirt(frozenset({"Fail"}), None)
+    assert Dirt(ops=frozenset(), tail="d") == dirt((), "d")
+    assert FreeParamSet(pos=frozenset({"a"})) == FreeParamSet(frozenset({"a"}), frozenset())
+    assert FreeParamSet() == FreeParamSet(frozenset(), frozenset())
+    assert syntax.OpSig(result=TyUnit(), arg=TyBase("bit")).arg == TyBase("bit")
+    for cls, args, kwargs in ((Dirt, (), {}), (Dirt, (frozenset(), None, "x"), {}),
+                              (SkelUnit, ("x",), {}), (TyArrow, (TyUnit(),), {}),
+                              (FreeParamSet, (), {"both": frozenset()}),
+                              (Dirt, (frozenset(),), {"ops": frozenset()})):
+        with pytest.raises(TypeError) as got:
+            cls(*args, **kwargs)
+        with pytest.raises(TypeError) as want:
+            TWINS[cls](*args, **kwargs)
+        assert str(got.value) == str(want.value)
 
 
 def test_context_index_is_not_part_of_the_value():
