@@ -403,24 +403,36 @@ def derived_empty(d: Dirt) -> DCoercion:
     return right_extend(d.ops, DCoReflEmpty() if d.tail is None else DCoEmptyUnder(d.tail))
 
 
-def derived_refl_dirt(d: Dirt) -> DCoercion:
-    return both_extend(d.ops, DCoReflEmpty() if d.tail is None else DCoReflParam(d.tail))
+def extend_dirt(d: Dirt, at) -> DCoercion:
+    """The homomorphic extension over `d`: `at(tail)`, or the empty
+    reflexivity where `d` is closed, with `d`'s operations on both sides."""
+    return both_extend(d.ops, DCoReflEmpty() if d.tail is None else at(d.tail))
 
 
-def derived_refl_vty(t: ValueType) -> VCoercion:
+def extend_vty(t: ValueType, at_ty, at_dirt) -> VCoercion:
+    """The homomorphic extension over `t`: `at_ty(name)` at a type parameter,
+    `extend_dirt(d, at_dirt)` at each dirt in it, reflexivity at unit and bases."""
     if isinstance(t, TyParam):
-        return VCoReflParam(t.name)
+        return at_ty(t.name)
     if isinstance(t, TyUnit):
         return VCoReflUnit()
     if isinstance(t, TyBase):
         return VCoReflBase(t.name)
     if isinstance(t, TyArrow):
-        return VCoArrow(derived_refl_vty(t.dom), derived_refl_cty(t.cod))
+        return VCoArrow(extend_vty(t.dom, at_ty, at_dirt),
+                        CCoercion(extend_vty(t.cod.ty, at_ty, at_dirt),
+                                  extend_dirt(t.cod.dirt, at_dirt)))
     raise IllFormed(f"not a value type: {t!r}")
 
 
-def derived_refl_cty(c: CompType) -> CCoercion:
-    return CCoercion(derived_refl_vty(c.ty), derived_refl_dirt(c.dirt))
+def derived_refl_dirt(d: Dirt) -> DCoercion:
+    """The reflexivity of `d`: the extension of its tail's reflexivity."""
+    return extend_dirt(d, DCoReflParam)
+
+
+def derived_refl_vty(t: ValueType) -> VCoercion:
+    """The reflexivity of `t`: the extension of each parameter's reflexivity."""
+    return extend_vty(t, VCoReflParam, DCoReflParam)
 
 
 # ---------------------------------------------------------------------------

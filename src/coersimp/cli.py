@@ -37,7 +37,7 @@ from .semantics import (
     check_preservation,
 )
 from .subst import Substitution, apply_value, apply_vty, erase_value
-from .syntax import CastC, CastV, CompTerm, ValueTerm, intern
+from .syntax import EMPTY_CONTEXT, CastC, CastV, CompTerm, ValueTerm, intern
 from .witness import WitnessBug, WitnessPlan, build_witness_total, check_witness_total
 
 STANDARD_CONFIGS = tuple(PRESETS)
@@ -55,13 +55,13 @@ def config_label(text: str) -> str:
 
 
 def metrics_row(config: str, ctx) -> dict:
-    return {
-        "config": config,
-        "dirt_nodes": len(ctx.dirt_params),
-        "dirt_edges": len(ctx.dirt_cos),
-        "type_nodes": len(ctx.ty_params),
-        "type_edges": len(ctx.ty_cos),
-    }
+    """A context's graph metrics, named here only; a literal dict is cheapest."""
+    return {"config": config, "dirt_nodes": len(ctx.dirt_params), "dirt_edges": len(ctx.dirt_cos),
+            "type_nodes": len(ctx.ty_params), "type_edges": len(ctx.ty_cos)}
+
+
+# The metric names of a row, in order: what reports sum and print.
+METRICS = tuple(metrics_row("", EMPTY_CONTEXT))[1:]
 
 
 def _simplified(item: CorpusItem, config: str, full_dirt: bool):
@@ -138,7 +138,7 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
     (`Signature.ground_inclusions`) and each distinct ground coercion is
     checked once (`Signature.ground_checks`), so a later run on the same
     parsed item that draws the same instantiations adds to none of them. A
-    draw's fingerprint is the identities of its images in that table.
+    draw's fingerprint is the identities of its non-coercion images there.
     """
     if item.term is None:
         raise ValueError(f"item {item.name} has no term")
@@ -179,14 +179,14 @@ def cmd_verify(item: CorpusItem, config: str, budget: int = DEFAULT_BUDGET,
 
 
 def fingerprint(eta0: Substitution, interned: dict) -> tuple[int, ...]:
-    """The identities of `eta0`'s images, each interned in `interned` (see
-    `syntax.intern`), map by map in the order `Sampler.draw` fills them.
-    The table keeps every object it holds alive, so no identity in a
-    fingerprint is reused while the table lives, and two draws over one
-    context have equal fingerprints exactly when they are equal. The
-    sampler's images are the signature's own, so each costs one lookup."""
+    """The identities of `eta0`'s skeleton, dirt and type images, each
+    interned in `interned` (`syntax.intern`), in the order a draw fills
+    them; a draw's coercions are a function of these (`ValidityCheck.ground`).
+    The table keeps its objects alive, so no identity is reused while it
+    lives, and two draws over one context have equal fingerprints exactly
+    when they are equal. A draw's images are the table's own: one lookup each."""
     return tuple(id(intern(interned, image))
-                 for part in (eta0.skel, eta0.dirt, eta0.ty, eta0.dco, eta0.vco)
+                 for part in (eta0.skel, eta0.dirt, eta0.ty)
                  for image in part.values())
 
 
@@ -217,14 +217,13 @@ def cmd_report(corpus: list[CorpusItem], configs: list[str],
     per_item = []
     totals = {}
     for c in configs:
-        totals[c] = {"config": config_label(c), "dirt_nodes": 0, "dirt_edges": 0,
-                     "type_nodes": 0, "type_edges": 0}
+        totals[c] = {"config": config_label(c), **dict.fromkeys(METRICS, 0)}
     for item in corpus:
         rows = []
         for c in configs:
             _, _, _, _, after = cmd_simplify(item, c, full_dirt=full_dirt)
             rows.append(after)
-            for k in ("dirt_nodes", "dirt_edges", "type_nodes", "type_edges"):
+            for k in METRICS:
                 totals[c][k] += after[k]
         per_item.append({"item": item.name, "rows": rows})
     return {"items": per_item, "totals": [totals[c] for c in configs]}
@@ -246,12 +245,10 @@ def _emit_json(data) -> None:
 
 
 def _rows_table(rows: list[dict], lead: str, lead_key: str) -> str:
-    header = [lead, "config", "dirt nodes", "dirt edges", "type nodes", "type edges"]
+    header = [lead, "config", *(k.replace("_", " ") for k in METRICS)]
     table = [header]
     for r in rows:
-        table.append([str(r.get(lead_key, "")), r["config"],
-                      str(r["dirt_nodes"]), str(r["dirt_edges"]),
-                      str(r["type_nodes"]), str(r["type_edges"])])
+        table.append([str(r.get(lead_key, "")), r["config"], *(str(r[k]) for k in METRICS)])
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     lines = []
     for row in table:
@@ -333,10 +330,8 @@ def _run_simplify(args, items) -> int:
             {
                 "item": item.name,
                 "config": before["config"],
-                "before": {k: before[k] for k in
-                           ("dirt_nodes", "dirt_edges", "type_nodes", "type_edges")},
-                "after": {k: after[k] for k in
-                          ("dirt_nodes", "dirt_edges", "type_nodes", "type_edges")},
+                "before": {k: before[k] for k in METRICS},
+                "after": {k: after[k] for k in METRICS},
                 "type": None if new_ty is None else str(new_ty),
                 "term": None if new_term is None else str(new_term),
                 "coercion_params": after["dirt_edges"] + after["type_edges"],

@@ -19,12 +19,10 @@ simplifier's completeness witnesses are assembled from.
 
 from __future__ import annotations
 
-from .check import CheckError, EndpointMismatch, both_extend
+from .check import CheckError, EndpointMismatch, extend_dirt, extend_vty
 from .subst import Substitution, sort_of
 from .syntax import (
-    CCoercion,
     CompType,
-    DCoReflEmpty,
     DCoercion,
     Dirt,
     ParamContext,
@@ -33,9 +31,6 @@ from .syntax import (
     TyBase,
     TyParam,
     TyUnit,
-    VCoArrow,
-    VCoReflBase,
-    VCoReflUnit,
     VCoercion,
     ValueType,
     value_class,
@@ -55,9 +50,6 @@ class FreeParamSet:
 
     def members(self) -> frozenset[str]:
         return self.pos | self.neg
-
-    def bipolar(self) -> frozenset[str]:
-        return self.pos & self.neg
 
     def __str__(self) -> str:
         def fmt(names):
@@ -119,36 +111,22 @@ class FamilyError(CheckError):
     pass
 
 
-def extend_family_dirt(fam: dict, d: Dirt) -> DCoercion:
-    if d.tail is None:
-        body: DCoercion = DCoReflEmpty()
-    else:
+def _entries(fam: dict, kind: str):
+    """A family's entry at a parameter of one kind, as the extension reads it."""
+    def at(name: str):
         try:
-            body = fam[d.tail]
+            return fam[name]
         except KeyError:
-            raise FamilyError(f"family has no entry for dirt parameter {d.tail}")
-    return both_extend(d.ops, body)
+            raise FamilyError(f"family has no entry for {kind} parameter {name}")
+    return at
+
+
+def extend_family_dirt(fam: dict, d: Dirt) -> DCoercion:
+    return extend_dirt(d, _entries(fam, "dirt"))
 
 
 def extend_family_vty(fam: dict, t: ValueType) -> VCoercion:
-    if isinstance(t, TyParam):
-        try:
-            return fam[t.name]
-        except KeyError:
-            raise FamilyError(f"family has no entry for type parameter {t.name}")
-    if isinstance(t, TyUnit):
-        return VCoReflUnit()
-    if isinstance(t, TyBase):
-        return VCoReflBase(t.name)
-    if isinstance(t, TyArrow):
-        return VCoArrow(
-            extend_family_vty(fam, t.dom),
-            CCoercion(
-                extend_family_vty(fam, t.cod.ty),
-                extend_family_dirt(fam, t.cod.dirt),
-            ),
-        )
-    raise TypeError(f"not a value type: {t!r}")
+    return extend_vty(t, _entries(fam, "type"), _entries(fam, "dirt"))
 
 
 def compose_families(after: dict, before: dict, fps: FreeParamSet) -> dict:

@@ -5,7 +5,9 @@ fixpoint pushed up by concrete operations on lower bounds) plus random
 noise, then repaired by shrinking lower tails only; shrinking is monotone,
 so the repair always lands on a valid assignment. Type upper bounds are
 raised to their join with the lower bound when no inclusion coercion
-exists. Constraint names then get actual inclusion coercions.
+exists. The draw's validity check then grounds it
+(`ValidityCheck.ground`): each constraint name gets the inclusion
+coercion between its bounds' final images, and the draw is checked.
 
 A draw builds every image in its signature's intern table
 (`Signature.interned`, `syntax.intern`), so equal images are one object.
@@ -14,8 +16,8 @@ has settled. The type repair asks the signature's inclusion table, by the
 identities of two images, whether a coercion exists
 (`check.interned_inclusion`); the table decides each pair once and
 remembers a missing coercion too, so an examination costs one lookup.
-Each constraint then takes its coercion from the same table, once, at its
-final images.
+Grounding takes each constraint's coercion from the same table, so a
+draw's coercions are a function of its images.
 
 A `Sampler` prepares once what every draw of one context reads: the
 forced content, the pinned parameters of each mode, the repairs' watcher
@@ -266,8 +268,8 @@ class Sampler:
 
     def draw(self, rng: random.Random, enumerable: bool = False,
              strict: bool = False) -> Substitution:
-        """One ground instantiation, validated before returning. Every image
-        is interned in `sig.interned`."""
+        """One ground instantiation, grounded and validated by the prepared
+        check before returning. Every image is interned in `sig.interned`."""
         sig, ctx, ops, table = self.sig, self.ctx, self.ops, self.sig.interned
         enumerable = enumerable or strict
         pinned = self.every if strict else self.buried if enumerable else frozenset()
@@ -300,14 +302,8 @@ class Sampler:
             return lo.tail
 
         _settle(len(ctx.dirt_cos), repair_dirt, self.uppers)
-        dirts = sub.dirt
         for d, s in sets.items():
-            dirts[d] = closed_dirt(table, s)
-
-        def dirt_image(d: Dirt) -> Dirt:
-            if d.ops or d.tail not in dirts:
-                return closed_dirt(table, ops_of(d))
-            return dirts[d.tail]
+            sub.dirt[d] = closed_dirt(table, s)
 
         tys = sub.ty
         gskels: dict[int, Skeleton] = {}  # id(classifier) -> its image
@@ -335,16 +331,7 @@ class Sampler:
             return hi.name
 
         _settle(len(ctx.ty_cos), repair_type, self.mentions)
-
-        # Every constraint holds at the final images, and takes its coercion
-        # there.
-        for name, lo, hi in ctx.dirt_cos:
-            sub.dco[name] = interned_inclusion(sig, dirt_image(lo), dirt_image(hi))
-        for name, lo, hi in ctx.ty_cos:
-            sub.vco[name] = interned_inclusion(sig, image(lo), image(hi))
-
-        self.valid.check(sub)
-        return sub
+        return self.valid.ground(sub)
 
 
 def sample_eta(

@@ -40,6 +40,7 @@ from .check import (
     derived_refl_dirt,
     derived_refl_vty,
     dirt_inclusion_coercion,
+    interned_inclusion,
     is_closed_vty,
     value_inclusion_coercion,
     vco_endpoint,
@@ -110,9 +111,6 @@ class Substitution:
     def maps(self) -> tuple[dict, dict, dict, dict, dict]:
         """The five maps, in declaration order."""
         return self.skel, self.dirt, self.ty, self.dco, self.vco
-
-    def is_identity(self) -> bool:
-        return not any(self.maps())
 
     def domain(self) -> set[str]:
         return set().union(*self.maps())
@@ -501,7 +499,8 @@ class ValidityCheck:
 
     The rows are checked in the order of `src`, and each failure raises
     what the judgments in `check` raise, as `UnmappedParam` for an
-    unmapped name that `dst` lacks.
+    unmapped name that `dst` lacks. The rows of a ground check also give
+    a draw or a replay its coercions (`ground`).
     """
 
     def __init__(self, sig: Signature, src: ParamContext, dst: ParamContext):
@@ -590,6 +589,28 @@ class ValidityCheck:
                     _mismatch(name, got, want)
 
         self.accepted = tuple(dict(m) for m in maps)
+
+    def ground(self, sub: Substitution) -> Substitution:
+        """Give each constraint of `src` the inclusion between its bounds'
+        images under `sub` (`check.interned_inclusion`), dirt rows first,
+        each sort in context order, then check `sub` and return it. A pair
+        without one raises the builder's `NoWitness`. Only a check into
+        `EMPTY_CONTEXT` grounds: it interns constants in `sig.interned` too."""
+        sig, interned = self.sig, self.sig.interned
+        for sort, rows in self.co_rows:
+            images, cos, apply = getattr(sub, sort.params), getattr(sub, sort.cos), sort.apply
+            for name, lo, lkey, glo, hi, hkey, ghi in rows:
+                if glo is None:
+                    glo = intern(interned, images.get(lkey, lo) if lkey is not None
+                                 else apply(sub, lo))
+                if ghi is None:
+                    ghi = intern(interned, images.get(hkey, hi) if hkey is not None
+                                 else apply(sub, hi))
+                co = cos[name] = interned_inclusion(sig, glo, ghi)
+                if co is None:
+                    sort.inclusion(glo, ghi)  # raises NoWitness with its own message
+        self.check(sub)
+        return sub
 
 
 # A reader of a classifier is `(classifier, key, const)`: a bare parameter

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .check import dirt_inclusion_coercion, interned_inclusion
+from .check import dirt_inclusion_coercion
 from .phases import PhaseResult, PhaseStep
 from .polarity import check_family, compose_families, precompose_family
 from .subst import SORTS, Substitution, ValidityCheck, apply_dirt, check_validity, compose_at
-from .syntax import EMPTY_CONTEXT, Dirt, Signature, TyArrow, TyParam, closed_dirt, intern
+from .syntax import EMPTY_CONTEXT, Dirt, Signature, TyArrow, TyParam, closed_dirt
 
 
 class WitnessBug(Exception):
@@ -163,13 +163,12 @@ class ReductionReplay:
 
     It keeps each original name's pattern, the image of that name under
     reduction; a name reduction kept has none, and its ground image is
-    its own. It prepares the reduced context's validity check, whose rows
-    also serve the replay: each bound of a reduced constraint is read by
-    its sort's reader, as a bare parameter's image, a closed constant
-    interned in the signature, or substituted. A replay then matches ground
-    images against the patterns, binding each sub-image as the object it
-    is and each dirt it computes as the signature's interned one, and asks
-    the signature for inclusion coercions between the bounds' images.
+    its own. It prepares the reduced context's validity check, which also
+    grounds the replay. A replay matches ground images against the
+    patterns, binding each sub-image as the object it is and each dirt it
+    computes as the signature's interned one, and ends with the check's
+    `ground`, which gives each reduced constraint the signature's inclusion
+    coercion between its bounds' images and checks the result.
     """
 
     def __init__(self, sig: Signature, red):
@@ -179,7 +178,7 @@ class ReductionReplay:
         self.valid = ValidityCheck(sig, red.context, EMPTY_CONTEXT)
 
     def replay(self, eta0: Substitution) -> Substitution:
-        sig, interned = self.sig, self.sig.interned
+        interned = self.sig.interned
         eta = Substitution(skel=dict(eta0.skel))
         dirts, tys = eta.dirt, eta.ty
         patterns = self.dirt_patterns
@@ -198,25 +197,7 @@ class ReductionReplay:
                 _match_vty(pattern, ground, eta, interned)
             else:
                 _bind(tys, name, ground)
-
-        # Coercion names get the signature's inclusion witnesses; the bounds
-        # hold because the factored instantiation satisfies every reduced
-        # constraint. A closed bound's reader holds its interned image.
-        for sort, rows in self.valid.co_rows:
-            images, cos, apply = getattr(eta, sort.params), getattr(eta, sort.cos), sort.apply
-            for name, lo, lkey, glo, hi, hkey, ghi in rows:
-                if glo is None:
-                    glo = intern(interned, images.get(lkey, lo) if lkey is not None
-                                 else apply(eta, lo))
-                if ghi is None:
-                    ghi = intern(interned, images.get(hkey, hi) if hkey is not None
-                                 else apply(eta, hi))
-                co = cos[name] = interned_inclusion(sig, glo, ghi)
-                if co is None:
-                    sort.inclusion(glo, ghi)  # raises NoWitness with its own message
-
-        self.valid.check(eta)
-        return eta
+        return self.valid.ground(eta)
 
 
 def replay_reduction(plan: ReductionReplay, eta0: Substitution) -> Substitution:
@@ -229,8 +210,8 @@ def replay_reduction(plan: ReductionReplay, eta0: Substitution) -> Substitution:
     image; a successful match makes the two agree at that name. Reduction's
     substitution also maps intermediate names it made up on the way, which
     have no ground image and are not read. The result grounds the reduced
-    context with the signature's inclusion coercions
-    (`check.interned_inclusion`) and is checked valid before it is returned.
+    context with the signature's inclusion coercions and is checked valid
+    before it is returned, both by `ValidityCheck.ground`.
     `build_witness_total` does not replay a reduction that returned its
     input; there the result would be `eta0` itself."""
     return plan.replay(eta0)

@@ -28,7 +28,13 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # -- phases and polarity
+    # -- derived coercions, phases and polarity
+    Mutant(
+        "extend-dirt-extends-only-the-upper-side", "check.py",
+        "    return both_extend(d.ops, DCoReflEmpty() if d.tail is None else at(d.tail))",
+        "    return right_extend(d.ops, DCoReflEmpty() if d.tail is None else at(d.tail))",
+        "the extension over a dirt adds its operations to both endpoints",
+        killed_by="tests/test_polarity.py::test_reflexivity_is_the_extension_of_each_parameters_reflexivity"),
     Mutant(
         "bridge-out-order-swapped", "phases.py",
         "eta = {x.name: make(both_extend(x.ops, crossing), co(x.name)) for x in g.in_edges(node)}",
@@ -145,6 +151,12 @@ MUTANTS = (
         "                want = next(iter(wants.values()), None)",
         "each compound classifier of a type parameter has its own image",
         killed_by="tests/test_subst.py::test_prepared_check_agrees_with_the_reference_on_bench_shapes"),
+    Mutant(
+        "ground-reads-the-upper-image-for-the-lower", "subst.py",
+        "co = cos[name] = interned_inclusion(sig, glo, ghi)",
+        "co = cos[name] = interned_inclusion(sig, ghi, ghi)",
+        "each constraint's coercion runs from its lower bound's image to its upper one's",
+        killed_by="tests/test_subst.py::test_ground_fills_the_coercions_dirt_rows_first_in_context_order"),
     # -- witness and reduction replay
     Mutant(
         "match-dirt-accepts-a-tail", "witness.py",
@@ -226,17 +238,10 @@ MUTANTS = (
         killed_by="tests/test_corpus_cli.py::test_cli_verify_lists_a_failed_witness_check"),
     Mutant(
         "fingerprint-drops-the-dirt-map", "cli.py",
-        "for part in (eta0.skel, eta0.dirt, eta0.ty, eta0.dco, eta0.vco)",
-        "for part in (eta0.skel, eta0.ty, eta0.dco, eta0.vco)",
+        "for part in (eta0.skel, eta0.dirt, eta0.ty)",
+        "for part in (eta0.skel, eta0.ty)",
         "two draws share a fingerprint only if they are equal",
         killed_by="tests/test_semantics.py::test_fingerprints_are_equal_exactly_when_draws_are"),
-    Mutant(
-        "fingerprint-drops-the-vco-map", "cli.py",
-        "for part in (eta0.skel, eta0.dirt, eta0.ty, eta0.dco, eta0.vco)",
-        "for part in (eta0.skel, eta0.dirt, eta0.ty, eta0.dco)",
-        "equal fingerprints mean equal draws; over the sampler's draws a coercion follows"
-        " from its images",
-        survives=True),
     Mutant(
         "simplify-typechecks-only-the-erased-term", "cli.py",
         '        _typecheck(item, sim, rewritten, new_ty, "rewritten")\n'

@@ -103,7 +103,7 @@ def test_criterion_3_corpus_metrics_against_goldens():
         fps = fp_vty(item.poltype) if item.poltype is not None else EMPTY_FPS
         sim = simplify(item.signature, item.context, fps, PRESETS["all"])
         residual = {n for n, _ in sim.context.ty_params}
-        if not (residual & sim.phases.fps.bipolar()):
+        if not (residual & sim.phases.fps.pos & sim.phases.fps.neg):
             assert not sim.context.ty_cos, item.name
     by = {row["config"]: row for row in report["totals"]}
     for col in ("dirt_nodes", "dirt_edges", "type_nodes", "type_edges"):

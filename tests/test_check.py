@@ -12,7 +12,6 @@ from coersimp.check import (
     check_dco,
     check_vco,
     derived_empty,
-    derived_refl_cty,
     derived_refl_dirt,
     derived_refl_vty,
     dirt_inclusion_coercion,

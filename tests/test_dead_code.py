@@ -1,8 +1,10 @@
-"""Every module-level name of the package is reached from `cli.main`, and
-every import sits at module level."""
+"""Every module-level name of the package is reached from `cli.main`,
+every method is named outside its own definition, and every import sits
+at module level."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,3 +95,27 @@ def test_no_function_imports():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node))]
     assert not inner, inner
+
+
+
+def names_in(node) -> Counter:
+    """How often each identifier is named under `node`: as a name, an
+    attribute or a string constant."""
+    return Counter(x for n in ast.walk(node)
+                   for x in (getattr(n, "id", None), getattr(n, "attr", None),
+                             getattr(n, "value", None))
+                   if isinstance(x, str))
+
+
+def test_every_method_is_named_outside_its_own_definition():
+    """Each non-dunder method of a package class is named somewhere in
+    `src/` outside its own definition, so no method is left that only
+    tests call."""
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    everywhere = sum((names_in(tree) for tree in trees), Counter())
+    unnamed = [f"{cls.name}.{fn.name}"
+               for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+               and everywhere[fn.name] == names_in(fn)[fn.name]]
+    assert not unnamed, unnamed

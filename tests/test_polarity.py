@@ -1,8 +1,10 @@
 """Occurrence polarity and coercion families."""
 
+import random
+
 import pytest
 
-from coersimp.check import EndpointMismatch, check_dco, check_vco
+from coersimp.check import EndpointMismatch, check_dco, check_vco, derived_refl_vty
 from coersimp.polarity import (
     EMPTY_FPS,
     FamilyError,
@@ -39,7 +41,7 @@ from coersimp.syntax import (
     dirt,
 )
 
-from gen import TEST_SIG
+from gen import TEST_SIG, random_context, random_vty
 
 A, B, C, D, E = (TyParam(n) for n in "abcde")
 
@@ -77,7 +79,7 @@ def test_fp_nested_argument_flips_twice():
 def test_fp_bipolar_member():
     t = arrow(A, A)
     got = fp_vty(t)
-    assert got.bipolar() == frozenset({"a"})
+    assert got.pos & got.neg == frozenset({"a"})
     assert got.members() == frozenset({"a"})
 
 
@@ -90,7 +92,7 @@ def test_fps_algebra():
     f = fps(pos={"a", "b"}, neg={"b"})
     assert f.swap() == fps(pos={"b"}, neg={"a", "b"})
     assert f.union(fps(neg={"c"})) == fps(pos={"a", "b"}, neg={"b", "c"})
-    assert f.bipolar() == frozenset({"b"})
+    assert f.pos & f.neg == frozenset({"b"})
     assert str(f) == "<+{a,b} -{b}>"
 
 
@@ -276,6 +278,21 @@ def test_precompose_family():
                  fps(pos={"a", "d", "b"}))
     with pytest.raises(FamilyError):
         precompose_family(fam, inner, ["zz"])
+
+
+def test_reflexivity_is_the_extension_of_each_parameters_reflexivity():
+    """Over random types, `derived_refl_vty(t)` is `extend_family_vty` of the
+    family that maps each parameter of `t` to its reflexivity, and both
+    check to `(t, t)`."""
+    rng = random.Random("refl-family")
+    for _ in range(300):
+        ctx = random_context(rng)
+        t = random_vty(rng, ctx, depth=3)
+        tys = {n for n, _ in ctx.ty_params}
+        fam = {n: VCoReflParam(n) if n in tys else DCoReflParam(n) for n in fp_vty(t).members()}
+        refl = derived_refl_vty(t)
+        assert extend_family_vty(fam, t) == refl
+        assert check_vco(TEST_SIG, ctx, refl) == (t, t)
 
 
 def test_extend_family_vty_refl_leaves():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from coersimp import sample
-from coersimp.check import value_inclusion_coercion
+from coersimp.check import NoWitness, value_inclusion_coercion
 from coersimp.corpus import load_bundled
 from coersimp.sample import (
     SampleError,
@@ -339,6 +339,23 @@ def test_prepared_sampler_fails_in_the_draw_with_the_reference_message():
         for mode in MODES:
             with pytest.raises(SampleError, match="unsatisfiable constraint p1"):
                 sampler.draw(random.Random(i), **MODES[mode])
+
+
+def test_a_draw_without_an_inclusion_fails_with_the_builders_message(monkeypatch):
+    """A draw ends with `ValidityCheck.ground`: a constraint whose final
+    images have no inclusion coercion raises `NoWitness` with the message
+    of `value_inclusion_coercion`, not `UnmappedParam`. The type repair is
+    made to accept every pair, so a closed pair without one gets there."""
+    lo, hi = arrow(TyUnit(), TyUnit(), dirt(("Fail",))), arrow(TyUnit(), TyUnit())
+    ctx = ParamContext((), (), (), (), (("w1", lo, hi),))
+    with pytest.raises(SampleError, match="cannot satisfy"):
+        Sampler(TEST_SIG, ctx).draw(random.Random(0))
+    with pytest.raises(NoWitness) as want:
+        value_inclusion_coercion(lo, hi)
+    monkeypatch.setattr(sample, "interned_inclusion", lambda sig, lo, hi: "accepted")
+    with pytest.raises(NoWitness) as got:
+        Sampler(TEST_SIG, ctx).draw(random.Random(0))
+    assert str(got.value) == str(want.value)
 
 
 def test_settle_examines_again_a_constraint_its_own_repair_left_unsettled():

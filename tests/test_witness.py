@@ -145,7 +145,7 @@ def test_scc_witness_demands_equal_cycle_images():
 def test_replay_reduction_factors_exactly():
     for item in load_bundled():
         red = reduce_context(item.signature, item.context)
-        if red.subst.is_identity():
+        if not any(red.subst.maps()):
             continue
         plan = ReductionReplay(item.signature, red)
         for i in range(5):
