@@ -14,6 +14,11 @@ Application is homomorphic on all syntax, with two non-obvious clauses:
 
 Dirt application flattens: substituting a tail re-canonicalizes the op set.
 
+Application and composition share what they do not change: an applier
+returns the node it was given where no name under it is mapped, and
+rebuilds only the spine above a mapped name; composing after a
+substitution that maps nothing copies the maps without walking an image.
+
 Validity of `sub : src -> dst` is checked parameter by parameter, left to
 right through `src`, against the substituted classifier. A parameter without
 a mapping must itself exist (suitably classified) in `dst`; if it does not,
@@ -128,7 +133,8 @@ def apply_skel(sub: Substitution, s: Skeleton) -> Skeleton:
     if isinstance(s, (SkelUnit, SkelBase)):
         return s
     if isinstance(s, SkelArrow):
-        return SkelArrow(apply_skel(sub, s.dom), apply_skel(sub, s.cod))
+        dom, cod = apply_skel(sub, s.dom), apply_skel(sub, s.cod)
+        return s if dom is s.dom and cod is s.cod else SkelArrow(dom, cod)
     raise TypeError(f"not a skeleton: {s!r}")
 
 
@@ -145,12 +151,14 @@ def apply_vty(sub: Substitution, t: ValueType) -> ValueType:
     if isinstance(t, (TyUnit, TyBase)):
         return t
     if isinstance(t, TyArrow):
-        return TyArrow(apply_vty(sub, t.dom), apply_cty(sub, t.cod))
+        dom, cod = apply_vty(sub, t.dom), apply_cty(sub, t.cod)
+        return t if dom is t.dom and cod is t.cod else TyArrow(dom, cod)
     raise TypeError(f"not a value type: {t!r}")
 
 
 def apply_cty(sub: Substitution, c: CompType) -> CompType:
-    return CompType(apply_vty(sub, c.ty), apply_dirt(sub, c.dirt))
+    ty, d = apply_vty(sub, c.ty), apply_dirt(sub, c.dirt)
+    return c if ty is c.ty and d is c.dirt else CompType(ty, d)
 
 
 def apply_dco(sub: Substitution, g: DCoercion) -> DCoercion:
@@ -166,12 +174,12 @@ def apply_dco(sub: Substitution, g: DCoercion) -> DCoercion:
         if g.tail in sub.dirt:
             return derived_empty(sub.dirt[g.tail])
         return g
-    if isinstance(g, DCoUnionBoth):
-        return DCoUnionBoth(g.op, apply_dco(sub, g.body))
-    if isinstance(g, DCoUnionRight):
-        return DCoUnionRight(g.op, apply_dco(sub, g.body))
+    if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
+        body = apply_dco(sub, g.body)
+        return g if body is g.body else type(g)(g.op, body)
     if isinstance(g, DCoCompose):
-        return DCoCompose(apply_dco(sub, g.after), apply_dco(sub, g.before))
+        after, before = apply_dco(sub, g.after), apply_dco(sub, g.before)
+        return g if after is g.after and before is g.before else DCoCompose(after, before)
     raise TypeError(f"not a dirt coercion: {g!r}")
 
 
@@ -185,45 +193,51 @@ def apply_vco(sub: Substitution, g: VCoercion) -> VCoercion:
     if isinstance(g, (VCoReflUnit, VCoReflBase)):
         return g
     if isinstance(g, VCoArrow):
-        return VCoArrow(apply_vco(sub, g.arg), apply_cco(sub, g.res))
+        arg, res = apply_vco(sub, g.arg), apply_cco(sub, g.res)
+        return g if arg is g.arg and res is g.res else VCoArrow(arg, res)
     if isinstance(g, VCoCompose):
-        return VCoCompose(apply_vco(sub, g.after), apply_vco(sub, g.before))
+        after, before = apply_vco(sub, g.after), apply_vco(sub, g.before)
+        return g if after is g.after and before is g.before else VCoCompose(after, before)
     raise TypeError(f"not a value coercion: {g!r}")
 
 
 def apply_cco(sub: Substitution, g: CCoercion) -> CCoercion:
-    return CCoercion(apply_vco(sub, g.vco), apply_dco(sub, g.dco))
+    vco, dco = apply_vco(sub, g.vco), apply_dco(sub, g.dco)
+    return g if vco is g.vco and dco is g.dco else CCoercion(vco, dco)
 
 
 def apply_value(sub: Substitution, v: ValueTerm) -> ValueTerm:
     if isinstance(v, (Var, UnitVal)):
         return v
     if isinstance(v, Lam):
-        return Lam(v.var, apply_vty(sub, v.ty), apply_comp(sub, v.body))
+        ty, body = apply_vty(sub, v.ty), apply_comp(sub, v.body)
+        return v if ty is v.ty and body is v.body else Lam(v.var, ty, body)
     if isinstance(v, CastV):
-        return CastV(apply_value(sub, v.val), apply_vco(sub, v.co))
+        val, co = apply_value(sub, v.val), apply_vco(sub, v.co)
+        return v if val is v.val and co is v.co else CastV(val, co)
     raise TypeError(f"not a value term: {v!r}")
 
 
 def apply_comp(sub: Substitution, c: CompTerm) -> CompTerm:
     if isinstance(c, Return):
-        return Return(apply_value(sub, c.val))
+        val = apply_value(sub, c.val)
+        return c if val is c.val else Return(val)
     if isinstance(c, OpCall):
-        return OpCall(
-            c.op,
-            apply_value(sub, c.arg),
-            c.bind,
-            apply_vty(sub, c.bind_ty),
-            apply_comp(sub, c.cont),
-        )
+        arg, ty, cont = apply_value(sub, c.arg), apply_vty(sub, c.bind_ty), apply_comp(sub, c.cont)
+        return (c if arg is c.arg and ty is c.bind_ty and cont is c.cont
+                else OpCall(c.op, arg, c.bind, ty, cont))
     if isinstance(c, Do):
-        return Do(c.var, apply_comp(sub, c.first), apply_comp(sub, c.rest))
+        first, rest = apply_comp(sub, c.first), apply_comp(sub, c.rest)
+        return c if first is c.first and rest is c.rest else Do(c.var, first, rest)
     if isinstance(c, App):
-        return App(apply_value(sub, c.fn), apply_value(sub, c.arg))
+        fn, arg = apply_value(sub, c.fn), apply_value(sub, c.arg)
+        return c if fn is c.fn and arg is c.arg else App(fn, arg)
     if isinstance(c, LetVal):
-        return LetVal(c.var, apply_value(sub, c.val), apply_comp(sub, c.body))
+        val, body = apply_value(sub, c.val), apply_comp(sub, c.body)
+        return c if val is c.val and body is c.body else LetVal(c.var, val, body)
     if isinstance(c, CastC):
-        return CastC(apply_comp(sub, c.comp), apply_cco(sub, c.co))
+        comp, co = apply_comp(sub, c.comp), apply_cco(sub, c.co)
+        return c if comp is c.comp and co is c.co else CastC(comp, co)
     raise TypeError(f"not a computation term: {c!r}")
 
 
@@ -334,6 +348,8 @@ def apply_context(sub: Substitution, ctx: ParamContext) -> ParamContext:
 # Composition: (compose(s2, s1))(p) = s2(s1(p))
 
 def compose(s2: Substitution, s1: Substitution) -> Substitution:
+    if not any(s2.maps()):  # every image of s1 is its own image under s2
+        return s1.copy()
     out = Substitution(
         {n: apply_skel(s2, s) for n, s in s1.skel.items()},
         {n: apply_dirt(s2, d) for n, d in s1.dirt.items()},

@@ -4,7 +4,9 @@ Contexts come out in canonical form (parameter-skeleton type params,
 param-to-param type constraints, bare-parameter lower bounds on dirt
 constraints) so they can feed the phase pipeline directly. Every context
 is satisfiable: dirt lower bounds are bare parameters, so the all-empty
-assignment works.
+assignment works. The exception is `structural_context`, the bench's
+reduction-bound shape: its closed lower bounds and arrow skeletons are
+for reduction to canonicalize.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from coersimp.syntax import (
     NameSupply,
     ParamContext,
     Signature,
+    SkelArrow,
     SkelParam,
+    Skeleton,
     TyArrow,
     TyBase,
     TyParam,
@@ -171,6 +175,41 @@ def reference_run(sig, sim, instructions):
     reduce_context(sig, sim.original, supply)
     return run_reference_phases(sig, sim.reduction.context, sim.phases.fps0,
                                 instructions, supply)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's reduction-bound shape
+
+def arrow_skel(depth: int) -> Skeleton:
+    """`s1` under `depth` levels of arrows, each side alike."""
+    if depth == 0:
+        return SkelParam("s1")
+    return SkelArrow(arrow_skel(depth - 1), arrow_skel(depth - 1))
+
+
+def structural_context(depth: int, size: int, seed: int = 0, extra: int = 0) -> ParamContext:
+    """The bench's structural shape: a chain of type parameters at
+    depth-`depth` arrow skeletons and a dirt chain fed by closed lower
+    bounds, about `size` output parameters in all. Here the four feeds
+    fall anywhere in the chain, each with its own operation, and `extra`
+    labeled dirt edges, backwards too, join random chain links."""
+    rng = random.Random(f"{depth}:{size}:{seed}")
+    per = 2 ** (depth + 1) - 1
+    count = max(2, (size // 2) // per)
+    n = size - count * per
+    feeds = [(rng.choice(OPS), rng.randrange(n)) for _ in range(4)]
+    links = [(rng.randrange(n), rng.randrange(n)) for _ in range(extra)]
+    return ParamContext(
+        ("s1",),
+        tuple(f"e{i}" for i in range(n)),
+        tuple((f"f{i}", arrow_skel(depth)) for i in range(count)),
+        tuple((f"g{i}", dirt((), f"e{i}"), dirt((), f"e{i + 1}")) for i in range(n - 1))
+        + tuple((f"h{j}", Dirt(frozenset({op}), None), dirt((), f"e{i}"))
+                for j, (op, i) in enumerate(feeds))
+        + tuple((f"x{k}", dirt((), f"e{u}"), Dirt(frozenset(rng.sample(OPS, 1)), f"e{v}"))
+                for k, (u, v) in enumerate(links)),
+        tuple((f"c{i}", TyParam(f"f{i}"), TyParam(f"f{i + 1}")) for i in range(count - 1)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,31 @@ MUTANTS = (
         "                        pass",
         "an edge into a finished component lowers no lowlink",
         killed_by="tests/test_acceptance.py::test_criterion_1_apply_if_worked_example"),
+    # -- application and composition
+    Mutant(
+        "apply-arrow-keeps-a-changed-codomain", "subst.py",
+        "        return t if dom is t.dom and cod is t.cod else TyArrow(dom, cod)",
+        "        return t if dom is t.dom else TyArrow(dom, cod)",
+        "an arrow type is kept only when neither its domain nor its codomain changed",
+        killed_by="tests/test_subst.py::test_appliers_share_what_they_do_not_change_on_random_syntax"),
+    Mutant(
+        "apply-cco-keeps-a-changed-dirt", "subst.py",
+        "    return g if vco is g.vco and dco is g.dco else CCoercion(vco, dco)",
+        "    return g if vco is g.vco else CCoercion(vco, dco)",
+        "a computation coercion is kept only when neither of its parts changed",
+        killed_by="tests/test_subst.py::test_appliers_share_what_they_do_not_change_on_random_syntax"),
+    Mutant(
+        "apply-lam-keeps-a-changed-body", "subst.py",
+        "        return v if ty is v.ty and body is v.body else Lam(v.var, ty, body)",
+        "        return v if ty is v.ty else Lam(v.var, ty, body)",
+        "a function is kept only when neither its annotation nor its body changed",
+        killed_by="tests/test_subst.py::test_appliers_share_what_they_do_not_change_on_corpus_items"),
+    Mutant(
+        "compose-skips-a-later-substitution", "subst.py",
+        "    if not any(s2.maps()):",
+        "    if any(s2.maps()):",
+        "only a later substitution that maps nothing leaves the earlier one's images as they are",
+        killed_by="tests/test_subst.py::test_compose_after_an_empty_substitution_walks_nothing"),
     # -- reduction and resolution
     Mutant(
         "phi-tc-guard-deleted", "reduce.py",

@@ -1,12 +1,14 @@
 """Simplify cost per parameter past the bench sizes, and the collector's share.
 
-Runs `cli.cmd_simplify` under `all`, once per size, on the chain and ladder
-contexts of `gen.shape_context` at 1,600, 6,400 and 25,600 parameters per
-sort, with the shape's own polarity (first node negative, last positive)
-carried by the item's type. For each run it prints the seconds taken, the
-microseconds per parameter (seconds over parameters per sort), the steps,
-and the collections of each generation of the cyclic collector during the
-run, from `gc.get_stats()` before and after.
+Runs `cli.cmd_simplify` once per size on three shapes, each at 1,600,
+6,400 and 25,600 parameters: under `all`, the chain and ladder contexts of
+`gen.shape_context` (parameters per sort), with the shape's own polarity
+(first node negative, last positive) carried by the item's type; and under
+`scc`, the reduction-bound `gen.structural_context` at depth 2 (output
+parameters), whose type runs from its first type parameter to its last.
+For each run it prints the seconds taken, the microseconds per parameter,
+the steps, and the collections of each generation of the cyclic collector
+during the run, from `gc.get_stats()` before and after.
 
     PYTHONPATH=src python tests/scale.py [size ...]
 
@@ -24,7 +26,7 @@ from coersimp.corpus import CorpusItem
 from coersimp.polarity import fp_vty
 from coersimp.syntax import CompType, Dirt, TyArrow, TyParam, TyUnit
 
-from gen import TEST_SIG, shape_context
+from gen import TEST_SIG, shape_context, structural_context
 
 SIZES = (1600, 6400, 25600)
 
@@ -40,16 +42,33 @@ def shape_item(family: str, n: int) -> CorpusItem:
     return CorpusItem(f"{family}_n{n}", TEST_SIG, ctx, poltype, None)
 
 
+def struct_item(n: int) -> CorpusItem:
+    """The structural shape at depth 2 and `n` output parameters as a
+    corpus item without a term; its type is `f<first> -> f<last> ! {}`."""
+    ctx = structural_context(2, n)
+    (first, _), (last, _) = ctx.ty_params[0], ctx.ty_params[-1]
+    poltype = TyArrow(TyParam(first), CompType(TyParam(last), Dirt(frozenset(), None)))
+    return CorpusItem(f"struct_n{n}", TEST_SIG, ctx, poltype, None)
+
+
+# shape -> (its item at a size, the preset it runs under)
+RUNS = {
+    "chain": (lambda n: shape_item("chain", n), "all"),
+    "ladder": (lambda n: shape_item("ladder", n), "all"),
+    "struct": (struct_item, "scc"),
+}
+
+
 def main(sizes) -> None:
     print(f"{'shape':<8}{'params':>8}{'seconds':>10}{'us/param':>10}{'steps':>8}"
           f"{'gen0':>7}{'gen1':>6}{'gen2':>6}")
-    for family in ("chain", "ladder"):
+    for family, (make, preset) in RUNS.items():
         for n in sizes:
-            item = shape_item(family, n)
+            item = make(n)
             gc.collect()
             before = [g["collections"] for g in gc.get_stats()]
             start = time.perf_counter()
-            sim = cmd_simplify(item, "all")[0]
+            sim = cmd_simplify(item, preset)[0]
             took = time.perf_counter() - start
             after = [g["collections"] for g in gc.get_stats()]
             runs = [b - a for a, b in zip(before, after)]

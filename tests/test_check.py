@@ -20,7 +20,6 @@ from coersimp.check import (
     type_of_value,
     value_inclusion_coercion,
     wf_context,
-    wf_ctype,
     wf_dirt,
     wf_signature,
     wf_skeleton,

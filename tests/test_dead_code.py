@@ -1,6 +1,6 @@
 """Every module-level name of the package is reached from `cli.main`,
-every method is named outside its own definition, and every import sits
-at module level."""
+every method is named outside its own definition, every import sits at
+module level, and every name a test module imports is read."""
 
 import ast
 import re
@@ -119,3 +119,20 @@ def test_every_method_is_named_outside_its_own_definition():
                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
                and everywhere[fn.name] == names_in(fn)[fn.name]]
     assert not unnamed, unnamed
+
+
+def test_every_name_a_test_module_imports_is_read():
+    """Each name that a module under `tests/` imports is read somewhere in
+    that module, so an import left behind by an edit does not linger."""
+    unread = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{name}" for name in imported if name not in read]
+    assert not unread, unread

@@ -522,7 +522,7 @@ def test_resolution_derives_only_the_dirt_coercions_an_image_mentions(monkeypatc
 
 def test_scale_script_still_runs(capsys):
     """`tests/scale.py`, which no other check runs, still imports and runs:
-    one row per shape at 100 parameters per sort."""
+    one row per shape at 100 parameters."""
     scale.main([100])
     rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
-    assert rows == [["chain", "100"], ["ladder", "100"]]
+    assert rows == [["chain", "100"], ["ladder", "100"], ["struct", "100"]]

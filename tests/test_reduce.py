@@ -51,7 +51,7 @@ from coersimp.syntax import (
 
 from coersimp.witness import ReductionReplay, replay_reduction
 
-from gen import TEST_SIG, random_context, random_dirt
+from gen import OPS, TEST_SIG, arrow_skel, random_context, random_dirt, structural_context
 from reference_reduce import reference_reduce_context
 
 R = frozenset({"Random"})
@@ -327,9 +327,6 @@ def test_reduction_randomized_invariants():
 # Differential test against the reference reduction
 
 
-OPS = ("Fail", "Random")
-
-
 def outcome(reduce, sig, ctx):
     """The reduced context and substitution, with each map's names in
     order, or the exception the reduction raised."""
@@ -347,37 +344,6 @@ def assert_same_reduction(sig, ctx, label):
     # Reduction maps no skeleton parameter; the witness lift rests on it.
     assert not isinstance(got[1], Substitution) or not got[1].skel, label
     return got
-
-
-def _skel(depth):
-    if depth == 0:
-        return SkelParam("s1")
-    return SkelArrow(_skel(depth - 1), _skel(depth - 1))
-
-
-def structural_context(depth, size, seed=0, extra=0):
-    """The bench's structural shape: a chain of type parameters at
-    depth-`depth` arrow skeletons and a dirt chain fed by closed lower
-    bounds, about `size` output parameters in all. Here the four feeds
-    fall anywhere in the chain, each with its own operation, and `extra`
-    labeled dirt edges, backwards too, join random chain links."""
-    rng = random.Random(f"{depth}:{size}:{seed}")
-    per = 2 ** (depth + 1) - 1
-    count = max(2, (size // 2) // per)
-    n = size - count * per
-    feeds = [(rng.choice(OPS), rng.randrange(n)) for _ in range(4)]
-    links = [(rng.randrange(n), rng.randrange(n)) for _ in range(extra)]
-    return ParamContext(
-        ("s1",),
-        tuple(f"e{i}" for i in range(n)),
-        tuple((f"f{i}", _skel(depth)) for i in range(count)),
-        tuple((f"g{i}", dirt((), f"e{i}"), dirt((), f"e{i + 1}")) for i in range(n - 1))
-        + tuple((f"h{j}", Dirt(frozenset({op}), None), dirt((), f"e{i}"))
-                for j, (op, i) in enumerate(feeds))
-        + tuple((f"x{k}", dirt((), f"e{u}"), Dirt(frozenset(rng.sample(OPS, 1)), f"e{v}"))
-                for k, (u, v) in enumerate(links)),
-        tuple((f"c{i}", TyParam(f"f{i}"), TyParam(f"f{i + 1}")) for i in range(count - 1)),
-    )
 
 
 def _pair(rng, ctx, depth):
@@ -404,7 +370,7 @@ def random_structural_context(rng):
     arrow skeleton, type constraints between types of one shape, and dirt
     constraints with operations on the lower side."""
     ctx = random_context(rng)
-    skel = _skel(rng.randint(0, 2))
+    skel = arrow_skel(rng.randint(0, 2))
     arrows = tuple((f"b{i + 1}", skel) for i in range(rng.randint(0, 3)))
     ctx = ParamContext(ctx.skel_params, ctx.dirt_params, ctx.ty_params + arrows,
                        ctx.dirt_cos, ctx.ty_cos)

@@ -20,7 +20,6 @@ from coersimp.check import (
     derived_refl_vty,
     dirt_inclusion_coercion,
     value_inclusion_coercion,
-    vco_endpoint,
     wf_vtype,
 )
 from coersimp.cli import cmd_verify

@@ -53,6 +53,7 @@ from coersimp.subst import (
 from coersimp.witness import ReductionReplay, build_witness_total, replay_reduction
 from coersimp.syntax import (
     CCoercion,
+    CompTerm,
     CompType,
     DCoCompose,
     DCoEmptyUnder,
@@ -61,6 +62,7 @@ from coersimp.syntax import (
     DCoReflParam,
     DCoUnionBoth,
     DCoUnionRight,
+    DCoercion,
     Dirt,
     EMPTY_CONTEXT,
     ParamContext,
@@ -68,6 +70,7 @@ from coersimp.syntax import (
     SkelBase,
     SkelParam,
     SkelUnit,
+    Skeleton,
     TyArrow,
     TyBase,
     TyParam,
@@ -78,12 +81,16 @@ from coersimp.syntax import (
     VCoReflBase,
     VCoReflParam,
     VCoReflUnit,
+    VCoercion,
+    ValueTerm,
+    ValueType,
     dirt,
 )
 
 import reference_subst
 import test_reduce
-from gen import SHAPES, TEST_SIG, random_context, random_dirt, random_vty, shape_context
+from gen import (SHAPES, TEST_SIG, random_context, random_dirt, random_vty, shape_context,
+                 structural_context)
 from support import identity
 
 
@@ -352,6 +359,187 @@ def test_resolve_equals_composing_the_steps_one_by_one(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Application shares what it does not change
+#
+# `tests/reference_subst.py` keeps the appliers and `compose` as they were
+# when every visited node was rebuilt. On every input below, each applier
+# gives what the reference gives, gives back the input itself when the
+# substitution maps no name in it, and shares with the input every
+# subtree in which it maps no name.
+
+APPLIERS = {Skeleton: "apply_skel", Dirt: "apply_dirt", ValueType: "apply_vty",
+            CompType: "apply_cty", DCoercion: "apply_dco", VCoercion: "apply_vco",
+            CCoercion: "apply_cco", ValueTerm: "apply_value", CompTerm: "apply_comp"}
+NODES = tuple(APPLIERS)
+
+
+def kids(x) -> list:
+    """The syntax nodes among the fields of `x`, in field order."""
+    return [k for k in (getattr(x, f) for f in type(x).__match_args__) if isinstance(k, NODES)]
+
+
+def maps_leaf(sub, x) -> bool:
+    """Whether `sub` maps the name that the leaf `x` is or is built over."""
+    for cls, part, attr in ((SkelParam, "skel", "name"), (TyParam, "ty", "name"),
+                            (VCoReflParam, "ty", "name"), (VCoParam, "vco", "name"),
+                            (Dirt, "dirt", "tail"), (DCoReflParam, "dirt", "name"),
+                            (DCoEmptyUnder, "dirt", "tail"), (DCoParam, "dco", "name")):
+        if isinstance(x, cls):
+            return getattr(x, attr) in getattr(sub, part)
+    return False
+
+
+def maps_under(sub, x) -> bool:
+    return maps_leaf(sub, x) or any(maps_under(sub, k) for k in kids(x))
+
+
+def assert_shares(sub, x, got) -> None:
+    """`got`, the image of `x`, is `x` itself where `sub` maps no name
+    under it; above a mapped name it is a node of `x`'s class whose
+    children are their own images."""
+    if not maps_under(sub, x):
+        assert got is x, x
+    elif not maps_leaf(sub, x):
+        assert type(got) is type(x), (x, got)
+        for kid, image in zip(kids(x), kids(got), strict=True):
+            assert_shares(sub, kid, image)
+
+
+def assert_applies_as_the_reference(sub, x, seen: Counter) -> None:
+    name = next(name for cls, name in APPLIERS.items() if isinstance(x, cls))
+    got = getattr(subst, name)(sub, x)
+    assert got == getattr(reference_subst, name)(sub, x), (name, x)
+    assert_shares(sub, x, got)
+    seen[name, maps_under(sub, x)] += 1
+
+
+def random_partial_substitution(rng, ctx) -> Substitution:
+    """About half of the names of `ctx`, each mapped to a random image over
+    `ctx` of its kind; the images need not be valid ones."""
+    def some(names):
+        return [n for n in names if rng.random() < 0.5]
+
+    return Substitution(
+        {n: rng.choice([SkelUnit(), SkelArrow(SkelParam(ctx.skel_params[0]), SkelUnit())])
+         for n in some(ctx.skel_params)},
+        {n: random_dirt(rng, ctx) for n in some(ctx.dirt_params)},
+        {n: random_vty(rng, ctx, depth=1) for n in some(n for n, _ in ctx.ty_params)},
+        {n: random_dco(rng, ctx) for n in some(n for n, _, _ in ctx.dirt_cos)},
+        {n: random_vco(rng, ctx) for n in some(n for n, _, _ in ctx.ty_cos)})
+
+
+def test_appliers_share_what_they_do_not_change_on_random_syntax():
+    """`tests/gen.py` types, dirts and coercions under random partial
+    substitutions of their context, and the layered generators' images of
+    every node class under the next level's step."""
+    rng = random.Random("share:random")
+    seen = Counter()
+    for i in range(300):
+        ctx = random_context(rng) if i % 2 else test_reduce.random_structural_context(rng)
+        sub = random_partial_substitution(rng, ctx)
+        vco, dco = random_vco(rng, ctx, depth=2), random_dco(rng, ctx)
+        for x in (random_vty(rng, ctx, depth=3), random_dirt(rng, ctx),
+                  CompType(random_vty(rng, ctx), random_dirt(rng, ctx)),
+                  *(skel for _, skel in ctx.ty_params), vco, dco, CCoercion(vco, dco)):
+            assert_applies_as_the_reference(sub, x, seen)
+        steps = layered_steps(rng, 3)
+        for image in (_skel, _dirt, _vty, _dco, _vco):
+            assert_applies_as_the_reference(steps[1], image(rng, 0, 3), seen)
+    # Each applier of types and coercions met inputs with and without a mapped name.
+    assert {(name, mapped) for name in list(APPLIERS.values())[:7]
+            for mapped in (False, True)} <= set(seen), seen
+
+
+def test_appliers_share_what_they_do_not_change_on_corpus_items():
+    """Each bundled item's type and term under its run's substitution, and
+    under a random half of it; every phase step's coercion entries under
+    the step's own substitution and under the phases' whole one."""
+    rng = random.Random("share:corpus")
+    seen = Counter()
+    for item in load_bundled():
+        for preset in PRESETS:
+            try:
+                sim = simplify(item.signature, item.context, EMPTY_FPS,
+                               parse_phase_config(preset))
+            except Unsatisfiable:
+                continue
+            half = Substitution(*({n: x for n, x in m.items() if rng.random() < 0.5}
+                                  for m in sim.subst.maps()))
+            for sub in (sim.subst, half):
+                for x in (item.poltype, item.term):
+                    if x is not None:
+                        assert_applies_as_the_reference(sub, x, seen)
+            assert_step_entries_apply_as_the_reference(sim.phases, seen)
+    assert {("apply_vty", False), ("apply_vty", True), ("apply_value", False),
+            ("apply_value", True), ("apply_dco", True), ("apply_vco", True)} <= set(seen), seen
+
+
+def assert_step_entries_apply_as_the_reference(run, seen: Counter) -> None:
+    for step in run.steps:
+        for entry in (*step.eta.values(), *step.family.values()):
+            if not isinstance(entry, tuple):  # a (lower, upper) pair of dirt bounds
+                for sub in (step.subst, run.subst):
+                    assert_applies_as_the_reference(sub, entry, seen)
+
+
+def test_appliers_share_what_they_do_not_change_on_bench_shapes(shape_runs):
+    """Every classifier and bound of the structural shapes under their
+    reduction's and their run's substitution, and every phase step's
+    coercion entries on the canonical shapes."""
+    seen = Counter()
+    for depth in (1, 2, 3):
+        ctx = structural_context(depth, 60, extra=2)
+        for preset in ("none", "scc", "all"):
+            sim = simplify(TEST_SIG, ctx, EMPTY_FPS, parse_phase_config(preset))
+            for sub in (sim.reduction.subst, sim.subst):
+                for x in (*(s for _, s in ctx.ty_params),
+                          *(b for _, lo, hi in ctx.dirt_cos + ctx.ty_cos for b in (lo, hi))):
+                    assert_applies_as_the_reference(sub, x, seen)
+            assert_step_entries_apply_as_the_reference(sim.phases, seen)
+    for family in sorted(SHAPES):
+        for preset in ("all", "full"):
+            sim, _ = shape_runs(family, 50, preset)
+            assert_step_entries_apply_as_the_reference(sim.phases, seen)
+    assert {("apply_skel", False), ("apply_dirt", False), ("apply_dirt", True),
+            ("apply_vty", True), ("apply_dco", True), ("apply_vco", True)} <= set(seen), seen
+
+
+def test_compose_after_an_empty_substitution_walks_nothing(monkeypatch):
+    """`compose(Substitution(), s)` calls no applier and gives what the
+    reference gives: a copy of `s`, its images shared. After any other
+    substitution it gives what the reference gives too, sharing each
+    image that mentions no name the later substitution maps."""
+    firsts = [reduce_context(TEST_SIG, structural_context(2, size)).subst for size in (100, 400)]
+    firsts += [sub for item in load_bundled()
+               if any((sub := simplify(item.signature, item.context, EMPTY_FPS,
+                                       PRESETS["all"]).subst).maps())]
+    calls = Counter()
+    for name in APPLIERS.values():
+
+        def counted(*args, name=name, fn=getattr(subst, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(subst, name, counted)
+    for s in firsts:
+        got = compose(Substitution(), s)
+        assert got == reference_subst.compose(Substitution(), s)
+        assert got is not s and not any(a is b for a, b in zip(got.maps(), s.maps()))
+        assert all(list(a.items()) == list(b.items()) for a, b in zip(got.maps(), s.maps()))
+    assert calls == {}, calls
+    rng = random.Random("share:compose")
+    for i in range(100):
+        s1, s2 = layered_steps(rng, 3)[:2]
+        got = compose(s2, s1)
+        assert got == reference_subst.compose(s2, s1), i
+        for part, images in zip(got.maps(), s1.maps()):
+            for n, x in images.items():
+                if not maps_under(s2, x):
+                    assert part[n] is x, (i, n)
+    assert calls, "the appliers were not counted"
+
+
+# ---------------------------------------------------------------------------
 # The prepared check against the reference
 #
 # `tests/reference_subst.py` keeps the validity check as it was before it
@@ -481,12 +669,12 @@ def test_prepared_check_agrees_with_the_reference_on_bench_shapes():
         ctx, fps = shape_context(family, 40)
         assert_same_verdicts_on_run(TEST_SIG, ctx, "all", rng, seen, fps)
     for depth in (1, 2, 3):
-        ctx = test_reduce.structural_context(depth, 60, extra=2)
+        ctx = structural_context(depth, 60, extra=2)
         for preset in ("none", "scc", "all"):
             assert_same_verdicts_on_run(TEST_SIG, ctx, preset, rng, seen)
     # Type parameters at two arrow skeletons, each image checked against
     # its own classifier's image.
-    ctx = test_reduce.structural_context(1, 30)
+    ctx = structural_context(1, 30)
     deep = SkelArrow(SkelArrow(SkelParam("s1"), SkelParam("s1")), SkelParam("s1"))
     mixed = ParamContext(ctx.skel_params, ctx.dirt_params,
                          ctx.ty_params + (("m1", deep), ("m2", deep)), ctx.dirt_cos, ctx.ty_cos)
