@@ -42,6 +42,7 @@ from .syntax import (
     App,
     Lam,
     LetVal,
+    NO_OPS,
     OpCall,
     ParamContext,
     Return,
@@ -450,7 +451,7 @@ def dirt_inclusion_coercion(lo: Dirt, hi: Dirt) -> DCoercion:
     if not lo.ops <= hi.ops:
         raise NoWitness(f"no dirt coercion {lo} <= {hi}")
     if lo.tail == hi.tail:
-        body = right_extend(hi.ops - lo.ops, derived_refl_dirt(Dirt(frozenset(), lo.tail)))
+        body = right_extend(hi.ops - lo.ops, derived_refl_dirt(Dirt(NO_OPS, lo.tail)))
     else:
         # lo is closed, hi has a tail.
         body = derived_empty(Dirt(hi.ops - lo.ops, hi.tail))

@@ -27,17 +27,20 @@ Value and computation terms, with their inline coercions:
 must be well formed, the declared type well formed over it, and a term must
 typecheck to exactly the declared type.
 
-Loading costs time linear in the text. The reader splits the text into
-tokens in one regular-expression pass and builds plain lists of `str`
-atoms, keeping no position. A diagnostic reads the text once more to find
-the offset of the element it names and only then computes its line and
-column, so every `ParseError` carries the exact `line:col` of the token it
-is about.
+Loading costs time linear in the text and memory bounded by its largest
+item. The reader tokenizes the text a block of lines at a time and builds
+plain lists of `str` atoms, keeping no position; each item is elaborated
+and judged as soon as its closing parenthesis is read, and its lists are
+dropped before the next item is read. A diagnostic reads the text once
+more to find the offset of the element it names and only then computes its
+line and column, so every `ParseError` carries the exact `line:col` of the
+token it is about.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -62,6 +65,7 @@ from .syntax import (
     Do,
     Lam,
     LetVal,
+    NO_OPS,
     OpCall,
     OpSig,
     ParamContext,
@@ -110,13 +114,20 @@ class CorpusItem:
 # ---------------------------------------------------------------------------
 # Reader
 #
-# One regular-expression pass splits the text into tokens: an atom runs up
+# The reader streams. It splits the text into tokens a block of whole lines
+# at a time, which is sound because no token spans a line: an atom runs up
 # to the next space, tab, carriage return, newline, parenthesis or `;`, and
-# `;` starts a comment that runs to the end of the line. The tree keeps no
-# positions: atoms are `str` and lists are `list`. A diagnostic reads the
-# text again to find its offset, and only then turns it into line:column.
+# `;` starts a comment that runs to the end of the line. It hands each
+# top-level element on as soon as its closing parenthesis is read, so a
+# parse holds the items elaborated so far and the lists of one element. The
+# lists keep no positions: atoms are `str`, one object per distinct atom in
+# a parse, and lists are `list`. A diagnostic reads the text again to find
+# its offset, and only then turns it into line:column.
 
 _TOKEN = re.compile(r"[^ \t\r\n();]+|[()]|;[^\n]*")
+
+# Characters tokenized at a time, extended to the end of their last line.
+_BLOCK = 1 << 12
 
 # Deepest parenthesis nesting the reader accepts: elaboration, checking and
 # substitution recurse along it and must stay inside the recursion limit.
@@ -128,30 +139,39 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - line_start
 
 
-def _read(text: str) -> list:
-    """The top-level elements of `text`."""
+def _read(text: str) -> Iterator[str | list]:
+    """The top-level elements of `text` in order: a list as soon as its
+    closing parenthesis is read, an atom along with the next list."""
+    atoms: dict[str, str] = {}
     top: list = []
     node, stack = top, []
-    for tok in _TOKEN.findall(text):
-        if tok == "(":
-            if len(stack) == MAX_NESTING:
-                raise _parenthesis_error(text)
-            stack.append(node)
-            sub: list = []
-            node.append(sub)
-            node = sub
-        elif tok == ")":
-            if not stack:
-                raise _parenthesis_error(text)
-            node = stack.pop()
-        elif tok[0] != ";":
-            node.append(tok)
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        for tok in _TOKEN.findall(text, start, end):
+            if tok == "(":
+                if len(stack) == MAX_NESTING:
+                    raise _parenthesis_error(text)
+                stack.append(node)
+                sub: list = []
+                node.append(sub)
+                node = sub
+            elif tok == ")":
+                if not stack:
+                    raise _parenthesis_error(text)
+                node = stack.pop()
+                if node is top:
+                    yield from top
+                    top.clear()
+            elif tok[0] != ";":
+                node.append(atoms.setdefault(tok, tok))
+        start = end
     if stack:
         # The end of the text; a comment on the last line does not count.
         end = text.find(";", text.rfind("\n") + 1)
         raise ParseError(*_line_col(text, len(text) if end < 0 else end),
                          "unclosed parenthesis")
-    return top
+    yield from top
 
 
 def _parenthesis_error(text: str) -> ParseError:
@@ -188,17 +208,17 @@ def _offset(text: str, path: list[int]) -> int:
     raise AssertionError("no element at the path")
 
 
-def _path(top: list, target: list) -> list[int]:
-    """The indices from the top level down to the list `target`."""
+def _path(root: str | list, target: list) -> list[int]:
+    """The indices from `root` down to the list `target`."""
     parent = {}  # id of a list -> (the list holding it, its index there)
-    todo = [top]
+    todo = [root]
     for node in todo:
         for i, child in enumerate(node):
             if type(child) is list:
                 parent[id(child)] = node, i
                 todo.append(child)
     path = []
-    while target is not top:
+    while target is not root:
         target, i = parent[id(target)]
         path.append(i)
     return path[::-1]
@@ -206,17 +226,18 @@ def _path(top: list, target: list) -> list[int]:
 
 class _Misplaced(Exception):
     """An elaboration error at element `index` of the list `node`, or at
-    `node` itself when `index` is None. `parse_corpus` turns it into a
-    `ParseError` at that element."""
+    `node` itself when `index` is None; only a top-level `node` is an atom.
+    `parse_corpus` turns it into a `ParseError` at that element."""
 
-    def __init__(self, node: list, index: int | None, msg: str):
+    def __init__(self, node: str | list, index: int | None, msg: str):
         super().__init__(msg)
         self.node = node
         self.index = index
         self.msg = msg
 
-    def parse_error(self, text: str, top: list) -> ParseError:
-        path = _path(top, self.node)
+    def parse_error(self, text: str, index: int, root: str | list) -> ParseError:
+        """The diagnostic when `root` is top-level element `index`."""
+        path = [index, *_path(root, self.node)]
         if self.index is not None:
             path.append(self.index)
         return ParseError(*_line_col(text, _offset(text, path)), self.msg)
@@ -293,7 +314,7 @@ def _dirt(node: list) -> Dirt:
     for op in ops:
         if type(op) is not str:
             raise _Misplaced(op, None, "expected a name")
-    return Dirt(frozenset(ops), _name(node, 2) if len(node) == 3 else None)
+    return Dirt(frozenset(ops) if ops else NO_OPS, _name(node, 2) if len(node) == 3 else None)
 
 
 def _vtype(node: list) -> ValueType:
@@ -396,8 +417,12 @@ def _context(node: list) -> ParamContext:
                         tuple(rows["dco"]), tuple(rows["tyco"]))
 
 
-def _item(node: list) -> CorpusItem:
-    """An `(item ...)` list; the caller has checked the head."""
+def _item(node: str | list) -> CorpusItem:
+    """A top-level element, which must be an `(item ...)` list."""
+    if type(node) is str:
+        raise _Misplaced(node, None, f"expected a list, got {node!r}")
+    if not node or node[0] != "item":
+        raise _Misplaced(node, None, "expected (item ...)")
     if len(node) < 4:
         raise _Misplaced(node, None,
                          "(item NAME (signature ...) (context ...) ...) expected")
@@ -431,18 +456,29 @@ def _item(node: list) -> CorpusItem:
 
 
 def parse_corpus(text: str) -> list[CorpusItem]:
-    """Parse and fully check a corpus file."""
-    top = _read(text)
+    """Parse and fully check a corpus file, each item as soon as it is read.
+    The diagnostic is the one of the first error in the text, except that a
+    parenthesis error anywhere wins and duplicate names are checked last."""
+    items: list[CorpusItem] = []
+    elements = _read(text)
     try:
-        items = [_item(_sub(top, i, "item")) for i in range(len(top))]
+        for node in elements:
+            items.append(_item(node))
+            del node  # the lists of an item are not kept while the next is read
     except _Misplaced as e:
-        raise e.parse_error(text, top) from None
-    seen = set()
-    for item in items:
-        if item.name in seen:
-            raise JudgmentError(item.name, "duplicate item name")
-        seen.add(item.name)
-    return items
+        error = e.parse_error(text, len(items), node)
+    except JudgmentError as e:
+        error = e
+    else:
+        seen = set()
+        for item in items:
+            if item.name in seen:
+                raise JudgmentError(item.name, "duplicate item name")
+            seen.add(item.name)
+        return items
+    for _ in elements:  # a parenthesis error later in the text wins
+        pass
+    raise error
 
 
 def load_bundled() -> list[CorpusItem]:

@@ -61,7 +61,7 @@ from .graph import SINK, ConstraintGraph, Edge, build_dirt_graph, build_type_gra
 from .polarity import FreeParamSet, subst_fps
 from .reduce import ReductionResult, is_canonical, reduce_context
 from .subst import DIRT, TYPE, Sort, Substitution, compose, resolve
-from .syntax import DCoEmptyUnder, Dirt, NameSupply, ParamContext, Signature, TyParam
+from .syntax import NO_OPS, DCoEmptyUnder, Dirt, NameSupply, ParamContext, Signature, TyParam
 
 
 class PhaseStep(NamedTuple):
@@ -283,7 +283,7 @@ class _Engine:
             eta = {}
             if fresh is not None:  # a dirt meet no bundle edge carried
                 g.add(Edge(fresh, src, dst, meet, rows[0].key))
-                eta[fresh] = (Dirt(frozenset(), src), Dirt(meet, None if dst == SINK else dst))
+                eta[fresh] = (Dirt(NO_OPS, src), Dirt(meet, None if dst == SINK else dst))
             if sort is TYPE:
                 info = f"merge parallel {'/'.join(e.name for e in rows)} into {kept}"
             else:
@@ -415,7 +415,7 @@ class _Engine:
         dropped = g.ordered({e.key: e for n in grounded
                              for e in (*g.ins[n].values(), *g.outs[n].values())})
         sub = Substitution(
-            dirt={n: Dirt(frozenset(), None) for n in grounded},
+            dirt={n: Dirt(NO_OPS, None) for n in grounded},
             dco={e.name: derived_empty(Dirt(e.ops, None if e.dst in ground or e.dst == SINK
                                             else e.dst))
                  for e in dropped},
@@ -439,10 +439,10 @@ class _Engine:
             if found is None:
                 return
             node = found[1]
-            eta = {e.name: (Dirt(frozenset(), e.src), Dirt(e.ops | full.ops, None))
+            eta = {e.name: (Dirt(NO_OPS, e.src), Dirt(e.ops | full.ops, None))
                    for e in g.in_edges(node)}
             g.merge(node, SINK, full.ops)  # lower bounds survive, closed
-            family = {node: (Dirt(frozenset(), node), full)} if self.tracked(node) else {}
+            family = {node: (Dirt(NO_OPS, node), full)} if self.tracked(node) else {}
             self.commit("full", DIRT, f"ground {node} to the full dirt {full}",
                         Substitution(dirt={node: full}), eta, family)
             if g.loops or g.multi:
@@ -461,7 +461,7 @@ class _Engine:
         if "dirt" in self.changed:
             dg = self.graphs["dirt"]
             dirt_params = tuple(dg.order)
-            dirt_cos = tuple((e.name, Dirt(frozenset(), e.src),
+            dirt_cos = tuple((e.name, Dirt(NO_OPS, e.src),
                               Dirt(e.ops, None if e.dst == SINK else e.dst))
                              for e in dg.all_edges())
         if "type" in self.changed:

@@ -73,6 +73,7 @@ from .syntax import (
     Do,
     Lam,
     LetVal,
+    NO_OPS,
     OpCall,
     ParamContext,
     Return,
@@ -550,7 +551,7 @@ class ValidityCheck:
         for name in self.src.dirt_params:
             d = dirts.get(name)
             try:
-                wf_dirt(sig, dst, Dirt(frozenset(), name) if d is None else d)
+                wf_dirt(sig, dst, Dirt(NO_OPS, name) if d is None else d)
             except CheckError as e:
                 _fail(name, d is None, e)
 
@@ -702,7 +703,7 @@ class Sort:
 
 DIRT = Sort(
     name="dirt", params="dirt", cos="dco", rows="dirt_cos", coercion=DCoercion,
-    bare=lambda name: Dirt(frozenset(), name), named=lambda d: d.tail,
+    bare=lambda name: Dirt(NO_OPS, name), named=lambda d: d.tail,
     apply=apply_dirt, apply_co=apply_dco, check_co=check_dco, endpoint=dco_endpoint,
     refl=derived_refl_dirt, co_param=DCoParam, compose=DCoCompose,
     inclusion=dirt_inclusion_coercion, reader=_dirt_reader,

@@ -149,8 +149,15 @@ class Dirt:
         return body if self.tail is None else f"{body}+{self.tail}"
 
 
+# The one empty operation set: CPython keeps no shared empty frozenset, and
+# most dirts of a corpus carry no operation.
+NO_OPS: frozenset[str] = frozenset()
+
+
 def dirt(ops=(), tail: str | None = None) -> Dirt:
-    return Dirt(frozenset(ops), tail)
+    """The dirt of the operations `ops` and the tail `tail`; a dirt without
+    operations holds `NO_OPS`."""
+    return Dirt(frozenset(ops) or NO_OPS, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -350,4 +350,23 @@ MUTANTS = (
         "    object.__setattr__(self, name, *value) if value else object.__delattr__(self, name)",
         "a node is frozen: assigning or deleting a field raises",
         killed_by="tests/test_syntax.py::test_value_fields_cannot_be_assigned_or_deleted"),
+    # -- corpus reader
+    Mutant(
+        "corpus-item-error-skips-the-bracket-check", "corpus.py",
+        "    for _ in elements:  # a parenthesis error later in the text wins",
+        "    for _ in ():  # a parenthesis error later in the text wins",
+        "a parenthesis error anywhere in the text wins over an earlier item's error",
+        killed_by="tests/test_corpus_cli.py::test_a_later_parenthesis_error_wins_over_an_earlier_item_error"),
+    Mutant(
+        "corpus-dirt-builds-a-fresh-empty-set", "corpus.py",
+        "frozenset(ops) if ops else NO_OPS",
+        "frozenset(ops)",
+        "every parsed dirt without operations holds the one empty operation set",
+        killed_by="tests/test_corpus_cli.py::test_a_parse_holds_one_object_per_atom_and_one_empty_operation_set"),
+    Mutant(
+        "corpus-keeps-the-last-item-lists", "corpus.py",
+        "            del node  # the lists of an item are not kept while the next is read",
+        "            pass",
+        "the lists of an item are dropped before the next item is read",
+        killed_by="tests/test_corpus_cli.py::test_the_parse_drops_the_lists_of_each_item_before_reading_the_next"),
 )

@@ -8,6 +8,7 @@ import re
 import shlex
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -25,9 +26,11 @@ from coersimp.corpus import (
 )
 from coersimp.syntax import (
     EMPTY_CONTEXT,
+    NO_OPS,
     CastC,
     CastV,
     CompTerm,
+    Dirt,
     ParamContext,
     SkelParam,
     TyParam,
@@ -517,8 +520,7 @@ TOKENS = ("(", ")", "item", "arrow", "comp", "dirt", "param", "castv", "covar",
           "dvar", "lam", "return", "Random", "d1", "a1", "s1", "x", "0", ";")
 
 
-def mutate(rng, texts):
-    text = rng.choice(texts)
+def damage(rng, text, texts):
     i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
     kind = rng.choice(("truncate", "delete", "insert", "splice"))
     if kind == "truncate":
@@ -530,6 +532,13 @@ def mutate(rng, texts):
     other = rng.choice(texts)
     a, b = sorted(rng.randrange(len(other) + 1) for _ in range(2))
     return text[:i] + other[a:b] + text[j:]
+
+
+def mutate(rng, texts):
+    """One item of `texts`, damaged, between its intact neighbours, so that
+    an error in it competes with what comes before and after it."""
+    k = rng.randrange(len(texts))
+    return "".join([*texts[max(k - 1, 0):k], damage(rng, texts[k], texts), *texts[k + 1:k + 2]])
 
 
 def outcome(parse, text):
@@ -617,6 +626,120 @@ def test_reader_matches_reference_on_edge_cases():
     for text in cases:
         assert_reads_like_reference(text)
     assert isinstance(assert_reads_like_reference(BASE_AND_DREFL), list)
+
+
+def minimal(name):
+    return MINIMAL.replace("item x", f"item {name}")
+
+
+ELABORATION_ERROR = "(item e (signature) (context (bogus d1)))"
+JUDGMENT_ERROR = "(item j (signature) (context) (term (unitval)))"
+PARENTHESIS_ERRORS = {
+    "unclosed parenthesis": "(item late (signature)\n  (context)",
+    "unmatched close parenthesis": "(item late (signature) (context)))",
+    f"nesting deeper than {MAX_NESTING} levels": "(" * (MAX_NESTING + 1) + ")" * (MAX_NESTING + 1),
+}
+
+
+@pytest.mark.parametrize("paren", PARENTHESIS_ERRORS)
+@pytest.mark.parametrize("early", [ELABORATION_ERROR, JUDGMENT_ERROR, "stray"])
+def test_a_later_parenthesis_error_wins_over_an_earlier_item_error(early, paren):
+    """The reader judges each item as soon as it is read, yet reports a
+    parenthesis error anywhere in the text before an item's error, as the
+    reference reader, which reads the whole text first, does."""
+    text = "\n".join([minimal("a"), early, minimal("b"), PARENTHESIS_ERRORS[paren]])
+    kind, msg, _, _ = assert_reads_like_reference(text)
+    assert kind is ParseError and msg.endswith(paren), msg
+
+
+@pytest.mark.parametrize("parts, says", [
+    ([minimal("a"), "stray", minimal("b")], "expected a list, got 'stray'"),
+    ([minimal("a"), "(stray)", minimal("b")], "expected (item ...)"),
+    ([minimal("a"), ELABORATION_ERROR, "stray"], "unknown declaration 'bogus'"),
+    ([minimal("a"), JUDGMENT_ERROR, "stray", ELABORATION_ERROR], "a term requires a declared type"),
+    ([minimal("a"), minimal("a"), JUDGMENT_ERROR], "a term requires a declared type"),
+    ([minimal("a"), minimal("b"), minimal("a"), "stray"], "expected a list, got 'stray'"),
+    ([minimal("a"), minimal("b"), minimal("a")], "duplicate item name"),
+])
+def test_the_first_item_error_wins_and_duplicate_names_come_last(parts, says):
+    """Between items, the first error in the text wins, a top-level atom
+    included; a duplicate name is reported only when no item has an error."""
+    _, msg, _, _ = assert_reads_like_reference("\n".join(parts))
+    assert msg.endswith(says), msg
+
+
+def chain_item_text():
+    """The smallest item of the `chains` workload, `chain_n100`."""
+    text = corpusgen.chains_text(1)
+    return text[text.index("(item chain_n100"):text.index("(item chain_n200")]
+
+
+def passing_memory(text):
+    """The bytes `parse_corpus(text)` allocates and frees on the way: its
+    peak less what its items keep."""
+    tracemalloc.start()
+    try:
+        items = parse_corpus(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert items
+    return peak - retained
+
+
+def test_parse_memory_is_bounded_by_the_largest_item():
+    """Parsing 8 copies of an item needs no more passing memory than
+    parsing one: the lists of each item are dropped once it is judged."""
+    item = chain_item_text()
+    parse_corpus(item)
+    one = passing_memory(item)
+    eight = passing_memory("".join(
+        item.replace("chain_n100", f"chain_n100_{k}", 1) for k in range(8)))
+    assert eight < 2 * one, (one, eight)
+
+
+def test_the_parse_drops_the_lists_of_each_item_before_reading_the_next(monkeypatch):
+    """Once the reader has read an item, nothing but this test holds the
+    lists of the item before it."""
+    read = corpus._read
+    holders = []
+
+    def watched(text):
+        last = None
+        for element in read(text):
+            if last is not None:
+                holders.append(sys.getrefcount(last) - 2)  # less `last` and the argument
+            last = element
+            yield element
+
+    monkeypatch.setattr(corpus, "_read", watched)
+    parse_corpus("\n".join(minimal(name) for name in "abc"))
+    assert holders == [0, 0]
+
+
+def reachable(root):
+    """Every object reachable from `root` through the fields of its nodes
+    and the elements of lists, tuples and frozensets."""
+    todo = [root]
+    for obj in todo:
+        if isinstance(obj, (list, tuple, frozenset)):
+            todo.extend(obj)
+        elif not isinstance(obj, str):
+            todo.extend(getattr(obj, n) for n in getattr(type(obj), "__match_args__", ()))
+    return todo
+
+
+def test_a_parse_holds_one_object_per_atom_and_one_empty_operation_set():
+    bundled = resources.files("coersimp").joinpath("data/corpus.sexp").read_text()
+    for text in (bundled, chain_item_text(), BASE_AND_DREFL):
+        found = reachable(parse_corpus(text))
+        atoms = {}
+        for obj in found:
+            if type(obj) is str:
+                assert atoms.setdefault(obj, obj) is obj, obj
+        dirts = [obj for obj in found if type(obj) is Dirt]
+        assert any(not d.ops for d in dirts)
+        assert all(d.ops is NO_OPS for d in dirts if not d.ops)
 
 
 def test_context_lookups_cost_linear_in_the_context(monkeypatch):
