@@ -44,9 +44,9 @@ its polarity set, its witness and a line of text. The image a step maps
 onto and its reflexivity are built once per run and shared
 (`_Engine.image`); the rest of what a step allocates is its own coercions
 and maps, or dies with it. The final context is read off the graphs once,
-and the total substitution is resolved once from the step substitutions
-(`subst.resolve`). Steps, their order and every result equal those of the
-plain engine that rewrites the whole context after each step.
+and the total substitution is resolved once from one log of the steps'
+moves (`subst.resolve`). Steps, their order and every result equal those
+of the plain engine that rewrites the whole context after each step.
 """
 
 from __future__ import annotations
@@ -218,6 +218,7 @@ class _Engine:
         self.changed: set[str] = set()  # sorts some step has rewritten
         self.images: dict[tuple, tuple] = {}
         self.steps: list[PhaseStep] = []
+        self.log: list = []  # the steps' moves, as `subst.resolve` reads them
 
     def image(self, sort: Sort, target: str, ops: frozenset[str] = frozenset()) -> tuple:
         """The parameter `target` as an image of its sort, extended by `ops`
@@ -235,16 +236,21 @@ class _Engine:
 
     def commit(self, phase: str, sort: Sort, info: str, sub: Substitution,
                eta: dict, family: dict) -> None:
-        """Record a step, then move the polarity of every parameter it maps
-        onto the parameter its image names (none: the image is ground).
-        The set is rebuilt only when a tracked parameter moves."""
-        fps = self.fps
+        """Record a step and log its moves (a step maps only parameters and
+        constraints of its sort), then move the polarity of every parameter
+        it maps onto the parameter its image names (none: the image is
+        ground). The set is rebuilt only when a tracked parameter moves."""
+        fps, log, params, cos = self.fps, self.log, sort.params, sort.cos
         self.steps.append(PhaseStep(phase, sort.name, info, sub, fps, eta, family))
         self.changed.add(sort.name)
-        for m in getattr(sub, sort.params):
-            if m in fps.pos or m in fps.neg:
-                self.fps = subst_fps(sub, fps)
-                return
+        for n, x in getattr(sub, cos).items():
+            log += cos, n, x
+        tracked = False
+        for n, x in getattr(sub, params).items():
+            log += params, n, x
+            tracked = tracked or n in fps.pos or n in fps.neg
+        if tracked:
+            self.fps = subst_fps(sub, fps)
 
     # -- cleanup ------------------------------------------------------------
 
@@ -495,8 +501,7 @@ def run_phases(
         if phase not in _PHASES:
             raise ValueError(f"unknown phase {phase!r}")
         _PHASES[phase](engine, _SORTS[sort])
-    return PhaseResult(ctx, engine.context(), resolve([s.subst for s in engine.steps]),
-                       fps, engine.fps, engine.steps)
+    return PhaseResult(ctx, engine.context(), resolve(engine.log), fps, engine.fps, engine.steps)
 
 
 @dataclass

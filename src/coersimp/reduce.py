@@ -10,9 +10,12 @@ Canonical form means:
   `d <= O + d'`.
 
 The pass runs in three stages (types, type constraints, dirt constraints).
-Each step records its own one-name substitution; the total, which maps the
-input context onto the canonical one and is validity-checkable, is resolved
-once (`subst.resolve`), and the stage-1 steps once more for stage 2.
+Each step appends its one-name move to one flat log (`map, name, image`);
+the total, which maps the input context onto the canonical one and is
+validity-checkable, is resolved once from that log (`subst.resolve`).
+Stage 1 builds the image of each input type parameter while it expands the
+parameter's skeleton, in pre-order, so stage 2 applies those images
+without resolving the stage-1 moves first.
 
 The dirt-constraint stage has one non-structural move: a constraint
 `O1 <= O2 + d2` with `O1` not contained in `O2` forces `d2` to absorb the
@@ -41,11 +44,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from .check import both_extend, dirt_inclusion_coercion
-from .subst import Substitution, apply_dirt, apply_vty, resolve
+from .subst import Substitution, apply_vty, resolve
 from .syntax import (
     CCoercion,
     DCoParam,
     Dirt,
+    NO_OPS,
     NameSupply,
     ParamContext,
     Signature,
@@ -63,7 +67,6 @@ from .syntax import (
     VCoReflUnit,
     ValueType,
     CompType,
-    dirt,
 )
 
 
@@ -94,34 +97,43 @@ def is_canonical(ctx: ParamContext) -> bool:
     return True
 
 
-def _phi_t(ctx: ParamContext, supply: NameSupply, deltas: list[Substitution]):
-    """Stage 1: canonicalize type parameter classifiers."""
-    kept: list[tuple[str, SkelParam]] = []
-    new_dirts: list[str] = list(ctx.dirt_params)
-    queue = deque(ctx.ty_params)
-    while queue:
-        name, skel = queue.popleft()
-        if isinstance(skel, SkelParam):
-            kept.append((name, skel))
-        elif isinstance(skel, SkelUnit):
-            deltas.append(Substitution(ty={name: TyUnit()}))
-        elif isinstance(skel, SkelBase):
-            deltas.append(Substitution(ty={name: TyBase(skel.name)}))
-        elif isinstance(skel, SkelArrow):
-            a1 = supply.fresh("a")
-            a2 = supply.fresh("a")
-            d = supply.fresh("d")
-            new_dirts.append(d)
-            image = TyArrow(TyParam(a1), CompType(TyParam(a2), dirt((), d)))
-            deltas.append(Substitution(ty={name: image}))
-            queue.appendleft((a2, skel.cod))
-            queue.appendleft((a1, skel.dom))
-        else:
-            raise TypeError(f"not a skeleton: {skel!r}")
-    return kept, tuple(new_dirts)
+def _phi_t(ctx: ParamContext, supply: NameSupply, log: list):
+    """Stage 1: canonicalize type parameter classifiers. Also returns the
+    stage-1 image of each input type parameter that is not kept."""
+    kept, new_dirts = [], list(ctx.dirt_params)
+    images = {name: image for name, skel in ctx.ty_params
+              if (image := _expand(name, skel, supply, log, kept, new_dirts)) is not None}
+    return kept, tuple(new_dirts), images
 
 
-def _phi_tc(ty_cos, supply: NameSupply, deltas: list[Substitution], dirt_cos):
+def _expand(name: str, skel, supply: NameSupply, log: list, kept: list, new_dirts: list):
+    """Log the stage-1 move of `name`, then those of its fresh parameters,
+    in pre-order, and return its stage-1 image (None: `name` is kept)."""
+    if isinstance(skel, SkelParam):
+        kept.append((name, skel))
+        return None
+    if isinstance(skel, SkelArrow):
+        a1, a2, d = supply.fresh("a"), supply.fresh("a"), supply.fresh("d")
+        new_dirts.append(d)
+        step = TyArrow(TyParam(a1), CompType(TyParam(a2), Dirt(NO_OPS, d)))
+        log += "ty", name, step
+        dom = _expand(a1, skel.dom, supply, log, kept, new_dirts)
+        cod = _expand(a2, skel.cod, supply, log, kept, new_dirts)
+        if dom is None and cod is None:
+            return step
+        return TyArrow(step.dom if dom is None else dom,
+                       CompType(step.cod.ty if cod is None else cod, step.cod.dirt))
+    if isinstance(skel, SkelUnit):
+        image = TyUnit()
+    elif isinstance(skel, SkelBase):
+        image = TyBase(skel.name)
+    else:
+        raise TypeError(f"not a skeleton: {skel!r}")
+    log += "ty", name, image
+    return image
+
+
+def _phi_tc(ty_cos, supply: NameSupply, log: list, dirt_cos):
     """Stage 2: decompose type constraints down to parameter pairs.
 
     `ty_cos` must already have the stage-1 substitution applied; the fresh
@@ -135,15 +147,13 @@ def _phi_tc(ty_cos, supply: NameSupply, deltas: list[Substitution], dirt_cos):
         if isinstance(lo, TyParam) and isinstance(hi, TyParam):
             kept.append((name, lo, hi))
         elif isinstance(lo, TyUnit) and isinstance(hi, TyUnit):
-            deltas.append(Substitution(vco={name: VCoReflUnit()}))
+            log += "vco", name, VCoReflUnit()
         elif isinstance(lo, TyBase) and isinstance(hi, TyBase) and lo.name == hi.name:
-            deltas.append(Substitution(vco={name: VCoReflBase(lo.name)}))
+            log += "vco", name, VCoReflBase(lo.name)
         elif isinstance(lo, TyArrow) and isinstance(hi, TyArrow):
-            w1 = supply.fresh("w")
-            w2 = supply.fresh("w")
-            p = supply.fresh("p")
+            w1, w2, p = supply.fresh("w"), supply.fresh("w"), supply.fresh("p")
             image = VCoArrow(VCoParam(w1), CCoercion(VCoParam(w2), DCoParam(p)))
-            deltas.append(Substitution(vco={name: image}))
+            log += "vco", name, image
             out_dirt_cos.append((p, lo.cod.dirt, hi.cod.dirt))
             # Argument side flips: w1 : hi.dom <= lo.dom.
             queue.appendleft((w2, lo.cod.ty, hi.cod.ty))
@@ -153,8 +163,7 @@ def _phi_tc(ty_cos, supply: NameSupply, deltas: list[Substitution], dirt_cos):
     return kept, out_dirt_cos
 
 
-def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply,
-            deltas: list[Substitution]):
+def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply, log: list):
     """Stage 3: canonicalize dirt constraints, absorbing forced operations.
 
     `rows[i]` is the constraint at input position `i` as it stands now, or
@@ -183,14 +192,14 @@ def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply,
             if d1 is None:
                 # Left side closed: the constraint holds outright; record the
                 # inclusion witness and drop it.
-                deltas.append(Substitution(dco={name: dirt_inclusion_coercion(lo, hi)}))
+                log += "dco", name, dirt_inclusion_coercion(lo, hi)
                 rows[pos] = None
             elif o1:
                 # Keep the less restrictive residual d1 <= O2 (+ d2): `O1`
                 # is in `O2`, so `d1` may carry any of it.
                 p = supply.fresh("p")
-                rows[pos] = (p, dirt((), d1), hi)
-                deltas.append(Substitution(dco={name: both_extend(o1, DCoParam(p))}))
+                rows[pos] = (p, Dirt(NO_OPS, d1), hi)
+                log += "dco", name, both_extend(o1, DCoParam(p))
             continue
         if d2 is None:
             raise Unsatisfiable(f"dirt constraint {name}: {lo} <= {hi}")
@@ -205,21 +214,28 @@ def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply,
                 for tail in (row[1].tail, row[2].tail) if row else ():
                     by_tail.setdefault(tail, set()).add(i)
         fresh = supply.fresh("d")
-        absorb = Substitution(dirt={d2: Dirt(o1 - o2, fresh)})
-        deltas.append(absorb)
+        image = Dirt(o1 - o2, fresh)
+        log += "dirt", d2, image
         dparams[dpos[d2]] = fresh
         dpos[fresh] = dpos.pop(d2)
         touched = by_tail.pop(d2)
         for i in touched:
             if rows[i] is not None:
                 n, l, h = rows[i]
-                rows[i] = (n, apply_dirt(absorb, l), apply_dirt(absorb, h))
+                rows[i] = (n, _absorbed(l, d2, image), _absorbed(h, d2, image))
                 if i < nxt and l.tail == d2:
                     heapq.heappush(reopened, i)
         heapq.heappush(reopened, pos)
         by_tail[fresh] = touched
     kept = [row for row in rows if row is not None]
     return kept, tuple(dparams)
+
+
+def _absorbed(d: Dirt, tail: str, image: Dirt) -> Dirt:
+    """`d` after the absorption move `tail -> image`."""
+    if d.tail != tail:
+        return d
+    return Dirt(d.ops | image.ops, image.tail) if d.ops else image
 
 
 def reduce_context(sig: Signature, ctx: ParamContext, supply: NameSupply | None = None) -> ReductionResult:
@@ -229,14 +245,14 @@ def reduce_context(sig: Signature, ctx: ParamContext, supply: NameSupply | None 
         return ReductionResult(context=ctx, subst=Substitution())
     if supply is None:
         supply = NameSupply.seeded(ctx)
-    deltas: list[Substitution] = []
-    ty_params, dirt_params = _phi_t(ctx, supply, deltas)
-    sub_t = resolve(deltas)
+    log: list = []  # the moves, as `subst.resolve` reads them
+    ty_params, dirt_params, images = _phi_t(ctx, supply, log)
+    sub_t = Substitution(ty=images)
     ty_cos_in = [
         (n, apply_vty(sub_t, lo), apply_vty(sub_t, hi)) for n, lo, hi in ctx.ty_cos
     ]
-    ty_cos, dirt_cos_in = _phi_tc(ty_cos_in, supply, deltas, ctx.dirt_cos)
-    dirt_cos, dirt_params = _phi_dc(sig, dirt_cos_in, dirt_params, supply, deltas)
+    ty_cos, dirt_cos_in = _phi_tc(ty_cos_in, supply, log, ctx.dirt_cos)
+    dirt_cos, dirt_params = _phi_dc(sig, dirt_cos_in, dirt_params, supply, log)
     out = ParamContext(
         skel_params=ctx.skel_params,
         dirt_params=dirt_params,
@@ -244,4 +260,4 @@ def reduce_context(sig: Signature, ctx: ParamContext, supply: NameSupply | None 
         dirt_cos=tuple(dirt_cos),
         ty_cos=tuple(ty_cos),
     )
-    return ReductionResult(context=out, subst=resolve(deltas))
+    return ReductionResult(context=out, subst=resolve(log))

@@ -380,35 +380,53 @@ def compose_at(s2: Substitution, s1: Substitution, names) -> Substitution:
     return out
 
 
-def resolve(steps) -> Substitution:
-    """`compose(steps[-1], ... compose(steps[1], steps[0]))`, built once,
-    from the last step back, with each map's names in step order.
+def resolve(log) -> Substitution:
+    """The substitution that a run's moves make together. `log` lists them
+    in run order, each as the three items `map, name, image` of one flat
+    list (no entry is an object the collector tracks); `map` names one of
+    the five maps of a `Substitution`. The result equals composing the
+    entries' one-name substitutions, each after those before; it is built
+    once, from the last entry back, with each map's names in log order.
 
-    A run maps each name at most once, and a step's images mention only
-    names that no earlier step and not the step itself maps. The later
-    steps then rewrite an image leaf by leaf, so each leaf's final image is
-    built once and shared. A reflexivity or empty-below coercion of a
-    mapped parameter becomes the derived coercion of its step image,
-    rewritten by the later steps, as repeated application does (not the
+    A run maps each name at most once, and an entry's image mentions only
+    names that no earlier entry and not the entry itself maps. The later
+    entries then rewrite an image leaf by leaf, so each leaf's final image
+    is built once and shared. A reflexivity or empty-below coercion of a
+    mapped parameter becomes the derived coercion of its logged image,
+    rewritten by the later entries, as repeated application does (not the
     derived coercion of the final image).
     """
     final = _Resolver()
-    for step in reversed(steps):
-        final.add(step)
-    done = final.sub  # each map's names are in reverse step order
-    return Substitution(*(dict(reversed(m.items())) for m in done.maps()))
+    sub = final.sub
+    skels, dirts, tys, dcos, vcos = sub.maps()
+    step_dirt, step_ty, dco, vco = final.step_dirt, final.step_ty, final.dco, final.vco
+    items = reversed(log)
+    for x, n, kind in zip(items, items, items):  # the entries, last first
+        if kind == "dco":
+            dcos[n] = dco(x)
+        elif kind == "dirt":
+            dirts[n] = apply_dirt(sub, x)
+            step_dirt[n] = x
+        elif kind == "vco":
+            vcos[n] = vco(x)
+        elif kind == "ty":
+            tys[n] = apply_vty(sub, x)
+            step_ty[n] = x
+        else:
+            skels[n] = apply_skel(sub, x)
+    return Substitution(*(dict(reversed(m.items())) for m in sub.maps()))  # in log order
 
 
 class _Resolver:
-    """Final images of the names that the steps added so far map.
+    """Final images of the names that the entries read so far map.
 
     The derived reflexivity or empty-below coercion of a mapped parameter
     is built when an image first mentions it; most are never mentioned. It
-    is built from the parameter's step image and the final images of the
-    names that image mentions, which only later steps map, all added by
-    then: building it later gives the same coercion. A step that maps a
+    is built from the parameter's logged image and the final images of the
+    names that image mentions, which only later entries map, all read by
+    then: building it later gives the same coercion. An entry that maps a
     parameter to another mentions the other's reflexivity itself, so a
-    chain of such steps builds its reflexivities one at a time, not by
+    chain of such entries builds its reflexivities one at a time, not by
     deep recursion.
     """
 
@@ -419,27 +437,6 @@ class _Resolver:
         self.step_dirt: dict[str, Dirt] = {}
         self.refl_dirt: dict[str, DCoercion] = {}
         self.empty_under: dict[str, DCoercion] = {}
-
-    def add(self, step: Substitution) -> None:
-        """Add the step before those added so far, its names backwards."""
-        sub = self.sub
-        if step.skel:  # most steps map two of the five kinds
-            for n, s in reversed(step.skel.items()):
-                sub.skel[n] = apply_skel(sub, s)
-        if step.dirt:
-            for n, d in reversed(step.dirt.items()):
-                sub.dirt[n] = apply_dirt(sub, d)
-                self.step_dirt[n] = d
-        if step.ty:
-            for n, t in reversed(step.ty.items()):
-                sub.ty[n] = apply_vty(sub, t)
-                self.step_ty[n] = t
-        if step.dco:
-            for n, g in reversed(step.dco.items()):
-                sub.dco[n] = self.dco(g)
-        if step.vco:
-            for n, g in reversed(step.vco.items()):
-                sub.vco[n] = self.vco(g)
 
     def dco(self, g: DCoercion) -> DCoercion:
         if isinstance(g, DCoParam):
@@ -472,7 +469,11 @@ class _Resolver:
                 self.refl_ty[g.name] = self.vco(derived_refl_vty(self.step_ty[g.name]))
             return self.refl_ty[g.name]
         if isinstance(g, VCoArrow):
-            return VCoArrow(self.vco(g.arg), CCoercion(self.vco(g.res.vco), self.dco(g.res.dco)))
+            arg, res = self.vco(g.arg), g.res
+            vco, dco = self.vco(res.vco), self.dco(res.dco)
+            if vco is not res.vco or dco is not res.dco:
+                res = CCoercion(vco, dco)
+            return g if arg is g.arg and res is g.res else VCoArrow(arg, res)
         if isinstance(g, VCoCompose):
             return VCoCompose(self.vco(g.after), self.vco(g.before))
         return g  # VCoReflUnit, VCoReflBase

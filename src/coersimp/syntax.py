@@ -656,11 +656,9 @@ class NameSupply:
         return cls(used=used)
 
     def fresh(self, prefix: str) -> str:
-        n = self.counters.get(prefix, 0)
-        while True:
+        n = self.counters.get(prefix, 0) + 1
+        while (cand := f"{prefix}{n}") in self.used:
             n += 1
-            cand = f"{prefix}{n}"
-            if cand not in self.used:
-                self.counters[prefix] = n
-                self.used.add(cand)
-                return cand
+        self.counters[prefix] = n
+        self.used.add(cand)
+        return cand

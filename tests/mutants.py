@@ -129,10 +129,28 @@ MUTANTS = (
         killed_by="tests/test_subst.py::test_resolve_equals_composing_the_steps_one_by_one"),
     Mutant(
         "resolver-skips-a-skeleton-image", "subst.py",
-        "            sub.skel[n] = apply_skel(sub, s)",
-        "            sub.skel[n] = s",
+        "            skels[n] = apply_skel(sub, x)",
+        "            skels[n] = x",
         "a skeleton image is rewritten by the later steps",
         killed_by="tests/test_subst.py::test_resolve_equals_composing_the_steps_one_by_one"),
+    Mutant(
+        "stage-one-image-drops-the-arrow-dirt", "reduce.py",
+        "CompType(step.cod.ty if cod is None else cod, step.cod.dirt))",
+        "CompType(step.cod.ty if cod is None else cod, Dirt(NO_OPS, None)))",
+        "the stage-1 image of a nested arrow keeps each arrow's fresh dirt",
+        killed_by="tests/test_reduce.py::test_reduce_matches_reference_on_structural_shapes"),
+    Mutant(
+        "absorption-left-out-of-the-log", "reduce.py",
+        '        log += "dirt", d2, image\n',
+        "",
+        "every absorption move is in the log that the total substitution is resolved from",
+        killed_by="tests/test_reduce.py::test_reduce_matches_reference_on_structural_shapes"),
+    Mutant(
+        "phase-log-drops-the-coercions", "phases.py",
+        "            log += cos, n, x",
+        "            pass",
+        "the phase log holds each step's coercions as well as its parameter images",
+        killed_by="tests/test_phases.py::test_resolution_derives_only_the_dirt_coercions_an_image_mentions"),
     Mutant(
         "compose-at-drops-the-fallback", "subst.py",
         "        elif n in s2.ty:\n            out.ty[n] = s2.ty[n]\n",

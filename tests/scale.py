@@ -7,8 +7,11 @@ Runs `cli.cmd_simplify` once per size on three shapes, each at 1,600,
 `scc`, the reduction-bound `gen.structural_context` at depth 2 (output
 parameters), whose type runs from its first type parameter to its last.
 For each run it prints the seconds taken, the microseconds per parameter,
-the steps, and the collections of each generation of the cyclic collector
-during the run, from `gc.get_stats()` before and after.
+the collector-tracked objects that the result keeps alive per parameter
+(what `gc.get_objects()` counts while the result is held, after a
+collection, less what it counted before the run), the steps, and the
+collections of each generation of the cyclic collector during the run,
+from `gc.get_stats()` before and after.
 
     PYTHONPATH=src python tests/scale.py [size ...]
 
@@ -60,19 +63,22 @@ RUNS = {
 
 
 def main(sizes) -> None:
-    print(f"{'shape':<8}{'params':>8}{'seconds':>10}{'us/param':>10}{'steps':>8}"
-          f"{'gen0':>7}{'gen1':>6}{'gen2':>6}")
+    print(f"{'shape':<8}{'params':>8}{'seconds':>10}{'us/param':>10}{'objs/param':>12}"
+          f"{'steps':>8}{'gen0':>7}{'gen1':>6}{'gen2':>6}")
     for family, (make, preset) in RUNS.items():
         for n in sizes:
             item = make(n)
             gc.collect()
             before = [g["collections"] for g in gc.get_stats()]
+            tracked = len(gc.get_objects())
             start = time.perf_counter()
             sim = cmd_simplify(item, preset)[0]
             took = time.perf_counter() - start
             after = [g["collections"] for g in gc.get_stats()]
             runs = [b - a for a, b in zip(before, after)]
-            print(f"{family:<8}{n:>8}{took:>10.2f}{took / n * 1e6:>10.0f}"
+            gc.collect()  # what the run left as garbage is not kept alive by `sim`
+            kept = len(gc.get_objects()) - tracked
+            print(f"{family:<8}{n:>8}{took:>10.2f}{took / n * 1e6:>10.0f}{kept / n:>12.1f}"
                   f"{len(sim.phases.steps):>8}{runs[0]:>7}{runs[1]:>6}{runs[2]:>6}", flush=True)
             del sim  # before the next, larger item is built
 

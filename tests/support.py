@@ -36,6 +36,14 @@ def identity() -> Substitution:
     return Substitution()
 
 
+def move_log(steps) -> list:
+    """The mappings of the substitutions `steps`, in order, as the flat log
+    of `map, name, image` entries that `subst.resolve` reads, each step map
+    by map."""
+    return [item for step in steps for kind in ("skel", "dirt", "ty", "dco", "vco")
+            for n, x in getattr(step, kind).items() for item in (kind, n, x)]
+
+
 def check_square_comp(sig: Signature, tyctx: TypingContext, c: CompTerm,
                       budget: int = DEFAULT_BUDGET) -> None:
     """The commuting square of `semantics.check_square_value`, for a

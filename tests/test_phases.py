@@ -32,6 +32,7 @@ from coersimp.syntax import (
 
 from gen import SHAPES, TEST_SIG, random_context, random_fps, shape_context, step_contexts
 from reference_phases import run_reference_phases
+from support import move_log
 import scale
 
 FULL = Dirt(frozenset({"Fail", "Random"}), None)
@@ -512,7 +513,7 @@ def test_resolution_derives_only_the_dirt_coercions_an_image_mentions(monkeypatc
                          for g in (*sub.dco.values(), *sub.vco.values())
                          for derive, name in _derived_dirt_mentions(g) if name in images}
             calls.clear()
-            assert resolve(steps) == res.subst
+            assert resolve(move_log(steps)) == res.subst
             assert calls == Counter((derive, images[name]) for derive, name in mentioned)
             if family == "ring":
                 assert 0 < sum(calls.values()) < len(images) / 4

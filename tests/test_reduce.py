@@ -5,6 +5,7 @@ isolated context and endpoint-checks the coercion recorded for the
 original constraint name against the substituted bounds.
 """
 
+import gc
 import random
 from collections import Counter
 
@@ -449,6 +450,41 @@ def test_reduce_cost_does_not_grow_with_steps(monkeypatch):
         red = reduce_context(TEST_SIG, structural_context(2, size))
         assert len(red.subst.domain()) > size // 2
     assert calls == {}
+
+
+def test_reduce_logs_its_moves_and_resolves_them_once(monkeypatch):
+    """Reduction builds no substitution per move: at 100 and at 400 output
+    parameters it builds the same few `Substitution` objects, and it
+    resolves the log of its moves once. It leaves no reference cycle, so
+    the log, the name supply and the stage-1 images die with the call
+    rather than waiting for the cyclic collector."""
+    import coersimp.reduce
+
+    built, resolved = Counter(), Counter()
+    init = Substitution.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built[size] += 1
+        init(self, *args, **kwargs)
+
+    def counted_resolve(log, resolve=coersimp.reduce.resolve):
+        resolved[size] += 1
+        return resolve(log)
+
+    monkeypatch.setattr(Substitution, "__init__", counted_init)
+    monkeypatch.setattr(coersimp.reduce, "resolve", counted_resolve)
+    for size in (100, 400):
+        ctx = structural_context(2, size)
+        gc.collect()
+        gc.disable()
+        try:
+            red = reduce_context(TEST_SIG, ctx)
+            assert gc.collect() == 0, size
+        finally:
+            gc.enable()
+        assert len(red.subst.domain()) > size // 2
+    assert built[100] == built[400] <= 3, built
+    assert resolved == {100: 1, 400: 1}, resolved
 
 
 def test_type_constraint_across_skeletons_is_unsatisfiable_without_wf_context():

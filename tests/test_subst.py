@@ -91,7 +91,7 @@ import reference_subst
 import test_reduce
 from gen import (SHAPES, TEST_SIG, random_context, random_dirt, random_vty, shape_context,
                  structural_context)
-from support import identity
+from support import identity, move_log
 
 
 def random_vco(rng, ctx, depth=1):
@@ -330,9 +330,10 @@ def layered_steps(rng, levels):
 
 
 def test_resolve_equals_composing_the_steps_one_by_one(monkeypatch):
-    """`resolve` gives what folding `compose` over the steps gives, each
-    map's names in step order. The steps map skeleton parameters and
-    compose coercions of both sorts whose links later steps rewrite."""
+    """`resolve` of the steps' entries, as one log, gives what folding
+    `compose` over the steps gives, each map's names in step order. The
+    steps map skeleton parameters and compose coercions of both sorts whose
+    links later steps rewrite."""
     seen = Counter()
     for name in ("dco", "vco"):
 
@@ -348,7 +349,7 @@ def test_resolve_equals_composing_the_steps_one_by_one(monkeypatch):
         want = steps[0]
         for step in steps[1:]:
             want = compose(step, want)
-        got = resolve(steps)
+        got = resolve(move_log(steps))
         assert got == want, i
         for part in ("skel", "dirt", "ty", "dco", "vco"):
             assert list(getattr(got, part)) == list(getattr(want, part)), (i, part)

@@ -69,10 +69,14 @@ def test_signature_lookup():
 
 
 def test_name_supply_avoids_seeded_names():
+    """A fresh name is the prefix and the least counter above the prefix's
+    last that names nothing seeded or drawn; each prefix counts alone."""
     ctx = ParamContext(("s1",), ("d2",), (("a1", SkelParam("s1")),), (), ())
     supply = NameSupply.seeded(ctx)
     assert supply.fresh("s") == "s2"
-    assert supply.fresh("d") != "d2"
+    assert [supply.fresh("d") for _ in range(3)] == ["d1", "d3", "d4"]
+    assert [supply.fresh("a"), supply.fresh("d"), supply.fresh("a")] == ["a2", "d5", "a3"]
+    assert [supply.fresh("w"), supply.fresh("p"), supply.fresh("w")] == ["w1", "p1", "w2"]
     seen = {supply.fresh("a") for _ in range(10)}
     assert len(seen) == 10
     assert "a1" not in seen
