@@ -27,8 +27,8 @@ Phases:
                  survive as closed constraints. Off by default since it
                  rewrites types with the full operation set.
 
-Every step states its own witness next to its substitution: how to build
-the ground coercion of each constraint it re-points or introduces, and the
+Every step states its own witness next to its moves: how to build the
+ground coercion of each constraint it re-points or introduces, and the
 family entry of each tracked parameter it eliminates, both from a ground
 instantiation of the context before the step. The witness module replays
 these with one rule that knows no step kind.
@@ -39,14 +39,15 @@ of the context. Bridge and grounding candidates sit in queues that are
 re-checked only at the nodes a step touched; cleanup reads its loops and
 parallel pairs off the graph's indexes; one cycle search, over a successor
 map built for it, serves a whole `scc` phase unless cleanup adds an edge.
-A step keeps only its record (`PhaseStep`): its own delta substitution,
-its polarity set, its witness and a line of text. The image a step maps
-onto and its reflexivity are built once per run and shared
-(`_Engine.image`); the rest of what a step allocates is its own coercions
-and maps, or dies with it. The final context is read off the graphs once,
-and the total substitution is resolved once from one log of the steps'
-moves (`subst.resolve`). Steps, their order and every result equal those
-of the plain engine that rewrites the whole context after each step.
+A step keeps only its record (`PhaseStep`): its slice of the run's one
+flat log of moves, its polarity set, its witness and a line of text; no
+step builds a substitution. The image a step maps onto and its
+reflexivity are built once per run and shared (`_Engine.image`); the rest
+of what a step allocates is its own coercions and maps, or dies with it.
+The final context is read off the graphs once, and the total substitution
+is resolved once from the log (`subst.resolve`). Steps, their order and
+every result equal those of the plain engine that rewrites the whole
+context after each step.
 """
 
 from __future__ import annotations
@@ -65,24 +66,33 @@ from .syntax import NO_OPS, DCoEmptyUnder, Dirt, NameSupply, ParamContext, Signa
 
 
 class PhaseStep(NamedTuple):
-    """One strengthening step and its witness. An entry of `eta` or
-    `family` is a coercion over the context before the step, or a (lower,
-    upper) pair of dirt bounds that every ground instantiation of that
-    context satisfies. `eta` holds the coercion of each constraint the step
-    re-points or introduces; `family` holds, for each tracked parameter the
-    step eliminates, one between its images after and before the step
-    (after to before at a positive parameter, before to after at a negative
-    one). A named tuple, as a seven-field `syntax.value_class` takes about
-    1.8 times as long to build (one slot store per field), and a frozen
-    dataclass three times."""
+    """One strengthening step and its witness. Its moves are the items
+    `log[start:stop]` of the run's one move log; `subst` resolves them. An
+    entry of `eta` or `family` is a coercion over the context before the
+    step, or a (lower, upper) pair of dirt bounds that every ground
+    instantiation of that context satisfies. `eta` holds the coercion of
+    each constraint the step re-points or introduces; `family` holds, for
+    each tracked parameter the step eliminates, one between its images
+    after and before the step (after to before at a positive parameter,
+    before to after at a negative one). A named tuple, as a nine-field
+    `syntax.value_class` takes about 1.8 times as long to build (one slot
+    store per field), and a frozen dataclass three times."""
 
     phase: str  # cleanup-loop | cleanup-parallel | scc | bridge-in | bridge-out | empty | full
     sort: str  # "type" | "dirt"
     info: str
-    subst: Substitution  # this step's own strengthening
+    log: list  # the run's moves, as flat `map, name, image` items
+    start: int
+    stop: int
     fps: FreeParamSet  # polarity set before this step
     eta: dict
     family: dict
+
+    @property
+    def subst(self) -> Substitution:
+        """This step's own strengthening: no image mentions a name the step
+        maps, so resolving its moves changes none of them."""
+        return resolve(self.log[self.start:self.stop])
 
 
 @dataclass
@@ -234,23 +244,24 @@ class _Engine:
     def tracked(self, param: str) -> bool:
         return param in self.fps.pos or param in self.fps.neg
 
-    def commit(self, phase: str, sort: Sort, info: str, sub: Substitution,
+    def commit(self, phase: str, sort: Sort, info: str, params: dict, cos: dict,
                eta: dict, family: dict) -> None:
-        """Record a step and log its moves (a step maps only parameters and
-        constraints of its sort), then move the polarity of every parameter
-        it maps onto the parameter its image names (none: the image is
-        ground). The set is rebuilt only when a tracked parameter moves."""
-        fps, log, params, cos = self.fps, self.log, sort.params, sort.cos
-        self.steps.append(PhaseStep(phase, sort.name, info, sub, fps, eta, family))
-        self.changed.add(sort.name)
-        for n, x in getattr(sub, cos).items():
-            log += cos, n, x
+        """Log a step's moves, coercions then parameter images, all of its
+        sort, and record the step as its slice of the log. Then move the
+        polarity of every parameter it maps onto the parameter its image
+        names (none: the image is ground). The set is rebuilt, from the
+        step's parameter images, only when a tracked parameter moves."""
+        fps, log, start = self.fps, self.log, len(self.log)
+        for n, x in cos.items():
+            log += sort.cos, n, x
         tracked = False
-        for n, x in getattr(sub, params).items():
-            log += params, n, x
+        for n, x in params.items():
+            log += sort.params, n, x
             tracked = tracked or n in fps.pos or n in fps.neg
+        self.steps.append(PhaseStep(phase, sort.name, info, log, start, len(log), fps, eta, family))
+        self.changed.add(sort.name)
         if tracked:
-            self.fps = subst_fps(sub, fps)
+            self.fps = subst_fps(sort.subst(params, {}), fps)
 
     # -- cleanup ------------------------------------------------------------
 
@@ -270,7 +281,7 @@ class _Engine:
             g.remove(e)
             co = right_extend(e.ops, self.image(sort, e.src)[1])
             self.commit("cleanup-loop", sort, f"drop loop {e.name} on {e.src}",
-                        sort.subst({}, {e.name: co}), {}, {})
+                        {}, {e.name: co}, {}, {})
 
     def _collapse_parallels(self, sort: Sort, g: ConstraintGraph) -> None:
         bundles = sorted(([e for e in g.ordered(g.outs[src]) if e.dst == dst]
@@ -283,7 +294,7 @@ class _Engine:
             rep = kept if kept is not None else fresh
             dropped = [e for e in rows if e.name != kept]
             param = sort.co_param(rep)
-            sub = sort.subst({}, {e.name: right_extend(e.ops - meet, param) for e in dropped})
+            cos = {e.name: right_extend(e.ops - meet, param) for e in dropped}
             for e in dropped:
                 g.remove(e)
             eta = {}
@@ -294,7 +305,7 @@ class _Engine:
                 info = f"merge parallel {'/'.join(e.name for e in rows)} into {kept}"
             else:
                 info = f"intersect parallel bundle on {src} into {rep}"
-            self.commit("cleanup-parallel", sort, info, sub, eta, {})
+            self.commit("cleanup-parallel", sort, info, {}, cos, eta, {})
 
     # -- strongly connected components --------------------------------------
 
@@ -335,12 +346,12 @@ class _Engine:
                            if e.dst in members and not e.ops), key=lambda e: e.key)
         merged = [m for m in comp if m != rep]
         image, refl = self.image(sort, rep)
-        sub = sort.subst({m: image for m in merged}, {e.name: refl for e in internal})
         for e in internal:
             g.remove(e)
         for m in merged:
             g.merge(m, rep)
-        self.commit("scc", sort, f"contract cycle {'/'.join(comp)} to {rep}", sub,
+        self.commit("scc", sort, f"contract cycle {'/'.join(comp)} to {rep}",
+                    {m: image for m in merged}, {e.name: refl for e in internal},
                     {}, {m: refl for m in merged if self.tracked(m)})
         if g.loops or g.multi:  # labeled dirt cycle edges became self-loops
             self.cleanup((sort,))
@@ -392,10 +403,9 @@ class _Engine:
             (image, refl), crossing = self.image(sort, e.dst, e.ops), co(e.name)  # label folds in
             eta = {x.name: make(both_extend(x.ops, crossing), co(x.name)) for x in g.in_edges(node)}
             phase, info, target = "bridge-out", f"merge {node} up into {image} via {e.name}", e.dst
-        sub = sort.subst({node: image}, {e.name: refl})
         g.remove(e)
         g.merge(node, target, e.ops)  # edges into node gain the label it folds in
-        self.commit(phase, sort, info, sub, eta,
+        self.commit(phase, sort, info, {node: image}, {e.name: refl}, eta,
                     {node: crossing} if self.tracked(node) else {})
         if g.loops or g.multi:
             self.cleanup((sort,))
@@ -420,18 +430,16 @@ class _Engine:
         ground = set(grounded)
         dropped = g.ordered({e.key: e for n in grounded
                              for e in (*g.ins[n].values(), *g.outs[n].values())})
-        sub = Substitution(
-            dirt={n: Dirt(NO_OPS, None) for n in grounded},
-            dco={e.name: derived_empty(Dirt(e.ops, None if e.dst in ground or e.dst == SINK
-                                            else e.dst))
-                 for e in dropped},
-        )
+        cos = {e.name: derived_empty(Dirt(e.ops, None if e.dst in ground or e.dst == SINK
+                                          else e.dst))
+               for e in dropped}
         for e in dropped:
             g.remove(e)
         for n in grounded:
             g.remove_node(n)
         params = sorted(grounded)
-        self.commit("empty", DIRT, f"ground {'/'.join(params)} to the empty dirt", sub,
+        self.commit("empty", DIRT, f"ground {'/'.join(params)} to the empty dirt",
+                    {n: Dirt(NO_OPS, None) for n in grounded}, cos,
                     {}, {n: DCoEmptyUnder(n) for n in params if self.tracked(n)})
 
     def full_dirt(self) -> None:
@@ -450,7 +458,7 @@ class _Engine:
             g.merge(node, SINK, full.ops)  # lower bounds survive, closed
             family = {node: (Dirt(NO_OPS, node), full)} if self.tracked(node) else {}
             self.commit("full", DIRT, f"ground {node} to the full dirt {full}",
-                        Substitution(dirt={node: full}), eta, family)
+                        {node: full}, {}, eta, family)
             if g.loops or g.multi:
                 self.cleanup((DIRT,))
 

@@ -454,9 +454,11 @@ class _Resolver:
                 self.empty_under[g.tail] = self.dco(derived_empty(self.step_dirt[g.tail]))
             return self.empty_under[g.tail]
         if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
-            return type(g)(g.op, self.dco(g.body))
+            body = self.dco(g.body)
+            return g if body is g.body else type(g)(g.op, body)
         if isinstance(g, DCoCompose):
-            return DCoCompose(self.dco(g.after), self.dco(g.before))
+            after, before = self.dco(g.after), self.dco(g.before)
+            return g if after is g.after and before is g.before else DCoCompose(after, before)
         return g  # DCoReflEmpty
 
     def vco(self, g: VCoercion) -> VCoercion:
@@ -475,7 +477,8 @@ class _Resolver:
                 res = CCoercion(vco, dco)
             return g if arg is g.arg and res is g.res else VCoArrow(arg, res)
         if isinstance(g, VCoCompose):
-            return VCoCompose(self.vco(g.after), self.vco(g.before))
+            after, before = self.vco(g.after), self.vco(g.before)
+            return g if after is g.after and before is g.before else VCoCompose(after, before)
         return g  # VCoReflUnit, VCoReflBase
 
 

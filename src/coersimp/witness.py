@@ -17,14 +17,16 @@ exactly what the semantic oracle checks.
 
 Each step states its own witness (`PhaseStep.eta` and `PhaseStep.family`),
 so one replay rule serves every step: the step's entries are grounded under
-the instantiation so far, the names the step maps lose their ground images,
-and the constraints it re-points or introduces take their new coercions.
+the instantiation so far, the names the step maps, read off its slice of
+the run's move log, lose their ground images, and the constraints it
+re-points or introduces take their new coercions.
 
 The builder copies `eta0` once and updates the copy in place, step by step.
 A tracked parameter's family entry gains a link only at a step whose own
 entries meet its image so far; at every other step the step's family is a
-reflexivity there, and composing with it would change nothing. A step thus
-costs the size of its change, not the size of the context.
+reflexivity there, and composing with it would change nothing; its image
+so far changes only at a move of the parameter it names. A step thus costs
+the size of its change, not the size of the context.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def _ground(entry, eta: Substitution, apply):
 
 def _replay(step: PhaseStep, eta: Substitution) -> dict:
     """Turn `eta`, in place, from a ground instantiation of the context
-    before `step` into one after it; return the step's own family entries."""
+    before `step` into one after it, walking the step's slice of the log;
+    return the step's own family entries."""
     sort = SORTS[step.sort]
     new = {name: _ground(entry, eta, sort.apply_co) for name, entry in step.eta.items()}
     fam = {}
@@ -68,9 +71,9 @@ def _replay(step: PhaseStep, eta: Substitution) -> dict:
         co = fam[p] = _ground(entry, eta, sort.apply_co)
         if sort.endpoint(co, p in step.fps.pos) != images[p]:
             raise WitnessBug(f"family entry for {p} misses its image {images[p]} under eta")
-    for part, names in zip(eta.maps(), step.subst.maps()):
-        for name in names:
-            part.pop(name, None)
+    log = step.log
+    for i in range(step.start, step.stop, 3):
+        getattr(eta, log[i]).pop(log[i + 1], None)
     getattr(eta, sort.cos).update(new)
     return fam
 
@@ -103,14 +106,17 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
         if touched:
             acc.update(compose_families(
                 acc, precompose_family(special, so_far, touched), run.fps0))
-        sort, sub = SORTS[step.sort], step.subst
-        images = getattr(so_far, sort.params)
-        for n in {n for p in getattr(sub, sort.params) for n in users.pop(p, ())}:
-            image = images.get(n)
-            image = images[n] = sort.apply(sub, sort.bare(n) if image is None else image)
-            p = sort.named(image)
-            if p is not None:
-                users.setdefault(p, set()).add(n)
+        sort, log = SORTS[step.sort], step.log
+        moves = {log[i + 1]: log[i + 2] for i in range(step.start, step.stop, 3)
+                 if log[i] == sort.params and log[i + 1] in users}
+        if moves:
+            sub, images = sort.subst(moves, {}), getattr(so_far, sort.params)
+            for n in {n for p in moves for n in users.pop(p)}:
+                image = images.get(n)
+                image = images[n] = sort.apply(sub, sort.bare(n) if image is None else image)
+                p = sort.named(image)
+                if p is not None:
+                    users.setdefault(p, set()).add(n)
     return WitnessResult(eta, acc)
 
 

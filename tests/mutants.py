@@ -117,14 +117,14 @@ MUTANTS = (
         killed_by="tests/test_reduce.py::test_type_constraint_across_skeletons_is_unsatisfiable_without_wf_context"),
     Mutant(
         "resolver-skips-a-dirt-link", "subst.py",
-        "            return DCoCompose(self.dco(g.after), self.dco(g.before))",
-        "            return DCoCompose(self.dco(g.after), g.before)",
+        "            after, before = self.dco(g.after), self.dco(g.before)",
+        "            after, before = self.dco(g.after), g.before",
         "resolution rewrites both links of a dirt composition",
         killed_by="tests/test_subst.py::test_resolve_equals_composing_the_steps_one_by_one"),
     Mutant(
         "resolver-skips-a-value-link", "subst.py",
-        "            return VCoCompose(self.vco(g.after), self.vco(g.before))",
-        "            return VCoCompose(self.vco(g.after), g.before)",
+        "            after, before = self.vco(g.after), self.vco(g.before)",
+        "            after, before = self.vco(g.after), g.before",
         "resolution rewrites both links of a value composition",
         killed_by="tests/test_subst.py::test_resolve_equals_composing_the_steps_one_by_one"),
     Mutant(
@@ -133,6 +133,12 @@ MUTANTS = (
         "            skels[n] = x",
         "a skeleton image is rewritten by the later steps",
         killed_by="tests/test_subst.py::test_resolve_equals_composing_the_steps_one_by_one"),
+    Mutant(
+        "resolver-rebuilds-an-unchanged-union", "subst.py",
+        "            return g if body is g.body else type(g)(g.op, body)",
+        "            return type(g)(g.op, body)",
+        "a resolved image shares every node under which no later move maps a name",
+        killed_by="tests/test_subst.py::test_resolve_keeps_a_logged_image_whose_parts_no_later_move_maps"),
     Mutant(
         "stage-one-image-drops-the-arrow-dirt", "reduce.py",
         "CompType(step.cod.ty if cod is None else cod, step.cod.dirt))",
@@ -147,10 +153,22 @@ MUTANTS = (
         killed_by="tests/test_reduce.py::test_reduce_matches_reference_on_structural_shapes"),
     Mutant(
         "phase-log-drops-the-coercions", "phases.py",
-        "            log += cos, n, x",
+        "            log += sort.cos, n, x",
         "            pass",
         "the phase log holds each step's coercions as well as its parameter images",
         killed_by="tests/test_phases.py::test_resolution_derives_only_the_dirt_coercions_an_image_mentions"),
+    Mutant(
+        "phase-step-slice-ends-a-move-early", "phases.py",
+        "info, log, start, len(log), fps, eta, family)",
+        "info, log, start, len(log) - 3, fps, eta, family)",
+        "a step's slice of the run's log ends after its last move",
+        killed_by="tests/test_phases.py::test_phase_run_logs_each_move_once"),
+    Mutant(
+        "witness-replay-skips-a-steps-first-move", "witness.py",
+        "    for i in range(step.start, step.stop, 3):",
+        "    for i in range(step.start + 3, step.stop, 3):",
+        "the replay drops the ground image of every name the step maps",
+        killed_by="tests/test_witness.py::test_witness_matches_reference_on_corpus"),
     Mutant(
         "compose-at-drops-the-fallback", "subst.py",
         "        elif n in s2.ty:\n            out.ty[n] = s2.ty[n]\n",
@@ -310,8 +328,8 @@ MUTANTS = (
         "arrow-cast-argument-not-cast-down", "semantics.py",
         "        arg = _cast(sig, dst.dom, src.dom, a, budget)",
         "        arg = a",
-        "tier-1 compares only where the uncast argument gives the same tables",
-        survives=True),
+        "an arrow cast hands its function each argument cast down to the function's domain",
+        killed_by="tests/test_semantics.py::test_arrow_cast_casts_each_argument_down"),
     # -- erasure and the sampler's walk
     Mutant(
         "erase-lift-right-as-reflexive", "subst.py",

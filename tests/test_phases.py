@@ -476,6 +476,55 @@ def test_phase_cost_does_not_grow_with_steps(monkeypatch):
         assert few == many == {"build_type_graph": 1, "build_dirt_graph": 1, "tarjan_scc": 2}
 
 
+def test_phase_run_logs_each_move_once(monkeypatch):
+    """A run builds no substitution per step: at 100 and at 400 parameters
+    per sort, a chain run under `all` builds the same few `Substitution`
+    objects and resolves its move log once. The steps' slices tile that
+    log in run order, and resolved they give the run's substitution. The
+    run leaves no reference cycle, so what it drops dies at once rather
+    than waiting for the cyclic collector."""
+    import gc
+
+    import coersimp.phases
+    from coersimp.subst import Substitution
+
+    built, resolved = Counter(), Counter()
+    init = Substitution.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built[size] += 1
+        init(self, *args, **kwargs)
+
+    def counted_resolve(log, resolve=coersimp.phases.resolve):
+        resolved[size] += 1
+        return resolve(log)
+
+    monkeypatch.setattr(Substitution, "__init__", counted_init)
+    monkeypatch.setattr(coersimp.phases, "resolve", counted_resolve)
+    runs = {}
+    for size in (100, 400):
+        ctx, pol = shape_context("chain", size)
+        gc.collect()
+        gc.disable()
+        try:
+            runs[size] = run_phases(TEST_SIG, ctx, pol, PRESETS["all"])
+            assert gc.collect() == 0, size
+        finally:
+            gc.enable()
+    monkeypatch.undo()
+    assert len(runs[400].steps) > 3 * len(runs[100].steps)
+    assert built[100] == built[400] <= 4, built
+    assert resolved == {100: 1, 400: 1}, resolved
+    for size, res in runs.items():
+        log = res.steps[0].log
+        ends = [0]
+        for step in res.steps:
+            assert step.log is log and step.start == ends[-1] < step.stop, size
+            ends.append(step.stop)
+        assert ends[-1] == len(log), size
+        assert resolve(move_log([step.subst for step in res.steps])) == res.subst, size
+
+
 def _derived_dirt_mentions(g):
     """(derivation, parameter) for each dirt reflexivity and empty-below
     coercion of a parameter in the coercion `g`."""

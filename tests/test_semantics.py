@@ -273,6 +273,23 @@ def test_interp_vco_lazy_fallback_when_domain_blows_up():
     assert lifted.apply(ident) == TreeReturn(ident)
 
 
+def test_arrow_cast_casts_each_argument_down():
+    """A cast between third-order function types casts each argument down
+    before applying the function. The function `apply_to_pure` takes
+    functions over pure functions, and it is cast to take functions over
+    functions that may fail. Such an argument cannot be tabulated, since its
+    own domain carries an effect; cast down, it is one of the tabulated
+    functions over pure functions, where the cast function looks it up."""
+    pure_fn, failing_fn = arrow(UNIT, UNIT), arrow(UNIT, UNIT, dirt(("Fail",)))
+    narrow, wide = arrow(pure_fn, UNIT), arrow(failing_fn, UNIT)
+    apply_to_pure = Lam("h", narrow, App(Var("h"), Lam("u", UNIT, Return(UnitVal()))))
+    co = value_inclusion_coercion(arrow(narrow, UNIT), arrow(wide, UNIT))
+    cast = eval_value(TEST_SIG, {}, CastV(apply_to_pure, co))
+    ignores = eval_value(TEST_SIG, {}, Lam("k", failing_fn, Return(UnitVal())))
+    assert cast.table is None and ignores.table is None
+    assert cast.apply(ignores) == TreeReturn(())
+
+
 # ---------------------------------------------------------------------------
 # Commuting squares
 

@@ -359,6 +359,24 @@ def test_resolve_equals_composing_the_steps_one_by_one(monkeypatch):
     assert seen[DCoCompose] and seen[VCoCompose], seen
 
 
+def test_resolve_keeps_a_logged_image_whose_parts_no_later_move_maps():
+    """`resolve` gives back a logged union or composition coercion itself
+    when no later entry maps a name under it, and rebuilds one whose body
+    a later entry maps."""
+    union = DCoUnionBoth("get", DCoParam("w0"))
+    lift = DCoUnionRight("put", DCoReflParam("d0"))
+    dpair = DCoCompose(DCoParam("w0"), union)
+    vpair = VCoCompose(VCoParam("v0"), VCoReflParam("a0"))
+    moved = DCoUnionRight("get", DCoParam("w9"))
+    log = ["dco", "w1", union, "dco", "w2", lift, "dco", "w3", dpair, "vco", "v1", vpair,
+           "dco", "w4", moved, "dco", "w9", DCoReflParam("d1"), "dirt", "d9", dirt()]
+    got = resolve(log)
+    for name, image in (("w1", union), ("w2", lift), ("w3", dpair)):
+        assert got.dco[name] is image, name
+    assert got.vco["v1"] is vpair
+    assert got.dco["w4"] == DCoUnionRight("get", DCoReflParam("d1"))
+
+
 # ---------------------------------------------------------------------------
 # Application shares what it does not change
 #
