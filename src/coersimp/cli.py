@@ -275,9 +275,11 @@ def _load_corpus(args) -> list[CorpusItem]:
     if args.corpus is None:
         items = load_bundled()
     elif args.corpus == "-":
-        items = parse_corpus(sys.stdin.read())
+        text = sys.stdin.read()
+        text.encode("utf-8")  # refuses the surrogates that stand for undecodable bytes
+        items = parse_corpus(text)
     else:
-        with open(args.corpus) as fh:
+        with open(args.corpus, encoding="utf-8") as fh:
             items = parse_corpus(fh.read())
     if args.item is not None:
         items = [i for i in items if i.name == args.item]

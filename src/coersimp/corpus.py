@@ -28,7 +28,8 @@ must be well formed, the declared type well formed over it, and a term must
 typecheck to exactly the declared type.
 
 Loading costs time linear in the text and memory bounded by its largest
-item. The reader tokenizes the text a block of lines at a time and builds
+item. The reader tokenizes the text a block of lines at a time, splitting
+each block with string methods rather than matching each token, and builds
 plain lists of `str` atoms, keeping no position; each item is elaborated
 and judged as soon as its closing parenthesis is read, and its lists are
 dropped before the next item is read. A diagnostic reads the text once
@@ -117,14 +118,20 @@ class CorpusItem:
 # The reader streams. It splits the text into tokens a block of whole lines
 # at a time, which is sound because no token spans a line: an atom runs up
 # to the next space, tab, carriage return, newline, parenthesis or `;`, and
-# `;` starts a comment that runs to the end of the line. It hands each
-# top-level element on as soon as its closing parenthesis is read, so a
-# parse holds the items elaborated so far and the lists of one element. The
-# lists keep no positions: atoms are `str`, one object per distinct atom in
-# a parse, and lists are `list`. A diagnostic reads the text again to find
-# its offset, and only then turns it into line:column.
+# `;` starts a comment that runs to the end of the line. `_tokens` splits a
+# block with string methods: it drops the comments, turns each of those
+# blanks into a space and pads each parenthesis with spaces, then splits at
+# single spaces. It does not use `str.split()`, which also splits at form
+# feed, vertical tab and the Unicode spaces, all atom characters here. The
+# reader hands each top-level element on as soon as its closing parenthesis
+# is read, so a parse holds the items elaborated so far and the lists of
+# one element. The lists keep no positions: atoms are `str`, one object per
+# distinct atom in a parse, and lists are `list`. A diagnostic reads the
+# text again with `_TOKEN`, which matches the same tokens and comments, to
+# find its offset, and only then turns it into line:column.
 
 _TOKEN = re.compile(r"[^ \t\r\n();]+|[()]|;[^\n]*")
+_COMMENT = re.compile(r";[^\n]*")
 
 # Characters tokenized at a time, extended to the end of their last line.
 _BLOCK = 1 << 12
@@ -139,6 +146,14 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - line_start
 
 
+def _tokens(block: str) -> Iterator[str]:
+    """The parentheses and atoms of `block`, in order; comments are dropped."""
+    if ";" in block:
+        block = _COMMENT.sub("", block)
+    return filter(None, block.replace("\n", " ").replace("\t", " ").replace("\r", " ")
+                  .replace("(", " ( ").replace(")", " ) ").split(" "))
+
+
 def _read(text: str) -> Iterator[str | list]:
     """The top-level elements of `text` in order: a list as soon as its
     closing parenthesis is read, an atom along with the next list."""
@@ -148,7 +163,7 @@ def _read(text: str) -> Iterator[str | list]:
     start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        for tok in _TOKEN.findall(text, start, end):
+        for tok in _tokens(text[start:end]):
             if tok == "(":
                 if len(stack) == MAX_NESTING:
                     raise _parenthesis_error(text)
@@ -163,7 +178,7 @@ def _read(text: str) -> Iterator[str | list]:
                 if node is top:
                     yield from top
                     top.clear()
-            elif tok[0] != ";":
+            else:
                 node.append(atoms.setdefault(tok, tok))
         start = end
     if stack:
@@ -281,7 +296,8 @@ def _form(node: list, arity: dict[str, int], what: str) -> str:
         raise _Misplaced(head, None, "expected a name")
     if head not in arity:
         raise _Misplaced(node, None, f"unknown {what} {head!r}")
-    _arity(node, arity[head])
+    if len(node) != arity[head] + 1:
+        _arity(node, arity[head])
     return head
 
 

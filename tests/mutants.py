@@ -405,4 +405,28 @@ MUTANTS = (
         "            pass",
         "the lists of an item are dropped before the next item is read",
         killed_by="tests/test_corpus_cli.py::test_the_parse_drops_the_lists_of_each_item_before_reading_the_next"),
+    Mutant(
+        "reader-splits-at-any-whitespace", "corpus.py",
+        '.replace("(", " ( ").replace(")", " ) ").split(" "))',
+        '.replace("(", " ( ").replace(")", " ) ").split())',
+        "form feed, vertical tab and the Unicode spaces are atom characters",
+        killed_by="tests/test_corpus_cli.py::test_reader_matches_reference_on_inserted_blanks"),
+    Mutant(
+        "reader-keeps-comment-text", "corpus.py",
+        '        block = _COMMENT.sub("", block)',
+        "        pass",
+        "a `;` comment runs to the end of its line and yields no token",
+        killed_by="tests/test_corpus_cli.py::test_block_tokenizer_matches_the_token_pattern"),
+    Mutant(
+        "form-accepts-too-few-arguments", "corpus.py",
+        "    if len(node) != arity[head] + 1:",
+        "    if len(node) > arity[head] + 1:",
+        "a form with fewer arguments than its head takes is a diagnostic, not an IndexError",
+        killed_by="tests/test_corpus_cli.py::test_reader_matches_reference_on_edge_cases"),
+    Mutant(
+        "stdin-keeps-undecodable-bytes", "cli.py",
+        '        text.encode("utf-8")  # refuses the surrogates that stand for undecodable bytes',
+        "        pass",
+        "stdin is read as strict UTF-8, as a corpus file is",
+        killed_by="tests/test_corpus_cli.py::test_cli_refuses_undecodable_bytes_from_a_file_and_from_stdin"),
 )

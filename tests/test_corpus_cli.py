@@ -3,9 +3,11 @@
 import importlib
 import io
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -13,6 +15,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coersimp import corpus
 from coersimp.check import check_dco, derived_refl_dirt
@@ -455,6 +459,27 @@ def test_cli_reads_corpus_file_and_stdin(tmp_path, monkeypatch, capsys):
     assert "item x" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("utf8_mode", ["1", "0"])
+def test_cli_refuses_undecodable_bytes_from_a_file_and_from_stdin(tmp_path, utf8_mode):
+    """The same bytes give the same result whichever way they come in: one
+    `error:` line, no traceback and exit 1, in Python's UTF-8 mode (whose
+    stdin decodes with `surrogateescape`) or not."""
+    data = b"(item x\xff (signature) (context))"
+    path = tmp_path / "bad.sexp"
+    path.write_bytes(data)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for corpus_arg in (str(path), "-"):
+        run = subprocess.run(
+            [sys.executable, "-X", f"utf8={utf8_mode}", "-m", "coersimp.cli", "simplify",
+             corpus_arg], input=data, env=env, capture_output=True, timeout=60)
+        assert run.returncode == 1, (corpus_arg, run)
+        assert not run.stdout, corpus_arg
+        (line,) = run.stderr.decode().splitlines()
+        assert line.startswith("error: ") and "utf-8" in line, line
+
+
 def test_cli_diagnostics_exit_one(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.sexp"
     bad.write_text("(item oops")
@@ -626,6 +651,38 @@ def test_reader_matches_reference_on_edge_cases():
     for text in cases:
         assert_reads_like_reference(text)
     assert isinstance(assert_reads_like_reference(BASE_AND_DREFL), list)
+
+
+def findall_tokens(text):
+    """The tokens `_TOKEN` matches in `text`, less the comments."""
+    return [tok for tok in corpus._TOKEN.findall(text) if tok[0] != ";"]
+
+
+# The reader's separators, the other blanks (atom characters here, though
+# `str.split()` splits at them), and a few more atom characters.
+TOKEN_ALPHABET = " \t\r\n();\f\v\x1c\x85\xa0\u2000\u3000\"\\\0abXY"
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=60))
+def test_block_tokenizer_matches_the_token_pattern(block):
+    assert list(corpus._tokens(block)) == findall_tokens(block)
+
+
+def test_block_tokenizer_on_comments_line_endings_and_block_boundaries():
+    for block in ("(item x ; (a (b) c)) d\n (signature) ; )(\n(context))",
+                  "(item x\r\n (signature)\r\n ; a (comment)\r\n (context))\r\n"):
+        assert list(corpus._tokens(block)) == findall_tokens(block)
+    # An item name runs across offset `_BLOCK`, where the first block would
+    # end if the reader did not extend it to the end of its line.
+    names = [f"item_{k}_" + "x" * 50 for k in range(3 * corpus._BLOCK // 100)]
+    body = "\r\n".join(f"; item {k} (of {len(names)})\r\n{minimal(name)}"
+                       for k, name in enumerate(names))
+    text = next(text for text in (f";{' ' * pad}\n{body}" for pad in range(100))
+                if text[corpus._BLOCK - 1:corpus._BLOCK + 1] == "xx")
+    assert len(text) > 2 * corpus._BLOCK
+    items = assert_reads_like_reference(text)
+    assert [item.name for item in items] == names
 
 
 def minimal(name):
