@@ -24,7 +24,7 @@ import shlex
 import sys
 
 from .check import CheckError, type_of_value
-from .corpus import CorpusItem, JudgmentError, ParseError, load_bundled, parse_corpus
+from .corpus import CorpusItem, JudgmentError, ParseError, load_bundled, parse_corpus, utf8_text
 from .graph import to_dot
 from .phases import PRESETS, parse_phase_config, simplify
 from .polarity import EMPTY_FPS, extend_family_vty, fp_vty
@@ -36,7 +36,7 @@ from .semantics import (
     ModelBug,
     check_preservation,
 )
-from .subst import Substitution, apply_value, apply_vty, erase_value
+from .subst import Substitution, apply, erase_value
 from .syntax import EMPTY_CONTEXT, CastC, CastV, CompTerm, ValueTerm, intern
 from .witness import WitnessBug, WitnessPlan, build_witness_total, check_witness_total
 
@@ -74,10 +74,10 @@ def _simplified(item: CorpusItem, config: str, full_dirt: bool):
     instructions = parse_phase_config(config, full_dirt=full_dirt)
     fps = fp_vty(item.poltype) if item.poltype is not None else EMPTY_FPS
     sim = simplify(item.signature, item.context, fps, instructions)
-    new_ty = apply_vty(sim.subst, item.poltype) if item.poltype is not None else None
+    new_ty = apply(sim.subst, item.poltype) if item.poltype is not None else None
     if item.term is None:
         return sim, new_ty, None, None
-    rewritten = apply_value(sim.subst, item.term)
+    rewritten = apply(sim.subst, item.term)
     return sim, new_ty, rewritten, erase_value(rewritten)
 
 
@@ -207,7 +207,7 @@ def check_sample(item: CorpusItem, sim, term: ValueTerm, eta0: Substitution,
     sig = item.signature
     wit = build_witness_total(sig, sim, eta0, plan)
     check_witness_total(sig, sim, eta0, wit, plan)
-    check_preservation(sig, apply_value(eta0, item.term), apply_value(wit.eta, term),
+    check_preservation(sig, apply(eta0, item.term), apply(wit.eta, term),
                        extend_family_vty(wit.family, item.poltype), budget)
 
 
@@ -275,12 +275,12 @@ def _load_corpus(args) -> list[CorpusItem]:
     if args.corpus is None:
         items = load_bundled()
     elif args.corpus == "-":
-        text = sys.stdin.read()
-        text.encode("utf-8")  # refuses the surrogates that stand for undecodable bytes
-        items = parse_corpus(text)
+        if hasattr(sys.stdin, "reconfigure"):  # a text stream given in place of stdin has none
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+        items = parse_corpus(utf8_text(sys.stdin.read()))
     else:
-        with open(args.corpus, encoding="utf-8") as fh:
-            items = parse_corpus(fh.read())
+        with open(args.corpus, encoding="utf-8", errors="surrogateescape") as fh:
+            items = parse_corpus(utf8_text(fh.read()))
     if args.item is not None:
         items = [i for i in items if i.name == args.item]
         if not items:

@@ -138,12 +138,29 @@ _BLOCK = 1 << 12
 
 # Deepest parenthesis nesting the reader accepts: elaboration, checking and
 # substitution recurse along it and must stay inside the recursion limit.
+# Application takes two frames a level (`apply` and `rebuild`), as do `==`
+# and printing an arrow type: `coersimp simplify --emit json` on the
+# deepest items of `tests/test_erase.py` needs a recursion limit of 511 to
+# 515, within the test's `3 * MAX_NESTING`. With one frame a level for
+# application and three for `==` and printing, it needed 264 on a cast
+# stack and 767 on an arrow type.
 MAX_NESTING = 256
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
     line_start = text.rfind("\n", 0, offset) + 1
     return text.count("\n", 0, offset) + 1, offset - line_start
+
+
+def utf8_text(text: str) -> str:
+    """`text`, read from UTF-8 with `surrogateescape`, if every byte of it
+    decoded; else the diagnostic at the first byte that did not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # at a surrogate that stands for the byte
+        byte = ord(text[exc.start]) - 0xDC00
+        raise ParseError(*_line_col(text, exc.start), f"byte {byte:#x} is not utf-8") from None
+    return text
 
 
 def _tokens(block: str) -> Iterator[str]:

@@ -20,7 +20,7 @@ simplifier's completeness witnesses are assembled from.
 from __future__ import annotations
 
 from .check import CheckError, EndpointMismatch, extend_dirt, extend_vty
-from .subst import Substitution, sort_of
+from .subst import Substitution, apply, sort_of
 from .syntax import (
     CompType,
     DCoercion,
@@ -188,7 +188,7 @@ def check_family(
         if sort is None:
             raise FamilyError(f"family has no entry for {name}")
         got, bare = sort.check_co(sig, use_ctx, co), sort.bare(name)
-        img1, img2 = sort.apply(sub1, bare), sort.apply(sub2, bare)
+        img1, img2 = apply(sub1, bare), apply(sub2, bare)
         if name in fps.pos and got != (img1, img2):
             raise EndpointMismatch(
                 f"family entry for positive {name}: endpoints {got[0]} <= {got[1]}, "

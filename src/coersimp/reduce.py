@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .check import both_extend, dirt_inclusion_coercion
-from .subst import Substitution, apply_vty, resolve
+from .subst import Substitution, apply, resolve
 from .syntax import (
     CCoercion,
     DCoParam,
@@ -249,7 +249,7 @@ def reduce_context(sig: Signature, ctx: ParamContext, supply: NameSupply | None 
     ty_params, dirt_params, images = _phi_t(ctx, supply, log)
     sub_t = Substitution(ty=images)
     ty_cos_in = [
-        (n, apply_vty(sub_t, lo), apply_vty(sub_t, hi)) for n, lo, hi in ctx.ty_cos
+        (n, apply(sub_t, lo), apply(sub_t, hi)) for n, lo, hi in ctx.ty_cos
     ]
     ty_cos, dirt_cos_in = _phi_tc(ty_cos_in, supply, log, ctx.dirt_cos)
     dirt_cos, dirt_params = _phi_dc(sig, dirt_cos_in, dirt_params, supply, log)

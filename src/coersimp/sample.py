@@ -47,7 +47,7 @@ import heapq
 import random
 
 from .check import interned_inclusion
-from .subst import Substitution, ValidityCheck, apply_skel, apply_vty
+from .subst import Substitution, ValidityCheck, apply
 from .syntax import (
     CompTerm,
     CompType,
@@ -310,13 +310,13 @@ class Sampler:
         for name, skel in self.ty_params:
             gskel = gskels.get(id(skel))
             if gskel is None:
-                gskel = gskels[id(skel)] = apply_skel(sub, skel)
+                gskel = gskels[id(skel)] = apply(sub, skel)
             tys[name] = _ground_of_skeleton(gskel, rng, ops, name in pinned, table)
 
         def image(t: ValueType) -> ValueType:
             if type(t) is TyParam:
                 return tys.get(t.name) or intern(table, t)
-            return intern(table, apply_vty(sub, t))
+            return intern(table, apply(sub, t))
 
         # Repair type inclusions by raising the upper image to its join with
         # the lower one. Joins only climb a finite lattice, so this settles.

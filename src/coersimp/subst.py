@@ -4,7 +4,10 @@ made trivial.
 
 A substitution is five finite maps. Mappings that are omitted are identities:
 applying a substitution to a parameter outside its domain leaves it alone.
-Application is homomorphic on all syntax, with two non-obvious clauses:
+One function, `apply`, applies a substitution to syntax of every class. It
+reads the substitution at the eight leaf classes of `_LEAVES` and is
+homomorphic on every other node, through the node's `rebuild`
+(`syntax.value_class`). Two of the leaf clauses are not obvious:
 
 * reflexivity coercions on parameters turn into the *derived* reflexivity of
   the image (`refl_a` under `{a -> unit -> unit!d}` becomes the full arrow
@@ -12,9 +15,10 @@ Application is homomorphic on all syntax, with two non-obvious clauses:
 * the empty-below-tail coercion turns into the derived empty coercion of the
   image dirt.
 
-Dirt application flattens: substituting a tail re-canonicalizes the op set.
+Dirt application (`apply_dirt`) flattens: substituting a tail
+re-canonicalizes the op set.
 
-Application and composition share what they do not change: an applier
+Application and composition share what they do not change: `apply`
 returns the node it was given where no name under it is mapped, and
 rebuilds only the spine above a mapped name; composing after a
 substitution that maps nothing copies the maps without walking an image.
@@ -55,12 +59,10 @@ from .check import (
 )
 from .syntax import (
     EMPTY_CONTEXT,
-    App,
     CastC,
     CastV,
     CCoercion,
     CompTerm,
-    CompType,
     DCoCompose,
     DCoEmptyUnder,
     DCoParam,
@@ -70,24 +72,14 @@ from .syntax import (
     DCoUnionRight,
     DCoercion,
     Dirt,
-    Do,
-    Lam,
-    LetVal,
     NO_OPS,
-    OpCall,
     ParamContext,
-    Return,
     Signature,
-    SkelArrow,
     SkelBase,
     SkelParam,
     SkelUnit,
     Skeleton,
-    TyArrow,
-    TyBase,
     TyParam,
-    TyUnit,
-    UnitVal,
     VCoArrow,
     VCoCompose,
     VCoParam,
@@ -97,7 +89,6 @@ from .syntax import (
     VCoercion,
     ValueTerm,
     ValueType,
-    Var,
     intern,
 )
 
@@ -128,15 +119,11 @@ class Substitution:
 # ---------------------------------------------------------------------------
 # Application
 
-def apply_skel(sub: Substitution, s: Skeleton) -> Skeleton:
-    if isinstance(s, SkelParam):
-        return sub.skel.get(s.name, s)
-    if isinstance(s, (SkelUnit, SkelBase)):
-        return s
-    if isinstance(s, SkelArrow):
-        dom, cod = apply_skel(sub, s.dom), apply_skel(sub, s.cod)
-        return s if dom is s.dom and cod is s.cod else SkelArrow(dom, cod)
-    raise TypeError(f"not a skeleton: {s!r}")
+def apply(sub: Substitution, x):
+    """The syntax `x`, of any class, under `sub`: a leaf of `_LEAVES` reads
+    `sub`, every other node is rebuilt over its children's images."""
+    leaf = _LEAVES.get(type(x))
+    return x.rebuild(apply, sub) if leaf is None else leaf(sub, x)
 
 
 def apply_dirt(sub: Substitution, d: Dirt) -> Dirt:
@@ -146,100 +133,18 @@ def apply_dirt(sub: Substitution, d: Dirt) -> Dirt:
     return Dirt(d.ops | image.ops, image.tail) if d.ops else image
 
 
-def apply_vty(sub: Substitution, t: ValueType) -> ValueType:
-    if isinstance(t, TyParam):
-        return sub.ty.get(t.name, t)
-    if isinstance(t, (TyUnit, TyBase)):
-        return t
-    if isinstance(t, TyArrow):
-        dom, cod = apply_vty(sub, t.dom), apply_cty(sub, t.cod)
-        return t if dom is t.dom and cod is t.cod else TyArrow(dom, cod)
-    raise TypeError(f"not a value type: {t!r}")
-
-
-def apply_cty(sub: Substitution, c: CompType) -> CompType:
-    ty, d = apply_vty(sub, c.ty), apply_dirt(sub, c.dirt)
-    return c if ty is c.ty and d is c.dirt else CompType(ty, d)
-
-
-def apply_dco(sub: Substitution, g: DCoercion) -> DCoercion:
-    if isinstance(g, DCoParam):
-        return sub.dco.get(g.name, g)
-    if isinstance(g, DCoReflParam):
-        if g.name in sub.dirt:
-            return derived_refl_dirt(sub.dirt[g.name])
-        return g
-    if isinstance(g, DCoReflEmpty):
-        return g
-    if isinstance(g, DCoEmptyUnder):
-        if g.tail in sub.dirt:
-            return derived_empty(sub.dirt[g.tail])
-        return g
-    if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
-        body = apply_dco(sub, g.body)
-        return g if body is g.body else type(g)(g.op, body)
-    if isinstance(g, DCoCompose):
-        after, before = apply_dco(sub, g.after), apply_dco(sub, g.before)
-        return g if after is g.after and before is g.before else DCoCompose(after, before)
-    raise TypeError(f"not a dirt coercion: {g!r}")
-
-
-def apply_vco(sub: Substitution, g: VCoercion) -> VCoercion:
-    if isinstance(g, VCoParam):
-        return sub.vco.get(g.name, g)
-    if isinstance(g, VCoReflParam):
-        if g.name in sub.ty:
-            return derived_refl_vty(sub.ty[g.name])
-        return g
-    if isinstance(g, (VCoReflUnit, VCoReflBase)):
-        return g
-    if isinstance(g, VCoArrow):
-        arg, res = apply_vco(sub, g.arg), apply_cco(sub, g.res)
-        return g if arg is g.arg and res is g.res else VCoArrow(arg, res)
-    if isinstance(g, VCoCompose):
-        after, before = apply_vco(sub, g.after), apply_vco(sub, g.before)
-        return g if after is g.after and before is g.before else VCoCompose(after, before)
-    raise TypeError(f"not a value coercion: {g!r}")
-
-
-def apply_cco(sub: Substitution, g: CCoercion) -> CCoercion:
-    vco, dco = apply_vco(sub, g.vco), apply_dco(sub, g.dco)
-    return g if vco is g.vco and dco is g.dco else CCoercion(vco, dco)
-
-
-def apply_value(sub: Substitution, v: ValueTerm) -> ValueTerm:
-    if isinstance(v, (Var, UnitVal)):
-        return v
-    if isinstance(v, Lam):
-        ty, body = apply_vty(sub, v.ty), apply_comp(sub, v.body)
-        return v if ty is v.ty and body is v.body else Lam(v.var, ty, body)
-    if isinstance(v, CastV):
-        val, co = apply_value(sub, v.val), apply_vco(sub, v.co)
-        return v if val is v.val and co is v.co else CastV(val, co)
-    raise TypeError(f"not a value term: {v!r}")
-
-
-def apply_comp(sub: Substitution, c: CompTerm) -> CompTerm:
-    if isinstance(c, Return):
-        val = apply_value(sub, c.val)
-        return c if val is c.val else Return(val)
-    if isinstance(c, OpCall):
-        arg, ty, cont = apply_value(sub, c.arg), apply_vty(sub, c.bind_ty), apply_comp(sub, c.cont)
-        return (c if arg is c.arg and ty is c.bind_ty and cont is c.cont
-                else OpCall(c.op, arg, c.bind, ty, cont))
-    if isinstance(c, Do):
-        first, rest = apply_comp(sub, c.first), apply_comp(sub, c.rest)
-        return c if first is c.first and rest is c.rest else Do(c.var, first, rest)
-    if isinstance(c, App):
-        fn, arg = apply_value(sub, c.fn), apply_value(sub, c.arg)
-        return c if fn is c.fn and arg is c.arg else App(fn, arg)
-    if isinstance(c, LetVal):
-        val, body = apply_value(sub, c.val), apply_comp(sub, c.body)
-        return c if val is c.val and body is c.body else LetVal(c.var, val, body)
-    if isinstance(c, CastC):
-        comp, co = apply_comp(sub, c.comp), apply_cco(sub, c.co)
-        return c if comp is c.comp and co is c.co else CastC(comp, co)
-    raise TypeError(f"not a computation term: {c!r}")
+# The nodes that a substitution reads: the parameters, the derived
+# coercions of a mapped parameter's image, and dirts, which flatten.
+_LEAVES = {
+    SkelParam: lambda sub, s: sub.skel.get(s.name, s),
+    TyParam: lambda sub, t: sub.ty.get(t.name, t),
+    VCoParam: lambda sub, g: sub.vco.get(g.name, g),
+    DCoParam: lambda sub, g: sub.dco.get(g.name, g),
+    VCoReflParam: lambda sub, g: derived_refl_vty(sub.ty[g.name]) if g.name in sub.ty else g,
+    DCoReflParam: lambda sub, g: derived_refl_dirt(sub.dirt[g.name]) if g.name in sub.dirt else g,
+    DCoEmptyUnder: lambda sub, g: derived_empty(sub.dirt[g.tail]) if g.tail in sub.dirt else g,
+    Dirt: apply_dirt,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +235,7 @@ def apply_context(sub: Substitution, ctx: ParamContext) -> ParamContext:
         skel_params=tuple(s for s in ctx.skel_params if s not in dom),
         dirt_params=tuple(d for d in ctx.dirt_params if d not in dom),
         ty_params=tuple(
-            (n, apply_skel(sub, s)) for n, s in ctx.ty_params if n not in dom
+            (n, apply(sub, s)) for n, s in ctx.ty_params if n not in dom
         ),
         dirt_cos=tuple(
             (n, apply_dirt(sub, lo), apply_dirt(sub, hi))
@@ -338,7 +243,7 @@ def apply_context(sub: Substitution, ctx: ParamContext) -> ParamContext:
             if n not in dom
         ),
         ty_cos=tuple(
-            (n, apply_vty(sub, lo), apply_vty(sub, hi))
+            (n, apply(sub, lo), apply(sub, hi))
             for n, lo, hi in ctx.ty_cos
             if n not in dom
         ),
@@ -351,12 +256,7 @@ def apply_context(sub: Substitution, ctx: ParamContext) -> ParamContext:
 def compose(s2: Substitution, s1: Substitution) -> Substitution:
     if not any(s2.maps()):  # every image of s1 is its own image under s2
         return s1.copy()
-    out = Substitution(
-        {n: apply_skel(s2, s) for n, s in s1.skel.items()},
-        {n: apply_dirt(s2, d) for n, d in s1.dirt.items()},
-        {n: apply_vty(s2, t) for n, t in s1.ty.items()},
-        {n: apply_dco(s2, g) for n, g in s1.dco.items()},
-        {n: apply_vco(s2, g) for n, g in s1.vco.items()})
+    out = Substitution(*({n: apply(s2, x) for n, x in part.items()} for part in s1.maps()))
     for part, later in zip(out.maps(), s2.maps()):
         if later:
             for n, x in later.items():
@@ -370,7 +270,7 @@ def compose_at(s2: Substitution, s1: Substitution, names) -> Substitution:
     out = Substitution()
     for n in names:
         if n in s1.ty:
-            out.ty[n] = apply_vty(s2, s1.ty[n])
+            out.ty[n] = apply(s2, s1.ty[n])
         elif n in s2.ty:
             out.ty[n] = s2.ty[n]
         if n in s1.dirt:
@@ -399,21 +299,21 @@ def resolve(log) -> Substitution:
     final = _Resolver()
     sub = final.sub
     skels, dirts, tys, dcos, vcos = sub.maps()
-    step_dirt, step_ty, dco, vco = final.step_dirt, final.step_ty, final.dco, final.vco
+    step_dirt, step_ty, walk = final.step_dirt, final.step_ty, final.walk
     items = reversed(log)
     for x, n, kind in zip(items, items, items):  # the entries, last first
         if kind == "dco":
-            dcos[n] = dco(x)
+            dcos[n] = walk(x)
         elif kind == "dirt":
             dirts[n] = apply_dirt(sub, x)
             step_dirt[n] = x
         elif kind == "vco":
-            vcos[n] = vco(x)
+            vcos[n] = walk(x)
         elif kind == "ty":
-            tys[n] = apply_vty(sub, x)
+            tys[n] = apply(sub, x)
             step_ty[n] = x
         else:
-            skels[n] = apply_skel(sub, x)
+            skels[n] = apply(sub, x)
     return Substitution(*(dict(reversed(m.items())) for m in sub.maps()))  # in log order
 
 
@@ -438,48 +338,30 @@ class _Resolver:
         self.refl_dirt: dict[str, DCoercion] = {}
         self.empty_under: dict[str, DCoercion] = {}
 
-    def dco(self, g: DCoercion) -> DCoercion:
-        if isinstance(g, DCoParam):
+    def walk(self, g):
+        """The coercion `g`, of either sort, under the final images."""
+        cls = type(g)
+        if cls is DCoParam:
             return self.sub.dco.get(g.name, g)
-        if isinstance(g, DCoReflParam):
-            if g.name not in self.step_dirt:
-                return g
-            if g.name not in self.refl_dirt:
-                self.refl_dirt[g.name] = self.dco(derived_refl_dirt(self.step_dirt[g.name]))
-            return self.refl_dirt[g.name]
-        if isinstance(g, DCoEmptyUnder):
-            if g.tail not in self.step_dirt:
-                return g
-            if g.tail not in self.empty_under:
-                self.empty_under[g.tail] = self.dco(derived_empty(self.step_dirt[g.tail]))
-            return self.empty_under[g.tail]
-        if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
-            body = self.dco(g.body)
-            return g if body is g.body else type(g)(g.op, body)
-        if isinstance(g, DCoCompose):
-            after, before = self.dco(g.after), self.dco(g.before)
-            return g if after is g.after and before is g.before else DCoCompose(after, before)
-        return g  # DCoReflEmpty
-
-    def vco(self, g: VCoercion) -> VCoercion:
-        if isinstance(g, VCoParam):
+        if cls is VCoParam:
             return self.sub.vco.get(g.name, g)
-        if isinstance(g, VCoReflParam):
-            if g.name not in self.step_ty:
-                return g
-            if g.name not in self.refl_ty:
-                self.refl_ty[g.name] = self.vco(derived_refl_vty(self.step_ty[g.name]))
-            return self.refl_ty[g.name]
-        if isinstance(g, VCoArrow):
-            arg, res = self.vco(g.arg), g.res
-            vco, dco = self.vco(res.vco), self.dco(res.dco)
-            if vco is not res.vco or dco is not res.dco:
-                res = CCoercion(vco, dco)
-            return g if arg is g.arg and res is g.res else VCoArrow(arg, res)
-        if isinstance(g, VCoCompose):
-            after, before = self.vco(g.after), self.vco(g.before)
-            return g if after is g.after and before is g.before else VCoCompose(after, before)
-        return g  # VCoReflUnit, VCoReflBase
+        if cls is DCoReflParam:
+            return self._derived(g, g.name, self.step_dirt, self.refl_dirt, derived_refl_dirt)
+        if cls is DCoEmptyUnder:
+            return self._derived(g, g.tail, self.step_dirt, self.empty_under, derived_empty)
+        if cls is VCoReflParam:
+            return self._derived(g, g.name, self.step_ty, self.refl_ty, derived_refl_vty)
+        return g.rebuild(_Resolver.walk, self)
+
+    def _derived(self, g, name: str, logged: dict, built: dict, derive: Callable):
+        """`g`, the derived coercion `derive` of the parameter `name`, built
+        once from `name`'s logged image; `g` itself if no entry maps `name`."""
+        if name not in logged:
+            return g
+        got = built.get(name)
+        if got is None:
+            got = built[name] = self.walk(derive(logged[name]))
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +452,7 @@ class ValidityCheck:
             else:
                 want = wants.get(id(skel))
                 if want is None:
-                    want = wants[id(skel)] = intern(table, apply_skel(sub, skel))
+                    want = wants[id(skel)] = intern(table, apply(sub, skel))
             known = skeletons.get(id(t))
             if known is not None:
                 got = known[1]
@@ -587,7 +469,7 @@ class ValidityCheck:
                 )
 
         for sort, rows in self.co_rows:
-            images, cos, apply = getattr(sub, sort.params), getattr(sub, sort.cos), sort.apply
+            images, cos = getattr(sub, sort.params), getattr(sub, sort.cos)
             for name, lo, lkey, lconst, hi, hkey, hconst in rows:
                 g = cos.get(name)
                 want = (images.get(lkey, lo) if lkey is not None
@@ -619,7 +501,7 @@ class ValidityCheck:
         `EMPTY_CONTEXT` grounds: it interns constants in `sig.interned` too."""
         sig, interned = self.sig, self.sig.interned
         for sort, rows in self.co_rows:
-            images, cos, apply = getattr(sub, sort.params), getattr(sub, sort.cos), sort.apply
+            images, cos = getattr(sub, sort.params), getattr(sub, sort.cos)
             for name, lo, lkey, glo, hi, hkey, ghi in rows:
                 if glo is None:
                     glo = intern(interned, images.get(lkey, lo) if lkey is not None
@@ -693,8 +575,6 @@ class Sort:
     coercion: type  # the class of its coercions
     bare: Callable  # name -> the parameter as an image
     named: Callable  # image -> the parameter it names, None for closed data
-    apply: Callable  # (sub, image) -> the image under sub
-    apply_co: Callable  # (sub, coercion) -> the coercion under sub
     check_co: Callable  # (sig, ctx, coercion) -> its (lower, upper) endpoints
     endpoint: Callable  # (ground coercion that checks, upper) -> that endpoint, unchecked
     refl: Callable  # image -> its derived reflexivity
@@ -708,14 +588,14 @@ class Sort:
 DIRT = Sort(
     name="dirt", params="dirt", cos="dco", rows="dirt_cos", coercion=DCoercion,
     bare=lambda name: Dirt(NO_OPS, name), named=lambda d: d.tail,
-    apply=apply_dirt, apply_co=apply_dco, check_co=check_dco, endpoint=dco_endpoint,
+    check_co=check_dco, endpoint=dco_endpoint,
     refl=derived_refl_dirt, co_param=DCoParam, compose=DCoCompose,
     inclusion=dirt_inclusion_coercion, reader=_dirt_reader,
     subst=lambda params, cos: Substitution({}, params, {}, cos, {}))
 TYPE = Sort(
     name="type", params="ty", cos="vco", rows="ty_cos", coercion=VCoercion,
     bare=TyParam, named=lambda t: t.name if isinstance(t, TyParam) else None,
-    apply=apply_vty, apply_co=apply_vco, check_co=check_vco, endpoint=vco_endpoint,
+    check_co=check_vco, endpoint=vco_endpoint,
     refl=derived_refl_vty, co_param=VCoParam, compose=VCoCompose,
     inclusion=value_inclusion_coercion, reader=_vty_reader,
     subst=lambda params, cos: Substitution({}, {}, params, {}, cos))

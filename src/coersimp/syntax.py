@@ -37,37 +37,76 @@ from functools import cached_property
 # copy and pickle. It compiles `__init__`, `__eq__` and `__hash__` from one
 # source text with a single `exec`, where a dataclass takes six, and
 # `__init__` sets each slot through its descriptor, as `__setattr__` refuses.
+# `__eq__` compares field by field, identity first, as a tuple comparison
+# does, but at two frames a nesting level where comparing tuples takes three.
+#
+# The same text gives a class with children a fourth method, `rebuild(f,
+# arg)`: the one traversal of the syntax (Lämmel and Peyton Jones, "Scrap
+# your boilerplate", 2003). It calls `f(arg, child)` on each child, passes
+# the atom fields through, and returns the node itself when every result is
+# its old child, else a new node. A child is a field not annotated as an
+# atom (`_ATOM_FIELDS`); the classes without children share
+# `_no_children`.
 
 _VALUE_METHODS = """\
 def __init__(self, {params}):
 {sets}
 def __eq__(self, other):
     if other.__class__ is self.__class__:
-        return ({own}) == ({other})
+        return {same}
     return NotImplemented
 def __hash__(self):
     return hash(({own}))
 """
 
+_REBUILD = """\
+def rebuild(self, _f, _arg):
+{calls}    if {same}:
+        return self
+    return _cls({args})
+"""
+
+# The annotations of the atom fields: the names, operation sets and absent
+# tails that `_ATOMS` classifies.
+_ATOM_FIELDS = ("str", "str | None", "frozenset[str]")
+
 
 def value_class(cls):
     """`cls` rebuilt as a frozen slotted class over its annotated fields,
     in annotation order; a field's class attribute is its default."""
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    kids = [n for n in names if annotations[n] not in _ATOM_FIELDS]
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__", *names)}
     defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
     cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": names, "__match_args__": names})
     scope = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
-    exec(_VALUE_METHODS.format(
+    scope["_cls"] = cls
+    source = _VALUE_METHODS.format(
         params=", ".join(names), sets="".join(f"    _set_{n}(self, {n})\n" for n in names) or "    pass",
-        own="".join(f"self.{n}," for n in names), other="".join(f"other.{n}," for n in names)), scope)
+        own="".join(f"self.{n}," for n in names),
+        same=" and ".join(f"(self.{n} is other.{n} or self.{n} == other.{n})" for n in names)
+        or "True")
+    if kids:
+        source += _REBUILD.format(
+            calls="".join(f"    {n} = _f(_arg, self.{n})\n" for n in kids),
+            same=" and ".join(f"{n} is self.{n}" for n in kids),
+            args=", ".join(n if n in kids else f"self.{n}" for n in names))
+    exec(source, scope)
     scope["__init__"].__defaults__ = defaults
-    for name in ("__init__", "__eq__", "__hash__"):
-        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, scope[name])
+    cls.rebuild = _no_children
+    for name in ("__init__", "__eq__", "__hash__", "rebuild"):
+        if name in scope:
+            scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, scope[name])
     cls.__repr__, cls.__reduce__ = _value_repr, _value_reduce
     cls.__setattr__ = cls.__delattr__ = _refuse_change
     return cls
+
+
+def _no_children(self, f, arg):
+    """`rebuild` of a class without children: the node itself."""
+    return self
 
 
 def _value_repr(self) -> str:
@@ -205,8 +244,8 @@ class TyArrow(ValueType):
     dom: ValueType
     cod: CompType
 
-    def __str__(self) -> str:
-        return f"({self.dom} -> {self.cod})"
+    def __str__(self) -> str:  # two frames a level, where an f-string takes three
+        return "(%s -> %s)" % (self.dom, self.cod)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .check import dirt_inclusion_coercion
 from .phases import PhaseResult, PhaseStep
 from .polarity import check_family, compose_families, precompose_family
-from .subst import SORTS, Substitution, ValidityCheck, apply_dirt, check_validity, compose_at
+from .subst import SORTS, Substitution, ValidityCheck, apply, apply_dirt, check_validity, compose_at
 from .syntax import EMPTY_CONTEXT, Dirt, Signature, TyArrow, TyParam, closed_dirt
 
 
@@ -50,7 +50,7 @@ class WitnessResult:
     family: dict  # compose(eta, run.subst) <= eta0 at run.fps0
 
 
-def _ground(entry, eta: Substitution, apply):
+def _ground(entry, eta: Substitution):
     """The ground coercion a step witness entry stands for under `eta`."""
     if isinstance(entry, tuple):
         lo, hi = entry
@@ -63,12 +63,12 @@ def _replay(step: PhaseStep, eta: Substitution) -> dict:
     before `step` into one after it, walking the step's slice of the log;
     return the step's own family entries."""
     sort = SORTS[step.sort]
-    new = {name: _ground(entry, eta, sort.apply_co) for name, entry in step.eta.items()}
+    new = {name: _ground(entry, eta) for name, entry in step.eta.items()}
     fam = {}
     images = getattr(eta, sort.params)
     for p, entry in step.family.items():
         # The entry ends at p's image at a positive p, and starts there otherwise.
-        co = fam[p] = _ground(entry, eta, sort.apply_co)
+        co = fam[p] = _ground(entry, eta)
         if sort.endpoint(co, p in step.fps.pos) != images[p]:
             raise WitnessBug(f"family entry for {p} misses its image {images[p]} under eta")
     log = step.log
@@ -113,7 +113,7 @@ def build_witness(run: PhaseResult, eta0: Substitution) -> WitnessResult:
             sub, images = sort.subst(moves, {}), getattr(so_far, sort.params)
             for n in {n for p in moves for n in users.pop(p)}:
                 image = images.get(n)
-                image = images[n] = sort.apply(sub, sort.bare(n) if image is None else image)
+                image = images[n] = apply(sub, sort.bare(n) if image is None else image)
                 p = sort.named(image)
                 if p is not None:
                     users.setdefault(p, set()).add(n)

@@ -85,23 +85,35 @@ MUTANTS = (
         killed_by="tests/test_acceptance.py::test_criterion_1_apply_if_worked_example"),
     # -- application and composition
     Mutant(
-        "apply-arrow-keeps-a-changed-codomain", "subst.py",
-        "        return t if dom is t.dom and cod is t.cod else TyArrow(dom, cod)",
-        "        return t if dom is t.dom else TyArrow(dom, cod)",
+        "apply-arrow-keeps-a-changed-codomain", "syntax.py",
+        '            same=" and ".join(f"{n} is self.{n}" for n in kids),',
+        '            same=" and ".join(f"{n} is self.{n}" for n in kids if n != "cod"),',
         "an arrow type is kept only when neither its domain nor its codomain changed",
         killed_by="tests/test_subst.py::test_appliers_share_what_they_do_not_change_on_random_syntax"),
     Mutant(
-        "apply-cco-keeps-a-changed-dirt", "subst.py",
-        "    return g if vco is g.vco and dco is g.dco else CCoercion(vco, dco)",
-        "    return g if vco is g.vco else CCoercion(vco, dco)",
+        "apply-cco-keeps-a-changed-dirt", "syntax.py",
+        '            same=" and ".join(f"{n} is self.{n}" for n in kids),',
+        '            same=" and ".join(f"{n} is self.{n}" for n in kids if n != "dco"),',
         "a computation coercion is kept only when neither of its parts changed",
         killed_by="tests/test_subst.py::test_appliers_share_what_they_do_not_change_on_random_syntax"),
     Mutant(
-        "apply-lam-keeps-a-changed-body", "subst.py",
-        "        return v if ty is v.ty and body is v.body else Lam(v.var, ty, body)",
-        "        return v if ty is v.ty else Lam(v.var, ty, body)",
+        "apply-lam-keeps-a-changed-body", "syntax.py",
+        '            same=" and ".join(f"{n} is self.{n}" for n in kids),',
+        '            same=" and ".join(f"{n} is self.{n}" for n in kids if n != "body"),',
         "a function is kept only when neither its annotation nor its body changed",
         killed_by="tests/test_subst.py::test_appliers_share_what_they_do_not_change_on_corpus_items"),
+    Mutant(
+        "rebuild-keeps-a-node-when-any-child-is-kept", "syntax.py",
+        '            same=" and ".join(f"{n} is self.{n}" for n in kids),',
+        '            same=" or ".join(f"{n} is self.{n}" for n in kids),',
+        "a node is kept only when every child is its own image",
+        killed_by="tests/test_syntax.py::test_rebuild_maps_the_children_and_passes_the_atoms_through"),
+    Mutant(
+        "apply-drops-the-dirt-reflexivity-row", "subst.py",
+        "    DCoReflParam: lambda sub, g: derived_refl_dirt(sub.dirt[g.name]) if g.name in sub.dirt else g,\n",
+        "",
+        "the reflexivity of a mapped dirt parameter becomes the derived reflexivity of its image",
+        killed_by="tests/test_subst.py::test_appliers_share_what_they_do_not_change_on_random_syntax"),
     Mutant(
         "compose-skips-a-later-substitution", "subst.py",
         "    if not any(s2.maps()):",
@@ -117,26 +129,29 @@ MUTANTS = (
         killed_by="tests/test_reduce.py::test_type_constraint_across_skeletons_is_unsatisfiable_without_wf_context"),
     Mutant(
         "resolver-skips-a-dirt-link", "subst.py",
-        "            after, before = self.dco(g.after), self.dco(g.before)",
-        "            after, before = self.dco(g.after), g.before",
+        "        return g.rebuild(_Resolver.walk, self)",
+        "        return (DCoCompose(self.walk(g.after), g.before) if cls is DCoCompose\n"
+        "                else g.rebuild(_Resolver.walk, self))",
         "resolution rewrites both links of a dirt composition",
         killed_by="tests/test_subst.py::test_resolve_equals_composing_the_steps_one_by_one"),
     Mutant(
         "resolver-skips-a-value-link", "subst.py",
-        "            after, before = self.vco(g.after), self.vco(g.before)",
-        "            after, before = self.vco(g.after), g.before",
+        "        return g.rebuild(_Resolver.walk, self)",
+        "        return (VCoCompose(self.walk(g.after), g.before) if cls is VCoCompose\n"
+        "                else g.rebuild(_Resolver.walk, self))",
         "resolution rewrites both links of a value composition",
         killed_by="tests/test_subst.py::test_resolve_equals_composing_the_steps_one_by_one"),
     Mutant(
         "resolver-skips-a-skeleton-image", "subst.py",
-        "            skels[n] = apply_skel(sub, x)",
+        "            skels[n] = apply(sub, x)",
         "            skels[n] = x",
         "a skeleton image is rewritten by the later steps",
         killed_by="tests/test_subst.py::test_resolve_equals_composing_the_steps_one_by_one"),
     Mutant(
         "resolver-rebuilds-an-unchanged-union", "subst.py",
-        "            return g if body is g.body else type(g)(g.op, body)",
-        "            return type(g)(g.op, body)",
+        "        return g.rebuild(_Resolver.walk, self)",
+        "        return (type(g)(g.op, self.walk(g.body)) if cls in (DCoUnionBoth, DCoUnionRight)\n"
+        "                else g.rebuild(_Resolver.walk, self))",
         "a resolved image shares every node under which no later move maps a name",
         killed_by="tests/test_subst.py::test_resolve_keeps_a_logged_image_whose_parts_no_later_move_maps"),
     Mutant(
@@ -386,6 +401,24 @@ MUTANTS = (
         "    object.__setattr__(self, name, *value) if value else object.__delattr__(self, name)",
         "a node is frozen: assigning or deleting a field raises",
         killed_by="tests/test_syntax.py::test_value_fields_cannot_be_assigned_or_deleted"),
+    Mutant(
+        "value-eq-by-identity-only", "syntax.py",
+        'same=" and ".join(f"(self.{n} is other.{n} or self.{n} == other.{n})" for n in names)',
+        'same=" and ".join(f"(self.{n} is other.{n})" for n in names)',
+        "equal fields of two nodes make them equal, whether or not they are one object",
+        killed_by="tests/test_syntax.py::test_value_classes_agree_with_their_dataclass_twins"),
+    Mutant(
+        "atom-annotation-dropped", "syntax.py",
+        '_ATOM_FIELDS = ("str", "str | None", "frozenset[str]")',
+        '_ATOM_FIELDS = ("str", "frozenset[str]")',
+        "a field annotated as an atom is passed through, never handed to `rebuild`'s function",
+        killed_by="tests/test_syntax.py::test_rebuild_maps_the_children_and_passes_the_atoms_through"),
+    Mutant(
+        "arrow-type-prints-with-an-f-string", "syntax.py",
+        '        return "(%s -> %s)" % (self.dom, self.cod)',
+        '        return f"({self.dom} -> {self.cod})"',
+        "printing an arrow type takes two frames a nesting level, so the deepest one prints",
+        killed_by="tests/test_erase.py::test_simplify_erases_terms_nested_as_deep_as_the_reader_allows[arrow]"),
     # -- corpus reader
     Mutant(
         "corpus-item-error-skips-the-bracket-check", "corpus.py",
@@ -424,9 +457,9 @@ MUTANTS = (
         "a form with fewer arguments than its head takes is a diagnostic, not an IndexError",
         killed_by="tests/test_corpus_cli.py::test_reader_matches_reference_on_edge_cases"),
     Mutant(
-        "stdin-keeps-undecodable-bytes", "cli.py",
-        '        text.encode("utf-8")  # refuses the surrogates that stand for undecodable bytes',
-        "        pass",
-        "stdin is read as strict UTF-8, as a corpus file is",
-        killed_by="tests/test_corpus_cli.py::test_cli_refuses_undecodable_bytes_from_a_file_and_from_stdin"),
+        "reader-keeps-undecodable-bytes", "corpus.py",
+        '        text.encode("utf-8")\n',
+        "        pass\n",
+        "a corpus is read as strict UTF-8, from a file as from stdin",
+        killed_by="tests/test_corpus_cli.py::test_an_undecodable_byte_gets_one_diagnostic_from_a_file_and_from_stdin"),
 )

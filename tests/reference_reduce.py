@@ -14,7 +14,7 @@ from collections import deque
 
 from coersimp.check import dirt_inclusion_coercion
 from coersimp.reduce import ReductionBug, ReductionResult, Unsatisfiable
-from coersimp.subst import Substitution, apply_dirt, apply_vty, compose
+from coersimp.subst import Substitution, apply_dirt, apply as apply_vty, compose
 from coersimp.syntax import (
     CCoercion,
     DCoParam,

@@ -26,7 +26,8 @@ from coersimp.sample import (
     buried_params,
     forced_dirt_content,
 )
-from coersimp.subst import Substitution, apply_dirt, apply_skel, apply_vty, check_validity
+from coersimp.subst import (Substitution, apply as apply_skel, apply as apply_vty, apply_dirt,
+                             check_validity)
 from coersimp.syntax import (
     Dirt,
     EMPTY_CONTEXT,

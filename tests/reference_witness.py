@@ -19,7 +19,7 @@ from coersimp.check import (
 )
 from coersimp.phases import PhaseResult, PhaseStep
 from coersimp.polarity import compose_families, precompose_family
-from coersimp.subst import Substitution, apply_dirt, apply_vty
+from coersimp.subst import Substitution, apply_dirt, apply as apply_vty
 from coersimp.syntax import DCoCompose, VCoCompose
 from coersimp.witness import WitnessBug, WitnessResult
 

@@ -295,7 +295,9 @@ def test_cli_simplify_exits_two_when_the_rewrite_does_not_typecheck(monkeypatch,
             run(*args), subst=Substitution()))
         says = "no longer typechecks"
     else:
-        monkeypatch.setattr(coersimp.cli, "apply_vty", lambda sub, t: TyUnit())
+        rewrite = coersimp.cli.apply
+        monkeypatch.setattr(coersimp.cli, "apply", lambda sub, x: rewrite(sub, x)
+                            if isinstance(x, ValueTerm) else TyUnit())
         says = "wanted unit"
     assert_internal_error(capsys, ["simplify", "--item", "apply_randomly"], says)
 
@@ -478,6 +480,27 @@ def test_cli_refuses_undecodable_bytes_from_a_file_and_from_stdin(tmp_path, utf8
         assert not run.stdout, corpus_arg
         (line,) = run.stderr.decode().splitlines()
         assert line.startswith("error: ") and "utf-8" in line, line
+
+
+@pytest.mark.parametrize("utf8_mode", ["1", "0"])
+def test_an_undecodable_byte_gets_one_diagnostic_from_a_file_and_from_stdin(tmp_path, utf8_mode):
+    """The same bytes, the bad one on line 2, give the same diagnostic at
+    that byte's `line:col` from a file and from stdin: exit 1, no
+    traceback, in Python's UTF-8 mode or not."""
+    data = b"(item x (signature)\n  (context) y\xff)"
+    path = tmp_path / "bad.sexp"
+    path.write_bytes(data)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    errs = []
+    for corpus_arg in (str(path), "-"):
+        run = subprocess.run(
+            [sys.executable, "-X", f"utf8={utf8_mode}", "-m", "coersimp.cli", "simplify",
+             corpus_arg], input=data, env=env, capture_output=True, timeout=60)
+        assert run.returncode == 1 and not run.stdout, (corpus_arg, run)
+        errs.append(run.stderr)
+    assert errs == [b"error: 2:13: byte 0xff is not utf-8\n"] * 2, errs
 
 
 def test_cli_diagnostics_exit_one(tmp_path, monkeypatch, capsys):

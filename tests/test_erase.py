@@ -290,28 +290,38 @@ def nested(layers: int, inner: str, wrap: str) -> str:
 
 
 UNIT_FN = "(arrow (unit) (comp (unit) (dirt ())))"
-# shape -> (poltype, layers -> term, the most layers the reader takes): a
+# shape -> (layers -> (poltype, term), the most layers the reader takes): a
 # stack of value casts, of computation casts, or of compositions, each a
-# reflexivity at unit
+# reflexivity at unit, or a function whose type and annotation are arrows
+# nested on the argument side
 DEEP = {
-    "castv": ("(unit)", lambda k: nested(k, "(unitval)", "(castv {} (corefl (unit)))"),
+    "castv": (lambda k: ("(unit)", nested(k, "(unitval)", "(castv {} (corefl (unit)))")),
               MAX_NESTING - 4),
-    "castc": (UNIT_FN, lambda k: "(lam x (unit) " + nested(
-        k, "(return (var x))", "(castc {} (cco (corefl (unit)) (drefl (dirt ()))))") + ")",
+    "castc": (lambda k: (UNIT_FN, "(lam x (unit) " + nested(
+        k, "(return (var x))", "(castc {} (cco (corefl (unit)) (drefl (dirt ()))))") + ")"),
               MAX_NESTING - 7),
-    "coseq": ("(unit)", lambda k: "(castv (unitval) " + nested(
-        k, "(corefl (unit))", "(coseq {} (corefl (unit)))") + ")", MAX_NESTING - 5),
+    "coseq": (lambda k: ("(unit)", "(castv (unitval) " + nested(
+        k, "(corefl (unit))", "(coseq {} (corefl (unit)))") + ")"), MAX_NESTING - 5),
+    "arrow": (lambda k: (nested(k, "(unit)", "(arrow {} (comp (unit) (dirt ())))"),
+                         "(lam x " + nested(k - 1, "(unit)", "(arrow {} (comp (unit) (dirt ())))")
+                         + " (return (unitval)))"), MAX_NESTING - 5),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP))
 def test_simplify_erases_terms_nested_as_deep_as_the_reader_allows(shape, tmp_path, capsys):
-    poltype, term, layers = DEEP[shape]
+    """The deepest item the reader takes simplifies within a recursion limit
+    of three frames per nesting level."""
+    item, layers = DEEP[shape]
     with pytest.raises(ParseError):
-        parse_corpus(deep_item(poltype, term(layers + 1)))
+        parse_corpus(deep_item(*item(layers + 1)))
     path = tmp_path / "deep.sexp"
-    path.write_text(deep_item(poltype, term(layers)))
-    assert cli.main(["simplify", str(path), "--emit", "json"]) == 0
+    path.write_text(deep_item(*item(layers)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3 * MAX_NESTING)
+    try:
+        assert cli.main(["simplify", str(path), "--emit", "json"]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
     (entry,) = json.loads(capsys.readouterr().out)
     assert entry["casts"] == 0, entry["term"]
-

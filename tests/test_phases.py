@@ -16,7 +16,7 @@ from coersimp.phases import (
 )
 from coersimp.polarity import EMPTY_FPS, FreeParamSet, fp_vty, subst_fps
 from coersimp.reduce import is_canonical, reduce_context
-from coersimp.subst import apply_dirt, apply_vty, check_validity, resolve
+from coersimp.subst import apply_dirt, apply as apply_vty, check_validity, resolve
 from coersimp.syntax import (
     CCoercion,
     DCoEmptyUnder,

@@ -19,7 +19,7 @@ from coersimp.polarity import (
     precompose_family,
     subst_fps,
 )
-from coersimp.subst import Substitution, apply_vty, compose
+from coersimp.subst import Substitution, apply as apply_vty, compose
 from coersimp.syntax import (
     CompType,
     DCoCompose,

@@ -28,9 +28,9 @@ from coersimp.reduce import (
 from coersimp.sample import SampleError, sample_eta
 from coersimp.subst import (
     Substitution,
-    apply_dco,
+    apply as apply_dco,
     apply_dirt,
-    apply_vty,
+    apply as apply_vty,
     check_validity,
     compose,
 )

@@ -536,7 +536,7 @@ def test_verify_sample_types_and_evaluates_the_original_once(monkeypatch):
         item = items[name]
         assert cmd_verify(item, "all", samples=1)["passed"] == 1
         ((_, eta0),) = draws
-        original = subst.apply_value(eta0, item.term)
+        original = subst.apply(eta0, item.term)
         assert sum(args[3] == original for args, _ in typings) == 1, name
         assert sum(args[2] == original for args, _ in evals) == 1, name
         # A strengthened term that differs is typed and evaluated too.

@@ -40,12 +40,12 @@ from coersimp.subst import (
     Substitution,
     UnmappedParam,
     ValidityCheck,
-    apply_dco,
+    apply as apply_dco,
     apply_dirt,
-    apply_skel,
-    apply_value,
-    apply_vco,
-    apply_vty,
+    apply as apply_skel,
+    apply as apply_value,
+    apply as apply_vco,
+    apply as apply_vty,
     check_validity,
     compose,
     resolve,
@@ -335,13 +335,12 @@ def test_resolve_equals_composing_the_steps_one_by_one(monkeypatch):
     steps map skeleton parameters and compose coercions of both sorts whose
     links later steps rewrite."""
     seen = Counter()
-    for name in ("dco", "vco"):
 
-        def counted(self, g, method=getattr(subst._Resolver, name)):
-            seen[type(g)] += 1
-            return method(self, g)
+    def counted(self, g, walk=subst._Resolver.walk):
+        seen[type(g)] += 1
+        return walk(self, g)
 
-        monkeypatch.setattr(subst._Resolver, name, counted)
+    monkeypatch.setattr(subst._Resolver, "walk", counted)
     rng = random.Random("resolve")
     rewritten = Counter()
     for i in range(300):
@@ -380,11 +379,12 @@ def test_resolve_keeps_a_logged_image_whose_parts_no_later_move_maps():
 # ---------------------------------------------------------------------------
 # Application shares what it does not change
 #
-# `tests/reference_subst.py` keeps the appliers and `compose` as they were
-# when every visited node was rebuilt. On every input below, each applier
-# gives what the reference gives, gives back the input itself when the
-# substitution maps no name in it, and shares with the input every
-# subtree in which it maps no name.
+# `tests/reference_subst.py` keeps one applier per syntax kind and
+# `compose` as they were when every visited node was rebuilt. On every
+# input below, `subst.apply` gives what the reference's applier of the
+# input's kind gives, gives back the input itself when the substitution
+# maps no name in it, and shares with the input every subtree in which it
+# maps no name.
 
 APPLIERS = {Skeleton: "apply_skel", Dirt: "apply_dirt", ValueType: "apply_vty",
             CompType: "apply_cty", DCoercion: "apply_dco", VCoercion: "apply_vco",
@@ -426,7 +426,7 @@ def assert_shares(sub, x, got) -> None:
 
 def assert_applies_as_the_reference(sub, x, seen: Counter) -> None:
     name = next(name for cls, name in APPLIERS.items() if isinstance(x, cls))
-    got = getattr(subst, name)(sub, x)
+    got = subst.apply(sub, x)
     assert got == getattr(reference_subst, name)(sub, x), (name, x)
     assert_shares(sub, x, got)
     seen[name, maps_under(sub, x)] += 1
@@ -464,7 +464,7 @@ def test_appliers_share_what_they_do_not_change_on_random_syntax():
         steps = layered_steps(rng, 3)
         for image in (_skel, _dirt, _vty, _dco, _vco):
             assert_applies_as_the_reference(steps[1], image(rng, 0, 3), seen)
-    # Each applier of types and coercions met inputs with and without a mapped name.
+    # Each kind of types and coercions met inputs with and without a mapped name.
     assert {(name, mapped) for name in list(APPLIERS.values())[:7]
             for mapped in (False, True)} <= set(seen), seen
 
@@ -524,7 +524,7 @@ def test_appliers_share_what_they_do_not_change_on_bench_shapes(shape_runs):
 
 
 def test_compose_after_an_empty_substitution_walks_nothing(monkeypatch):
-    """`compose(Substitution(), s)` calls no applier and gives what the
+    """`compose(Substitution(), s)` never calls `apply` and gives what the
     reference gives: a copy of `s`, its images shared. After any other
     substitution it gives what the reference gives too, sharing each
     image that mentions no name the later substitution maps."""
@@ -533,13 +533,12 @@ def test_compose_after_an_empty_substitution_walks_nothing(monkeypatch):
                if any((sub := simplify(item.signature, item.context, EMPTY_FPS,
                                        PRESETS["all"]).subst).maps())]
     calls = Counter()
-    for name in APPLIERS.values():
 
-        def counted(*args, name=name, fn=getattr(subst, name)):
-            calls[name] += 1
-            return fn(*args)
+    def counted(*args, fn=subst.apply):
+        calls[type(args[1])] += 1
+        return fn(*args)
 
-        monkeypatch.setattr(subst, name, counted)
+    monkeypatch.setattr(subst, "apply", counted)
     for s in firsts:
         got = compose(Substitution(), s)
         assert got == reference_subst.compose(Substitution(), s)
@@ -555,7 +554,7 @@ def test_compose_after_an_empty_substitution_walks_nothing(monkeypatch):
             for n, x in images.items():
                 if not maps_under(s2, x):
                     assert part[n] is x, (i, n)
-    assert calls, "the appliers were not counted"
+    assert calls, "the applications were not counted"
 
 
 # ---------------------------------------------------------------------------
@@ -799,13 +798,13 @@ def _sort_checks(sort, data):
         b, key, const = sort.reader({}, bound)
         if key is not None:
             return getattr(sub, sort.params).get(key, b)
-        return const if const is not None else sort.apply(sub, b)
+        return const if const is not None else subst.apply(sub, b)
 
     def reader():
         shapes = [sort.reader({}, b)[1:] for b in (bare, data["closed"], data["compound"])]
         return (shapes[0] == (p, None) and shapes[1][0] is None and shapes[1][1] is not None
                 and shapes[2] == (None, None)
-                and all(read(b) == sort.apply(sub, b)
+                and all(read(b) == subst.apply(sub, b)
                         for b in (bare, data["closed"], data["compound"])))
 
     def subst_field():
@@ -823,9 +822,6 @@ def _sort_checks(sort, data):
          and subst.sort_of(data["co_param"]) is sort),
         ("bare", lambda: sort.bare(p) == bare),
         ("named", lambda: sort.named(bare) == p and sort.named(lo) is None),
-        ("apply", lambda: sort.apply(sub, bare) is getattr(sub, sort.params)[p]),
-        ("apply_co", lambda: sort.apply_co(sub, data["co_param"])
-         is getattr(sub, sort.cos)[w]),
         ("check_co", lambda: sort.check_co(sig, SORT_CTX, data["co_param"]) == classifier),
         ("refl", lambda: sort.refl(bare) == data["refl"]
          and sort.check_co(sig, SORT_CTX, sort.refl(sort.bare(p))) == (bare, bare)),

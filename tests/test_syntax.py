@@ -314,6 +314,31 @@ def test_values_survive_deepcopy_and_pickle(value_sample):
             assert pickle.loads(pickle.dumps(v)) == v
 
 
+def test_rebuild_maps_the_children_and_passes_the_atoms_through(value_sample):
+    """`rebuild(f, arg)` calls `f(arg, child)` on each field that is not an
+    atom, in field order, and never on an atom. It gives back the node
+    itself when `f` gives back every child; otherwise a node of the same
+    class over `f`'s results, its atoms the same objects."""
+    for v in value_sample:
+        names = type(v).__match_args__
+        kids = [i for i, n in enumerate(names) if not isinstance(getattr(v, n), syntax._ATOMS)]
+        seen = []
+
+        def same(arg, child):
+            assert arg is seen and not isinstance(child, syntax._ATOMS), (v, child)
+            seen.append(child)
+            return child
+
+        assert v.rebuild(same, seen) is v
+        assert [id(c) for c in seen] == [id(getattr(v, names[i])) for i in kids], v
+        for changed in ([kids] if kids else []) + [[i] for i in kids]:  # all, then each alone
+            images = {i: object() for i in changed}
+            got = v.rebuild(lambda arg, child: images.get(arg.pop(0), child), list(kids))
+            assert type(got) is type(v) and got is not v, v
+            for i, n in enumerate(names):
+                assert getattr(got, n) is images.get(i, getattr(v, n)), (v, n)
+
+
 def test_value_constructors_take_the_dataclass_arguments():
     assert Dirt(frozenset({"Fail"})) == Dirt(frozenset({"Fail"}), None)
     assert Dirt(ops=frozenset(), tail="d") == dirt((), "d")

@@ -22,7 +22,7 @@ from coersimp.sample import sample_eta
 from coersimp.subst import (
     Substitution,
     apply_dirt,
-    apply_vty,
+    apply as apply_vty,
     compose,
     compose_at,
 )
