@@ -56,6 +56,7 @@ from .check import (
     wf_vtype,
 )
 from .syntax import (
+    ATOM_FIELDS,
     App,
     CastC,
     CastV,
@@ -139,11 +140,11 @@ _BLOCK = 1 << 12
 # Deepest parenthesis nesting the reader accepts: elaboration, checking and
 # substitution recurse along it and must stay inside the recursion limit.
 # Application takes two frames a level (`apply` and `rebuild`), as do `==`
-# and printing an arrow type: `coersimp simplify --emit json` on the
-# deepest items of `tests/test_erase.py` needs a recursion limit of 511 to
-# 515, within the test's `3 * MAX_NESTING`. With one frame a level for
-# application and three for `==` and printing, it needed 264 on a cast
-# stack and 767 on an arrow type.
+# and printing: `coersimp simplify --emit json` on the deepest items of
+# `tests/test_erase.py` needs a recursion limit of 511 to 514, which that
+# test holds to two frames a level above its own. Printing must stay at two:
+# at three, as with f-strings, an item whose type nests arrows on the result
+# side needs 764.
 MAX_NESTING = 256
 
 
@@ -278,7 +279,13 @@ class _Misplaced(Exception):
 # ---------------------------------------------------------------------------
 # Elaboration
 #
-# Each form elaborates in one Python frame, so elaboration recurses once
+# One table, `_SORTS`, gives each sort's forms by head. A form is a value
+# class, whose fields in order are its arguments: an atom field (as
+# `ATOM_FIELDS` tells) is a name, any other is read in the sort its
+# annotation names. Else it is a builder and its arguments' sorts. A sort
+# with one head (`comp`, `cco`, `op`) is read only under it, checked where
+# it is an argument, as is a dirt, which `_dirt` reads for its one or two
+# arguments. `_elab` reads a form in one frame, so elaboration recurses once
 # per nesting level, as checking does.
 
 def _sub(node: list, i: int, head: str | None = None) -> list:
@@ -299,48 +306,39 @@ def _name(node: list, i: int) -> str:
     return child
 
 
-def _arity(node: list, count: int) -> None:
-    if len(node) != count + 1:
+def _elab(node: list, sort: tuple):
+    """The syntax that the list `node` spells as a form of `sort`."""
+    what, forms = sort
+    try:
+        build, args, size = forms[node[0]]
+    except (IndexError, KeyError, TypeError):  # no head, another head, a list
+        head = node[0] if node else ""
+        if type(head) is not str:
+            raise _Misplaced(head, None, "expected a name") from None
+        raise _Misplaced(node, None, f"unknown {what} {head!r}") from None
+    if len(node) != size:
         raise _Misplaced(node, None,
-                         f"({node[0]} ...) takes {count} arguments, got {len(node) - 1}")
-
-
-def _form(node: list, arity: dict[str, int], what: str) -> str:
-    """The atom that opens `node`: a key of `arity`, followed by as many
-    arguments as it maps to."""
-    head = node[0] if node else ""
-    if type(head) is not str:
-        raise _Misplaced(head, None, "expected a name")
-    if head not in arity:
-        raise _Misplaced(node, None, f"unknown {what} {head!r}")
-    if len(node) != arity[head] + 1:
-        _arity(node, arity[head])
-    return head
-
-
-# Argument counts per head; each elaborator's last case takes the last head.
-_TYPE_ARITY = {"param": 1, "unit": 0, "base": 1, "arrow": 2}
-_VCO_ARITY = {"covar": 1, "corefl": 1, "coarrow": 2, "coseq": 2}
-_DCO_ARITY = {"dvar": 1, "drefl": 1, "dempty": 1}
-_VALUE_ARITY = {"var": 1, "unitval": 0, "lam": 3, "castv": 2}
-_COMP_ARITY = {"return": 1, "opcall": 5, "do": 3, "app": 2, "letval": 3, "castc": 2}
-_DECL_ARITY = {"skel": 1, "dirt": 1, "typaram": 2, "tyco": 3, "dco": 3}
-_SECTION_ARITY = {"poltype": 1, "term": 1}
-
-
-def _skel(node: list):
-    head = _form(node, _TYPE_ARITY, "skeleton form")
-    if head == "param":
-        return SkelParam(_name(node, 1))
-    if head == "unit":
-        return SkelUnit()
-    if head == "base":
-        return SkelBase(_name(node, 1))
-    return SkelArrow(_skel(_sub(node, 1)), _skel(_sub(node, 2)))
+                         f"({node[0]} ...) takes {size - 1} arguments, got {len(node) - 1}")
+    got = []
+    for i, sub, fixed in args:
+        child = node[i]
+        if sub is None:
+            if type(child) is not str:
+                raise _Misplaced(child, None, "expected a name")
+            got.append(child)
+        elif type(child) is str:
+            raise _Misplaced(node, i, f"expected a list, got {child!r}")
+        elif fixed is not None and (not child or child[0] != fixed):
+            raise _Misplaced(child, None, f"expected ({fixed} ...)")
+        elif sub is _dirt:
+            got.append(_dirt(child))
+        else:
+            got.append(_elab(child, sub))
+    return build(*got)
 
 
 def _dirt(node: list) -> Dirt:
-    """A `(dirt ...)` list; the caller has checked the head."""
+    """A `(dirt ...)` list, of one or two arguments."""
     if not 2 <= len(node) <= 3:
         raise _Misplaced(node, None, "(dirt (OPS...) TAIL?) expected")
     ops = _sub(node, 1)
@@ -350,102 +348,76 @@ def _dirt(node: list) -> Dirt:
     return Dirt(frozenset(ops) if ops else NO_OPS, _name(node, 2) if len(node) == 3 else None)
 
 
-def _vtype(node: list) -> ValueType:
-    head = _form(node, _TYPE_ARITY, "type form")
-    if head == "param":
-        return TyParam(_name(node, 1))
-    if head == "unit":
-        return TyUnit()
-    if head == "base":
-        return TyBase(_name(node, 1))
-    return TyArrow(_vtype(_sub(node, 1)), _ctype(_sub(node, 2, "comp")))
+def _itself(x):
+    return x
 
 
-def _ctype(node: list) -> CompType:
-    """A `(comp ...)` list; the caller has checked the head."""
-    _arity(node, 2)
-    return CompType(_vtype(_sub(node, 1)), _dirt(_sub(node, 2, "dirt")))
+def _row(*args) -> tuple:
+    return args
 
 
-def _vco(node: list):
-    head = _form(node, _VCO_ARITY, "value coercion")
-    if head == "covar":
-        return VCoParam(_name(node, 1))
-    if head == "corefl":
-        return derived_refl_vty(_vtype(_sub(node, 1)))
-    if head == "coarrow":
-        return VCoArrow(_vco(_sub(node, 1)), _cco(_sub(node, 2, "cco")))
-    # (coseq FIRST SECOND) is SECOND after FIRST; SECOND is read first.
-    return VCoCompose(_vco(_sub(node, 2)), _vco(_sub(node, 1)))
+def _op(name: str, arg: ValueType, result: ValueType) -> tuple[str, OpSig]:
+    return name, OpSig(arg, result)
 
 
-def _dco(node: list):
-    head = _form(node, _DCO_ARITY, "dirt coercion")
-    if head == "dvar":
-        return DCoParam(_name(node, 1))
-    if head == "drefl":
-        return derived_refl_dirt(_dirt(_sub(node, 1, "dirt")))
-    return derived_empty(_dirt(_sub(node, 1, "dirt")))
+def _compile(grammar: dict) -> dict:
+    """`grammar` with each form as its builder, its arguments and its length:
+    an argument is a position, a sort's entry (None for a name, `_dirt` for
+    a dirt) and a fixed head or None."""
+    sorts = {sort: (what, {}) for sort, (what, _) in grammar.items()}
+    fixed = {sort: None if what else next(iter(forms)) for sort, (what, forms) in grammar.items()}
+    sorts["Dirt"], fixed["Dirt"] = _dirt, "dirt"
+    for sort, (_, forms) in grammar.items():
+        for head, form in forms.items():
+            if isinstance(form, type):  # a value class: its fields in order
+                build, kinds = form, [form.__annotations__[n] for n in form.__match_args__]
+            else:
+                build, *kinds = form
+            args = []
+            for i, kind in enumerate(kinds, 1):
+                if type(kind) is tuple:
+                    i, kind = kind
+                args.append((i, None, None) if kind in ATOM_FIELDS
+                            else (i, sorts[kind], fixed[kind]))
+            sorts[sort][1][head] = build, tuple(args), len(args) + 1
+    return sorts
 
 
-def _cco(node: list) -> CCoercion:
-    """A `(cco ...)` list; the caller has checked the head."""
-    _arity(node, 2)
-    return CCoercion(_vco(_sub(node, 1)), _dco(_sub(node, 2)))
-
-
-def _value(node: list) -> ValueTerm:
-    head = _form(node, _VALUE_ARITY, "value form")
-    if head == "var":
-        return Var(_name(node, 1))
-    if head == "unitval":
-        return UnitVal()
-    if head == "lam":
-        return Lam(_name(node, 1), _vtype(_sub(node, 2)), _comp(_sub(node, 3)))
-    return CastV(_value(_sub(node, 1)), _vco(_sub(node, 2)))
-
-
-def _comp(node: list):
-    head = _form(node, _COMP_ARITY, "computation form")
-    if head == "return":
-        return Return(_value(_sub(node, 1)))
-    if head == "opcall":
-        return OpCall(_name(node, 1), _value(_sub(node, 2)), _name(node, 3),
-                      _vtype(_sub(node, 4)), _comp(_sub(node, 5)))
-    if head == "do":
-        return Do(_name(node, 1), _comp(_sub(node, 2)), _comp(_sub(node, 3)))
-    if head == "app":
-        return App(_value(_sub(node, 1)), _value(_sub(node, 2)))
-    if head == "letval":
-        return LetVal(_name(node, 1), _value(_sub(node, 2)), _comp(_sub(node, 3)))
-    return CastC(_comp(_sub(node, 1)), _cco(_sub(node, 2, "cco")))
-
-
-def _signature(node: list) -> Signature:
-    """A `(signature ...)` list; the caller has checked the head."""
-    ops = []
-    for i in range(1, len(node)):
-        decl = _sub(node, i, "op")
-        _arity(decl, 3)
-        ops.append((_name(decl, 1), OpSig(_vtype(_sub(decl, 2)), _vtype(_sub(decl, 3)))))
-    return Signature(tuple(ops))
+# Each sort: what its forms are, for a diagnostic (None for a sort with one
+# head), and its forms; an argument's sort may come with its position.
+_SORTS = _compile({
+    "Skeleton": ("skeleton form",
+                 {"param": SkelParam, "unit": SkelUnit, "base": SkelBase, "arrow": SkelArrow}),
+    "ValueType": ("type form",
+                  {"param": TyParam, "unit": TyUnit, "base": TyBase, "arrow": TyArrow}),
+    "CompType": (None, {"comp": CompType}),
+    "VCoercion": ("value coercion", {
+        "covar": VCoParam, "corefl": (derived_refl_vty, "ValueType"), "coarrow": VCoArrow,
+        # (coseq FIRST SECOND) is SECOND after FIRST; SECOND is read first.
+        "coseq": (VCoCompose, (2, "VCoercion"), (1, "VCoercion"))}),
+    "CCoercion": (None, {"cco": CCoercion}),
+    "DCoercion": ("dirt coercion", {"dvar": DCoParam, "drefl": (derived_refl_dirt, "Dirt"),
+                                    "dempty": (derived_empty, "Dirt")}),
+    "ValueTerm": ("value form", {"var": Var, "unitval": UnitVal, "lam": Lam, "castv": CastV}),
+    "CompTerm": ("computation form", {"return": Return, "opcall": OpCall, "do": Do, "app": App,
+                                      "letval": LetVal, "castc": CastC}),
+    "op": (None, {"op": (_op, "str", "ValueType", "ValueType")}),
+    "declaration": ("declaration", {
+        "skel": (_itself, "str"), "dirt": (_itself, "str"), "typaram": (_row, "str", "Skeleton"),
+        "tyco": (_row, "str", "ValueType", "ValueType"), "dco": (_row, "str", "Dirt", "Dirt")}),
+    "item section": ("item section", {"poltype": (_itself, "ValueType"),
+                                      "term": (_itself, "ValueTerm")}),
+})
 
 
 def _context(node: list) -> ParamContext:
     """A `(context ...)` list; the caller has checked the head."""
-    rows: dict[str, list] = {head: [] for head in _DECL_ARITY}
+    declaration = _SORTS["declaration"]
+    rows: dict[str, list] = {head: [] for head in declaration[1]}
     for i in range(1, len(node)):
         decl = _sub(node, i)
-        head = _form(decl, _DECL_ARITY, "declaration")
-        if head in ("skel", "dirt"):
-            row = _name(decl, 1)
-        elif head == "typaram":
-            row = (_name(decl, 1), _skel(_sub(decl, 2)))
-        elif head == "tyco":
-            row = (_name(decl, 1), _vtype(_sub(decl, 2)), _vtype(_sub(decl, 3)))
-        else:
-            row = (_name(decl, 1), _dirt(_sub(decl, 2, "dirt")), _dirt(_sub(decl, 3, "dirt")))
-        rows[head].append(row)
+        row = _elab(decl, declaration)
+        rows[decl[0]].append(row)
     return ParamContext(tuple(rows["skel"]), tuple(rows["dirt"]), tuple(rows["typaram"]),
                         tuple(rows["dco"]), tuple(rows["tyco"]))
 
@@ -460,16 +432,14 @@ def _item(node: str | list) -> CorpusItem:
         raise _Misplaced(node, None,
                          "(item NAME (signature ...) (context ...) ...) expected")
     name = _name(node, 1)
-    sig = _signature(_sub(node, 2, "signature"))
+    ops = _sub(node, 2, "signature")
+    sig = Signature(tuple(_elab(_sub(ops, i, "op"), _SORTS["op"]) for i in range(1, len(ops))))
     ctx = _context(_sub(node, 3, "context"))
-    poltype = None
-    term = None
+    sections = {"poltype": None, "term": None}
     for i in range(4, len(node)):
         extra = _sub(node, i)
-        if _form(extra, _SECTION_ARITY, "item section") == "poltype":
-            poltype = _vtype(_sub(extra, 1))
-        else:
-            term = _value(_sub(extra, 1))
+        sections[extra[0]] = _elab(extra, _SORTS["item section"])
+    poltype, term = sections["poltype"], sections["term"]
 
     try:
         wf_signature(sig)

@@ -3,7 +3,10 @@
 Every node here is a frozen value so values can live in dicts and sets.
 The node classes are built by `value_class`, which makes them slotted (with
 `__slots__ = ()` on their abstract bases), so a node keeps no instance
-dict. `Signature`, `ParamContext` and `NameSupply` stay dataclasses;
+dict, and compiles five methods of each from its fields: `__init__`,
+`__eq__`, `__hash__`, `rebuild` and, from the %-format the class declares,
+`__str__`. The same fields give each class's form to the reader in
+`corpus`. `Signature`, `ParamContext` and `NameSupply` stay dataclasses;
 `ParamContext` keeps an instance dict, for its lookup index.
 
 Dirts are kept in a canonical form throughout: a sorted set of operation
@@ -34,19 +37,24 @@ from functools import cached_property
 # `value_class` gives a class what `dataclass(frozen=True, slots=True)`
 # would, as far as the package uses it: the same `__init__`, `==`, `hash`,
 # `__match_args__` and repr, refusal of assignment, and a `__reduce__` for
-# copy and pickle. It compiles `__init__`, `__eq__` and `__hash__` from one
-# source text with a single `exec`, where a dataclass takes six, and
-# `__init__` sets each slot through its descriptor, as `__setattr__` refuses.
+# copy and pickle. It compiles all its methods from one source text with a
+# single `exec`, where a dataclass takes six for `__init__`, `__eq__` and
+# `__hash__`, and `__init__` sets each slot through its descriptor, as
+# `__setattr__` refuses.
 # `__eq__` compares field by field, identity first, as a tuple comparison
 # does, but at two frames a nesting level where comparing tuples takes three.
 #
-# The same text gives a class with children a fourth method, `rebuild(f,
-# arg)`: the one traversal of the syntax (Lämmel and Peyton Jones, "Scrap
-# your boilerplate", 2003). It calls `f(arg, child)` on each child, passes
+# The same text gives a class with children `rebuild(f, arg)`: the one
+# traversal of the syntax (Lämmel and Peyton Jones, "Scrap your
+# boilerplate", 2003). It calls `f(arg, child)` on each child, passes
 # the atom fields through, and returns the node itself when every result is
 # its old child, else a new node. A child is a field not annotated as an
-# atom (`_ATOM_FIELDS`); the classes without children share
-# `_no_children`.
+# atom (`ATOM_FIELDS`); the classes without children share `_no_children`.
+#
+# A class that declares `__str__` as a %-format of its fields, in field
+# order, gets a compiled `__str__` that formats the tuple of its fields: two
+# frames a nesting level, where an f-string takes three. Only `Dirt` prints
+# by hand. `corpus` reads each class's form from the same annotations.
 
 _VALUE_METHODS = """\
 def __init__(self, {params}):
@@ -66,25 +74,32 @@ def rebuild(self, _f, _arg):
     return _cls({args})
 """
 
+_STR = """\
+def __str__(self):
+    return {shows!r} % ({own})
+"""
+
 # The annotations of the atom fields: the names, operation sets and absent
 # tails that `_ATOMS` classifies.
-_ATOM_FIELDS = ("str", "str | None", "frozenset[str]")
+ATOM_FIELDS = ("str", "str | None", "frozenset[str]")
 
 
 def value_class(cls):
     """`cls` rebuilt as a frozen slotted class over its annotated fields,
-    in annotation order; a field's class attribute is its default."""
+    in annotation order; a field's class attribute is its default, and a
+    string `__str__` is the %-format of its fields."""
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
-    kids = [n for n in names if annotations[n] not in _ATOM_FIELDS]
+    kids = [n for n in names if annotations[n] not in ATOM_FIELDS]
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__", *names)}
     defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
     cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": names, "__match_args__": names})
     scope = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
     scope["_cls"] = cls
+    own = "".join(f"self.{n}," for n in names)
     source = _VALUE_METHODS.format(
         params=", ".join(names), sets="".join(f"    _set_{n}(self, {n})\n" for n in names) or "    pass",
-        own="".join(f"self.{n}," for n in names),
+        own=own,
         same=" and ".join(f"(self.{n} is other.{n} or self.{n} == other.{n})" for n in names)
         or "True")
     if kids:
@@ -92,10 +107,12 @@ def value_class(cls):
             calls="".join(f"    {n} = _f(_arg, self.{n})\n" for n in kids),
             same=" and ".join(f"{n} is self.{n}" for n in kids),
             args=", ".join(n if n in kids else f"self.{n}" for n in names))
+    if type(body.get("__str__")) is str:
+        source += _STR.format(shows=body["__str__"], own=own)
     exec(source, scope)
     scope["__init__"].__defaults__ = defaults
     cls.rebuild = _no_children
-    for name in ("__init__", "__eq__", "__hash__", "rebuild"):
+    for name in ("__init__", "__eq__", "__hash__", "rebuild", "__str__"):
         if name in scope:
             scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, scope[name])
@@ -132,33 +149,26 @@ class Skeleton:
 @value_class
 class SkelParam(Skeleton):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __str__ = "%s"
 
 
 @value_class
 class SkelUnit(Skeleton):
-    def __str__(self) -> str:
-        return "unit"
+    __str__ = "unit"
 
 
 @value_class
 class SkelBase(Skeleton):
     # Each base type is its own skeleton constant.
     name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __str__ = "%s"
 
 
 @value_class
 class SkelArrow(Skeleton):
     dom: Skeleton
     cod: Skeleton
-
-    def __str__(self) -> str:
-        return f"({self.dom} -> {self.cod})"
+    __str__ = "(%s -> %s)"
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +219,18 @@ class ValueType:
 @value_class
 class TyParam(ValueType):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __str__ = "%s"
 
 
 @value_class
 class TyUnit(ValueType):
-    def __str__(self) -> str:
-        return "unit"
+    __str__ = "unit"
 
 
 @value_class
 class TyBase(ValueType):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __str__ = "%s"
 
 
 @value_class
@@ -234,18 +239,14 @@ class CompType:
 
     ty: ValueType
     dirt: Dirt
-
-    def __str__(self) -> str:
-        return f"{self.ty}!{self.dirt}"
+    __str__ = "%s!%s"
 
 
 @value_class
 class TyArrow(ValueType):
     dom: ValueType
     cod: CompType
-
-    def __str__(self) -> str:  # two frames a level, where an f-string takes three
-        return "(%s -> %s)" % (self.dom, self.cod)
+    __str__ = "(%s -> %s)"
 
 
 # ---------------------------------------------------------------------------
@@ -262,31 +263,24 @@ class DCoercion:
 @value_class
 class VCoParam(VCoercion):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __str__ = "%s"
 
 
 @value_class
 class VCoReflParam(VCoercion):
     name: str
-
-    def __str__(self) -> str:
-        return f"<{self.name}>"
+    __str__ = "<%s>"
 
 
 @value_class
 class VCoReflUnit(VCoercion):
-    def __str__(self) -> str:
-        return "<unit>"
+    __str__ = "<unit>"
 
 
 @value_class
 class VCoReflBase(VCoercion):
     name: str
-
-    def __str__(self) -> str:
-        return f"<{self.name}>"
+    __str__ = "<%s>"
 
 
 @value_class
@@ -295,9 +289,7 @@ class CCoercion:
 
     vco: VCoercion
     dco: DCoercion
-
-    def __str__(self) -> str:
-        return f"{self.vco}!{self.dco}"
+    __str__ = "%s!%s"
 
 
 @value_class
@@ -306,9 +298,7 @@ class VCoArrow(VCoercion):
     # contravariant on the argument side.
     arg: VCoercion
     res: CCoercion
-
-    def __str__(self) -> str:
-        return f"({self.arg} -> {self.res})"
+    __str__ = "(%s -> %s)"
 
 
 @value_class
@@ -316,31 +306,24 @@ class VCoCompose(VCoercion):
     # after o before, diagrammatic source-to-target right to left.
     after: VCoercion
     before: VCoercion
-
-    def __str__(self) -> str:
-        return f"({self.after} . {self.before})"
+    __str__ = "(%s . %s)"
 
 
 @value_class
 class DCoParam(DCoercion):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __str__ = "%s"
 
 
 @value_class
 class DCoReflParam(DCoercion):
     name: str
-
-    def __str__(self) -> str:
-        return f"<{self.name}>"
+    __str__ = "<%s>"
 
 
 @value_class
 class DCoReflEmpty(DCoercion):
-    def __str__(self) -> str:
-        return "<{}>"
+    __str__ = "<{}>"
 
 
 @value_class
@@ -348,9 +331,7 @@ class DCoEmptyUnder(DCoercion):
     """The empty dirt below a dirt parameter: witnesses {} <= tail."""
 
     tail: str
-
-    def __str__(self) -> str:
-        return f"0_{self.tail}"
+    __str__ = "0_%s"
 
 
 @value_class
@@ -359,9 +340,7 @@ class DCoUnionBoth(DCoercion):
 
     op: str
     body: DCoercion
-
-    def __str__(self) -> str:
-        return f"({{{self.op}}}u{self.body})"
+    __str__ = "({%s}u%s)"
 
 
 @value_class
@@ -370,18 +349,14 @@ class DCoUnionRight(DCoercion):
 
     op: str
     body: DCoercion
-
-    def __str__(self) -> str:
-        return f"({{{self.op}}}u+{self.body})"
+    __str__ = "({%s}u+%s)"
 
 
 @value_class
 class DCoCompose(DCoercion):
     after: DCoercion
     before: DCoercion
-
-    def __str__(self) -> str:
-        return f"({self.after} . {self.before})"
+    __str__ = "(%s . %s)"
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +373,12 @@ class CompTerm:
 @value_class
 class Var(ValueTerm):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __str__ = "%s"
 
 
 @value_class
 class UnitVal(ValueTerm):
-    def __str__(self) -> str:
-        return "()"
+    __str__ = "()"
 
 
 @value_class
@@ -414,26 +386,20 @@ class Lam(ValueTerm):
     var: str
     ty: ValueType
     body: CompTerm
-
-    def __str__(self) -> str:
-        return f"(fun {self.var}:{self.ty}. {self.body})"
+    __str__ = "(fun %s:%s. %s)"
 
 
 @value_class
 class CastV(ValueTerm):
     val: ValueTerm
     co: VCoercion
-
-    def __str__(self) -> str:
-        return f"({self.val} |> {self.co})"
+    __str__ = "(%s |> %s)"
 
 
 @value_class
 class Return(CompTerm):
     val: ValueTerm
-
-    def __str__(self) -> str:
-        return f"return {self.val}"
+    __str__ = "return %s"
 
 
 @value_class
@@ -449,9 +415,7 @@ class OpCall(CompTerm):
     bind: str
     bind_ty: ValueType
     cont: CompTerm
-
-    def __str__(self) -> str:
-        return f"{self.op}({self.arg}; {self.bind}:{self.bind_ty}. {self.cont})"
+    __str__ = "%s(%s; %s:%s. %s)"
 
 
 @value_class
@@ -459,18 +423,14 @@ class Do(CompTerm):
     var: str
     first: CompTerm
     rest: CompTerm
-
-    def __str__(self) -> str:
-        return f"do {self.var} <- {self.first} in {self.rest}"
+    __str__ = "do %s <- %s in %s"
 
 
 @value_class
 class App(CompTerm):
     fn: ValueTerm
     arg: ValueTerm
-
-    def __str__(self) -> str:
-        return f"{self.fn} {self.arg}"
+    __str__ = "%s %s"
 
 
 @value_class
@@ -478,18 +438,14 @@ class LetVal(CompTerm):
     var: str
     val: ValueTerm
     body: CompTerm
-
-    def __str__(self) -> str:
-        return f"let {self.var} = {self.val} in {self.body}"
+    __str__ = "let %s = %s in %s"
 
 
 @value_class
 class CastC(CompTerm):
     comp: CompTerm
     co: CCoercion
-
-    def __str__(self) -> str:
-        return f"({self.comp} |> {self.co})"
+    __str__ = "(%s |> %s)"
 
 
 # ---------------------------------------------------------------------------

@@ -409,16 +409,23 @@ MUTANTS = (
         killed_by="tests/test_syntax.py::test_value_classes_agree_with_their_dataclass_twins"),
     Mutant(
         "atom-annotation-dropped", "syntax.py",
-        '_ATOM_FIELDS = ("str", "str | None", "frozenset[str]")',
-        '_ATOM_FIELDS = ("str", "frozenset[str]")',
+        'ATOM_FIELDS = ("str", "str | None", "frozenset[str]")',
+        'ATOM_FIELDS = ("str", "frozenset[str]")',
         "a field annotated as an atom is passed through, never handed to `rebuild`'s function",
         killed_by="tests/test_syntax.py::test_rebuild_maps_the_children_and_passes_the_atoms_through"),
     Mutant(
         "arrow-type-prints-with-an-f-string", "syntax.py",
-        '        return "(%s -> %s)" % (self.dom, self.cod)',
-        '        return f"({self.dom} -> {self.cod})"',
-        "printing an arrow type takes two frames a nesting level, so the deepest one prints",
-        killed_by="tests/test_erase.py::test_simplify_erases_terms_nested_as_deep_as_the_reader_allows[arrow]"),
+        '        source += _STR.format(shows=body["__str__"], own=own)',
+        '        source += "def __str__(self):\\n    return f%r\\n" % (body["__str__"]'
+        '.replace("{", "{{").replace("}", "}}") % tuple(f"{{self.{n}}}" for n in names),)',
+        "printing takes two frames a nesting level, so the deepest item prints",
+        killed_by="tests/test_erase.py::test_simplify_erases_terms_nested_as_deep_as_the_reader_allows[result]"),
+    Mutant(
+        "generated-str-drops-the-last-field", "syntax.py",
+        "    return {shows!r} % ({own})",
+        '    return {shows!r} % (({own})[:-1] + ("",))',
+        "a node prints every one of its fields",
+        killed_by="tests/test_syntax.py::test_printing"),
     # -- corpus reader
     Mutant(
         "corpus-item-error-skips-the-bracket-check", "corpus.py",
@@ -452,9 +459,21 @@ MUTANTS = (
         killed_by="tests/test_corpus_cli.py::test_block_tokenizer_matches_the_token_pattern"),
     Mutant(
         "form-accepts-too-few-arguments", "corpus.py",
-        "    if len(node) != arity[head] + 1:",
-        "    if len(node) > arity[head] + 1:",
+        "    if len(node) != size:",
+        "    if len(node) > size:",
         "a form with fewer arguments than its head takes is a diagnostic, not an IndexError",
+        killed_by="tests/test_corpus_cli.py::test_reader_matches_reference_on_edge_cases"),
+    Mutant(
+        "coseq-reads-first-first", "corpus.py",
+        '"coseq": (VCoCompose, (2, "VCoercion"), (1, "VCoercion"))',
+        '"coseq": (lambda first, second: VCoCompose(second, first), "VCoercion", "VCoercion")',
+        "`coseq` reads its SECOND argument first, so SECOND's diagnostic wins",
+        killed_by="tests/test_corpus_cli.py::test_reader_matches_reference_on_edge_cases"),
+    Mutant(
+        "cco-head-not-checked", "corpus.py",
+        '"CCoercion": (None, {"cco": CCoercion}),',
+        '"CCoercion": ("computation coercion", {"cco": CCoercion}),',
+        "a computation coercion is read only as `(cco ...)`, checked where it is an argument",
         killed_by="tests/test_corpus_cli.py::test_reader_matches_reference_on_edge_cases"),
     Mutant(
         "reader-keeps-undecodable-bytes", "corpus.py",

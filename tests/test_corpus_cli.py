@@ -671,6 +671,45 @@ def test_reader_matches_reference_on_edge_cases():
         "(" * MAX_NESTING + ")" * MAX_NESTING, "(" * (MAX_NESTING + 1),
         deep_skeleton(MAX_NESTING - 4), deep_skeleton(MAX_NESTING - 3),
     ]
+
+    def typed(poltype, term=None, decls=""):
+        term = "" if term is None else f" (term {term})"
+        return f"(item x (signature) (context{decls}) (poltype {poltype}){term})"
+
+    def castv(vco):
+        return typed("(unit)", f"(castv (unitval) {vco})")
+
+    fn = "(arrow (unit) (comp (unit) (dirt ())))"
+    cases += [
+        # A wrong head where `comp`, `cco` or `dirt` is the only one.
+        typed("(arrow (unit) (unit))"), typed("(arrow (unit) (cmp (unit) (dirt ())))"),
+        castv("(coarrow (corefl (unit)) (covar w))"),
+        typed(fn, "(lam x (unit) (castc (return (unitval)) (corefl (unit))))"),
+        typed("(unit)", decls=" (dco p (dirt ()) (drefl (dirt ())))"),
+        typed("(arrow (unit) (comp (unit) (dirts ())))"),
+        # A list for a name and a name for a list in forms read from fields.
+        typed(fn, "(lam (x) (unit) (return (unitval)))"),
+        typed(fn, "(lam x unit (return (unitval)))"),
+        typed(fn, "(lam x (unit) return)"),
+        typed(fn, "(lam x (unit) (opcall Random (unitval) (y) (unit) (return (var y))))"),
+        typed(fn, "(lam x (unit) (opcall (Random) (unitval) y (unit) (return (var y))))"),
+        typed(fn, "(lam x (unit) (opcall Random unitval y (unit) (return (var y))))"),
+        # `coseq` reads SECOND first, so its error wins over FIRST's.
+        castv("(coseq (bogus) (covar))"), castv("(coseq w (covar v w))"),
+        castv("(coseq (covar w) v)"),
+        # Wrong argument counts under a fixed head.
+        typed("(arrow (unit) (comp (unit)))"), typed("(arrow (unit) (comp (unit) (dirt ()) (unit)))"),
+        castv("(coarrow (corefl (unit)) (cco (corefl (unit))))"),
+        "(item x (signature (op A (unit) (unit) (unit))) (context))",
+        "(item x (signature (op A)) (context))",
+        # An unknown head in each sort, and a list or nothing as the head.
+        "(item x (signature) (context (skel s) (typaram a (bogus))))",
+        typed("(bogus)"), castv("(bogus)"),
+        typed(fn, "(lam x (unit) (castc (return (unitval)) (cco (corefl (unit)) (bogus))))"),
+        typed("(unit)", "(bogus)"), typed(fn, "(lam x (unit) (bogus))"),
+        "(item x (signature) (context (bogus d)))", "(item x (signature) (context) (bogus))",
+        typed("((param) a)"), castv("()"), "(item x (signature (bogus A (unit) (unit))) (context))",
+    ]
     for text in cases:
         assert_reads_like_reference(text)
     assert isinstance(assert_reads_like_reference(BASE_AND_DREFL), list)

@@ -3,6 +3,7 @@ hand-built coercion of either sort, then the erased term of every bundled
 item, bench shape and seeded context, which must typecheck at the
 rewritten type."""
 
+import inspect
 import json
 import random
 import sys
@@ -292,8 +293,9 @@ def nested(layers: int, inner: str, wrap: str) -> str:
 UNIT_FN = "(arrow (unit) (comp (unit) (dirt ())))"
 # shape -> (layers -> (poltype, term), the most layers the reader takes): a
 # stack of value casts, of computation casts, or of compositions, each a
-# reflexivity at unit, or a function whose type and annotation are arrows
-# nested on the argument side
+# reflexivity at unit, a function whose type and annotation are arrows
+# nested on the argument side, or functions returning functions, whose type
+# nests arrows on the result side
 DEEP = {
     "castv": (lambda k: ("(unit)", nested(k, "(unitval)", "(castv {} (corefl (unit)))")),
               MAX_NESTING - 4),
@@ -305,20 +307,23 @@ DEEP = {
     "arrow": (lambda k: (nested(k, "(unit)", "(arrow {} (comp (unit) (dirt ())))"),
                          "(lam x " + nested(k - 1, "(unit)", "(arrow {} (comp (unit) (dirt ())))")
                          + " (return (unitval)))"), MAX_NESTING - 5),
+    "result": (lambda k: (nested(k, "(unit)", "(arrow (unit) (comp {} (dirt ())))"),
+                          nested(k, "(unitval)", "(lam x (unit) (return {}))")),
+               MAX_NESTING // 2 - 2),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP))
 def test_simplify_erases_terms_nested_as_deep_as_the_reader_allows(shape, tmp_path, capsys):
     """The deepest item the reader takes simplifies within a recursion limit
-    of three frames per nesting level."""
+    of two frames per nesting level, above the test's own frames."""
     item, layers = DEEP[shape]
     with pytest.raises(ParseError):
         parse_corpus(deep_item(*item(layers + 1)))
     path = tmp_path / "deep.sexp"
     path.write_text(deep_item(*item(layers)))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(3 * MAX_NESTING)
+    sys.setrecursionlimit(len(inspect.stack(0)) + 2 * MAX_NESTING + 16)
     try:
         assert cli.main(["simplify", str(path), "--emit", "json"]) == 0
     finally:

@@ -50,6 +50,37 @@ def test_printing():
     t = TyArrow(TyUnit(), CompType(TyBase("bit"), Dirt(frozenset(), "d1")))
     assert str(t) == "(unit -> bit!d1)"
     assert str(SkelArrow(SkelUnit(), SkelParam("s1"))) == "(unit -> s1)"
+    # One node of each class that declares its format, and its text.
+    s = syntax
+    ret = s.Return(s.Var("y"))
+    cco = s.CCoercion(s.VCoParam("w"), s.DCoUnionBoth("Op", s.DCoParam("p")))
+    cases = [
+        (s.SkelParam("s1"), "s1"), (s.SkelUnit(), "unit"), (s.SkelBase("int"), "int"),
+        (s.SkelArrow(s.SkelUnit(), s.SkelParam("s1")), "(unit -> s1)"),
+        (s.TyParam("a"), "a"), (s.TyUnit(), "unit"), (s.TyBase("bit"), "bit"),
+        (s.CompType(s.TyParam("a"), dirt(("Op", "Fail"), "d")), "a!{Fail,Op}+d"),
+        (t, "(unit -> bit!d1)"),
+        (s.VCoParam("w"), "w"), (s.VCoReflParam("a"), "<a>"), (s.VCoReflUnit(), "<unit>"),
+        (s.VCoReflBase("bit"), "<bit>"), (cco, "w!({Op}up)"),
+        (s.VCoArrow(s.VCoReflUnit(), cco), "(<unit> -> w!({Op}up))"),
+        (s.VCoCompose(s.VCoParam("w"), s.VCoReflParam("a")), "(w . <a>)"),
+        (s.DCoParam("p"), "p"), (s.DCoReflParam("d"), "<d>"), (s.DCoReflEmpty(), "<{}>"),
+        (s.DCoEmptyUnder("d"), "0_d"), (s.DCoUnionBoth("Op", s.DCoParam("p")), "({Op}up)"),
+        (s.DCoUnionRight("Op", s.DCoReflEmpty()), "({Op}u+<{}>)"),
+        (s.DCoCompose(s.DCoParam("p"), s.DCoEmptyUnder("d")), "(p . 0_d)"),
+        (s.Var("x"), "x"), (s.UnitVal(), "()"),
+        (s.Lam("x", s.TyUnit(), s.Return(s.Var("x"))), "(fun x:unit. return x)"),
+        (s.CastV(s.Var("x"), s.VCoParam("w")), "(x |> w)"), (s.Return(s.UnitVal()), "return ()"),
+        (s.OpCall("Op", s.UnitVal(), "y", s.TyBase("bit"), ret), "Op((); y:bit. return y)"),
+        (s.Do("y", s.Return(s.UnitVal()), ret), "do y <- return () in return y"),
+        (s.App(s.Var("f"), s.UnitVal()), "f ()"),
+        (s.LetVal("y", s.UnitVal(), ret), "let y = () in return y"),
+        (s.CastC(ret, cco), "(return y |> w!({Op}up))"),
+    ]
+    for node, text in cases:
+        assert str(node) == text, type(node)
+    classes = {c for c in vars(syntax).values() if isinstance(c, type) and hasattr(c, "rebuild")}
+    assert {type(node) for node, _ in cases} == classes - {Dirt, syntax.OpSig}
 
 
 def test_types_are_hashable_values():
