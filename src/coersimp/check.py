@@ -283,16 +283,11 @@ def _derive_dco(sig: Signature, ctx: ParamContext, g: DCoercion) -> tuple[Dirt, 
         if g.tail not in ctx.dirt_param_set:
             raise UnknownName(f"dirt parameter {g.tail} not in context")
         return _PURE, dirt((), g.tail)
-    if isinstance(g, DCoUnionBoth):
+    if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
         if g.op not in sig:
             raise UnknownName(f"operation {g.op} not in signature")
         lo, hi = check_dco(sig, ctx, g.body)
-        return lo.with_ops({g.op}), hi.with_ops({g.op})
-    if isinstance(g, DCoUnionRight):
-        if g.op not in sig:
-            raise UnknownName(f"operation {g.op} not in signature")
-        lo, hi = check_dco(sig, ctx, g.body)
-        return lo, hi.with_ops({g.op})
+        return lo.with_ops({g.op}) if type(g) is DCoUnionBoth else lo, hi.with_ops({g.op})
     if isinstance(g, DCoCompose):
         return _check_chain(sig, ctx, g, DCoCompose, check_dco, "dirt")
     raise IllFormed(f"not a dirt coercion: {g!r}")

@@ -155,26 +155,16 @@ def forced_dirt_content(ctx: ParamContext) -> dict[str, frozenset]:
     return least
 
 
-def _join_vty(a: ValueType, b: ValueType, table: dict) -> ValueType:
-    """Least upper bound of two ground types with a common skeleton, made
-    in `table` (see `syntax.node`)."""
+def _join_vty(a: ValueType, b: ValueType, table: dict, up: bool = True) -> ValueType:
+    """Least upper bound (`up`) or greatest lower bound of two ground types of one skeleton,
+    made in `table` (see `syntax.node`); an arrow takes the other bound of its domains."""
     if a is b or a == b:
         return a
     if isinstance(a, TyArrow) and isinstance(b, TyArrow):
-        return node(table, TyArrow, _meet_vty(a.dom, b.dom, table), node(
-            table, CompType, _join_vty(a.cod.ty, b.cod.ty, table),
-            closed_dirt(table, a.cod.dirt.ops | b.cod.dirt.ops)))
-    raise SampleError(f"no join of {a} and {b}")
-
-
-def _meet_vty(a: ValueType, b: ValueType, table: dict) -> ValueType:
-    if a is b or a == b:
-        return a
-    if isinstance(a, TyArrow) and isinstance(b, TyArrow):
-        return node(table, TyArrow, _join_vty(a.dom, b.dom, table), node(
-            table, CompType, _meet_vty(a.cod.ty, b.cod.ty, table),
-            closed_dirt(table, a.cod.dirt.ops & b.cod.dirt.ops)))
-    raise SampleError(f"no meet of {a} and {b}")
+        ops = a.cod.dirt.ops | b.cod.dirt.ops if up else a.cod.dirt.ops & b.cod.dirt.ops
+        return node(table, TyArrow, _join_vty(a.dom, b.dom, table, not up), node(
+            table, CompType, _join_vty(a.cod.ty, b.cod.ty, table, up), closed_dirt(table, ops)))
+    raise SampleError(f"no {'join' if up else 'meet'} of {a} and {b}")
 
 
 def _ground_of_skeleton(s: Skeleton, rng: random.Random, ops, pinned: bool,

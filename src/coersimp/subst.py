@@ -69,7 +69,6 @@ from .syntax import (
     DCoReflEmpty,
     DCoReflParam,
     DCoUnionBoth,
-    DCoUnionRight,
     DCoercion,
     Dirt,
     NO_OPS,
@@ -79,7 +78,11 @@ from .syntax import (
     SkelParam,
     SkelUnit,
     Skeleton,
+    TyArrow,
+    TyBase,
     TyParam,
+    TyUnit,
+    UnitVal,
     VCoArrow,
     VCoCompose,
     VCoParam,
@@ -89,6 +92,7 @@ from .syntax import (
     VCoercion,
     ValueTerm,
     ValueType,
+    Var,
     intern,
 )
 
@@ -151,80 +155,53 @@ _LEAVES = {
 # Erasure of trivial casts
 #
 # A reflexive coercion is a reflexivity on a parameter, unit or a base type;
-# the empty or a parameter's dirt reflexivity under any number of
-# `DCoUnionBoth`; or an arrow or computation coercion whose parts are all
-# reflexive. `DCoUnionRight`, `DCoEmptyUnder` and coercion parameters never
-# are. Erasure drops a reflexive link of a composition (`refl . c = c`,
-# `c . refl = c`) and a cast by a reflexive coercion. It keeps the tree
-# shape of what it keeps, and returns a node itself where nothing under it
-# is erased.
+# a composition of reflexive links; or an arrow or computation coercion, or
+# a `DCoUnionBoth`, whose parts all are. `DCoUnionRight`, `DCoEmptyUnder`
+# and coercion parameters never are. Erasure drops a reflexive link of a
+# composition (`refl . c = c`, `c . refl = c`) and a cast by a reflexive
+# coercion, keeps the tree shape of what it keeps, and returns a node itself
+# where nothing under it is erased. One walk, `_erase`, does it: a node of
+# no class below goes through its `rebuild`, which hands each child's
+# erasure the list that it appends the child's reflexivity to.
 
 def erase_value(t: ValueTerm | CompTerm) -> ValueTerm | CompTerm:
-    """`t`, a value or a computation term, with its trivial casts erased:
-    `t` itself if it has none. One call per nesting level of terms."""
-    kids, same = [], True
-    for name in type(t).__match_args__:
-        kid = getattr(t, name)
-        if isinstance(kid, (ValueTerm, CompTerm)):
-            new = erase_value(kid)
-            same = same and new is kid
-            kid = new
-        kids.append(kid)
-    if isinstance(t, (CastV, CastC)):
-        co, refl = (_erase_vco if isinstance(t, CastV) else _erase_cco)(t.co)
-        if refl:
-            return kids[0]
-        same = same and co is t.co
-        kids[1] = co
-    return t if same else type(t)(*kids)
+    """`t`, a value or a computation term, with its trivial casts erased (`t` if it has none)."""
+    return _erase([], t)
 
 
-def _erase_dco(g: DCoercion) -> tuple[DCoercion, bool]:
-    """`g` with its reflexive links erased, and whether that is reflexive."""
-    if isinstance(g, (DCoReflEmpty, DCoReflParam)):
-        return g, True
-    if isinstance(g, (DCoUnionBoth, DCoUnionRight)):
-        body, refl = _erase_dco(g.body)
-        return (g if body is g.body else type(g)(g.op, body),
-                refl and isinstance(g, DCoUnionBoth))
-    if isinstance(g, DCoCompose):
-        return _erase_link(g, _erase_dco(g.after), _erase_dco(g.before), DCoCompose)
-    if isinstance(g, (DCoParam, DCoEmptyUnder)):
-        return g, False
-    raise TypeError(f"not a dirt coercion: {g!r}")
+def _erase(refl: list, x):
+    """`x` with its reflexive links and trivial casts erased; appends to
+    `refl` whether `x` is a reflexive coercion."""
+    cls = type(x)
+    if cls in _REFLEXIVE:
+        refl.append(True)
+        return x
+    if cls is VCoCompose or cls is DCoCompose:
+        links = []
+        after, before = _erase(links, x.after), _erase(links, x.before)
+        a_refl, b_refl = links
+        refl.append(a_refl and b_refl)
+        if a_refl:
+            return before
+        if b_refl:
+            return after
+        return x if after is x.after and before is x.before else cls(after, before)
+    if cls in _KEPT:
+        refl.append(False)
+        return x
+    parts = []
+    new = x.rebuild(_erase, parts)
+    refl.append(cls in _REFLEXIVE_IF_ALL and False not in parts)
+    if cls in _CASTS and parts[1]:
+        return getattr(new, _CASTS[cls])
+    return new
 
 
-def _erase_vco(g: VCoercion) -> tuple[VCoercion, bool]:
-    """`_erase_dco` for a value coercion."""
-    if isinstance(g, (VCoReflParam, VCoReflUnit, VCoReflBase)):
-        return g, True
-    if isinstance(g, VCoArrow):
-        arg, arg_refl = _erase_vco(g.arg)
-        res, res_refl = _erase_cco(g.res)
-        return (g if arg is g.arg and res is g.res else VCoArrow(arg, res),
-                arg_refl and res_refl)
-    if isinstance(g, VCoCompose):
-        return _erase_link(g, _erase_vco(g.after), _erase_vco(g.before), VCoCompose)
-    if isinstance(g, VCoParam):
-        return g, False
-    raise TypeError(f"not a value coercion: {g!r}")
-
-
-def _erase_cco(g: CCoercion) -> tuple[CCoercion, bool]:
-    vco, vrefl = _erase_vco(g.vco)
-    dco, drefl = _erase_dco(g.dco)
-    return (g if vco is g.vco and dco is g.dco else CCoercion(vco, dco),
-            vrefl and drefl)
-
-
-def _erase_link(g, after: tuple, before: tuple, compose) -> tuple:
-    """The erased composition `g` of the erased links `after . before`."""
-    (a, a_refl), (b, b_refl) = after, before
-    if a_refl:
-        return b, b_refl
-    if b_refl:
-        return a, False
-    return (g if a is g.after and b is g.before else compose(a, b)), False
+_REFLEXIVE = {VCoReflParam, VCoReflUnit, VCoReflBase, DCoReflEmpty, DCoReflParam}
+_REFLEXIVE_IF_ALL = {VCoArrow, CCoercion, DCoUnionBoth}
+_CASTS = {CastV: "val", CastC: "comp"}  # each by the field of what it casts
+# Types and nodes without children, returned as they are without a `rebuild`.
+_KEPT = {TyParam, TyUnit, TyBase, TyArrow, Var, UnitVal, VCoParam, DCoParam, DCoEmptyUnder}
 
 
 def apply_context(sub: Substitution, ctx: ParamContext) -> ParamContext:
@@ -268,15 +245,12 @@ def compose_at(s2: Substitution, s1: Substitution, names) -> Substitution:
     """`compose(s2, s1)` at the type and dirt parameters in `names` only,
     at the cost of those names rather than of both substitutions."""
     out = Substitution()
-    for n in names:
-        if n in s1.ty:
-            out.ty[n] = apply(s2, s1.ty[n])
-        elif n in s2.ty:
-            out.ty[n] = s2.ty[n]
-        if n in s1.dirt:
-            out.dirt[n] = apply_dirt(s2, s1.dirt[n])
-        elif n in s2.dirt:
-            out.dirt[n] = s2.dirt[n]
+    for part, first, later in ((out.ty, s1.ty, s2.ty), (out.dirt, s1.dirt, s2.dirt)):
+        for n in names:
+            if n in first:
+                part[n] = apply(s2, first[n])
+            elif n in later:
+                part[n] = later[n]
     return out
 
 

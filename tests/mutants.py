@@ -186,9 +186,9 @@ MUTANTS = (
         killed_by="tests/test_witness.py::test_witness_matches_reference_on_corpus"),
     Mutant(
         "compose-at-drops-the-fallback", "subst.py",
-        "        elif n in s2.ty:\n            out.ty[n] = s2.ty[n]\n",
+        "            elif n in later:\n                part[n] = later[n]\n",
         "",
-        "a tracked type name the run did not map keeps the witness's own image",
+        "a tracked name the run did not map keeps the witness's own image",
         killed_by="tests/test_acceptance.py::test_criterion_5_phase_properties"),
     # -- validity checks
     Mutant(
@@ -286,6 +286,12 @@ MUTANTS = (
         "            later.update(j for j in watchers.get(changed, ()) if j < i)",
         "a repair that unsettles its own constraint examines it again next sweep",
         killed_by="tests/test_sample.py::test_settle_examines_again_a_constraint_its_own_repair_left_unsettled"),
+    Mutant(
+        "join-keeps-the-bound-at-the-domain", "sample.py",
+        "_join_vty(a.dom, b.dom, table, not up)",
+        "_join_vty(a.dom, b.dom, table, up)",
+        "an arrow is contravariant in its domain, so its domains take the other bound",
+        killed_by="tests/test_sample.py::test_join_and_meet_of_arrows_flip_at_the_domain[join]"),
     # -- verify
     Mutant(
         "verify-makes-a-sampler-per-sample", "cli.py",
@@ -348,32 +354,33 @@ MUTANTS = (
     # -- erasure and the sampler's walk
     Mutant(
         "erase-lift-right-as-reflexive", "subst.py",
-        "                refl and isinstance(g, DCoUnionBoth))",
-        "                refl)",
+        "_REFLEXIVE_IF_ALL = {VCoArrow, CCoercion, DCoUnionBoth}",
+        "from .syntax import DCoUnionRight\n"
+        "_REFLEXIVE_IF_ALL = {VCoArrow, CCoercion, DCoUnionBoth, DCoUnionRight}",
         "a lift adds an operation to the upper side, so it is never reflexive",
         killed_by="tests/test_acceptance.py::test_criterion_3_corpus_metrics_against_goldens"),
     Mutant(
         "erase-drops-a-value-coercion-parameter", "subst.py",
-        "    if isinstance(g, VCoParam):\n        return g, False",
-        "    if isinstance(g, VCoParam):\n        return g, True",
+        "_REFLEXIVE = {VCoReflParam,",
+        "_REFLEXIVE = {VCoParam, VCoReflParam,",
         "a coercion parameter is an assumption, never a reflexivity",
         killed_by="tests/test_acceptance.py::test_criterion_3_corpus_metrics_against_goldens"),
     Mutant(
         "erase-keeps-refl-before-a-link", "subst.py",
-        "    if a_refl:\n        return b, b_refl",
-        "    if False:\n        return b, b_refl",
+        "        if a_refl:\n            return before",
+        "        if False:\n            return before",
         "refl . c = c",
-        killed_by="tests/test_erase.py::test_a_value_cast_by_a_reflexivity_is_dropped[co4]"),
+        killed_by="tests/test_erase.py::test_a_reflexive_value_link_leaves_the_other[refl0]"),
     Mutant(
         "erase-keeps-refl-after-a-link", "subst.py",
-        "    if b_refl:\n        return a, False",
-        "    if False:\n        return a, False",
+        "        if b_refl:\n            return after",
+        "        if False:\n            return after",
         "c . refl = c",
         killed_by="tests/test_erase.py::test_a_reflexive_value_link_leaves_the_other[refl0]"),
     Mutant(
         "erase-keeps-a-reflexive-cast", "subst.py",
-        "        if refl:\n            return kids[0]",
-        "        if False:\n            return kids[0]",
+        "    if cls in _CASTS and parts[1]:",
+        "    if False:",
         "a cast by a reflexive coercion is dropped from the term",
         killed_by="tests/test_corpus_cli.py::test_cli_simplify_json_counts_the_coercions_left"),
     Mutant(
@@ -382,6 +389,73 @@ MUTANTS = (
         "        pass",
         "evaluation enumerates a lambda's whole annotation, so its parameters stay enumerable",
         killed_by="tests/test_sample.py::test_buried_params_from_term_annotation"),
+    # -- the checker's input guards
+    Mutant(
+        "union-right-extends-the-lower-end", "check.py",
+        "lo.with_ops({g.op}) if type(g) is DCoUnionBoth else lo",
+        "lo.with_ops({g.op})",
+        "a lift adds its operation to the upper end only",
+        killed_by="tests/test_check.py::test_check_dco_derived_forms"),
+    Mutant(
+        "check-drops-the-duplicate-op-guard", "check.py",
+        '            raise IllFormed(f"duplicate operation {name}")',
+        "            pass",
+        "a signature declares each operation once",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[duplicate-op]"),
+    Mutant(
+        "check-drops-the-open-op-argument-guard", "check.py",
+        "        if not is_closed_vty(entry.arg):",
+        "        if False:",
+        "an operation's argument type mentions no parameter",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[open-op-argument]"),
+    Mutant(
+        "check-drops-the-opcall-unknown-op-guard", "check.py",
+        "        if entry is None:",
+        "        if False:",
+        "an operation call names an operation of the signature",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[opcall-unknown-op]"),
+    Mutant(
+        "check-drops-the-opcall-argument-type-guard", "check.py",
+        "        if a != entry.arg:",
+        "        if False:",
+        "an operation call's argument has the operation's argument type",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[opcall-argument-type]"),
+    Mutant(
+        "check-drops-the-opcall-bind-type-guard", "check.py",
+        "        if c.bind_ty != entry.result:",
+        "        if False:",
+        "an operation call binds the operation's result type",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[opcall-bind-type]"),
+    Mutant(
+        "check-drops-the-app-non-function-guard", "check.py",
+        "        if not isinstance(f, TyArrow):",
+        "        if False:",
+        "only a function is applied",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[app-non-function]"),
+    Mutant(
+        "check-drops-the-drefl-unknown-dirt-guard", "check.py",
+        "        if g.name not in ctx.dirt_param_set:",
+        "        if False:",
+        "a dirt parameter's reflexivity names a declared dirt parameter",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[drefl-unknown-dirt]"),
+    Mutant(
+        "check-drops-the-dempty-unknown-dirt-guard", "check.py",
+        "        if g.tail not in ctx.dirt_param_set:",
+        "        if False:",
+        "an empty-below coercion names a declared dirt parameter",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[dempty-unknown-dirt]"),
+    Mutant(
+        "check-drops-the-corefl-unknown-type-guard", "check.py",
+        "        if ctx.ty_param_skeleton(g.name) is None:",
+        "        if False:",
+        "a type parameter's reflexivity names a declared type parameter",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[corefl-unknown-type]"),
+    Mutant(
+        "check-drops-the-dempty-unknown-op-guard", "check.py",
+        "        if g.op not in sig:",
+        "        if False:",
+        "a union coercion adds an operation of the signature",
+        killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[dempty-unknown-op]"),
     # -- value classes
     Mutant(
         "value-eq-ignores-the-class", "syntax.py",

@@ -123,6 +123,54 @@ def test_judgment_error_on_bad_items():
         parse_corpus(MINIMAL + "\n" + MINIMAL)
 
 
+FAIL_SIG = "(op Fail (unit) (unit))"
+UNIT_TO_UNIT = "(arrow (unit) (comp (unit) (dirt ())))"
+FAILING = "(arrow (unit) (comp (unit) (dirt (Fail))))"
+
+
+def cast_result(dco):
+    """A function that casts its pure result by the dirt coercion `dco`."""
+    return f"(lam y (unit) (castc (return (var y)) (cco (corefl (unit)) {dco})))"
+
+
+@pytest.mark.parametrize("ops, context, poltype, term, says", [
+    pytest.param(FAIL_SIG * 2, "", "(unit)", "(unitval)", "duplicate operation Fail",
+                 id="duplicate-op"),
+    pytest.param("(op Fail (param a) (unit))", "", "(unit)", "(unitval)",
+                 "operation Fail: argument type not closed", id="open-op-argument"),
+    pytest.param(FAIL_SIG, "", FAILING,
+                 "(lam y (unit) (opcall Boom (unitval) z (unit) (return (var z))))",
+                 "operation Boom not in signature", id="opcall-unknown-op"),
+    pytest.param(FAIL_SIG, "", FAILING,
+                 "(lam y (unit) (opcall Fail (lam u (unit) (return (var u))) z (unit)"
+                 " (return (var z))))",
+                 "operation Fail expects unit, argument has (unit -> unit!{})",
+                 id="opcall-argument-type"),
+    pytest.param(FAIL_SIG, "", FAILING,
+                 "(lam y (unit) (opcall Fail (unitval) z (base bit) (return (var z))))",
+                 "operation Fail binds unit, annotation says bit", id="opcall-bind-type"),
+    pytest.param(FAIL_SIG, "", UNIT_TO_UNIT, "(lam y (unit) (app (var y) (unitval)))",
+                 "application head has non-arrow type unit", id="app-non-function"),
+    pytest.param(FAIL_SIG, "(dirt d)", UNIT_TO_UNIT, cast_result("(drefl (dirt () e))"),
+                 "dirt parameter e not in context", id="drefl-unknown-dirt"),
+    pytest.param(FAIL_SIG, "(dirt d)", UNIT_TO_UNIT, cast_result("(dempty (dirt () e))"),
+                 "dirt parameter e not in context", id="dempty-unknown-dirt"),
+    pytest.param(FAIL_SIG, "", "(unit)", "(castv (unitval) (corefl (param a)))",
+                 "type parameter a not in context", id="corefl-unknown-type"),
+    pytest.param(FAIL_SIG, "", UNIT_TO_UNIT, cast_result("(dempty (dirt (Boom)))"),
+                 "operation Boom not in signature", id="dempty-unknown-op"),
+])
+def test_judgment_error_carries_the_checkers_message(ops, context, poltype, term, says):
+    """Each input guard of the checker refuses its item with its own
+    diagnostic: the signature's, then the term's, whose coercions are
+    checked before the term's type is compared with the declared one."""
+    text = (f"(item x (signature {ops}) (context {context}) (poltype {poltype})"
+            f" (term {term}))")
+    with pytest.raises(JudgmentError) as exc:
+        parse_corpus(text)
+    assert str(exc.value) == f"item 'x': {says}"
+
+
 def test_bundled_corpus_shape():
     items = load_bundled()
     assert len(items) >= 30

@@ -1,7 +1,7 @@
 """Erasure of the casts that simplification made trivial: each rule on a
 hand-built coercion of either sort, then the erased term of every bundled
 item, bench shape and seeded context, which must typecheck at the
-rewritten type."""
+rewritten type, and the calls that erasing a bench chain makes."""
 
 import inspect
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from coersimp import cli
+from coersimp import cli, subst
 from coersimp.check import both_extend, derived_refl_vty, type_of_value
 from coersimp.corpus import MAX_NESTING, CorpusItem, ParseError, load_bundled, parse_corpus
 from coersimp.subst import erase_value
@@ -205,6 +205,33 @@ def test_bench_walks_erase_to_the_uncast_function(bench_items):
             else:
                 assert cli.cast_count(erased) == 0 and node_count(erased) == 8, (
                     name, str(erased))
+
+
+def erase_calls(monkeypatch, term) -> int:
+    """The calls of `subst._erase` that erasing `term` makes."""
+    calls, erase = 0, subst._erase
+
+    def counted(refl, x):
+        nonlocal calls
+        calls += 1
+        return erase(refl, x)
+    with monkeypatch.context() as patch:
+        patch.setattr(subst, "_erase", counted)
+        erase_value(term)
+    return calls
+
+
+@pytest.mark.parametrize("preset", ["none", "all"])
+def test_erasure_costs_linear_in_the_term(bench_items, monkeypatch, preset):
+    """Erasing the cast along a chain, a balanced composition of arrow
+    links as the bench writes it, calls `_erase` at most once per node of
+    the term, at 100 links and at 400: each part's reflexivity is carried
+    up to its composition, not decided again there."""
+    per_node = []
+    for name in ("chain_n100", "chain_n400"):
+        _, _, rewritten, _ = cli._simplified(bench_items[name], preset, False)
+        per_node.append(erase_calls(monkeypatch, rewritten) / node_count(rewritten))
+    assert per_node[1] <= 1 and per_node[1] <= 1.02 * per_node[0], per_node
 
 
 def test_structural_terms_are_returned_as_they_are():

@@ -195,6 +195,46 @@ def test_sample_reports_unsatisfiable_context():
 
 
 # ---------------------------------------------------------------------------
+# Lattice bounds of ground types
+
+F = frozenset({"Fail"})
+UNIT = TyUnit()
+
+
+def thunk_arrow(dom_ops, res_ops, ops):
+    """`(unit -> unit!dom_ops) -> (unit -> unit!res_ops)!ops`."""
+    return arrow(arrow(UNIT, UNIT, Dirt(dom_ops)), arrow(UNIT, UNIT, Dirt(res_ops)), Dirt(ops))
+
+
+@pytest.mark.parametrize("up, want", [
+    # A result dirt takes the bound asked for, at every depth; a domain
+    # takes the other one.
+    pytest.param(True, thunk_arrow(frozenset(), RF, RF), id="join"),
+    pytest.param(False, thunk_arrow(RF, frozenset(), frozenset()), id="meet"),
+])
+def test_join_and_meet_of_arrows_flip_at_the_domain(up, want):
+    a, b = thunk_arrow(R, R, R), thunk_arrow(F, F, F)
+    table = {}
+    got = sample._join_vty(a, b, table, up)
+    assert got == want
+    assert table[id(got)] is got and table[id(got.dom)] is got.dom
+    assert sample._join_vty(a, b, table, up) is got
+    assert sample._join_vty(b, b, table, up) is b
+
+
+@pytest.mark.parametrize("a, b, up, says", [
+    (UNIT, TyBase("bit"), True, "no join of unit and bit"),
+    (UNIT, TyBase("bit"), False, "no meet of unit and bit"),
+    (arrow(UNIT, UNIT), arrow(TyBase("bit"), UNIT), True, "no meet of unit and bit"),
+    (arrow(UNIT, UNIT), arrow(UNIT, TyBase("bit")), False, "no meet of unit and bit"),
+])
+def test_join_and_meet_of_different_shapes_fail(a, b, up, says):
+    with pytest.raises(SampleError) as exc:
+        sample._join_vty(a, b, {}, up)
+    assert str(exc.value) == says
+
+
+# ---------------------------------------------------------------------------
 # Worklist repair against the sweeping reference
 
 
