@@ -1,8 +1,9 @@
 """Well-formedness, coercion endpoint checking, and term typing.
 
-The judgments here are all syntax-directed and total: each function either
-returns the classifying object (a skeleton for types, an endpoint pair for
-coercions, a type for terms) or raises a `CheckError` subclass.
+The judgments here are all syntax-directed and total on the syntax classes:
+each function either returns the classifying object (a skeleton for types,
+an endpoint pair for coercions, a type for terms) or raises a `CheckError`
+subclass; a dispatch does not test for the last class of its sort.
 
 Two conventions worth spelling out, both load-bearing for everything built
 on top:
@@ -26,8 +27,6 @@ from .syntax import (
     CCoercion,
     CompTerm,
     CompType,
-    CastC,
-    CastV,
     DCoCompose,
     DCoEmptyUnder,
     DCoParam,
@@ -108,13 +107,9 @@ def wf_skeleton(ctx: ParamContext, s: Skeleton) -> None:
     if isinstance(s, SkelParam):
         if s.name not in ctx.skel_param_set:
             raise UnknownName(f"skeleton parameter {s.name} not in context")
-    elif isinstance(s, (SkelUnit, SkelBase)):
-        pass
     elif isinstance(s, SkelArrow):
         wf_skeleton(ctx, s.dom)
         wf_skeleton(ctx, s.cod)
-    else:
-        raise IllFormed(f"not a skeleton: {s!r}")
 
 
 def wf_dirt(sig: Signature, ctx: ParamContext, d: Dirt) -> None:
@@ -137,11 +132,9 @@ def wf_vtype(sig: Signature, ctx: ParamContext, t: ValueType) -> Skeleton:
         return SkelUnit()
     if isinstance(t, TyBase):
         return SkelBase(t.name)
-    if isinstance(t, TyArrow):
-        sd = wf_vtype(sig, ctx, t.dom)
-        sc = wf_ctype(sig, ctx, t.cod)
-        return SkelArrow(sd, sc)
-    raise IllFormed(f"not a value type: {t!r}")
+    sd = wf_vtype(sig, ctx, t.dom)
+    sc = wf_ctype(sig, ctx, t.cod)
+    return SkelArrow(sd, sc)
 
 
 def wf_ctype(sig: Signature, ctx: ParamContext, c: CompType) -> Skeleton:
@@ -155,13 +148,11 @@ def is_closed_vty(t: ValueType) -> bool:
         return True
     if isinstance(t, TyParam):
         return False
-    if isinstance(t, TyArrow):
-        return (
-            is_closed_vty(t.dom)
-            and is_closed_vty(t.cod.ty)
-            and t.cod.dirt.is_closed
-        )
-    raise IllFormed(f"not a value type: {t!r}")
+    return (
+        is_closed_vty(t.dom)
+        and is_closed_vty(t.cod.ty)
+        and t.cod.dirt.is_closed
+    )
 
 
 def is_ground_vty(t: ValueType) -> bool:
@@ -288,9 +279,7 @@ def _derive_dco(sig: Signature, ctx: ParamContext, g: DCoercion) -> tuple[Dirt, 
             raise UnknownName(f"operation {g.op} not in signature")
         lo, hi = check_dco(sig, ctx, g.body)
         return lo.with_ops({g.op}) if type(g) is DCoUnionBoth else lo, hi.with_ops({g.op})
-    if isinstance(g, DCoCompose):
-        return _check_chain(sig, ctx, g, DCoCompose, check_dco, "dirt")
-    raise IllFormed(f"not a dirt coercion: {g!r}")
+    return _check_chain(sig, ctx, g, DCoCompose, check_dco, "dirt")
 
 
 def _derive_vco(sig: Signature, ctx: ParamContext, g: VCoercion) -> tuple[ValueType, ValueType]:
@@ -313,9 +302,7 @@ def _derive_vco(sig: Signature, ctx: ParamContext, g: VCoercion) -> tuple[ValueT
         a, a2 = check_vco(sig, ctx, g.arg)
         c, c2 = check_cco(sig, ctx, g.res)
         return TyArrow(a2, c), TyArrow(a, c2)
-    if isinstance(g, VCoCompose):
-        return _check_chain(sig, ctx, g, VCoCompose, check_vco, "value")
-    raise IllFormed(f"not a value coercion: {g!r}")
+    return _check_chain(sig, ctx, g, VCoCompose, check_vco, "value")
 
 
 def _check_chain(sig: Signature, ctx: ParamContext, g, compose, check, what: str):
@@ -414,11 +401,9 @@ def extend_vty(t: ValueType, at_ty, at_dirt) -> VCoercion:
         return VCoReflUnit()
     if isinstance(t, TyBase):
         return VCoReflBase(t.name)
-    if isinstance(t, TyArrow):
-        return VCoArrow(extend_vty(t.dom, at_ty, at_dirt),
-                        CCoercion(extend_vty(t.cod.ty, at_ty, at_dirt),
-                                  extend_dirt(t.cod.dirt, at_dirt)))
-    raise IllFormed(f"not a value type: {t!r}")
+    return VCoArrow(extend_vty(t.dom, at_ty, at_dirt),
+                    CCoercion(extend_vty(t.cod.ty, at_ty, at_dirt),
+                              extend_dirt(t.cod.dirt, at_dirt)))
 
 
 def derived_refl_dirt(d: Dirt) -> DCoercion:
@@ -512,13 +497,11 @@ def type_of_value(
         wf_vtype(sig, ctx, v.ty)
         c = type_of_comp(sig, ctx, tyctx + ((v.var, v.ty),), v.body)
         return TyArrow(v.ty, c)
-    if isinstance(v, CastV):
-        a = type_of_value(sig, ctx, tyctx, v.val)
-        lo, hi = check_vco(sig, ctx, v.co)
-        if a != lo:
-            raise TypeMismatch(f"cast source {lo} but value has type {a}")
-        return hi
-    raise IllFormed(f"not a value term: {v!r}")
+    a = type_of_value(sig, ctx, tyctx, v.val)
+    lo, hi = check_vco(sig, ctx, v.co)
+    if a != lo:
+        raise TypeMismatch(f"cast source {lo} but value has type {a}")
+    return hi
 
 
 def type_of_comp(
@@ -564,10 +547,8 @@ def type_of_comp(
     if isinstance(c, LetVal):
         a = type_of_value(sig, ctx, tyctx, c.val)
         return type_of_comp(sig, ctx, tyctx + ((c.var, a),), c.body)
-    if isinstance(c, CastC):
-        got = type_of_comp(sig, ctx, tyctx, c.comp)
-        lo, hi = check_cco(sig, ctx, c.co)
-        if got != lo:
-            raise TypeMismatch(f"cast source {lo} but computation has type {got}")
-        return hi
-    raise IllFormed(f"not a computation term: {c!r}")
+    got = type_of_comp(sig, ctx, tyctx, c.comp)
+    lo, hi = check_cco(sig, ctx, c.co)
+    if got != lo:
+        raise TypeMismatch(f"cast source {lo} but computation has type {got}")
+    return hi

@@ -27,7 +27,6 @@ from .syntax import (
     Dirt,
     ParamContext,
     Signature,
-    TyArrow,
     TyBase,
     TyParam,
     TyUnit,
@@ -72,9 +71,7 @@ def fp_vty(t: ValueType) -> FreeParamSet:
         return FreeParamSet(pos=frozenset({t.name}))
     if isinstance(t, (TyUnit, TyBase)):
         return EMPTY_FPS
-    if isinstance(t, TyArrow):
-        return fp_vty(t.dom).swap().union(fp_cty(t.cod))
-    raise TypeError(f"not a value type: {t!r}")
+    return fp_vty(t.dom).swap().union(fp_cty(t.cod))
 
 
 def fp_cty(c: CompType) -> FreeParamSet:

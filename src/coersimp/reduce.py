@@ -54,7 +54,6 @@ from .syntax import (
     ParamContext,
     Signature,
     SkelArrow,
-    SkelBase,
     SkelParam,
     SkelUnit,
     TyArrow,
@@ -125,10 +124,8 @@ def _expand(name: str, skel, supply: NameSupply, log: list, kept: list, new_dirt
                        CompType(step.cod.ty if cod is None else cod, step.cod.dirt))
     if isinstance(skel, SkelUnit):
         image = TyUnit()
-    elif isinstance(skel, SkelBase):
-        image = TyBase(skel.name)
     else:
-        raise TypeError(f"not a skeleton: {skel!r}")
+        image = TyBase(skel.name)
     log += "ty", name, image
     return image
 
@@ -170,7 +167,11 @@ def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply, log: list
     `None` once dropped. Positions below `nxt` have been processed: they are
     kept, dropped, or reopened by an absorption and waiting in `reopened`,
     and each is processed again before any later position. A position may
-    wait twice; processing a kept constraint again keeps it unchanged."""
+    wait twice; processing a kept constraint again keeps it unchanged.
+
+    No popped position was dropped: only a constraint with a closed lower
+    dirt is dropped, and one waits only as the trigger of its own
+    absorption, so it is dropped, if at all, after it is popped."""
     dparams = list(dirt_params)
     max_restarts = len(dparams) * max(1, len(sig.ops)) + 1
     restarts = 0
@@ -181,8 +182,6 @@ def _phi_dc(sig: Signature, dirt_cos, dirt_params, supply: NameSupply, log: list
     while reopened or nxt < len(rows):
         if reopened:
             pos = heapq.heappop(reopened)
-            if rows[pos] is None:  # dropped since it was reopened
-                continue
         else:
             pos, nxt = nxt, nxt + 1
         name, lo, hi = rows[pos]

@@ -58,8 +58,6 @@ from .check import (
 )
 from .syntax import (
     App,
-    CastC,
-    CastV,
     CCoercion,
     CompTerm,
     CompType,
@@ -203,10 +201,8 @@ def graft(tree, f):
     """Monadic bind on call trees."""
     if isinstance(tree, TreeReturn):
         return f(tree.value)
-    if isinstance(tree, TreeOp):
-        return TreeOp(tree.op, tree.arg,
-                      tuple((r, graft(t, f)) for r, t in tree.cont))
-    raise ModelBug(f"not a tree: {tree!r}")
+    return TreeOp(tree.op, tree.arg,
+                  tuple((r, graft(t, f)) for r, t in tree.cont))
 
 
 def default_skel(sig: Signature, s: Skeleton):
@@ -348,10 +344,8 @@ def eval_value(sig: Signature, env: dict, v: ValueTerm, budget: int = DEFAULT_BU
         except DomainTooLarge:
             return EffFn(None, SkelFn(sfn), run)
         return EffFn(tuple((a, run(a)) for a in doms), SkelFn(sfn))
-    if isinstance(v, CastV):
-        return _cast(sig, vco_endpoint(v.co, upper=False), vco_endpoint(v.co, upper=True),
-                     eval_value(sig, env, v.val, budget), budget)
-    raise ModelBug(f"not a value term: {v!r}")
+    return _cast(sig, vco_endpoint(v.co, upper=False), vco_endpoint(v.co, upper=True),
+                 eval_value(sig, env, v.val, budget), budget)
 
 
 def eval_comp(sig: Signature, env: dict, c: CompTerm, budget: int = DEFAULT_BUDGET):
@@ -376,11 +370,9 @@ def eval_comp(sig: Signature, env: dict, c: CompTerm, budget: int = DEFAULT_BUDG
     if isinstance(c, LetVal):
         return eval_comp(sig, {**env, c.var: eval_value(sig, env, c.val, budget)},
                          c.body, budget)
-    if isinstance(c, CastC):
-        return _cast_tree(sig, vco_endpoint(c.co.vco, upper=False),
-                          vco_endpoint(c.co.vco, upper=True),
-                          eval_comp(sig, env, c.comp, budget), budget)
-    raise ModelBug(f"not a computation term: {c!r}")
+    return _cast_tree(sig, vco_endpoint(c.co.vco, upper=False),
+                      vco_endpoint(c.co.vco, upper=True),
+                      eval_comp(sig, env, c.comp, budget), budget)
 
 
 def skel_value(sig: Signature, env: dict, v: ValueTerm):
@@ -393,9 +385,7 @@ def skel_value(sig: Signature, env: dict, v: ValueTerm):
             return skel_comp(sig, {**env, v.var: u}, v.body)
 
         return SkelFn(fn)
-    if isinstance(v, CastV):
-        return skel_value(sig, env, v.val)  # casts are skeletally invisible
-    raise ModelBug(f"not a value term: {v!r}")
+    return skel_value(sig, env, v.val)  # casts are skeletally invisible
 
 
 def skel_comp(sig: Signature, env: dict, c: CompTerm):
@@ -419,9 +409,7 @@ def skel_comp(sig: Signature, env: dict, c: CompTerm):
         return fn.call(skel_value(sig, env, c.arg))
     if isinstance(c, LetVal):
         return skel_comp(sig, {**env, c.var: skel_value(sig, env, c.val)}, c.body)
-    if isinstance(c, CastC):
-        return skel_comp(sig, env, c.comp)
-    raise ModelBug(f"not a computation term: {c!r}")
+    return skel_comp(sig, env, c.comp)
 
 
 # ---------------------------------------------------------------------------

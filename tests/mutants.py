@@ -9,7 +9,8 @@ of the repository, never to the working tree, and leave
 `tests/test_mutants.py` out of its test run: no anchor of a mutated file
 is there any more. A mutant marked as a known survivor passed every
 tier-1 test when it was last run; each other one names the test that
-killed it first (`tests/mutate.py` runs that one before the rest).
+killed it first (`tests/mutate.py` runs that one before the rest, and
+counts the mutant as agreeing only when that test kills it).
 """
 
 from __future__ import annotations
@@ -456,6 +457,67 @@ MUTANTS = (
         "        if False:",
         "a union coercion adds an operation of the signature",
         killed_by="tests/test_corpus_cli.py::test_judgment_error_carries_the_checkers_message[dempty-unknown-op]"),
+    # -- guards that the API reaches, and the model's preconditions
+    Mutant(
+        "phases-reads-an-empty-custom-chunk", "phases.py",
+        "        if not chunk:",
+        "        if False:",
+        "an empty chunk of a custom phase list names no phase",
+        killed_by="tests/test_phases.py::test_parse_custom"),
+    Mutant(
+        "phases-drops-the-canonical-context-guard", "phases.py",
+        "        if not is_canonical(ctx):",
+        "        if False:",
+        "the phases run on a canonical context only",
+        killed_by="tests/test_phases.py::test_parse_custom"),
+    Mutant(
+        "phases-drops-the-unknown-phase-guard", "phases.py",
+        "        if phase not in _PHASES:",
+        "        if False:",
+        "an unknown phase name is a `ValueError`, not a `KeyError`",
+        killed_by="tests/test_phases.py::test_parse_custom"),
+    Mutant(
+        "verify-drops-the-no-term-guard", "cli.py",
+        '        raise ValueError(f"item {item.name} has no term")',
+        "        pass",
+        "only an item with a term is verified",
+        killed_by="tests/test_corpus_cli.py::test_cli_verify_small_item"),
+    Mutant(
+        "vco-endpoint-drops-the-ground-guard", "check.py",
+        '    raise IllFormed(f"not a ground value coercion: {g!r}")',
+        "    pass",
+        "a value coercion over a parameter has no endpoint to read",
+        killed_by="tests/test_check.py::test_endpoints_refuse_a_coercion_that_is_not_ground"),
+    Mutant(
+        "dco-endpoint-drops-the-ground-guard", "check.py",
+        "        if not isinstance(g, (DCoUnionBoth, DCoUnionRight)):",
+        "        if False:",
+        "a dirt coercion over a parameter has no endpoint to read",
+        killed_by="tests/test_check.py::test_endpoints_refuse_a_coercion_that_is_not_ground"),
+    Mutant(
+        "sample-grounds-a-skeleton-parameter", "sample.py",
+        '    raise SampleError(f"cannot ground skeleton {s}")',
+        "    pass",
+        "a skeleton parameter has no ground type",
+        killed_by="tests/test_sample.py::test_a_skeleton_parameter_has_no_ground_type"),
+    Mutant(
+        "default-skel-of-a-parameter", "semantics.py",
+        '    raise ModelBug(f"not a ground skeleton: {s}")',
+        "    pass",
+        "the model has no inhabitant of a skeleton parameter",
+        killed_by="tests/test_semantics.py::test_the_model_refuses_a_parameter[default_skel]"),
+    Mutant(
+        "enum-of-a-parameter", "semantics.py",
+        '    raise DomainTooLarge(f"cannot enumerate {t}")',
+        "    pass",
+        "the model has no carrier for a type parameter",
+        killed_by="tests/test_semantics.py::test_the_model_refuses_a_parameter[enum_vty]"),
+    Mutant(
+        "equal-skel-at-a-parameter", "semantics.py",
+        '    raise ModelBug(f"not a closed type: {t}")',
+        "    pass",
+        "the model compares values at a closed type only",
+        killed_by="tests/test_semantics.py::test_the_model_refuses_a_parameter[equal_skel_at]"),
     # -- value classes
     Mutant(
         "value-eq-ignores-the-class", "syntax.py",

@@ -13,8 +13,10 @@ runs, in order, until one check fails:
    `--full-dirt`.
 
 It prints one JSON document: per mutant the first check that failed, or
-"survived", and whether that agrees with its `survives` mark; the counts;
-and the wall time. It exits 1 when an outcome disagrees with a mark.
+"survived", and whether that agrees with its mark (`agrees`): a mutant
+that names a `killed_by` test agrees only when that test failed first, a
+marked survivor only when it survives; the counts; and the wall time. It
+exits 1 when an outcome disagrees with a mark.
 
 A plain script, not a test: pytest does not collect it.
 """
@@ -87,6 +89,12 @@ def outcome(mutant: Mutant, root: Path) -> str:
     return "survived"
 
 
+def agrees(mutant: Mutant, got: str) -> bool:
+    """Whether outcome `got` is the one `mutant` is marked with: its
+    `killed_by` test, or "survived" for a marked survivor."""
+    return got == ("survived" if mutant.survives else mutant.killed_by)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", default=None, help="run this mutant only")
@@ -102,9 +110,8 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT, root, ignore=IGNORE)
             apply(mutant, root)
             got = outcome(mutant, root)
-        survived = got == "survived"
         results.append({"name": mutant.name, "outcome": got, "survives": mutant.survives,
-                        "agrees": survived == mutant.survives,
+                        "agrees": agrees(mutant, got),
                         "seconds": round(time.perf_counter() - began, 1)})
         print(f"{mutant.name}: {got}", file=sys.stderr, flush=True)
     survivors = sum(r["outcome"] == "survived" for r in results)

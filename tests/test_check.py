@@ -11,6 +11,7 @@ from coersimp.check import (
     check_cco,
     check_dco,
     check_vco,
+    dco_endpoint,
     derived_empty,
     derived_refl_dirt,
     derived_refl_vty,
@@ -19,6 +20,7 @@ from coersimp.check import (
     type_of_comp,
     type_of_value,
     value_inclusion_coercion,
+    vco_endpoint,
     wf_context,
     wf_dirt,
     wf_signature,
@@ -33,7 +35,9 @@ from coersimp.syntax import (
     CCoercion,
     CompType,
     DCoCompose,
+    DCoEmptyUnder,
     DCoParam,
+    DCoReflParam,
     DCoUnionBoth,
     Dirt,
     Do,
@@ -56,6 +60,7 @@ from coersimp.syntax import (
     VCoArrow,
     VCoCompose,
     VCoParam,
+    VCoReflParam,
     dirt,
     intern,
 )
@@ -163,6 +168,21 @@ def test_check_vco_compose_endpoint_mismatch():
     bad = VCoCompose(VCoParam("w1"), VCoParam("w1"))
     with pytest.raises(EndpointMismatch):
         check_vco(SIG, CTX, bad)
+
+
+@pytest.mark.parametrize("endpoint, g", [
+    pytest.param(vco_endpoint, VCoParam("w1"), id="vco-param"),
+    pytest.param(vco_endpoint, VCoReflParam("a1"), id="vco-refl-param"),
+    pytest.param(dco_endpoint, DCoParam("p1"), id="dco-param"),
+    pytest.param(dco_endpoint, DCoEmptyUnder("d1"), id="dco-empty-under"),
+    pytest.param(dco_endpoint, DCoReflParam("d1"), id="dco-refl-param"),
+])
+def test_endpoints_refuse_a_coercion_that_is_not_ground(endpoint, g):
+    """The endpoint readers take a ground coercion only: a parameter or a
+    coercion over one has no endpoint to read."""
+    for upper in (False, True):
+        with pytest.raises(IllFormed):
+            endpoint(g, upper)
 
 
 def test_check_compose_chains_deeper_than_the_recursion_limit():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from coersimp import corpus
 from coersimp.check import check_dco, derived_refl_dirt
-from coersimp.cli import STANDARD_CONFIGS, cmd_report, main, metrics_row
+from coersimp.cli import STANDARD_CONFIGS, cmd_report, cmd_verify, main, metrics_row
 from coersimp.corpus import (
     MAX_NESTING,
     JudgmentError,
@@ -263,6 +263,9 @@ def test_cli_verify_small_item(capsys):
     assert report["failures"] == []
     assert main(["verify", "--item", "unit_value", "--samples", "3"]) == 0
     assert "3/3 ok (1 distinct)" in capsys.readouterr().out
+    (no_term,) = [item for item in load_bundled() if item.name == "loop_type"]
+    with pytest.raises(ValueError):
+        cmd_verify(no_term, "all")
 
 
 def break_d1_family_entry(monkeypatch):

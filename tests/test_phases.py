@@ -25,6 +25,7 @@ from coersimp.syntax import (
     Dirt,
     ParamContext,
     SkelParam,
+    SkelUnit,
     TyParam,
     VCoercion,
     dirt,
@@ -82,6 +83,8 @@ def test_parse_full_dirt_flag():
 def test_parse_custom():
     got = parse_phase_config("custom:cleanup.type, scc, empty")
     assert got == [("cleanup", "type"), ("scc", "both"), ("empty", "dirt")]
+    assert parse_phase_config("custom:scc,,bridge") == [("scc", "both"), ("bridge", "both")]
+    assert parse_phase_config("custom:scc,") == [("scc", "both")]
     with pytest.raises(ValueError):
         parse_phase_config("bogus")
     with pytest.raises(ValueError):
@@ -90,6 +93,10 @@ def test_parse_custom():
         parse_phase_config("custom:empty.type")
     with pytest.raises(ValueError):
         parse_phase_config("custom:scc.sideways")
+    with pytest.raises(ValueError):
+        run_phases(TEST_SIG, ty_ctx([]), EMPTY_FPS, [("sharpen", "both")])
+    with pytest.raises(ValueError):  # the phases run on a canonical context only
+        run_phases(TEST_SIG, ParamContext((), (), (("a", SkelUnit()),), (), ()), EMPTY_FPS, [])
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,15 @@ def test_join_and_meet_of_different_shapes_fail(a, b, up, says):
     assert str(exc.value) == says
 
 
+@pytest.mark.parametrize("s", [
+    pytest.param(SkelParam("s1"), id="param"),
+    pytest.param(SkelArrow(SkelUnit(), SkelParam("s1")), id="arrow-to-param"),
+])
+def test_a_skeleton_parameter_has_no_ground_type(s):
+    with pytest.raises(SampleError):
+        sample._ground_of_skeleton(s, random.Random(0), (), False, {})
+
+
 # ---------------------------------------------------------------------------
 # Worklist repair against the sweeping reference
 

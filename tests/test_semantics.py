@@ -65,9 +65,11 @@ from coersimp.syntax import (
     Return,
     SkelArrow,
     SkelBase,
+    SkelParam,
     SkelUnit,
     TyArrow,
     TyBase,
+    TyParam,
     TyUnit,
     UnitVal,
     Var,
@@ -151,6 +153,18 @@ def test_enumerate_envs_product():
 def test_closed_type_skeleton_drops_dirt():
     t = arrow(UNIT, BIT, dirt(("Random",)))
     assert wf_vtype(TEST_SIG, EMPTY_CONTEXT, t) == SkelArrow(SkelUnit(), SkelBase("bit"))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: default_skel(TEST_SIG, SkelParam("s1")), ModelBug, id="default_skel"),
+    pytest.param(lambda: equal_skel_at(TEST_SIG, TyParam("a1"), (), ()), ModelBug,
+                 id="equal_skel_at"),
+    pytest.param(lambda: enum_vty(TEST_SIG, TyParam("a1")), DomainTooLarge, id="enum_vty"),
+])
+def test_the_model_refuses_a_parameter(call, error):
+    """The model reads ground types and skeletons only."""
+    with pytest.raises(error):
+        call()
 
 
 def test_default_skel_inhabitants():
